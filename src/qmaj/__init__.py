@@ -17,8 +17,6 @@ from .grids import (
     ReferenceDistribution,
     SampledDistribution,
     default_grid,
-    integrate,
-    make_grid,
     truncation_report,
 )
 from .rearrange import (
@@ -48,9 +46,7 @@ __all__ = [
     "compare_curve_pairs",
     "default_grid",
     "distribution_function",
-    "integrate",
     "lorenz_curves",
-    "make_grid",
     "parse_state",
     "piecewise_minus_integral",
     "piecewise_plus_integral",

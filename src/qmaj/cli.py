@@ -53,9 +53,20 @@ def _parse_grid_flag(text: str | None, modes: int, hbar: str) -> GridSpec:
     unknown = set(fields) - known
     if unknown:
         raise ConfigError(f"unknown --grid key {unknown.pop()!r}")
-    L = float(fields.get("L", base.half_width))
-    N = int(fields.get("N", base.points_per_axis))
+    try:
+        L = float(fields.get("L", base.half_width))
+        N = int(fields.get("N", base.points_per_axis))
+    except ValueError as exc:
+        raise ConfigError(f"bad --grid value: {exc}") from None
     return GridSpec(modes=modes, half_width=L, points_per_axis=N, hbar=hbar)
+
+
+def _parse_bracket(text: str) -> tuple[float, float]:
+    lo, _, hi = text.partition(":")
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise ConfigError(f"bad --bracket {text!r}, expected lo:hi") from None
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -293,17 +304,17 @@ def cmd_compare(args) -> int:
 def cmd_scan(args) -> int:
     if args.family != "thermal":
         raise ConfigError(f"unknown reference family {args.family!r}")
+    bracket = _parse_bracket(args.bracket)
     spec_a = states.parse_state(args.state_a)
     spec_b = states.parse_state(args.state_b)
     grid = _grid_for(args, spec_a)
     f = states.render(spec_a, grid, args.rep)
     g = states.render(spec_b, grid, args.rep)
-    lo, _, hi = args.bracket.partition(":")
     result = scan_threshold(
         f,
         g,
         states.thermal_reference_family(grid, args.rep),
-        (float(lo), float(hi)),
+        bracket,
         resolution=args.resolution,
         eps_cmp=args.tol,
     )

@@ -6,6 +6,11 @@ Verdicts are four-way: with a finite comparison tolerance eps a direction
 "holds" when no violation exceeds eps, and a holding direction is promoted to
 strict dominance only when some gap exceeds ``strictness * eps`` (separating
 real dominance from quadrature noise).
+
+Both checks read the weighted rearrangements of ``qmaj.rearrange``:
+``compare`` the Lorenz curves (s, L) of each side, ``statement4_check`` the
+sorted keys f/q with the same (s, L), through ``_shifted_integrals``.
+``ratio_breakpoints`` alone reads the raw values, to pick the u grid.
 """
 
 from __future__ import annotations
@@ -20,12 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NormalizationError, ScanError
 from .grids import ReferenceDistribution, SampledDistribution, same_grid
-from .rearrange import (
-    LorenzCurve,
-    curves,
-    piecewise_minus_integral,
-    piecewise_plus_integral,
-)
+from .rearrange import LorenzCurve, _shifted_integrals, curves
 
 DEFAULT_EPS_CMP = 1e-4
 DEFAULT_EPS_NORM = 1e-3
@@ -63,36 +63,36 @@ class MajorizationVerdict:
         return msg
 
 
-class _Dominance(NamedTuple):
-    holds: bool
-    max_gap: float       # largest margin in the claimed direction
-    gap_at: Witness      # where that margin is attained
-    violation: Witness   # worst violation (gap < 0 region), if any
-
-
-def _evaluate_direction(
+def _extreme_gaps(
     pos_f: LorenzCurve, neg_f: LorenzCurve, pos_g: LorenzCurve, neg_g: LorenzCurve,
-    eps: float,
-) -> _Dominance:
-    """Does f dominate g? Checked on the union of breakpoint abscissae."""
+) -> tuple[Witness, Witness]:
+    """Smallest and largest signed gap of f over g on the merged breakpoints.
+
+    A gap is positive where f's positive curve lies above g's or f's negative
+    curve lies below g's.
+    """
     sp = np.union1d(pos_f.s, pos_g.s)
-    dp = pos_f(sp) - pos_g(sp)           # want >= 0 everywhere
+    dp = pos_f(sp) - pos_g(sp)
     sn = np.union1d(neg_f.s, neg_g.s)
-    dn = neg_g(sn) - neg_f(sn)           # want >= 0 everywhere
+    dn = neg_g(sn) - neg_f(sn)
     lo_p, hi_p = int(np.argmin(dp)), int(np.argmax(dp))
     lo_n, hi_n = int(np.argmin(dn)), int(np.argmax(dn))
-    worst = (
+    lowest = (
         Witness(float(sp[lo_p]), pos_f.side, float(dp[lo_p]))
         if dp[lo_p] <= dn[lo_n]
         else Witness(float(sn[lo_n]), neg_f.side, float(dn[lo_n]))
     )
-    best = (
+    highest = (
         Witness(float(sp[hi_p]), pos_f.side, float(dp[hi_p]))
         if dp[hi_p] >= dn[hi_n]
         else Witness(float(sn[hi_n]), neg_f.side, float(dn[hi_n]))
     )
-    holds = worst.gap >= -eps
-    return _Dominance(holds, best.gap, best, worst)
+    return lowest, highest
+
+
+def _reversed(w: Witness) -> Witness:
+    # 0 - (a - b) is bitwise b - a, signed zero included
+    return Witness(w.s, w.side, 0.0 - w.gap)
 
 
 def compare_curve_pairs(
@@ -101,25 +101,31 @@ def compare_curve_pairs(
     eps_cmp: float = DEFAULT_EPS_CMP,
     strictness: float = STRICTNESS,
 ) -> MajorizationVerdict:
-    """Four-way verdict from two (positive, negative) curve pairs."""
-    fwd = _evaluate_direction(*curves_f, *curves_g, eps=eps_cmp)
-    bwd = _evaluate_direction(*curves_g, *curves_f, eps=eps_cmp)
+    """Four-way verdict from two (positive, negative) curve pairs.
+
+    The gaps of g over f are those of f over g with the sign flipped, so one
+    pass decides both directions: g's worst violation is f's largest gap
+    reversed, and g's largest gap is f's worst violation reversed.
+    """
+    lowest, highest = _extreme_gaps(*curves_f, *curves_g)
+    fwd_holds = lowest.gap >= -eps_cmp
+    bwd_holds = highest.gap <= eps_cmp
     strict = strictness * eps_cmp
-    if fwd.holds and bwd.holds:
+    if fwd_holds and bwd_holds:
         return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
-    if fwd.holds:
-        if fwd.max_gap > strict:
-            return MajorizationVerdict(Outcome.MAJORIZES, fwd.gap_at, None, eps_cmp)
+    if fwd_holds:
+        if highest.gap > strict:
+            return MajorizationVerdict(Outcome.MAJORIZES, highest, None, eps_cmp)
         return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
-    if bwd.holds:
-        if bwd.max_gap > strict:
+    if bwd_holds:
+        if -lowest.gap > strict:
             return MajorizationVerdict(
-                Outcome.MAJORIZED_BY, bwd.gap_at, None, eps_cmp
+                Outcome.MAJORIZED_BY, _reversed(lowest), None, eps_cmp
             )
         return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
     # crossings in both directions: report where each direction fails
     return MajorizationVerdict(
-        Outcome.INCOMPARABLE, fwd.violation, bwd.violation, eps_cmp
+        Outcome.INCOMPARABLE, lowest, _reversed(highest), eps_cmp
     )
 
 
@@ -189,7 +195,9 @@ def statement4_check(
 
     Direction f over g requires, for every u in the grid, that the integral
     of (f-uq)+ is at least that of (g-uq)+ and the integral of (f+uq)- is at
-    most that of (g+uq)-.  Used as a cross-validation of ``compare``.
+    most that of (g+uq)-.  Used as a cross-validation of ``compare``: both
+    read the same rearrangement, but statement 4 integrates the shifted parts
+    where ``compare`` interpolates curves.
     """
     if u_grid is None:
         u_grid = ratio_breakpoints(f, g, q, max_points=256)
@@ -198,17 +206,10 @@ def statement4_check(
         raise ConfigError("u_grid must be nonempty")
     if (u_grid < 0).any():
         raise ConfigError("u_grid entries must be >= 0")
-    fwd = True
-    bwd = True
-    for u in u_grid:
-        fp = piecewise_plus_integral(f, u, q)
-        gp = piecewise_plus_integral(g, u, q)
-        fm = piecewise_minus_integral(f, u, q)
-        gm = piecewise_minus_integral(g, u, q)
-        fwd = fwd and fp >= gp - eps_cmp and fm <= gm + eps_cmp
-        bwd = bwd and gp >= fp - eps_cmp and gm <= fm + eps_cmp
-        if not (fwd or bwd):
-            break
+    fp, fm = _shifted_integrals(f, u_grid, q)
+    gp, gm = _shifted_integrals(g, u_grid, q)
+    fwd = bool((fp >= gp - eps_cmp).all() and (fm <= gm + eps_cmp).all())
+    bwd = bool((gp >= fp - eps_cmp).all() and (gm <= fm + eps_cmp).all())
     return Statement4Result(fwd, bwd)
 
 
@@ -257,7 +258,11 @@ def scan_threshold(
     def verdict_at(param: float) -> Outcome:
         return compare(f, g, family(param), eps_cmp=eps_cmp).outcome
 
-    workers = int(os.environ.get("QMAJ_THREADS", "1") or "1")
+    threads = os.environ.get("QMAJ_THREADS", "1") or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ConfigError(f"QMAJ_THREADS must be an integer, got {threads!r}") from None
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(verdict_at, pts))

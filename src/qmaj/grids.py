@@ -145,16 +145,6 @@ def default_grid(modes: int = 1, hbar: str = HBAR_HALF) -> GridSpec:
     return GridSpec(modes=modes, half_width=nom, points_per_axis=npts, hbar=hbar)
 
 
-def make_grid(spec: GridSpec) -> np.ndarray:
-    """Enumerate cell-center coordinates, shape (cells, 2n), row-major.
-
-    Deterministic and reproducible; intended for small grids (the array is
-    dense).  Large renders should use :meth:`GridSpec.mesh` instead.
-    """
-    axes = np.meshgrid(*([spec.axis()] * spec.naxes), indexing="ij")
-    return np.stack([a.ravel() for a in axes], axis=-1)
-
-
 @dataclass(frozen=True)
 class SampledDistribution:
     """A real function sampled on the cells of a grid or discrete space.
@@ -232,24 +222,6 @@ def same_grid(a, b) -> None:
     """Raise GridMismatchError unless a and b share the same space."""
     if a.grid != b.grid:
         raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
-
-
-def integrate(f: SampledDistribution) -> float:
-    """Midpoint-rule integral: sum of values times cell measure."""
-    return f.total_integral
-
-
-def linear_combination(
-    coeffs, dists: list[SampledDistribution]
-) -> SampledDistribution:
-    if not dists:
-        raise ConfigError("empty combination")
-    for d in dists[1:]:
-        same_grid(dists[0], d)
-    acc = np.zeros_like(dists[0].values)
-    for c, d in zip(coeffs, dists):
-        acc += c * d.values
-    return SampledDistribution(dists[0].grid, acc)
 
 
 @dataclass(frozen=True)

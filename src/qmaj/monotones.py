@@ -4,6 +4,11 @@ Every functional here respects the majorization preorder: when f majorizes g
 the Schur-convex entries are at least as large for f.  Entropies use the
 natural logarithm throughout.  Purity follows the convention of the grid it
 is computed on, scaled so the vacuum comes out at exactly 1.
+
+Most functionals read the cell values directly.  Two read the regular
+rearrangements of ``qmaj.rearrange``: ``g_monotone`` the positive Lorenz
+curve, and ``phi_functional`` the sorted values of both sides with their
+cumulative measures.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .grids import (
     SampledDistribution,
     same_grid,
 )
-from .rearrange import lorenz_curves
+from .rearrange import NEGATIVE, POSITIVE, _rearrange, lorenz_curves
 
 
 def negative_volume(f: SampledDistribution) -> float:
@@ -122,28 +127,6 @@ def g_monotone(f: SampledDistribution) -> float:
     return 1.0 / float(s_star)
 
 
-def _sorted_step(values: np.ndarray, weight: float, descending: bool):
-    order = np.argsort(-values if descending else values, kind="stable")
-    v = values[order]
-    edges = np.arange(1, len(v) + 1, dtype=float) * weight
-    return v, edges
-
-
-def _step_product_integral(v1, e1, v2, e2) -> float:
-    """Integral of the product of two step functions over [0, min support)."""
-    if len(v1) == 0 or len(v2) == 0:
-        return 0.0
-    top = min(e1[-1], e2[-1])
-    merged = np.union1d(e1, e2)
-    merged = merged[merged <= top + 1e-300]
-    left = np.concatenate([[0.0], merged[:-1]])
-    widths = merged - left
-    mid = 0.5 * (merged + left)
-    i1 = np.searchsorted(e1, mid, side="left")
-    i2 = np.searchsorted(e2, mid, side="left")
-    return float(np.sum(v1[i1] * v2[i2] * widths))
-
-
 def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     """Inner product of the aligned rearrangement pairs of f and g.
 
@@ -153,18 +136,17 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     phi(f, f) equals the squared L2 norm and phi is symmetric.
     """
     same_grid(f, g)
-    w = f.grid.cell_measure
-    fp = f.values[f.values > 0]
-    gp = g.values[g.values > 0]
-    fn = f.values[f.values < 0]
-    gn = g.values[g.values < 0]
-    v1, e1 = _sorted_step(fp, w, descending=True)
-    v2, e2 = _sorted_step(gp, w, descending=True)
-    pos = _step_product_integral(v1, e1, v2, e2)
-    v3, e3 = _sorted_step(fn, w, descending=False)
-    v4, e4 = _sorted_step(gn, w, descending=False)
-    neg = _step_product_integral(v3, e3, v4, e4)
-    return pos + neg
+    total = 0.0
+    for side in (POSITIVE, NEGATIVE):
+        a, b = _rearrange(f, None, side), _rearrange(g, None, side)
+        # a rearrangement takes the value keys[k] on (s[k], s[k+1]]
+        edges = np.union1d(a.s[1:], b.s[1:])
+        edges = edges[edges <= min(a.s[-1], b.s[-1])]
+        widths = np.diff(edges, prepend=0.0)
+        i = np.searchsorted(a.s[1:], edges, side="left")
+        j = np.searchsorted(b.s[1:], edges, side="left")
+        total += float(np.sum(a.keys[i] * b.keys[j] * widths))
+    return total
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Rearrangements and Lorenz curves of sampled quasiprobability functions.
 
-The positive curve accumulates the positive cell values sorted by decreasing
-value (decreasing rearrangement of f+); the negative curve accumulates the
-negative values sorted ascending (increasing rearrangement of f-).  Relative
-versions rank cells by the ratio f/q and measure abscissae in the q-rescaled
-measure nu, so a breakpoint adds (q_i * dmu_i, f_i * dmu_i).
+Everything here reads one weighted rearrangement per side of f, built by
+``_rearrange``: the cells where f > 0 ranked by decreasing key f/q, and the
+cells where f < 0 ranked by increasing key, with q = 1 for the regular
+rearrangement.  A cell adds q_i * dmu_i to the abscissa s (the measure nu)
+and f_i * dmu_i to the ordinate L.
 
-Curves are piecewise linear with slopes equal to the sorted values; the
-positive curve is concave and the negative curve convex by construction.
+* ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
+  as a piecewise-linear curve, concave (positive) or convex (negative).
+* ``_shifted_integrals`` reads the sorted keys with (s, L) to give the
+  integrals of (f - u*q)+ and (f + u*q)- for many u by binary search.
+* ``piecewise_plus_integral`` and ``piecewise_minus_integral`` evaluate the
+  same integrals from their definition, with no sort, as the reference.
+
 Curves are weighted sorts of the sampled values, not inversions of the step
 distribution functions: exact for the samples and O(M log M).
 """
@@ -15,6 +20,7 @@ distribution functions: exact for the samples and O(M log M).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,39 +131,58 @@ class LorenzCurve:
         )
 
 
-def _accumulate(order_key, values, nu_weights, mu_weight, mask, side, domain_end,
-                truncation_sensitive=False, relative=False) -> LorenzCurve:
-    vals = values[mask]
-    key = order_key[mask]
-    nw = nu_weights[mask] if nu_weights is not None else None
+class _Rearrangement(NamedTuple):
+    keys: np.ndarray  # ranking keys f/q in rank order
+    s: np.ndarray     # cumulative nu measure, s[0] = 0
+    L: np.ndarray     # cumulative integral of f, L[0] = 0
+
+
+def _cumulative(steps: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(steps) + 1)
+    np.cumsum(steps, out=out[1:])
+    return out
+
+
+def _rearrange(
+    f: SampledDistribution, q: ReferenceDistribution | None, side: str
+) -> _Rearrangement:
+    """The weighted rearrangement of one side of f (see the module notes)."""
+    if q is not None:
+        same_grid(f, q)
+    v = f.values
+    mask = v > 0 if side == POSITIVE else v < 0
+    vals = v[mask]
+    qm = None if q is None else q.values[mask]
+    key = vals if qm is None else vals / qm
     # stable sort: ties broken by cell index, so equal-weight permutations of
     # distinct cells cannot change the curve
-    if side == POSITIVE:
-        order = np.argsort(-key, kind="stable")
-    else:
-        order = np.argsort(key, kind="stable")
+    order = np.argsort(-key if side == POSITIVE else key, kind="stable")
+    # the cell measure is uniform, so only f and q are permuted; the sorted
+    # keys are recomputed from them rather than gathered a third time
+    dmu = f.grid.cell_measure
     vals = vals[order]
-    s_inc = nw[order] if nw is not None else np.full(vals.shape, mu_weight)
-    s = np.concatenate([[0.0], np.cumsum(s_inc)])
-    L = np.concatenate([[0.0], np.cumsum(vals * mu_weight)])
+    if qm is None:
+        keys, nu = vals, np.full(vals.shape, dmu)
+    else:
+        qm = qm[order]
+        keys, nu = vals / qm, qm * dmu
+    return _Rearrangement(keys, _cumulative(nu), _cumulative(vals * dmu))
+
+
+def _curve(
+    f: SampledDistribution, q: ReferenceDistribution | None, side: str
+) -> LorenzCurve:
+    _, s, L = _rearrange(f, q, side)
+    if q is None:
+        return LorenzCurve(s, L, side, f.grid.total_measure)
     return LorenzCurve(
-        s=s,
-        L=L,
-        side=side,
-        domain_end=domain_end,
-        relative=relative,
-        truncation_sensitive=truncation_sensitive,
+        s, L, side, q.total_nu, relative=True, truncation_sensitive=not q.integrable
     )
 
 
 def lorenz_curves(f: SampledDistribution) -> tuple[LorenzCurve, LorenzCurve]:
     """Positive and negative Lorenz curves of f on its truncated window."""
-    v = f.values
-    dmu = f.grid.cell_measure
-    end = f.grid.total_measure
-    pos = _accumulate(v, v, None, dmu, v > 0, POSITIVE, end)
-    neg = _accumulate(v, v, None, dmu, v < 0, NEGATIVE, end)
-    return pos, neg
+    return _curve(f, None, POSITIVE), _curve(f, None, NEGATIVE)
 
 
 def relative_lorenz_curves(
@@ -169,18 +194,7 @@ def relative_lorenz_curves(
     and f_i*dmu to L, so the endpoints (1 + NV and -NV for normalized f) do
     not depend on q.
     """
-    same_grid(f, q)
-    v = f.values
-    dmu = f.grid.cell_measure
-    ratio = v / q.values
-    nu_w = q.values * dmu
-    end = q.total_nu
-    sens = not q.integrable
-    pos = _accumulate(ratio, v, nu_w, dmu, v > 0, POSITIVE, end,
-                      truncation_sensitive=sens, relative=True)
-    neg = _accumulate(ratio, v, nu_w, dmu, v < 0, NEGATIVE, end,
-                      truncation_sensitive=sens, relative=True)
-    return pos, neg
+    return _curve(f, q, POSITIVE), _curve(f, q, NEGATIVE)
 
 
 def curves(f: SampledDistribution, q: ReferenceDistribution | None = None):
@@ -206,6 +220,24 @@ def piecewise_minus_integral(
         raise ConfigError(f"u must be >= 0, got {u}")
     shift = u if q is None else u * q.values
     return float(np.minimum(f.values + shift, 0.0).sum() * f.grid.cell_measure)
+
+
+def _shifted_integrals(
+    f: SampledDistribution, u: np.ndarray, q: ReferenceDistribution | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of (f - u*q)+ and (f + u*q)- for every u >= 0 at once.
+
+    The cells where f > u*q are those whose key f/q lies strictly above u: the
+    first k of the positive rearrangement, so the integral is L[k] - u*s[k].
+    The j keys strictly below -u give L[j] + u*s[j] on the negative side.
+    The lookup searches the keys, not the curve slopes: a weight too small to
+    move s leaves a zero-width segment whose slope is undefined.
+    """
+    pos = _rearrange(f, q, POSITIVE)
+    k = np.searchsorted(-pos.keys, -u, side="left")
+    neg = _rearrange(f, q, NEGATIVE)
+    j = np.searchsorted(neg.keys, -u, side="left")
+    return pos.L[k] - u * pos.s[k], neg.L[j] + u * neg.s[j]
 
 
 def resample_pair(

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmaj
 from qmaj import states
 from qmaj.cli import (
     load_curves_csv,
@@ -225,6 +230,31 @@ def test_exit_code_parse_error(capsys):
 def test_exit_code_usage(capsys):
     code, _, err = run(capsys, "lorenz", "--state", "fock:1", "--grid", "L=7,K=3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["compare", "fock:1", "fock:2", "--grid", "L=abc"], {}),
+        (["compare", "fock:1", "fock:2", "--grid", "N=7.5"], {}),
+        (["scan", "fock:1", "fock:0", "--bracket", "0.5"], {}),
+        (["scan", "fock:1", "fock:0", "--bracket", "low:2"], {}),
+        (["scan", "fock:1", "fock:0", "--bracket", "0.1:2", "--grid", "N=100"],
+         {"QMAJ_THREADS": "two"}),
+    ],
+    ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "threads"],
+)
+def test_exit_code_malformed_flag(argv, env):
+    src = str(Path(qmaj.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmaj.cli", *argv],
+        env={**os.environ, **env, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_exit_code_normalization(tmp_path, capsys):

@@ -136,3 +136,38 @@ def test_scan_respects_thread_env(fock, half_grid, monkeypatch):
     family = states.thermal_reference_family(half_grid)
     result = scan_threshold(fock[1], fock[0], family, (0.1, 2.0), resolution=0.05)
     assert result.midpoint == pytest.approx(0.64, abs=0.05)
+
+
+def _criterion3_cases(fock, zoo, vacuum_ref, half_grid):
+    th1 = states.render("thermal(nbar=1)", half_grid)
+    qm1 = states.reference("thermal(nbar=-1)", half_grid)
+    return (
+        [(fock[m], fock[n], None) for m in range(5) for n in range(m + 1, 5)]
+        + [(fock[n + 1], fock[n], vacuum_ref) for n in range(5)]
+        + [
+            (zoo["rho1"], zoo["rho2"], None),
+            (fock[4], zoo["lossy1"], None),
+            (fock[4], th1, None),
+            (fock[4], th1, qm1),
+        ]
+    )
+
+
+def test_swapped_arguments_mirror_the_verdict(fock, zoo, vacuum_ref, half_grid):
+    mirror = {
+        Outcome.MAJORIZES: Outcome.MAJORIZED_BY,
+        Outcome.MAJORIZED_BY: Outcome.MAJORIZES,
+        Outcome.EQUIVALENT: Outcome.EQUIVALENT,
+        Outcome.INCOMPARABLE: Outcome.INCOMPARABLE,
+    }
+    seen = set()
+    for f, g, q in _criterion3_cases(fock, zoo, vacuum_ref, half_grid):
+        ab, ba = compare(f, g, q), compare(g, f, q)
+        seen.add(ab.outcome)
+        assert ba.outcome is mirror[ab.outcome]
+        if ab.outcome is Outcome.INCOMPARABLE:
+            assert ba.witness == ab.witness_reverse
+            assert ba.witness_reverse == ab.witness
+        else:
+            assert ba.witness == ab.witness and ba.witness_reverse is None
+    assert {Outcome.MAJORIZES, Outcome.INCOMPARABLE} <= seen

@@ -12,16 +12,15 @@ from qmaj.grids import (
     GridSpec,
     SampledDistribution,
     default_grid,
-    integrate,
-    linear_combination,
-    make_grid,
     truncation_report,
 )
 
 
 def test_tiny_grid_enumeration():
     spec = GridSpec(modes=1, half_width=1.0, points_per_axis=2)
-    cells = make_grid(spec)
+    np.testing.assert_allclose(spec.axis(), [-0.5, 0.5])
+    # row-major cell centers from the broadcast mesh
+    cells = np.stack(np.broadcast_arrays(*spec.mesh()), axis=-1).reshape(-1, 2)
     assert cells.shape == (4, 2)
     expected = np.array([[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5]])
     np.testing.assert_allclose(cells, expected)
@@ -50,31 +49,31 @@ def test_grid_validation():
 
 def test_enumeration_deterministic():
     spec = GridSpec(modes=1, half_width=3.0, points_per_axis=10)
-    np.testing.assert_array_equal(make_grid(spec), make_grid(spec))
+    np.testing.assert_array_equal(spec.axis(), spec.axis())
 
 
 def test_integrate_vacuum(half_grid):
     f = states.render("vacuum", half_grid)
-    assert integrate(f) == pytest.approx(1.0, abs=1e-6)
+    assert f.total_integral == pytest.approx(1.0, abs=1e-6)
 
 
 def test_integrate_zero(half_grid):
     zero = SampledDistribution(half_grid, np.zeros(half_grid.size))
-    assert integrate(zero) == 0.0
+    assert zero.total_integral == 0.0
 
 
 def test_integrate_fock4(half_grid):
     f = states.render("fock:4", half_grid)
-    assert integrate(f) == pytest.approx(1.0, abs=1e-4)
+    assert f.total_integral == pytest.approx(1.0, abs=1e-4)
 
 
 def test_integrate_linearity(half_grid):
     rng = np.random.default_rng(7)
     f = SampledDistribution(half_grid, rng.normal(size=half_grid.size))
     g = SampledDistribution(half_grid, rng.normal(size=half_grid.size))
-    lhs = integrate(linear_combination([2.5, -0.7], [f, g]))
-    rhs = 2.5 * integrate(f) - 0.7 * integrate(g)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    combo = SampledDistribution(half_grid, 2.5 * f.values - 0.7 * g.values)
+    rhs = 2.5 * f.total_integral - 0.7 * g.total_integral
+    assert combo.total_integral == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_values_immutable(half_grid):

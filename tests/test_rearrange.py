@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from qmaj import monotones, states
-from qmaj.grids import GridSpec, ReferenceDistribution, SampledDistribution
+from qmaj.grids import (
+    DiscreteSpace,
+    GridSpec,
+    ReferenceDistribution,
+    SampledDistribution,
+)
 from qmaj.rearrange import (
+    _shifted_integrals,
     codistribution_function,
     distribution_function,
     lorenz_curves,
@@ -172,6 +178,43 @@ def test_piecewise_rejects_negative_u(fock):
 
     with pytest.raises(ConfigError):
         piecewise_plus_integral(fock[0], -0.1)
+
+
+def _assert_shifted_match(f, q, us):
+    plus, minus = _shifted_integrals(f, us, q)
+    for u, p, m in zip(us, plus, minus):
+        assert p == pytest.approx(piecewise_plus_integral(f, u, q), abs=1e-12)
+        assert m == pytest.approx(piecewise_minus_integral(f, u, q), abs=1e-12)
+
+
+def test_shifted_integrals_match_definition(zoo, half_grid, vacuum_ref):
+    refs = [None, vacuum_ref, states.reference("thermal(nbar=-1)", half_grid)]
+    zero_width = 0
+    for f in zoo.values():
+        for q in refs:
+            keys = np.abs(f.values) if q is None else np.abs(f.values) / q.values
+            # u at cell keys themselves, from the bulk out to the extremes
+            qs = [0.0, 0.5, 0.9, 0.99, 0.9999, 1.0]
+            us = np.concatenate([[0.0], np.quantile(keys, qs, method="nearest")])
+            _assert_shifted_match(f, q, us)
+            if q is not None:
+                pos, _ = relative_lorenz_curves(f, q)
+                zero_width += int((np.diff(pos.s) == 0).sum())
+    # tiny weights absorbed into s leave segments with undefined slopes
+    assert zero_width > 0
+
+
+def test_shifted_integrals_strict_above_u():
+    # u equal to keys, ties included: boundary cells add f - u*q = 0 exactly
+    space = DiscreteSpace(5)
+    f = SampledDistribution(space, np.array([2.0, -1.0, 0.5, -0.25, 1.0]))
+    q = ReferenceDistribution(space, np.array([1.0, 0.5, 0.25, 1.0, 2.0]))
+    # keys f/q: 2, -2, 2, -0.25, 0.5
+    _assert_shifted_match(f, q, np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]))
+    _assert_shifted_match(f, None, np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]))
+    plus, minus = _shifted_integrals(f, np.array([0.5, 2.0]), q)
+    np.testing.assert_array_equal(plus, [1.5 + 0.375, 0.0])
+    np.testing.assert_array_equal(minus, [-0.75, 0.0])
 
 
 def _clustered(levels_from: float, levels_to: float, points: int) -> np.ndarray:
