@@ -28,6 +28,7 @@ from .errors import ChannelError, ConfigError, LeakageError
 from .grids import HBAR_HALF, GridSpec, SampledDistribution
 
 LEAKAGE_TOL = 1e-3
+DEPHASING_NODES = 64  # rotation angles averaged by apply_dephasing
 
 
 class StochasticityClass(Enum):
@@ -176,14 +177,13 @@ def _convention_scaled(ch: GaussianChannelSpec, grid: GridSpec):
 def apply_gaussian(
     ch: GaussianChannelSpec,
     f: SampledDistribution,
-    check_leakage: bool = True,
 ) -> SampledDistribution:
     """Push a sampled Wigner function through a Gaussian channel kernel.
 
     Affine resample by X and delta (cubic spline, Jacobian 1/|det X|), then
     FFT convolution with the centered Gaussian of matrix Y when Y is nonzero.
     The output is not renormalized; mass pushed off the grid shows up in the
-    integral and raises LeakageError beyond 1e-3 unless disabled.
+    integral and raises LeakageError beyond 1e-3.
     """
     grid = f.grid
     if not isinstance(grid, GridSpec):
@@ -221,7 +221,7 @@ def apply_gaussian(
 
     out = SampledDistribution(grid, resampled.ravel())
     defect = abs(out.total_integral - f.total_integral)
-    if check_leakage and defect > LEAKAGE_TOL:
+    if defect > LEAKAGE_TOL:
         raise LeakageError(
             f"channel output leaks {defect:.3g} of mass beyond the grid "
             f"(tolerance {LEAKAGE_TOL:g}); enlarge the window"
@@ -263,7 +263,7 @@ def pure_loss_fock(n: int, eta: float) -> dict[int, float]:
     }
 
 
-def dephasing_nodes(gamma: float, points: int = 64):
+def dephasing_nodes(gamma: float):
     """Rotation angles and weights of the dephasing mixture p_gamma.
 
     Gauss-Hermite nodes when the +-5/sqrt(gamma) window fits inside the
@@ -271,25 +271,23 @@ def dephasing_nodes(gamma: float, points: int = 64):
     """
     if gamma <= 0:
         raise ConfigError(f"gamma must be > 0, got {gamma}")
-    if points < 32:
-        raise ConfigError(f"need at least 32 quadrature points, got {points}")
     window = 5.0 / math.sqrt(gamma)
     if window <= math.pi:
-        nodes, weights = np.polynomial.hermite.hermgauss(points)
+        nodes, weights = np.polynomial.hermite.hermgauss(DEPHASING_NODES)
         phis = nodes * math.sqrt(2.0 / gamma)
         w = weights / math.sqrt(math.pi)
         return phis, w / w.sum()
-    phis = -math.pi + (np.arange(points) + 0.5) * 2.0 * math.pi / points
+    phis = (
+        -math.pi + (np.arange(DEPHASING_NODES) + 0.5) * 2.0 * math.pi / DEPHASING_NODES
+    )
     folds = int(math.ceil(window / (2.0 * math.pi))) + 1
-    w = np.zeros(points)
+    w = np.zeros(DEPHASING_NODES)
     for m in range(-folds, folds + 1):
         w += np.exp(-0.5 * gamma * (phis + 2.0 * math.pi * m) ** 2)
     return phis, w / w.sum()
 
 
-def apply_dephasing(
-    gamma: float, f: SampledDistribution, points: int = 64
-) -> SampledDistribution:
+def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution:
     """Average phase-space rotations of f with Gaussian angle weights.
 
     A convex mixture of rotations is doubly stochastic, so the input always
@@ -298,7 +296,7 @@ def apply_dephasing(
     grid = f.grid
     if not isinstance(grid, GridSpec) or grid.modes != 1:
         raise ChannelError("dephasing is implemented for single-mode grids")
-    phis, weights = dephasing_nodes(gamma, points)
+    phis, weights = dephasing_nodes(gamma)
     # one spline prefilter shared by all rotation nodes
     coeffs = spline_filter(f.as_nd(), order=3, mode="constant")
     x, p = grid.mesh()

@@ -4,7 +4,7 @@ f majorizes g when the positive curve of f dominates g's and the negative
 curve of f lies below g's at every abscissa, with equal total integrals.
 Verdicts are four-way: with a finite comparison tolerance eps a direction
 "holds" when no violation exceeds eps, and a holding direction is promoted to
-strict dominance only when some gap exceeds ``strictness * eps`` (separating
+strict dominance only when some gap exceeds ``STRICTNESS * eps`` (separating
 real dominance from quadrature noise).
 
 Both checks read the weighted rearrangements of ``qmaj.rearrange``:
@@ -15,8 +15,6 @@ sorted keys f/q with the same (s, L), through ``_shifted_integrals``.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -30,6 +28,9 @@ from .rearrange import LorenzCurve, _shifted_integrals, curves
 DEFAULT_EPS_CMP = 1e-4
 DEFAULT_EPS_NORM = 1e-3
 STRICTNESS = 10.0
+# points of the coarse sweep in scan_threshold; perfbench's scan brackets
+# assume 10, so that bisection always takes the same number of steps
+PRESCAN = 10
 
 
 class Outcome(Enum):
@@ -99,7 +100,6 @@ def compare_curve_pairs(
     curves_f: tuple[LorenzCurve, LorenzCurve],
     curves_g: tuple[LorenzCurve, LorenzCurve],
     eps_cmp: float = DEFAULT_EPS_CMP,
-    strictness: float = STRICTNESS,
 ) -> MajorizationVerdict:
     """Four-way verdict from two (positive, negative) curve pairs.
 
@@ -110,7 +110,7 @@ def compare_curve_pairs(
     lowest, highest = _extreme_gaps(*curves_f, *curves_g)
     fwd_holds = lowest.gap >= -eps_cmp
     bwd_holds = highest.gap <= eps_cmp
-    strict = strictness * eps_cmp
+    strict = STRICTNESS * eps_cmp
     if fwd_holds and bwd_holds:
         return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
     if fwd_holds:
@@ -135,7 +135,6 @@ def compare(
     q: ReferenceDistribution | None = None,
     eps_cmp: float = DEFAULT_EPS_CMP,
     eps_norm: float = DEFAULT_EPS_NORM,
-    strictness: float = STRICTNESS,
 ) -> MajorizationVerdict:
     """Majorization verdict between f and g (relative to q when given).
 
@@ -148,9 +147,7 @@ def compare(
             f"total integrals differ: {f.total_integral:.6g} vs "
             f"{g.total_integral:.6g} (eps_norm={eps_norm:g})"
         )
-    return compare_curve_pairs(
-        curves(f, q), curves(g, q), eps_cmp=eps_cmp, strictness=strictness
-    )
+    return compare_curve_pairs(curves(f, q), curves(g, q), eps_cmp=eps_cmp)
 
 
 class Statement4Result(NamedTuple):
@@ -241,33 +238,26 @@ def scan_threshold(
     resolution: float = 0.01,
     parameter: str = "nbar",
     eps_cmp: float = DEFAULT_EPS_CMP,
-    prescan: int = 10,
 ) -> ThresholdResult:
     """Bisection on a reference-family parameter for a comparability flip.
 
-    A coarse ``prescan``-point sweep locates the first adjacent pair of
+    A coarse ``PRESCAN``-point sweep locates the first adjacent pair of
     parameters whose verdicts differ (comparable vs incomparable); bisection
-    then narrows the flip below ``resolution``.  Prescan evaluations may run
-    concurrently, capped by the QMAJ_THREADS environment variable.
+    then narrows the flip below ``resolution``, which must be positive.
     """
     a, b = bracket
     if not (b > a):
         raise ConfigError(f"bad bracket {bracket}")
-    pts = np.linspace(a, b, max(prescan, 2))
+    # adjacent floats never get closer than their spacing, so bisection
+    # towards a zero, negative or NaN resolution would not end
+    if not resolution > 0:
+        raise ConfigError(f"resolution must be > 0, got {resolution}")
+    pts = np.linspace(a, b, PRESCAN)
 
     def verdict_at(param: float) -> Outcome:
         return compare(f, g, family(param), eps_cmp=eps_cmp).outcome
 
-    threads = os.environ.get("QMAJ_THREADS", "1") or "1"
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise ConfigError(f"QMAJ_THREADS must be an integer, got {threads!r}") from None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(verdict_at, pts))
-    else:
-        outcomes = [verdict_at(p) for p in pts]
+    outcomes = [verdict_at(p) for p in pts]
 
     flags = [_is_comparable(o) for o in outcomes]
     flip = next((i for i in range(len(pts) - 1) if flags[i] != flags[i + 1]), None)

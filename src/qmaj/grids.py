@@ -172,11 +172,6 @@ class SampledDistribution:
             self, "total_integral", float(vals.sum() * self.grid.cell_measure)
         )
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Per-cell measures as a (read-only, broadcast) array."""
-        return np.broadcast_to(self.grid.cell_measure, self.values.shape)
-
     def renormalized(self) -> "SampledDistribution":
         if self.total_integral == 0.0:
             raise ConfigError("cannot renormalize a function with zero integral")
@@ -230,21 +225,15 @@ class TruncationReport:
 
     normalization_defect: float
     boundary_max: float
-    analytic_tail_bound: float | None = None
 
     def __str__(self) -> str:  # pragma: no cover - formatting only
-        s = (
+        return (
             f"normalization defect {self.normalization_defect:.3e}, "
             f"boundary max {self.boundary_max:.3e}"
         )
-        if self.analytic_tail_bound is not None:
-            s += f", analytic tail bound {self.analytic_tail_bound:.3e}"
-        return s
 
 
-def truncation_report(
-    f: SampledDistribution, analytic_tail_bound: float | None = None
-) -> TruncationReport:
+def truncation_report(f: SampledDistribution) -> TruncationReport:
     """|1 - integral| plus the largest |f| on the window boundary."""
     defect = abs(1.0 - f.total_integral)
     nd = f.as_nd()
@@ -253,4 +242,4 @@ def truncation_report(
         lo = abs(np.take(nd, 0, axis=ax)).max()
         hi = abs(np.take(nd, -1, axis=ax)).max()
         bmax = max(bmax, float(lo), float(hi))
-    return TruncationReport(defect, bmax, analytic_tail_bound)
+    return TruncationReport(defect, bmax)

@@ -192,7 +192,10 @@ def monotone_report(
         elif name in ("norm", "renyi", "tsallis", "divergence"):
             if not arg:
                 raise ConfigError(f"{name} requires an alpha, e.g. {name}:2")
-            alpha = float(arg)
+            try:
+                alpha = float(arg)
+            except ValueError:
+                raise ConfigError(f"bad {name} alpha {arg!r}") from None
             key = f"{name}_{arg}"
             alphas[key] = alpha
             if name == "norm":

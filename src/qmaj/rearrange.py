@@ -56,7 +56,6 @@ class LorenzCurve:
     L: np.ndarray
     side: str
     domain_end: float
-    relative: bool = False
     truncation_sensitive: bool = False
     decimation_error: float = 0.0
 
@@ -175,9 +174,7 @@ def _curve(
     _, s, L = _rearrange(f, q, side)
     if q is None:
         return LorenzCurve(s, L, side, f.grid.total_measure)
-    return LorenzCurve(
-        s, L, side, q.total_nu, relative=True, truncation_sensitive=not q.integrable
-    )
+    return LorenzCurve(s, L, side, q.total_nu, truncation_sensitive=not q.integrable)
 
 
 def lorenz_curves(f: SampledDistribution) -> tuple[LorenzCurve, LorenzCurve]:
@@ -252,6 +249,8 @@ def resample_pair(
     Log spacing floors the abscissa at a single cell measure (or at the given
     ``s_min``) since the curves start at s = 0.
     """
+    if points < 2:
+        raise ConfigError(f"need at least 2 resampling points, got {points}")
     end = max(pos.domain_end, neg.domain_end)
     if log_spaced:
         lo = s_min if s_min is not None else min(

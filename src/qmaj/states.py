@@ -131,6 +131,8 @@ class Lossy(StateSpec):
             raise SpecValidationError(
                 f"transmittance must be in [0, 1], got {self.eta}"
             )
+        if self.inner.modes != 1:
+            raise SpecValidationError(f"lossy needs a one-mode state")
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,8 @@ class Dephase(StateSpec):
     def __post_init__(self):
         if self.gamma <= 0:
             raise SpecValidationError(f"gamma must be > 0, got {self.gamma}")
+        if self.inner.modes != 1:
+            raise SpecValidationError(f"dephase needs a one-mode state")
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,10 @@ class _Parser:
                 return Cat(float(named["alpha"]))
             if name == "on":
                 need("a", "n")
-                return ON(complex(named["a"]), int(named["n"]))
+                n = float(named["n"])
+                if not n.is_integer():
+                    raise ParseError(f"on() n must be an integer, got {n!r}", pos)
+                return ON(complex(named["a"]), int(n))
             if name == "cubic":
                 need("g", "s")
                 return Cubic(float(named["g"]), float(named["s"]))
@@ -343,8 +350,6 @@ def _fmt_scalar(v) -> str:
     if isinstance(v, complex):
         sign = "+" if v.imag >= 0 else "-"
         return f"{v.real!r}{sign}{abs(v.imag)!r}i"
-    if isinstance(v, float) and v.is_integer():
-        return repr(v)
     return repr(v)
 
 

@@ -132,8 +132,6 @@ def test_strong_dephasing_ring_state(half_grid):
 
 def test_dephasing_quadrature_validation(fock):
     with pytest.raises(ConfigError):
-        apply_dephasing(10.0, fock[0], points=16)
-    with pytest.raises(ConfigError):
         apply_dephasing(-1.0, fock[0])
 
 

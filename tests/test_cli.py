@@ -233,22 +233,25 @@ def test_exit_code_usage(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["compare", "fock:1", "fock:2", "--grid", "L=abc"], {}),
-        (["compare", "fock:1", "fock:2", "--grid", "N=7.5"], {}),
-        (["scan", "fock:1", "fock:0", "--bracket", "0.5"], {}),
-        (["scan", "fock:1", "fock:0", "--bracket", "low:2"], {}),
-        (["scan", "fock:1", "fock:0", "--bracket", "0.1:2", "--grid", "N=100"],
-         {"QMAJ_THREADS": "two"}),
+        ["compare", "fock:1", "fock:2", "--grid", "L=abc"],
+        ["compare", "fock:1", "fock:2", "--grid", "N=7.5"],
+        ["scan", "fock:1", "fock:0", "--bracket", "0.5"],
+        ["scan", "fock:1", "fock:0", "--bracket", "low:2"],
+        ["scan", "fock:1", "vacuum", "--bracket", "0.1:3.5", "--grid", "L=7,N=60",
+         "--resolution", "0"],
+        ["monotone", "--state", "fock:1", "--which", "renyi:x"],
+        ["lorenz", "--state", "fock:1", "--points", "-1"],
     ],
-    ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "threads"],
+    ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
+         "alpha", "points"],
 )
-def test_exit_code_malformed_flag(argv, env):
+def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "qmaj.cli", *argv],
-        env={**os.environ, **env, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,

@@ -131,13 +131,6 @@ def test_witness_locates_crossing(fock, zoo):
     assert w.gap < 0 and 0 < w.s < fock[4].grid.total_measure
 
 
-def test_scan_respects_thread_env(fock, half_grid, monkeypatch):
-    monkeypatch.setenv("QMAJ_THREADS", "2")
-    family = states.thermal_reference_family(half_grid)
-    result = scan_threshold(fock[1], fock[0], family, (0.1, 2.0), resolution=0.05)
-    assert result.midpoint == pytest.approx(0.64, abs=0.05)
-
-
 def _criterion3_cases(fock, zoo, vacuum_ref, half_grid):
     th1 = states.render("thermal(nbar=1)", half_grid)
     qm1 = states.reference("thermal(nbar=-1)", half_grid)

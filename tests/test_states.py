@@ -76,6 +76,8 @@ def test_parse_error_positions():
         parse_state("mix(0.75:cat(alpha=2)")  # unclosed
     with pytest.raises(ParseError):
         parse_state("waffle(x=1)")
+    with pytest.raises(ParseError):
+        parse_state("on(a=1, n=2.5)")  # fock:2.5 is rejected alike
 
 
 def test_parse_semantic_errors():
@@ -85,6 +87,10 @@ def test_parse_semantic_errors():
         parse_state("lossy(eta=1.5, fock:1)")
     with pytest.raises(SpecValidationError):
         parse_state("tensor(vacuum, vacuum, vacuum)")  # arity cap
+    with pytest.raises(SpecValidationError):
+        parse_state("lossy(eta=0.5, tensor(vacuum, vacuum))")  # one-mode channels
+    with pytest.raises(SpecValidationError):
+        parse_state("dephase(gamma=1, tensor(vacuum, vacuum))")
 
 
 def test_parse_rejects_stray_arguments():
