@@ -143,7 +143,13 @@ def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0] != "s,L_plus,L_minus":
         raise ConfigError(f"{path} is not a qmaj curve CSV")
-    data = np.array([[float(t) for t in row.split(",")] for row in rows[1:]])
+    table = [row.split(",") for row in rows[1:]]
+    if not table or any(len(fields) != 3 for fields in table):
+        raise ConfigError(f"{path}: every curve row needs 3 columns")
+    try:
+        data = np.array([[float(t) for t in fields] for fields in table])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad curve value: {exc}") from None
     s, lp, lm = data[:, 0], data[:, 1], data[:, 2]
     if s[0] > 0:
         s = np.concatenate([[0.0], s])
@@ -169,14 +175,23 @@ def read_grid_file(path) -> SampledDistribution:
     rows = Path(path).read_text().strip().splitlines()
     if not rows or not rows[0].startswith("# qmaj-grid "):
         raise ConfigError(f"{path} is not a qmaj grid file")
-    meta = dict(tok.split("=") for tok in rows[0][len("# qmaj-grid "):].split())
-    grid = GridSpec(
-        modes=int(meta["modes"]),
-        half_width=float(meta["half_width"]),
-        points_per_axis=int(meta["points"]),
-        hbar=meta["hbar"],
-    )
-    values = np.array([float(v) for v in rows[1:]])
+    try:
+        tokens = rows[0][len("# qmaj-grid "):].split()
+        meta = dict(tok.split("=") for tok in tokens)
+        grid = GridSpec(
+            modes=int(meta["modes"]),
+            half_width=float(meta["half_width"]),
+            points_per_axis=int(meta["points"]),
+            hbar=meta["hbar"],
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{path}: grid header lacks {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad grid header: {exc}") from None
+    try:
+        values = np.array([float(v) for v in rows[1:]])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad grid value: {exc}") from None
     return SampledDistribution(grid, values)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, NormalizationError, ScanError
 from .grids import ReferenceDistribution, SampledDistribution, same_grid
-from .rearrange import LorenzCurve, _shifted_integrals, curves
+from .rearrange import LorenzCurve, _merged, _shifted_integrals, curves
 
 DEFAULT_EPS_CMP = 1e-4
 DEFAULT_EPS_NORM = 1e-3
@@ -72,9 +72,9 @@ def _extreme_gaps(
     A gap is positive where f's positive curve lies above g's or f's negative
     curve lies below g's.
     """
-    sp = np.union1d(pos_f.s, pos_g.s)
+    sp = _merged(pos_f.s, pos_g.s)
     dp = pos_f(sp) - pos_g(sp)
-    sn = np.union1d(neg_f.s, neg_g.s)
+    sn = _merged(neg_f.s, neg_g.s)
     dn = neg_g(sn) - neg_f(sn)
     lo_p, hi_p = int(np.argmin(dp)), int(np.argmax(dp))
     lo_n, hi_n = int(np.argmin(dn)), int(np.argmax(dn))
@@ -89,6 +89,14 @@ def _extreme_gaps(
         else Witness(float(sn[hi_n]), neg_f.side, float(dn[hi_n]))
     )
     return lowest, highest
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    # a NaN tolerance makes every check false and a negative one fails even
+    # a zero gap: a state against itself would come out incomparable, and a
+    # NaN eps_norm would skip the normalization check
+    if not value >= 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 def _reversed(w: Witness) -> Witness:
@@ -107,6 +115,7 @@ def compare_curve_pairs(
     pass decides both directions: g's worst violation is f's largest gap
     reversed, and g's largest gap is f's worst violation reversed.
     """
+    _require_tolerance("eps_cmp", eps_cmp)
     lowest, highest = _extreme_gaps(*curves_f, *curves_g)
     fwd_holds = lowest.gap >= -eps_cmp
     bwd_holds = highest.gap <= eps_cmp
@@ -141,6 +150,7 @@ def compare(
     Raises NormalizationError when the total integrals differ by more than
     eps_norm: unequal integrals are a precondition failure, not a verdict.
     """
+    _require_tolerance("eps_norm", eps_norm)
     same_grid(f, g)
     if abs(f.total_integral - g.total_integral) > eps_norm:
         raise NormalizationError(
@@ -196,6 +206,7 @@ def statement4_check(
     read the same rearrangement, but statement 4 integrates the shifted parts
     where ``compare`` interpolates curves.
     """
+    _require_tolerance("eps_cmp", eps_cmp)
     if u_grid is None:
         u_grid = ratio_breakpoints(f, g, q, max_points=256)
     u_grid = np.asarray(u_grid, dtype=float)

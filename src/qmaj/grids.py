@@ -44,8 +44,10 @@ class GridSpec:
     def __post_init__(self):
         if self.modes < 1:
             raise ConfigError(f"modes must be >= 1, got {self.modes}")
-        if self.half_width <= 0:
-            raise ConfigError(f"half_width must be > 0, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ConfigError(
+                f"half_width must be finite and > 0, got {self.half_width}"
+            )
         n = self.points_per_axis
         if n < 2 or n % 2 != 0:
             raise ConfigError(f"points_per_axis must be even and >= 2, got {n}")

@@ -26,7 +26,7 @@ from .grids import (
     SampledDistribution,
     same_grid,
 )
-from .rearrange import NEGATIVE, POSITIVE, _rearrange, lorenz_curves
+from .rearrange import NEGATIVE, POSITIVE, _merged, _rearrange, lorenz_curves
 
 
 def negative_volume(f: SampledDistribution) -> float:
@@ -140,7 +140,7 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     for side in (POSITIVE, NEGATIVE):
         a, b = _rearrange(f, None, side), _rearrange(g, None, side)
         # a rearrangement takes the value keys[k] on (s[k], s[k+1]]
-        edges = np.union1d(a.s[1:], b.s[1:])
+        edges = _merged(a.s[1:], b.s[1:])
         edges = edges[edges <= min(a.s[-1], b.s[-1])]
         widths = np.diff(edges, prepend=0.0)
         i = np.searchsorted(a.s[1:], edges, side="left")

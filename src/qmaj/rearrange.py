@@ -4,7 +4,9 @@ Everything here reads one weighted rearrangement per side of f, built by
 ``_rearrange``: the cells where f > 0 ranked by decreasing key f/q, and the
 cells where f < 0 ranked by increasing key, with q = 1 for the regular
 rearrangement.  A cell adds q_i * dmu_i to the abscissa s (the measure nu)
-and f_i * dmu_i to the ordinate L.
+and f_i * dmu_i to the ordinate L.  The regular rearrangement is a plain sort
+of the values; the relative one is a stable sort of the cells by f/q.
+``_merged`` merges the sorted breakpoints of two curves in linear time.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
   as a piecewise-linear curve, concave (positive) or convex (negative).
@@ -146,26 +148,45 @@ def _rearrange(
     f: SampledDistribution, q: ReferenceDistribution | None, side: str
 ) -> _Rearrangement:
     """The weighted rearrangement of one side of f (see the module notes)."""
-    if q is not None:
-        same_grid(f, q)
     v = f.values
     mask = v > 0 if side == POSITIVE else v < 0
     vals = v[mask]
-    qm = None if q is None else q.values[mask]
-    key = vals if qm is None else vals / qm
-    # stable sort: ties broken by cell index, so equal-weight permutations of
-    # distinct cells cannot change the curve
-    order = np.argsort(-key if side == POSITIVE else key, kind="stable")
-    # the cell measure is uniform, so only f and q are permuted; the sorted
-    # keys are recomputed from them rather than gathered a third time
     dmu = f.grid.cell_measure
-    vals = vals[order]
-    if qm is None:
+    if q is None:
+        # tied keys are equal values here, so the order among tied cells
+        # cannot change keys, s or L: sort the values themselves
+        vals.sort()
+        if side == POSITIVE:
+            vals = vals[::-1]
         keys, nu = vals, np.full(vals.shape, dmu)
     else:
-        qm = qm[order]
+        same_grid(f, q)
+        qm = q.values[mask]
+        # stable sort: tied ratios f/q can come from distinct (f, q) pairs, so
+        # the order of tied cells changes s and L; ties go by cell index
+        key = vals / qm
+        order = np.argsort(-key if side == POSITIVE else key, kind="stable")
+        # the cell measure is uniform, so only f and q are permuted; the
+        # sorted keys are recomputed from them rather than gathered
+        vals, qm = vals[order], qm[order]
         keys, nu = vals / qm, qm * dmu
     return _Rearrangement(keys, _cumulative(nu), _cumulative(vals * dmu))
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted arrays, each shared entry kept once.
+
+    A stable sort (timsort) merges the two sorted runs in linear time, where
+    a set union would sort their concatenation from scratch.
+    """
+    both = np.concatenate([a, b])
+    both.sort(kind="stable")
+    if both.size == 0:
+        return both
+    keep = np.empty(both.shape, dtype=bool)
+    keep[0] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
+    return both[keep]
 
 
 def _curve(

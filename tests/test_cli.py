@@ -19,7 +19,7 @@ from qmaj.cli import (
     write_grid_file,
 )
 from qmaj.compare import compare, compare_curve_pairs
-from qmaj.errors import ParseError
+from qmaj.errors import ConfigError, ParseError
 from qmaj.grids import GridSpec
 
 
@@ -243,9 +243,13 @@ def test_exit_code_usage(capsys):
          "--resolution", "0"],
         ["monotone", "--state", "fock:1", "--which", "renyi:x"],
         ["lorenz", "--state", "fock:1", "--points", "-1"],
+        ["compare", "fock:1", "fock:2", "--grid", "L=nan,N=60"],
+        ["compare", "fock:1", "fock:2", "--grid", "L=inf,N=60"],
+        ["compare", "fock:1", "fock:1", "--grid", "N=60", "--tol", "nan"],
+        ["compare", "fock:1", "fock:1", "--grid", "N=60", "--tol", "-1"],
     ],
     ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
-         "alpha", "points"],
+         "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])
@@ -278,3 +282,41 @@ def test_grid_file_round_trip(tmp_path, half_grid):
     g = read_grid_file(path)
     assert g.grid == half_grid
     np.testing.assert_array_equal(g.values, f.values)
+
+
+GRID_HEADER = "# qmaj-grid modes=1 half_width=1.0 points=2 hbar=half\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        GRID_HEADER + "0.25\nabc\n0.25\n0.25\n",
+        GRID_HEADER + "0.25\n0.25,0.5\n0.25\n0.25\n",
+        "# qmaj-grid modes=1 half_width=1.0 hbar=half\n0.25\n",
+        "# qmaj-grid modes=1 half_width=wide points=2 hbar=half\n0.25\n",
+        "# qmaj-grid modes=1 half_width points=2 hbar=half\n0.25\n",
+    ],
+    ids=["value", "columns", "missing-key", "header-value", "header-token"],
+)
+def test_read_grid_file_malformed(tmp_path, text):
+    path = tmp_path / "bad.grid"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="bad.grid"):
+        read_grid_file(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,0.5\n",
+        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,0.5,0.0,2.0\n",
+        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,half,0.0\n",
+        "s,L_plus,L_minus\n",
+    ],
+    ids=["two-columns", "four-columns", "value", "no-rows"],
+)
+def test_load_curves_csv_malformed(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="bad.csv"):
+        load_curves_csv(path)

@@ -11,7 +11,12 @@ from qmaj.compare import (
     scan_threshold,
     statement4_check,
 )
-from qmaj.errors import GridMismatchError, NormalizationError, ScanError
+from qmaj.errors import (
+    ConfigError,
+    GridMismatchError,
+    NormalizationError,
+    ScanError,
+)
 from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution
 
 
@@ -77,6 +82,24 @@ def test_grid_mismatch_raises(fock):
     g = states.render("vacuum", other)
     with pytest.raises(GridMismatchError):
         compare(fock[0], g)
+
+
+def test_zero_tolerance_accepted():
+    f = states.render("fock:1", GridSpec(points_per_axis=60))
+    assert compare(f, f, eps_cmp=0.0, eps_norm=0.0).outcome is Outcome.EQUIVALENT
+    result = statement4_check(f, f, eps_cmp=0.0)
+    assert result.forward and result.backward
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1e-4])
+def test_bad_tolerance_raises(eps):
+    f = states.render("fock:1", GridSpec(points_per_axis=60))
+    with pytest.raises(ConfigError):
+        compare(f, f, eps_cmp=eps)
+    with pytest.raises(ConfigError):
+        compare(f, f, eps_norm=eps)
+    with pytest.raises(ConfigError):
+        statement4_check(f, f, eps_cmp=eps)
 
 
 def test_statement4_discrete_hand_example():

@@ -42,6 +42,10 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         GridSpec(half_width=-1.0)
     with pytest.raises(ConfigError):
+        GridSpec(half_width=float("nan"))
+    with pytest.raises(ConfigError):
+        GridSpec(half_width=float("inf"))
+    with pytest.raises(ConfigError):
         GridSpec(modes=0)
     with pytest.raises(ConfigError):
         GridSpec(hbar="planck")

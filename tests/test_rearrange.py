@@ -13,6 +13,10 @@ from qmaj.grids import (
     SampledDistribution,
 )
 from qmaj.rearrange import (
+    NEGATIVE,
+    POSITIVE,
+    _merged,
+    _rearrange,
     _shifted_integrals,
     codistribution_function,
     distribution_function,
@@ -222,6 +226,66 @@ def _clustered(levels_from: float, levels_to: float, points: int) -> np.ndarray:
     # spike at small thresholds that a uniform trapezoid cannot resolve
     x = np.linspace(0.0, 1.0, points)
     return levels_from + (levels_to - levels_from) * x**3
+
+
+def _argsort_rearrangement(f, side):
+    """Regular rearrangement by its definition: a stable sort of the cells."""
+    v = f.values
+    vals = v[v > 0] if side == POSITIVE else v[v < 0]
+    order = np.argsort(-vals if side == POSITIVE else vals, kind="stable")
+    vals = vals[order]
+    dmu = f.grid.cell_measure
+    s = np.concatenate([[0.0], np.cumsum(np.full(vals.shape, dmu))])
+    L = np.concatenate([[0.0], np.cumsum(vals * dmu)])
+    return vals, s, L
+
+
+def _tied_vectors():
+    rng = np.random.default_rng(7)
+    levels = np.array([-0.75, -0.5, -0.125, 0.0, 0.125, 0.25, 0.5, 1.0])
+    space = DiscreteSpace(4000)
+    return [
+        SampledDistribution(space, rng.choice(levels, size=space.size))
+        for _ in range(3)
+    ]
+
+
+def test_regular_rearrangement_matches_argsort(zoo):
+    for f in [*_tied_vectors(), *zoo.values()]:
+        for side in (POSITIVE, NEGATIVE):
+            got = _rearrange(f, None, side)
+            want = _argsort_rearrangement(f, side)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([0.0, 0.5, 1.0, 2.5], [0.0, 0.25, 1.0, 1.0, 3.0]),
+        ([0.0, 1.0, 1.0], [0.0, 1.0]),
+        ([], [0.0, 2.0]),
+        ([0.5], []),
+        ([], []),
+    ],
+)
+def test_merged_matches_union1d(a, b):
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    got, want = _merged(a, b), np.union1d(a, b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_merged_matches_union1d_on_curves(fock):
+    a, b = lorenz_curves(fock[3])[0].s, lorenz_curves(fock[4])[0].s
+    assert _merged(a, b).tobytes() == np.union1d(a, b).tobytes()
+
+
+def test_phi_with_empty_negative_sides():
+    space = DiscreteSpace(4)
+    f = SampledDistribution(space, np.array([3.0, 1.0, 0.0, 2.0]))
+    g = SampledDistribution(space, np.array([0.0, 1.0, 1.0, 4.0]))
+    # decreasing rearrangements (3, 2, 1, 0) and (4, 1, 1, 0)
+    assert monotones.phi_functional(f, g) == 15.0
 
 
 def test_level_set_identity_fock4(fock):
