@@ -9,21 +9,33 @@ real dominance from quadrature noise).
 
 Both checks read the weighted rearrangements of ``qmaj.rearrange``:
 ``compare`` the Lorenz curves (s, L) of each side, ``statement4_check`` the
-sorted keys f/q with the same (s, L), through ``_shifted_integrals``.
-``ratio_breakpoints`` alone reads the raw values, to pick the u grid.
+sorted keys f/q with the same (s, L), through ``_shifted_integrals``, and
+its default u grid from the same keys.  ``ratio_breakpoints`` reads the raw
+values and gives that grid by its definition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NormalizationError, ScanError
 from .grids import ReferenceDistribution, SampledDistribution, same_grid
-from .rearrange import LorenzCurve, _merged, _shifted_integrals, curves
+from .rearrange import (
+    NEGATIVE,
+    POSITIVE,
+    LorenzCurve,
+    _merged,
+    _Rearrangement,
+    _rearrange,
+    _shifted_integrals,
+    curves,
+)
 
 DEFAULT_EPS_CMP = 1e-4
 DEFAULT_EPS_NORM = 1e-3
@@ -94,9 +106,10 @@ def _extreme_gaps(
 def _require_tolerance(name: str, value: float) -> None:
     # a NaN tolerance makes every check false and a negative one fails even
     # a zero gap: a state against itself would come out incomparable, and a
-    # NaN eps_norm would skip the normalization check
-    if not value >= 0:
-        raise ConfigError(f"{name} must be >= 0, got {value}")
+    # NaN eps_norm would skip the normalization check; an infinite one lets
+    # every gap through, so distinct states would come out equivalent
+    if not 0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _reversed(w: Witness) -> Witness:
@@ -183,7 +196,22 @@ def ratio_breakpoints(
         cand = np.abs(np.concatenate([f.values, g.values])) / np.concatenate(
             [q.values, q.values]
         )
-    cand = np.unique(cand[cand > 0])
+    return _bracketed(np.unique(cand[cand > 0]), max_points)
+
+
+def _key_breakpoints(rearrangements: Sequence[_Rearrangement]) -> np.ndarray:
+    """``ratio_breakpoints(f, g, q, max_points=256)`` from the keys of the
+    rearrangements of f and g.
+
+    The |keys| of one side are its distinct |f|/q ratios in reverse order, so
+    merging them gives the same candidates as a set union over every cell.
+    """
+    cand = reduce(_merged, (np.abs(r.keys[::-1]) for r in rearrangements))
+    return _bracketed(cand[cand > 0], 256)
+
+
+def _bracketed(cand: np.ndarray, max_points: int | None) -> np.ndarray:
+    # sorted distinct positive candidates, thinned, between 0 and 1.5 * max
     if max_points is not None and len(cand) > max_points:
         take = np.linspace(0, len(cand) - 1, max_points).round().astype(int)
         cand = cand[np.unique(take)]
@@ -204,18 +232,23 @@ def statement4_check(
     of (f-uq)+ is at least that of (g-uq)+ and the integral of (f+uq)- is at
     most that of (g+uq)-.  Used as a cross-validation of ``compare``: both
     read the same rearrangement, but statement 4 integrates the shifted parts
-    where ``compare`` interpolates curves.
+    where ``compare`` interpolates curves.  The default u grid is
+    ``ratio_breakpoints(f, g, q, max_points=256)``, read off the same keys.
     """
     _require_tolerance("eps_cmp", eps_cmp)
+    if u_grid is not None:
+        u_grid = np.asarray(u_grid, dtype=float)
+        if u_grid.size == 0:
+            raise ConfigError("u_grid must be nonempty")
+        if (u_grid < 0).any():
+            raise ConfigError("u_grid entries must be >= 0")
+    pf, nf, pg, ng = (
+        _rearrange(h, q, side) for h in (f, g) for side in (POSITIVE, NEGATIVE)
+    )
     if u_grid is None:
-        u_grid = ratio_breakpoints(f, g, q, max_points=256)
-    u_grid = np.asarray(u_grid, dtype=float)
-    if u_grid.size == 0:
-        raise ConfigError("u_grid must be nonempty")
-    if (u_grid < 0).any():
-        raise ConfigError("u_grid entries must be >= 0")
-    fp, fm = _shifted_integrals(f, u_grid, q)
-    gp, gm = _shifted_integrals(g, u_grid, q)
+        u_grid = _key_breakpoints([pf, nf, pg, ng])
+    fp, fm = _shifted_integrals(pf, nf, u_grid)
+    gp, gm = _shifted_integrals(pg, ng, u_grid)
     fwd = bool((fp >= gp - eps_cmp).all() and (fm <= gm + eps_cmp).all())
     bwd = bool((gp >= fp - eps_cmp).all() and (gm <= fm + eps_cmp).all())
     return Statement4Result(fwd, bwd)

@@ -51,6 +51,15 @@ class GridSpec:
         n = self.points_per_axis
         if n < 2 or n % 2 != 0:
             raise ConfigError(f"points_per_axis must be even and >= 2, got {n}")
+        try:
+            measures = (self.cell_measure, self.total_measure)
+        except OverflowError:  # a float power that overflows raises
+            measures = (math.inf,)
+        if not all(0 < m < math.inf for m in measures):
+            raise ConfigError(
+                f"cell and window measures of half_width={self.half_width} "
+                f"on {n} points over {self.naxes} axes must be finite and > 0"
+            )
         if self.hbar not in (HBAR_HALF, HBAR_ONE):
             raise ConfigError(f"hbar must be 'half' or 'one', got {self.hbar!r}")
 

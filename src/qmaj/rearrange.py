@@ -4,8 +4,11 @@ Everything here reads one weighted rearrangement per side of f, built by
 ``_rearrange``: the cells where f > 0 ranked by decreasing key f/q, and the
 cells where f < 0 ranked by increasing key, with q = 1 for the regular
 rearrangement.  A cell adds q_i * dmu_i to the abscissa s (the measure nu)
-and f_i * dmu_i to the ordinate L.  The regular rearrangement is a plain sort
-of the values; the relative one is a stable sort of the cells by f/q.
+and f_i * dmu_i to the ordinate L.  The rearrangement is constant on each
+level set of f/q, so it keeps one breakpoint per distinct key: the end of
+each run of tied cells.  The regular rearrangement is a plain sort of the
+values; the relative one is an unstable sort of the cells by f/q, since the
+order of tied cells only changes the rounding of their run's sums.
 ``_merged`` merges the sorted breakpoints of two curves in linear time.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
@@ -49,9 +52,10 @@ def codistribution_function(f: SampledDistribution, t: float) -> float:
 class LorenzCurve:
     """Piecewise-linear cumulative curve with breakpoints (s_k, L_k).
 
-    ``s`` starts at 0 and is strictly increasing; beyond the last breakpoint
-    the curve continues flat up to ``domain_end`` (the measure of the
-    truncated window, nu-rescaled for relative curves).
+    ``s`` starts at 0 and is nondecreasing: a run of cells whose weights are
+    too small to move s leaves a zero-width segment.  Beyond the last
+    breakpoint the curve continues flat up to ``domain_end`` (the measure of
+    the truncated window, nu-rescaled for relative curves).
     """
 
     s: np.ndarray
@@ -144,6 +148,13 @@ def _cumulative(steps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _run_ends(keys: np.ndarray) -> np.ndarray:
+    """Cell counts at the last cell of each run of equal sorted keys."""
+    last = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    return np.flatnonzero(last) + 1
+
+
 def _rearrange(
     f: SampledDistribution, q: ReferenceDistribution | None, side: str
 ) -> _Rearrangement:
@@ -153,24 +164,27 @@ def _rearrange(
     vals = v[mask]
     dmu = f.grid.cell_measure
     if q is None:
-        # tied keys are equal values here, so the order among tied cells
-        # cannot change keys, s or L: sort the values themselves
+        # tied keys are equal values here: sort the values themselves, and
+        # find their runs on the ascending array before ranking from the top
         vals.sort()
+        ends = _run_ends(vals)
+        keys, at = vals[ends - 1], np.concatenate([[0], ends])
         if side == POSITIVE:
-            vals = vals[::-1]
-        keys, nu = vals, np.full(vals.shape, dmu)
+            vals, keys, at = vals[::-1], keys[::-1], len(vals) - at[::-1]
+        nu = np.full(vals.shape, dmu)
     else:
         same_grid(f, q)
         qm = q.values[mask]
-        # stable sort: tied ratios f/q can come from distinct (f, q) pairs, so
-        # the order of tied cells changes s and L; ties go by cell index
         key = vals / qm
-        order = np.argsort(-key if side == POSITIVE else key, kind="stable")
+        order = np.argsort(-key if side == POSITIVE else key)
         # the cell measure is uniform, so only f and q are permuted; the
         # sorted keys are recomputed from them rather than gathered
         vals, qm = vals[order], qm[order]
         keys, nu = vals / qm, qm * dmu
-    return _Rearrangement(keys, _cumulative(nu), _cumulative(vals * dmu))
+        ends = _run_ends(keys)
+        keys, at = keys[ends - 1], np.concatenate([[0], ends])
+    # tied cells share the slope f/q, so only the run ends are breakpoints
+    return _Rearrangement(keys, _cumulative(nu)[at], _cumulative(vals * dmu)[at])
 
 
 def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,19 +255,19 @@ def piecewise_minus_integral(
 
 
 def _shifted_integrals(
-    f: SampledDistribution, u: np.ndarray, q: ReferenceDistribution | None = None
+    pos: _Rearrangement, neg: _Rearrangement, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of (f - u*q)+ and (f + u*q)- for every u >= 0 at once.
 
-    The cells where f > u*q are those whose key f/q lies strictly above u: the
-    first k of the positive rearrangement, so the integral is L[k] - u*s[k].
-    The j keys strictly below -u give L[j] + u*s[j] on the negative side.
-    The lookup searches the keys, not the curve slopes: a weight too small to
-    move s leaves a zero-width segment whose slope is undefined.
+    ``pos`` and ``neg`` are the two rearrangements of f relative to q.  The
+    cells where f > u*q are those whose key f/q lies strictly above u: the
+    first k runs of the positive rearrangement, so the integral is
+    L[k] - u*s[k].  The j keys strictly below -u give L[j] + u*s[j] on the
+    negative side.  The lookup searches the keys, not the curve slopes: a
+    weight too small to move s leaves a zero-width segment whose slope is
+    undefined.
     """
-    pos = _rearrange(f, q, POSITIVE)
     k = np.searchsorted(-pos.keys, -u, side="left")
-    neg = _rearrange(f, q, NEGATIVE)
     j = np.searchsorted(neg.keys, -u, side="left")
     return pos.L[k] - u * pos.s[k], neg.L[j] + u * neg.s[j]
 
@@ -267,8 +281,10 @@ def resample_pair(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared-abscissa resampling of a curve pair for CSV/plot export.
 
-    Log spacing floors the abscissa at a single cell measure (or at the given
-    ``s_min``) since the curves start at s = 0.
+    Log spacing floors the abscissa at the given ``s_min`` or, without one,
+    at the first breakpoint of either curve, since the curves start at s = 0.
+    That breakpoint closes the first run of tied cells, so it can span many
+    cells.
     """
     if points < 2:
         raise ConfigError(f"need at least 2 resampling points, got {points}")

@@ -247,9 +247,12 @@ def test_exit_code_usage(capsys):
         ["compare", "fock:1", "fock:2", "--grid", "L=inf,N=60"],
         ["compare", "fock:1", "fock:1", "--grid", "N=60", "--tol", "nan"],
         ["compare", "fock:1", "fock:1", "--grid", "N=60", "--tol", "-1"],
+        ["compare", "fock:1", "fock:2", "--grid", "N=60", "--tol", "inf"],
+        ["compare", "fock:1", "fock:2", "--grid", "L=1e300,N=60"],
     ],
     ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
-         "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative"],
+         "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative",
+         "tol-inf", "grid-L-overflow"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])

@@ -6,6 +6,7 @@ import pytest
 from qmaj import states
 from qmaj.compare import (
     Outcome,
+    _key_breakpoints,
     compare,
     ratio_breakpoints,
     scan_threshold,
@@ -18,6 +19,7 @@ from qmaj.errors import (
     ScanError,
 )
 from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution
+from qmaj.rearrange import NEGATIVE, POSITIVE, _rearrange
 
 
 def test_reflexivity(fock):
@@ -91,7 +93,7 @@ def test_zero_tolerance_accepted():
     assert result.forward and result.backward
 
 
-@pytest.mark.parametrize("eps", [float("nan"), -1e-4])
+@pytest.mark.parametrize("eps", [float("nan"), -1e-4, float("inf")])
 def test_bad_tolerance_raises(eps):
     f = states.render("fock:1", GridSpec(points_per_axis=60))
     with pytest.raises(ConfigError):
@@ -113,6 +115,19 @@ def test_statement4_discrete_hand_example():
 def test_statement4_reflexive(fock):
     result = statement4_check(fock[1], fock[1])
     assert result.forward and result.backward
+
+
+def test_key_breakpoints_match_ratio_breakpoints(zoo, half_grid, vacuum_ref):
+    # the default statement-4 u grid, read off the keys, is the definition's
+    thermal = states.reference("thermal(nbar=-1)", half_grid)
+    names = list(zoo)
+    for q in (None, vacuum_ref, thermal):
+        for a, b in zip(names, names[1:]):
+            f, g = zoo[a], zoo[b]
+            sides = [_rearrange(h, q, s) for h in (f, g) for s in (POSITIVE, NEGATIVE)]
+            got = _key_breakpoints(sides)
+            want = ratio_breakpoints(f, g, q, max_points=256)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_statement4_matches_compare(fock, vacuum_ref, zoo):

@@ -46,6 +46,12 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         GridSpec(half_width=float("inf"))
     with pytest.raises(ConfigError):
+        GridSpec(half_width=1e300, points_per_axis=60)  # cell measure overflows
+    with pytest.raises(ConfigError):
+        GridSpec(modes=2, half_width=1e100)  # window measure overflows
+    with pytest.raises(ConfigError):
+        GridSpec(half_width=1e-200)  # cell measure underflows to 0
+    with pytest.raises(ConfigError):
         GridSpec(modes=0)
     with pytest.raises(ConfigError):
         GridSpec(hbar="planck")

@@ -184,8 +184,14 @@ def test_piecewise_rejects_negative_u(fock):
         piecewise_plus_integral(fock[0], -0.1)
 
 
+def _shifted(f, us, q=None):
+    return _shifted_integrals(
+        _rearrange(f, q, POSITIVE), _rearrange(f, q, NEGATIVE), us
+    )
+
+
 def _assert_shifted_match(f, q, us):
-    plus, minus = _shifted_integrals(f, us, q)
+    plus, minus = _shifted(f, us, q)
     for u, p, m in zip(us, plus, minus):
         assert p == pytest.approx(piecewise_plus_integral(f, u, q), abs=1e-12)
         assert m == pytest.approx(piecewise_minus_integral(f, u, q), abs=1e-12)
@@ -216,7 +222,7 @@ def test_shifted_integrals_strict_above_u():
     # keys f/q: 2, -2, 2, -0.25, 0.5
     _assert_shifted_match(f, q, np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]))
     _assert_shifted_match(f, None, np.array([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]))
-    plus, minus = _shifted_integrals(f, np.array([0.5, 2.0]), q)
+    plus, minus = _shifted(f, np.array([0.5, 2.0]), q)
     np.testing.assert_array_equal(plus, [1.5 + 0.375, 0.0])
     np.testing.assert_array_equal(minus, [-0.75, 0.0])
 
@@ -228,16 +234,25 @@ def _clustered(levels_from: float, levels_to: float, points: int) -> np.ndarray:
     return levels_from + (levels_to - levels_from) * x**3
 
 
-def _argsort_rearrangement(f, side):
-    """Regular rearrangement by its definition: a stable sort of the cells."""
+def _argsort_rearrangement(f, side, q=None):
+    """The rearrangement by its definition: a stable sort of the cells by f/q,
+    one breakpoint per cell."""
     v = f.values
-    vals = v[v > 0] if side == POSITIVE else v[v < 0]
-    order = np.argsort(-vals if side == POSITIVE else vals, kind="stable")
-    vals = vals[order]
+    mask = v > 0 if side == POSITIVE else v < 0
+    vals = v[mask]
+    qm = np.ones(vals.shape) if q is None else q.values[mask]
+    order = np.argsort(-vals / qm if side == POSITIVE else vals / qm, kind="stable")
+    vals, qm = vals[order], qm[order]
     dmu = f.grid.cell_measure
-    s = np.concatenate([[0.0], np.cumsum(np.full(vals.shape, dmu))])
+    s = np.concatenate([[0.0], np.cumsum(qm * dmu)])
     L = np.concatenate([[0.0], np.cumsum(vals * dmu)])
-    return vals, s, L
+    return vals / qm, s, L
+
+
+def _run_end_counts(keys):
+    # cell counts at the last cell of each run of equal keys
+    last = np.append(keys[1:] != keys[:-1], True)[: len(keys)]
+    return np.flatnonzero(last) + 1
 
 
 def _tied_vectors():
@@ -251,12 +266,46 @@ def _tied_vectors():
 
 
 def test_regular_rearrangement_matches_argsort(zoo):
+    # one breakpoint per distinct value, bitwise the definition's breakpoint
+    # at the same cell count
     for f in [*_tied_vectors(), *zoo.values()]:
         for side in (POSITIVE, NEGATIVE):
             got = _rearrange(f, None, side)
-            want = _argsort_rearrangement(f, side)
+            keys, s, L = _argsort_rearrangement(f, side)
+            ends = _run_end_counts(keys)
+            at = np.concatenate([[0], ends])
+            want = (keys[ends - 1], s[at], L[at])
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_relative_rearrangement_on_definition(zoo, half_grid, vacuum_ref):
+    # tie order inside a run changes only the rounding of its sums, so the
+    # definition's breakpoints lie on the collapsed curve
+    rng = np.random.default_rng(5)
+    space = DiscreteSpace(4000)
+    weights = ReferenceDistribution(
+        space, rng.choice([0.25, 0.5, 1.0, 2.0], size=space.size)
+    )
+    cases = [(f, weights) for f in _tied_vectors()]
+    thermal = states.reference("thermal(nbar=-1)", half_grid)
+    cases += [(f, q) for f in zoo.values() for q in (vacuum_ref, thermal)]
+    collapsed = 0
+    for f, q in cases:
+        for side in (POSITIVE, NEGATIVE):
+            got = _rearrange(f, q, side)
+            keys, s, L = _argsort_rearrangement(f, side, q)
+            step = np.diff(got.keys)
+            assert (step < 0).all() if side == POSITIVE else (step > 0).all()
+            assert got.s[0] == 0.0 and got.L[0] == 0.0
+            distinct = np.unique(keys)
+            want = distinct[::-1] if side == POSITIVE else distinct
+            np.testing.assert_array_equal(got.keys, want)
+            # rounding of the cumulative sums, on the scale of the curve
+            on_curve = np.interp(s, got.s, got.L)
+            assert np.abs(on_curve - L).max() <= 1e-15 * np.abs(L).max()
+            collapsed += len(keys) - len(got.keys)
+    assert collapsed > 0
 
 
 @pytest.mark.parametrize(
@@ -314,16 +363,25 @@ def test_chong_identities_sampled(zoo):
                 assert piecewise_minus_integral(f, u) == pytest.approx(rhs, abs=1e-3)
 
 
-def test_decimation_error_tracking(fock):
-    pos, _ = lorenz_curves(fock[4])
-    small = pos.decimated(max_points=20_000)
-    assert len(small.s) <= 20_001
+def _assert_decimation_tracked(pos, small):
+    assert len(small.s) < len(pos.s)
     probe = np.linspace(0.0, pos.domain_end, 5000)
     observed = np.abs(small(probe) - pos(probe)).max()
     assert observed <= small.decimation_error + 1e-15
     assert small.decimation_error < 1e-6
-    # the default budget stays comfortably below the tracked 1e-6 target
+
+
+def test_decimation_error_tracking(fock, zoo):
+    pos, _ = lorenz_curves(fock[4])
+    small = pos.decimated(max_points=20_000)
+    assert len(small.s) <= 20_001
+    _assert_decimation_tracked(pos, small)
+    # the default budget stays comfortably below the tracked 1e-6 target;
+    # the mixture has more distinct values than that budget, so it refines
     assert pos.decimated().decimation_error < 1e-6
+    pos, _ = lorenz_curves(zoo["rho1"])
+    assert len(pos.s) > 100_001
+    _assert_decimation_tracked(pos, pos.decimated())
 
 
 def test_resample_pair_log_floor(fock):
