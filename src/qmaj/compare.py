@@ -236,6 +236,7 @@ def statement4_check(
     ``ratio_breakpoints(f, g, q, max_points=256)``, read off the same keys.
     """
     _require_tolerance("eps_cmp", eps_cmp)
+    same_grid(f, g)
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
         if u_grid.size == 0:

@@ -13,7 +13,7 @@ sqrt(2) so that both conventions sample the same physical phase-space points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,6 +156,20 @@ def default_grid(modes: int = 1, hbar: str = HBAR_HALF) -> GridSpec:
     return GridSpec(modes=modes, half_width=nom, points_per_axis=npts, hbar=hbar)
 
 
+def _check_factors(grid, factors) -> None:
+    """Raise ConfigError unless the factors' grids tile ``grid`` by modes."""
+    grids = [h.grid for h in factors]
+    if grids and not (
+        isinstance(grid, GridSpec)
+        and all(
+            isinstance(g, GridSpec) and g == replace(grid, modes=g.modes)
+            for g in grids
+        )
+        and sum(g.modes for g in grids) == grid.modes
+    ):
+        raise ConfigError(f"factor grids {grids} do not tile {grid}")
+
+
 @dataclass(frozen=True)
 class SampledDistribution:
     """A real function sampled on the cells of a grid or discrete space.
@@ -163,13 +177,21 @@ class SampledDistribution:
     ``values`` is the flat (C-order) array of cell-center samples; every cell
     carries the uniform measure of its space.  Instances are immutable; the
     value buffer is locked against writes.
+
+    ``factors`` holds the factors of a tensor product, each sampled on the
+    grid of its own modes, when ``values`` is their outer product; it is
+    empty for any other function.
     """
 
     grid: GridSpec | DiscreteSpace
     values: np.ndarray
+    factors: tuple["SampledDistribution", ...] = field(
+        default=(), compare=False, repr=False
+    )
     total_integral: float = field(init=False)
 
     def __post_init__(self):
+        _check_factors(self.grid, self.factors)
         vals = np.asarray(self.values, dtype=float).ravel()
         expected = int(np.prod(self.grid.shape))
         if vals.size != expected:
@@ -199,13 +221,18 @@ class ReferenceDistribution:
     ``integrable`` is False when the function on the untruncated space has no
     finite integral (growing Gaussians from negative-temperature references);
     curves built against such a reference are flagged truncation sensitive.
+    ``factors`` is as for :class:`SampledDistribution`.
     """
 
     grid: GridSpec | DiscreteSpace
     values: np.ndarray
     integrable: bool = True
+    factors: tuple["ReferenceDistribution", ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def __post_init__(self):
+        _check_factors(self.grid, self.factors)
         vals = np.asarray(self.values, dtype=float).ravel()
         expected = int(np.prod(self.grid.shape))
         if vals.size != expected:

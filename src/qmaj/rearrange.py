@@ -11,6 +11,16 @@ values; the relative one is an unstable sort of the cells by f/q, since the
 order of tied cells only changes the rounding of their run's sums.
 ``_merged`` merges the sorted breakpoints of two curves in linear time.
 
+Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
+and q is absent or a product q1 x q2 over the same modes, the level sets of
+f/q are the pairs of level sets of f1/q1 and f2/q2.  A pair has key k1*k2,
+nu n1*n2 and mass m1*m2, so the rearrangement sorts the pairs of the two
+factors' rearrangements rather than the cells: same-sign pairs form the
+positive side, mixed pairs the negative one.  There are at most as many
+pairs as cells.  Any other f, such as a mix of tensors, sorts its cells.
+The product keys round differently from the cell keys (f1*f2)/(q1*q2), so
+the two paths agree to rounding, not bitwise.
+
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
   as a piecewise-linear curve, concave (positive) or convex (negative).
 * ``_shifted_integrals`` reads the sorted keys with (s, L) to give the
@@ -24,6 +34,7 @@ distribution functions: exact for the samples and O(M log M).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -36,16 +47,31 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 
+def _sorted_values(f: SampledDistribution) -> np.ndarray:
+    """f's values in ascending order, sorted on the first call and kept on f.
+
+    NaN sorts last and compares false with every t, so it is cut off.
+    """
+    v = f.__dict__.get("_sorted_values")
+    if v is None:
+        v = np.sort(f.values)
+        v = v[: np.searchsorted(v, np.nan)]
+        v.setflags(write=False)
+        object.__setattr__(f, "_sorted_values", v)
+    return v
+
+
 def distribution_function(f: SampledDistribution, t: float) -> float:
     """D_f(t): measure of the cells where f exceeds t."""
-    mask = f.values > t
-    return float(np.count_nonzero(mask)) * f.grid.cell_measure
+    v = _sorted_values(f)
+    return float(v.size - np.searchsorted(v, t, side="right")) * f.grid.cell_measure
 
 
 def codistribution_function(f: SampledDistribution, t: float) -> float:
     """C_f(t): measure of the cells where f lies below t."""
-    mask = f.values < t
-    return float(np.count_nonzero(mask)) * f.grid.cell_measure
+    v = _sorted_values(f)
+    below = 0 if math.isnan(t) else np.searchsorted(v, t, side="left")
+    return float(below) * f.grid.cell_measure
 
 
 @dataclass(frozen=True)
@@ -159,6 +185,30 @@ def _rearrange(
     f: SampledDistribution, q: ReferenceDistribution | None, side: str
 ) -> _Rearrangement:
     """The weighted rearrangement of one side of f (see the module notes)."""
+    parts = f.factors
+    if q is not None:
+        same_grid(f, q)
+        if [r.grid for r in q.factors] != [h.grid for h in parts]:
+            parts = ()
+    if parts:
+        # keys carry the sign of their side, so the same-sign pairs of level
+        # sets get a positive key k1*k2 and the mixed pairs a negative one
+        keys = nu = mass = np.ones(1)
+        for h, r in zip(parts, [None] * len(parts) if q is None else q.factors):
+            both = (_rearrange(h, r, POSITIVE), _rearrange(h, r, NEGATIVE))
+            keys = np.multiply.outer(keys, np.concatenate([b.keys for b in both]))
+            nu = np.multiply.outer(nu, np.concatenate([np.diff(b.s) for b in both]))
+            mass = np.multiply.outer(mass, np.concatenate([np.diff(b.L) for b in both]))
+        keys, nu, mass = keys.ravel(), nu.ravel(), mass.ravel()
+        keep = keys > 0 if side == POSITIVE else keys < 0
+        keys, nu, mass = keys[keep], nu[keep], mass[keep]
+        order = np.argsort(-keys if side == POSITIVE else keys)
+        keys, nu, mass = keys[order], nu[order], mass[order]
+        ends = _run_ends(keys)
+        at = np.concatenate([[0], ends])
+        return _Rearrangement(
+            keys[ends - 1], _cumulative(nu)[at], _cumulative(mass)[at]
+        )
     v = f.values
     mask = v > 0 if side == POSITIVE else v < 0
     vals = v[mask]
@@ -173,7 +223,6 @@ def _rearrange(
             vals, keys, at = vals[::-1], keys[::-1], len(vals) - at[::-1]
         nu = np.full(vals.shape, dmu)
     else:
-        same_grid(f, q)
         qm = q.values[mask]
         key = vals / qm
         order = np.argsort(-key if side == POSITIVE else key)

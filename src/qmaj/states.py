@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -555,7 +556,8 @@ def render(
 
     The default grid matches the state's mode count; under hbar=1 the
     hbar=1/2 closed forms are evaluated at contracted coordinates with the
-    2^-n prefactor.
+    2^-n prefactor.  A tensor product keeps its factors, each rendered on the
+    grid of its own modes, and its values are their outer product.
     """
     if isinstance(spec, str):
         spec = parse_state(spec)
@@ -567,6 +569,12 @@ def render(
         raise ConfigError(
             f"state has {spec.modes} mode(s) but grid has {grid.modes}"
         )
+    if isinstance(spec, Tensor):
+        factors = tuple(
+            render(part, replace(grid, modes=part.modes), rep) for part in spec.parts
+        )
+        vals = reduce(np.multiply.outer, (h.as_nd() for h in factors))
+        return SampledDistribution(grid, vals.ravel(), factors)
     ax = grid.axis()
     if grid.hbar == HBAR_ONE:
         vals = _values_half(spec, rep, ax / _SQRT2) * 0.5**grid.modes
@@ -610,7 +618,15 @@ def reference(
         raise ConfigError(
             f"{pretty(spec)} is not strictly positive; cannot serve as reference"
         )
-    return ReferenceDistribution(grid, f.values, integrable=True)
+    return _as_reference(f)
+
+
+def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
+    # a strictly positive product has factors of one sign each; both negative
+    # would raise here, but no factor with a positive integral is negative
+    return ReferenceDistribution(
+        f.grid, f.values, factors=tuple(map(_as_reference, f.factors))
+    )
 
 
 def thermal_reference_family(grid: GridSpec, rep: str = WIGNER):

@@ -84,6 +84,10 @@ def test_grid_mismatch_raises(fock):
     g = states.render("vacuum", other)
     with pytest.raises(GridMismatchError):
         compare(fock[0], g)
+    f = states.render("fock:1", GridSpec(points_per_axis=60))
+    g = states.render("fock:2", GridSpec(points_per_axis=80))
+    with pytest.raises(GridMismatchError):
+        statement4_check(f, g)
 
 
 def test_zero_tolerance_accepted():

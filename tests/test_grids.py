@@ -9,7 +9,9 @@ from scipy.special import erf
 from qmaj import states
 from qmaj.errors import ConfigError
 from qmaj.grids import (
+    DiscreteSpace,
     GridSpec,
+    ReferenceDistribution,
     SampledDistribution,
     default_grid,
     truncation_report,
@@ -90,6 +92,29 @@ def test_values_immutable(half_grid):
     f = states.render("vacuum", half_grid)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+def test_factors_must_tile_the_grid():
+    one = states.render("vacuum", GridSpec(1, 3.0, 16))
+    two = GridSpec(2, 3.0, 16)
+    vals = np.multiply.outer(one.as_nd(), one.as_nd()).ravel()
+    assert SampledDistribution(two, vals, (one, one)).factors[1] is one
+    for other in (
+        GridSpec(1, 3.0, 18),  # points per axis
+        GridSpec(1, 4.0, 16),  # half width
+        GridSpec(1, 3.0, 16, "one"),  # hbar convention
+        GridSpec(2, 3.0, 16),  # modes add up to 3
+        DiscreteSpace(256),
+    ):
+        h = SampledDistribution(other, np.ones(int(np.prod(other.shape))))
+        with pytest.raises(ConfigError):
+            SampledDistribution(two, vals, (one, h))
+        with pytest.raises(ConfigError):
+            ReferenceDistribution(two, vals, factors=(one, h))
+    with pytest.raises(ConfigError):
+        SampledDistribution(two, vals, (one,))
+    with pytest.raises(ConfigError):
+        SampledDistribution(DiscreteSpace(vals.size), vals, (one, one))
 
 
 def test_truncation_vacuum_default(half_grid):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qmaj import monotones, states
+from qmaj.compare import compare, statement4_check
 from qmaj.grids import (
     DiscreteSpace,
     GridSpec,
@@ -46,6 +48,25 @@ def test_distribution_function_indicator(strip_indicator):
 def test_distribution_function_above_max(strip_indicator):
     assert distribution_function(strip_indicator, 1.0) == 0.0
     assert codistribution_function(strip_indicator, 0.0) == 0.0
+
+
+def test_distribution_functions_count_cells(zoo):
+    rng = np.random.default_rng(11)
+    for f in zoo.values():
+        v = f.values
+        ts = np.concatenate(
+            [rng.uniform(v.min(), v.max(), 20), rng.choice(v, 20), [np.nan]]
+        )
+        for t in ts:
+            above = float(np.count_nonzero(v > t)) * f.grid.cell_measure
+            below = float(np.count_nonzero(v < t)) * f.grid.cell_measure
+            assert distribution_function(f, t) == above
+            assert codistribution_function(f, t) == below
+    # cells holding NaN lie neither above nor below any t
+    space = DiscreteSpace(4)
+    f = SampledDistribution(space, np.array([1.0, np.nan, -1.0, 2.0]))
+    assert distribution_function(f, 0.0) == 2.0
+    assert codistribution_function(f, 0.0) == 1.0
 
 
 def test_vacuum_distribution_function():
@@ -390,3 +411,35 @@ def test_resample_pair_log_floor(fock):
     assert s[0] == pytest.approx(4e-4)
     assert (np.diff(s) > 0).all()
     assert lp[-1] == pytest.approx(pos.final, abs=1e-9)
+
+
+@pytest.mark.parametrize("hbar", ["half", "one"])
+def test_product_path_matches_cell_path(hbar):
+    # tensor states are rearranged from their factors' level sets; copies
+    # without factors take the cell sort, which keys by (f1*f2)/(q1*q2)
+    # rather than (f1/q1)*(f2/q2), so the curves agree to rounding only
+    grid = GridSpec(2, 5.0 if hbar == "half" else 5.0 * math.sqrt(2.0), 16, hbar)
+    specs = (
+        "tensor(fock:2, fock:2)",
+        "tensor(cubic(g=0.02, s=0.1), vacuum)",
+        "tensor(cat(alpha=1), thermal(nbar=0.5))",
+    )
+    products = [states.render(spec, grid) for spec in specs]
+    cells = [SampledDistribution(grid, f.values) for f in products]
+    q = states.reference("tensor(vacuum, vacuum)", grid)
+    for ref, ref_cells in ((None, None), (q, ReferenceDistribution(grid, q.values))):
+        for f, f_cells in zip(products, cells):
+            assert f.factors and not f_cells.factors
+            for side in (POSITIVE, NEGATIVE):
+                a, b = _rearrange(f, ref, side), _rearrange(f_cells, ref_cells, side)
+                assert np.abs(np.interp(b.s, a.s, a.L) - b.L).max() <= 1e-11
+                assert a.s[-1] == pytest.approx(b.s[-1], rel=0, abs=1e-11)
+                assert a.L[-1] == pytest.approx(b.L[-1], rel=0, abs=1e-11)
+        # each state against itself is equivalent across the two paths
+        for i, j in itertools.product(range(len(specs)), repeat=2):
+            want = compare(cells[i], cells[j], ref_cells, eps_norm=1.0).outcome
+            assert compare(products[i], products[j], ref, eps_norm=1.0).outcome is want
+            assert compare(products[i], cells[j], ref, eps_norm=1.0).outcome is want
+            assert statement4_check(products[i], products[j], ref) == statement4_check(
+                cells[i], cells[j], ref_cells
+            )

@@ -236,6 +236,11 @@ def test_tensor_render_is_product(half_grid):
     b = render("fock:1", GridSpec(1, 3.0, 32))
     outer = np.multiply.outer(a.as_nd(), b.as_nd())
     np.testing.assert_allclose(f.as_nd(), outer, atol=1e-14)
+    assert [h.grid for h in f.factors] == [a.grid, b.grid]
+    factors = np.multiply.outer(*(h.as_nd() for h in f.factors))
+    np.testing.assert_array_equal(f.as_nd(), factors)
+    mixed = render("mix(0.5:tensor(vacuum, fock:1), 0.5:tensor(fock:1, vacuum))", two)
+    assert mixed.factors == ()
 
 
 # -- wavefunction transform ---------------------------------------------------
