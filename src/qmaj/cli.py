@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,7 +83,21 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array(rows)
 
 
-def parse_channel(text: str):
+class _Channel(NamedTuple):
+    """A parsed channel: how to apply it, and the lines it prints."""
+
+    apply: Callable[[SampledDistribution], SampledDistribution]
+    notes: tuple[str, ...] = ()
+
+
+def _gaussian(spec: channels.GaussianChannelSpec) -> _Channel:
+    stochasticity = channels.classify_gaussian(spec).value
+    return _Channel(
+        partial(channels.apply_gaussian, spec), (f"stochasticity={stochasticity}",)
+    )
+
+
+def parse_channel(text: str) -> _Channel:
     """Channel mini-grammar: plc:eta=, gauss:X=..,Y=..,delta=.., dephase:gamma=."""
     name, _, body = text.partition(":")
     name = name.strip()
@@ -103,15 +119,17 @@ def parse_channel(text: str):
             buf += ch
     try:
         if name == "plc":
-            return channels.pure_loss_channel(float(params["eta"]))
+            return _gaussian(channels.pure_loss_channel(float(params["eta"])))
         if name == "amp":
-            return channels.amplifier_channel(float(params["gain"]))
+            return _gaussian(channels.amplifier_channel(float(params["gain"])))
         if name == "rot":
-            return channels.rotation_channel(float(params["theta"]))
+            return _gaussian(channels.rotation_channel(float(params["theta"])))
         if name == "pconj":
-            return channels.phase_conjugation_channel(float(params["kappa"]))
+            return _gaussian(
+                channels.phase_conjugation_channel(float(params["kappa"]))
+            )
         if name == "dephase":
-            return ("dephase", float(params["gamma"]))
+            return _Channel(partial(channels.apply_dephasing, float(params["gamma"])))
         if name == "gauss":
             x = _parse_matrix(params["X"])
             y = _parse_matrix(params["Y"])
@@ -120,7 +138,7 @@ def parse_channel(text: str):
                 if "delta" in params
                 else None
             )
-            return channels.GaussianChannelSpec(x, y, delta)
+            return _gaussian(channels.GaussianChannelSpec(x, y, delta))
     except KeyError as exc:
         raise ParseError(f"channel {name!r} is missing parameter {exc}")
     except ValueError as exc:
@@ -366,11 +384,9 @@ def cmd_apply(args) -> int:
     grid = _grid_for(args, spec)
     f = states.render(spec, grid, args.rep)
     channel = parse_channel(args.channel)
-    if isinstance(channel, tuple) and channel[0] == "dephase":
-        out = channels.apply_dephasing(channel[1], f)
-    else:
-        out = channels.apply_gaussian(channel, f)
-        print(f"stochasticity={channels.classify_gaussian(channel).value}")
+    out = channel.apply(f)
+    for line in channel.notes:
+        print(line)
     report = truncation_report(out)
     print(f"normalization_defect={report.normalization_defect!r}")
     print(f"boundary_max={report.boundary_max!r}")

@@ -13,7 +13,9 @@ sqrt(2) so that both conventions sample the same physical phase-space points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -170,8 +172,46 @@ def _check_factors(grid, factors) -> None:
         raise ConfigError(f"factor grids {grids} do not tile {grid}")
 
 
+def _cells(grid, values) -> np.ndarray:
+    """``values`` as a flat, contiguous, read-only array of one per cell."""
+    vals = np.asarray(values, dtype=float).ravel()
+    expected = int(np.prod(grid.shape))
+    if vals.size != expected:
+        raise ConfigError(f"values has {vals.size} entries, grid has {expected} cells")
+    vals = np.ascontiguousarray(vals)
+    vals.setflags(write=False)
+    return vals
+
+
+class _LazyValues:
+    """Cell values that a product of factors builds on first read.
+
+    A product is constructed with ``values=None``; its ``values`` attribute
+    is then absent, so the first read lands in ``__getattr__``, which stores
+    the outer product of the factors' values.  Every other instance holds
+    its values from construction.
+    """
+
+    def _set_values(self) -> bool:
+        """Lock the given values; False when they are left to the factors."""
+        _check_factors(self.grid, self.factors)
+        if self.values is None and self.factors:
+            object.__delattr__(self, "values")
+            return False
+        object.__setattr__(self, "values", _cells(self.grid, self.values))
+        return True
+
+    def __getattr__(self, name):
+        factors = self.__dict__.get("factors")
+        if name != "values" or not factors:
+            raise AttributeError(name)
+        vals = _cells(self.grid, reduce(np.multiply.outer, (h.values for h in factors)))
+        object.__setattr__(self, "values", vals)
+        return vals
+
+
 @dataclass(frozen=True)
-class SampledDistribution:
+class SampledDistribution(_LazyValues):
     """A real function sampled on the cells of a grid or discrete space.
 
     ``values`` is the flat (C-order) array of cell-center samples; every cell
@@ -179,31 +219,31 @@ class SampledDistribution:
     value buffer is locked against writes.
 
     ``factors`` holds the factors of a tensor product, each sampled on the
-    grid of its own modes, when ``values`` is their outer product; it is
-    empty for any other function.
+    grid of its own modes; it is empty for any other function.  A product
+    may be built with ``values=None``: its ``total_integral`` is then the
+    product of the factors' totals, and ``values``, their outer product, is
+    built on first read and kept.  The calls that read cells build it:
+    ``renormalized``, ``as_nd``, grid-file writes, channel application, the
+    pointwise monotones, the distribution functions, ``ratio_breakpoints``,
+    the piecewise integrals, and a rearrangement against a reference that
+    is not a product over the same modes.  Rendering, ``reference``,
+    ``truncation_report``, the curves, ``compare`` and ``statement4_check``
+    of products read only the factors.
     """
 
     grid: GridSpec | DiscreteSpace
-    values: np.ndarray
+    values: np.ndarray | None
     factors: tuple["SampledDistribution", ...] = field(
         default=(), compare=False, repr=False
     )
     total_integral: float = field(init=False)
 
     def __post_init__(self):
-        _check_factors(self.grid, self.factors)
-        vals = np.asarray(self.values, dtype=float).ravel()
-        expected = int(np.prod(self.grid.shape))
-        if vals.size != expected:
-            raise ConfigError(
-                f"values has {vals.size} entries, grid has {expected} cells"
-            )
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(
-            self, "total_integral", float(vals.sum() * self.grid.cell_measure)
-        )
+        if self._set_values():
+            total = float(self.values.sum() * self.grid.cell_measure)
+        else:
+            total = math.prod(h.total_integral for h in self.factors)
+        object.__setattr__(self, "total_integral", total)
 
     def renormalized(self) -> "SampledDistribution":
         if self.total_integral == 0.0:
@@ -215,40 +255,39 @@ class SampledDistribution:
 
 
 @dataclass(frozen=True)
-class ReferenceDistribution:
+class ReferenceDistribution(_LazyValues):
     """Strictly positive weight function q for relative majorization.
 
     ``integrable`` is False when the function on the untruncated space has no
     finite integral (growing Gaussians from negative-temperature references);
     curves built against such a reference are flagged truncation sensitive.
-    ``factors`` is as for :class:`SampledDistribution`.
+    ``factors`` and lazy ``values`` are as for :class:`SampledDistribution`:
+    a product's positivity is checked on its factors, and ``total_nu`` is the
+    product of theirs.  Only a rearrangement of a function that is not a
+    product over the same modes, the piecewise integrals, the divergence
+    monotone and ``ratio_breakpoints`` read a product's cells.
     """
 
     grid: GridSpec | DiscreteSpace
-    values: np.ndarray
+    values: np.ndarray | None
     integrable: bool = True
     factors: tuple["ReferenceDistribution", ...] = field(
         default=(), compare=False, repr=False
     )
+    total_nu: float = field(init=False)  # nu(X) of the window: integral of q
 
     def __post_init__(self):
-        _check_factors(self.grid, self.factors)
-        vals = np.asarray(self.values, dtype=float).ravel()
-        expected = int(np.prod(self.grid.shape))
-        if vals.size != expected:
-            raise ConfigError(
-                f"values has {vals.size} entries, grid has {expected} cells"
-            )
-        if not (vals > 0).all():
-            raise ConfigError("reference distribution must be strictly positive")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def total_nu(self) -> float:
-        """nu(X) of the truncated window: integral of q."""
-        return float(self.values.sum() * self.grid.cell_measure)
+        if self._set_values():
+            if not (self.values > 0).all():
+                raise ConfigError("reference distribution must be strictly positive")
+            total = float(self.values.sum() * self.grid.cell_measure)
+        else:
+            # positive factors give positive cells unless the smallest cell,
+            # the rounded product of the factors' smallest values, underflows
+            if not reduce(operator.mul, (r.values.min() for r in self.factors)) > 0:
+                raise ConfigError("reference distribution must be strictly positive")
+            total = math.prod(r.total_nu for r in self.factors)
+        object.__setattr__(self, "total_nu", total)
 
 
 def same_grid(a, b) -> None:
@@ -272,8 +311,22 @@ class TruncationReport:
 
 
 def truncation_report(f: SampledDistribution) -> TruncationReport:
-    """|1 - integral| plus the largest |f| on the window boundary."""
+    """|1 - integral| plus the largest |f| on the window boundary.
+
+    The boundary of a product is the union, over its factors, of one
+    factor's boundary times the other factors' whole windows.  Rounding is
+    monotone, so the largest |cell| there is the product, in factor order,
+    of that factor's boundary maximum and the others' largest |values|.
+    """
     defect = abs(1.0 - f.total_integral)
+    if f.factors:
+        bounds = [truncation_report(h).boundary_max for h in f.factors]
+        peaks = [float(np.abs(h.values).max()) for h in f.factors]
+        bmax = max(
+            reduce(operator.mul, peaks[:i] + [b] + peaks[i + 1:])
+            for i, b in enumerate(bounds)
+        )
+        return TruncationReport(defect, bmax)
     nd = f.as_nd()
     bmax = 0.0
     for ax in range(nd.ndim):

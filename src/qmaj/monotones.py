@@ -42,10 +42,12 @@ def negative_volume(f: SampledDistribution) -> float:
 
 def lp_norm(f: SampledDistribution, alpha: float) -> float:
     """L^alpha norm; Schur-convex only for alpha >= 1, smaller alpha rejected."""
-    if alpha < 1:
+    # NaN fails every comparison, so the range is tested the way round that
+    # rejects it; an infinite alpha would give |f|**inf in place of max |f|
+    if not 1 <= alpha < math.inf:
         raise ConfigError(
-            f"lp_norm requires alpha >= 1 (got {alpha}): |t|^alpha is not "
-            "convex over the reals below 1"
+            f"lp_norm requires a finite alpha >= 1 (got {alpha}): |t|^alpha "
+            "is not convex over the reals below 1"
         )
     dmu = f.grid.cell_measure
     return float((np.abs(f.values) ** alpha).sum() * dmu) ** (1.0 / alpha)
@@ -95,10 +97,10 @@ def renyi_divergence(
 
 
 def _require_alpha_above_one(alpha: float) -> None:
-    if alpha <= 1:
+    if not 1 < alpha < math.inf:
         raise ConfigError(
-            f"alpha must be > 1 (got {alpha}): not Schur-concave for "
-            "quasiprobability distributions at or below 1"
+            f"alpha must be finite and > 1 (got {alpha}): not Schur-concave "
+            "for quasiprobability distributions at or below 1"
         )
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -557,7 +556,8 @@ def render(
     The default grid matches the state's mode count; under hbar=1 the
     hbar=1/2 closed forms are evaluated at contracted coordinates with the
     2^-n prefactor.  A tensor product keeps its factors, each rendered on the
-    grid of its own modes, and its values are their outer product.
+    grid of its own modes; its values, their outer product, are built only
+    when read.
     """
     if isinstance(spec, str):
         spec = parse_state(spec)
@@ -573,8 +573,7 @@ def render(
         factors = tuple(
             render(part, replace(grid, modes=part.modes), rep) for part in spec.parts
         )
-        vals = reduce(np.multiply.outer, (h.as_nd() for h in factors))
-        return SampledDistribution(grid, vals.ravel(), factors)
+        return SampledDistribution(grid, None, factors)
     ax = grid.axis()
     if grid.hbar == HBAR_ONE:
         vals = _values_half(spec, rep, ax / _SQRT2) * 0.5**grid.modes
@@ -614,19 +613,32 @@ def reference(
         vals = np.exp(-2.0 * r2 / w)
         return ReferenceDistribution(grid, vals.ravel(), integrable=w > 0)
     f = render(spec, grid, rep)
-    if not (f.values > 0).all():
+    try:
+        return _as_reference(f)
+    except ConfigError:
         raise ConfigError(
             f"{pretty(spec)} is not strictly positive; cannot serve as reference"
-        )
-    return _as_reference(f)
+        ) from None
 
 
 def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
-    # a strictly positive product has factors of one sign each; both negative
-    # would raise here, but no factor with a positive integral is negative
-    return ReferenceDistribution(
-        f.grid, f.values, factors=tuple(map(_as_reference, f.factors))
-    )
+    """f as a reference; raises ConfigError unless every cell of f is > 0.
+
+    The cells of a product are all > 0 exactly when each factor is of one
+    sign, an even number of them negative, and the smallest cell does not
+    underflow, which the reference checks.  Negating the negative factors
+    leaves every cell bitwise equal.
+    """
+    if not f.factors:
+        return ReferenceDistribution(f.grid, f.values)
+    factors, sign = [], 1
+    for h in f.factors:
+        if (h.values < 0).all():
+            h, sign = SampledDistribution(h.grid, -h.values), -sign
+        factors.append(_as_reference(h))
+    if sign < 0:
+        raise ConfigError("an odd number of factors is negative")
+    return ReferenceDistribution(f.grid, None, factors=tuple(factors))
 
 
 def thermal_reference_family(grid: GridSpec, rep: str = WIGNER):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qmaj
-from qmaj import states
+from qmaj import channels, states
 from qmaj.cli import (
     load_curves_csv,
     main,
@@ -201,9 +201,12 @@ def test_apply_dephase_channel(tmp_path, capsys):
 
 def test_parse_channel_grammar():
     ch = parse_channel("gauss:X=[1 0;0 1],Y=[0 0;0 0],delta=[0.5 0]")
-    assert ch.delta[0] == 0.5
-    kind, gamma = parse_channel("dephase:gamma=0.25")
-    assert kind == "dephase" and gamma == 0.25
+    assert ch.apply.func is channels.apply_gaussian
+    assert ch.apply.args[0].delta[0] == 0.5
+    assert ch.notes == ("stochasticity=doubly_stochastic",)
+    ch = parse_channel("dephase:gamma=0.25")
+    assert ch.apply.func is channels.apply_dephasing
+    assert ch.apply.args == (0.25,) and ch.notes == ()
     with pytest.raises(ParseError):
         parse_channel("teleport:fidelity=1")
     with pytest.raises(ParseError):
@@ -249,10 +252,18 @@ def test_exit_code_usage(capsys):
         ["compare", "fock:1", "fock:1", "--grid", "N=60", "--tol", "-1"],
         ["compare", "fock:1", "fock:2", "--grid", "N=60", "--tol", "inf"],
         ["compare", "fock:1", "fock:2", "--grid", "L=1e300,N=60"],
+        ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "renyi:nan"],
+        ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "norm:nan"],
+        ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "divergence:nan"],
+        ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "norm:inf"],
+        ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "tsallis:inf"],
+        ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "renyi:inf"],
     ],
     ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
          "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative",
-         "tol-inf", "grid-L-overflow"],
+         "tol-inf", "grid-L-overflow", "alpha-renyi-nan", "alpha-norm-nan",
+         "alpha-divergence-nan", "alpha-norm-inf", "alpha-tsallis-inf",
+         "alpha-renyi-inf"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])

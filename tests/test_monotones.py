@@ -49,6 +49,17 @@ def test_lp_norm_rejects_small_alpha(fock):
         lp_norm(fock[1], 0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_alphas_must_be_finite(fock, vacuum_ref, alpha):
+    # NaN fails every range comparison, and an infinite alpha turns |f|**alpha
+    # into 0 or 1 rather than a limit such as max |f|
+    for fn in (lp_norm, renyi_entropy, tsallis_entropy):
+        with pytest.raises(ConfigError):
+            fn(fock[1], alpha)
+    with pytest.raises(ConfigError):
+        renyi_divergence(fock[1], vacuum_ref, alpha)
+
+
 def test_purity_table_values(fock, zoo):
     assert purity(fock[4]) == pytest.approx(1.000, abs=5e-3)
     assert purity(zoo["lossy1"]) == pytest.approx(0.580, abs=5e-3)

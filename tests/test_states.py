@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmaj.compare import Outcome, compare
+from qmaj.compare import Outcome, compare, statement4_check
 from qmaj.errors import (
     ConfigError,
     NumericsError,
@@ -14,8 +15,15 @@ from qmaj.errors import (
     SpecValidationError,
     UnsupportedStateError,
 )
-from qmaj.grids import GridSpec, default_grid, truncation_report
+from qmaj.grids import (
+    GridSpec,
+    ReferenceDistribution,
+    SampledDistribution,
+    default_grid,
+    truncation_report,
+)
 from qmaj.monotones import negative_volume
+from qmaj.rearrange import relative_lorenz_curves
 from qmaj.states import (
     ON,
     Cat,
@@ -241,6 +249,87 @@ def test_tensor_render_is_product(half_grid):
     np.testing.assert_array_equal(f.as_nd(), factors)
     mixed = render("mix(0.5:tensor(vacuum, fock:1), 0.5:tensor(fock:1, vacuum))", two)
     assert mixed.factors == ()
+
+
+def test_criterion7_builds_no_cell_array():
+    # every step of the two-mode criterion reads the factors; one cell array
+    # of the 64^4 grid is 128 MiB
+    grid = default_grid(modes=2)
+    tracemalloc.start()
+    try:
+        pair = render("tensor(fock:2, fock:2)", grid)
+        cubic = render("tensor(cubic(g=0.02, s=0.1), vacuum)", grid)
+        q = reference("tensor(vacuum, vacuum)", grid)
+        for f in (pair, cubic):
+            truncation_report(f)
+            relative_lorenz_curves(f, q)
+        compare(pair, cubic, q, eps_norm=2e-2)
+        statement4_check(pair, cubic, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.size * 8
+
+
+@pytest.mark.parametrize("hbar", ["half", "one"])
+def test_factored_summaries_match_cells(hbar):
+    grid = GridSpec(2, 3.0 if hbar == "half" else 3.0 * math.sqrt(2.0), 16, hbar)
+    cases = [
+        ("tensor(fock:2, fock:2)", "wigner"),
+        ("tensor(cubic(g=0.02, s=0.1), vacuum)", "wigner"),
+        ("tensor(vacuum, fock:1)", "wigner"),
+        ("tensor(cat(alpha=1), thermal(nbar=0.5))", "wigner"),
+        ("tensor(fock:2, fock:2)", "husimi"),
+        ("tensor(vacuum, fock:1)", "husimi"),
+        ("tensor(cat(alpha=1), thermal(nbar=0.5))", "husimi"),
+    ]
+    for spec, rep in cases:
+        f = render(spec, grid, rep)
+        outer = np.multiply.outer(*(h.values for h in f.factors)).ravel()
+        np.testing.assert_array_equal(f.values, outer)
+        cells = SampledDistribution(grid, f.values)
+        assert f.total_integral == pytest.approx(cells.total_integral, rel=1e-15)
+        report, want = truncation_report(f), truncation_report(cells)
+        assert report.boundary_max == want.boundary_max
+        assert report.normalization_defect == pytest.approx(
+            want.normalization_defect, rel=0, abs=1e-15
+        )
+    for spec, rep in [
+        ("tensor(vacuum, vacuum)", "wigner"),
+        ("tensor(thermal(nbar=0.5), vacuum)", "wigner"),
+        ("tensor(fock:2, fock:2)", "husimi"),
+    ]:
+        q = reference(spec, grid, rep)
+        assert q.factors
+        np.testing.assert_array_equal(q.values, render(spec, grid, rep).values)
+        cells = ReferenceDistribution(grid, q.values)
+        assert q.total_nu == pytest.approx(cells.total_nu, rel=1e-15)
+    for spec in ("tensor(fock:1, vacuum)", "tensor(vacuum, fock:1)"):
+        with pytest.raises(ConfigError):
+            reference(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, half_width, rep",
+    [
+        ("tensor(vacuum, vacuum)", 5.0, "wigner"),
+        ("tensor(fock:2, fock:2)", 5.0, "husimi"),
+        ("tensor(fock:1, vacuum)", 5.0, "wigner"),  # no cell near the origin
+        ("tensor(fock:1, vacuum)", 1.0, "wigner"),  # one factor of both signs
+        ("tensor(fock:1, fock:1)", 0.3, "wigner"),  # both factors negative
+        ("tensor(fock:1, vacuum)", 0.3, "wigner"),  # one factor negative
+        ("tensor(vacuum, vacuum)", 13.0, "wigner"),  # corner cells underflow
+    ],
+)
+def test_reference_positivity_read_from_factors(spec, half_width, rep):
+    # the factor check accepts exactly the products whose every cell is > 0
+    grid = GridSpec(2, half_width, 4)
+    f = render(spec, grid, rep)
+    if (f.values > 0).all():
+        np.testing.assert_array_equal(reference(spec, grid, rep).values, f.values)
+    else:
+        with pytest.raises(ConfigError):
+            reference(spec, grid, rep)
 
 
 # -- wavefunction transform ---------------------------------------------------
