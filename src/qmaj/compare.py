@@ -27,8 +27,6 @@ import numpy as np
 from .errors import ConfigError, NormalizationError, ScanError
 from .grids import ReferenceDistribution, SampledDistribution, same_grid
 from .rearrange import (
-    NEGATIVE,
-    POSITIVE,
     LorenzCurve,
     _merged,
     _Rearrangement,
@@ -243,9 +241,7 @@ def statement4_check(
             raise ConfigError("u_grid must be nonempty")
         if (u_grid < 0).any():
             raise ConfigError("u_grid entries must be >= 0")
-    pf, nf, pg, ng = (
-        _rearrange(h, q, side) for h in (f, g) for side in (POSITIVE, NEGATIVE)
-    )
+    (pf, nf), (pg, ng) = _rearrange(f, q), _rearrange(g, q)
     if u_grid is None:
         u_grid = _key_breakpoints([pf, nf, pg, ng])
     fp, fm = _shifted_integrals(pf, nf, u_grid)

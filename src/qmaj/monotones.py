@@ -26,7 +26,7 @@ from .grids import (
     SampledDistribution,
     same_grid,
 )
-from .rearrange import NEGATIVE, POSITIVE, _merged, _rearrange, lorenz_curves
+from .rearrange import _merged, _rearrange, lorenz_curves
 
 
 def negative_volume(f: SampledDistribution) -> float:
@@ -139,8 +139,7 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     """
     same_grid(f, g)
     total = 0.0
-    for side in (POSITIVE, NEGATIVE):
-        a, b = _rearrange(f, None, side), _rearrange(g, None, side)
+    for a, b in zip(_rearrange(f), _rearrange(g)):
         # a rearrangement takes the value keys[k] on (s[k], s[k+1]]
         edges = _merged(a.s[1:], b.s[1:])
         edges = edges[edges <= min(a.s[-1], b.s[-1])]

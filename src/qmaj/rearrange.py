@@ -174,17 +174,35 @@ def _cumulative(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_ends(keys: np.ndarray) -> np.ndarray:
-    """Cell counts at the last cell of each run of equal sorted keys."""
+def _side(keys: np.ndarray, nu: np.ndarray, mass: np.ndarray) -> _Rearrangement:
+    # tied cells share the slope f/q, so a breakpoint sits only at the last
+    # cell of each run of equal keys; ``ends`` counts the cells up to it
     last = np.ones(keys.shape, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    return np.flatnonzero(last) + 1
+    ends = np.flatnonzero(last) + 1
+    at = np.concatenate([[0], ends])
+    return _Rearrangement(keys[ends - 1], _cumulative(nu)[at], _cumulative(mass)[at])
+
+
+def _split(
+    keys: np.ndarray, nu: np.ndarray, mass: np.ndarray
+) -> tuple[_Rearrangement, _Rearrangement]:
+    """Both sides from ascending keys (NaN last) with each one's nu and mass.
+
+    The negative side is the head below the first key >= 0, the positive
+    side the tail after the last zero key, read backwards; zero and NaN keys
+    belong to neither.
+    """
+    lo, end = np.searchsorted(keys, [0.0, np.nan])
+    hi = np.searchsorted(keys, 0.0, side="right")
+    pos = _side(keys[hi:end][::-1], nu[hi:end][::-1], mass[hi:end][::-1])
+    return pos, _side(keys[:lo], nu[:lo], mass[:lo])
 
 
 def _rearrange(
-    f: SampledDistribution, q: ReferenceDistribution | None, side: str
-) -> _Rearrangement:
-    """The weighted rearrangement of one side of f (see the module notes)."""
+    f: SampledDistribution, q: ReferenceDistribution | None = None
+) -> tuple[_Rearrangement, _Rearrangement]:
+    """The positive and negative rearrangements of f (see the module notes)."""
     parts = f.factors
     if q is not None:
         same_grid(f, q)
@@ -195,45 +213,23 @@ def _rearrange(
         # sets get a positive key k1*k2 and the mixed pairs a negative one
         keys = nu = mass = np.ones(1)
         for h, r in zip(parts, [None] * len(parts) if q is None else q.factors):
-            both = (_rearrange(h, r, POSITIVE), _rearrange(h, r, NEGATIVE))
+            both = _rearrange(h, r)
             keys = np.multiply.outer(keys, np.concatenate([b.keys for b in both]))
             nu = np.multiply.outer(nu, np.concatenate([np.diff(b.s) for b in both]))
             mass = np.multiply.outer(mass, np.concatenate([np.diff(b.L) for b in both]))
         keys, nu, mass = keys.ravel(), nu.ravel(), mass.ravel()
-        keep = keys > 0 if side == POSITIVE else keys < 0
-        keys, nu, mass = keys[keep], nu[keep], mass[keep]
-        order = np.argsort(-keys if side == POSITIVE else keys)
-        keys, nu, mass = keys[order], nu[order], mass[order]
-        ends = _run_ends(keys)
-        at = np.concatenate([[0], ends])
-        return _Rearrangement(
-            keys[ends - 1], _cumulative(nu)[at], _cumulative(mass)[at]
-        )
-    v = f.values
-    mask = v > 0 if side == POSITIVE else v < 0
-    vals = v[mask]
+        order = np.argsort(keys)
+        return _split(keys[order], nu[order], mass[order])
     dmu = f.grid.cell_measure
     if q is None:
-        # tied keys are equal values here: sort the values themselves, and
-        # find their runs on the ascending array before ranking from the top
-        vals.sort()
-        ends = _run_ends(vals)
-        keys, at = vals[ends - 1], np.concatenate([[0], ends])
-        if side == POSITIVE:
-            vals, keys, at = vals[::-1], keys[::-1], len(vals) - at[::-1]
-        nu = np.full(vals.shape, dmu)
-    else:
-        qm = q.values[mask]
-        key = vals / qm
-        order = np.argsort(-key if side == POSITIVE else key)
-        # the cell measure is uniform, so only f and q are permuted; the
-        # sorted keys are recomputed from them rather than gathered
-        vals, qm = vals[order], qm[order]
-        keys, nu = vals / qm, qm * dmu
-        ends = _run_ends(keys)
-        keys, at = keys[ends - 1], np.concatenate([[0], ends])
-    # tied cells share the slope f/q, so only the run ends are breakpoints
-    return _Rearrangement(keys, _cumulative(nu)[at], _cumulative(vals * dmu)[at])
+        # tied keys are equal values here: sort the values themselves
+        vals = np.sort(f.values)
+        return _split(vals, np.full(vals.shape, dmu), vals * dmu)
+    # the cell measure is uniform, so only f and q are permuted; the sorted
+    # keys are recomputed from them rather than gathered
+    order = np.argsort(f.values / q.values)
+    vals, qv = f.values[order], q.values[order]
+    return _split(vals / qv, qv * dmu, vals * dmu)
 
 
 def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,18 +248,20 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return both[keep]
 
 
-def _curve(
-    f: SampledDistribution, q: ReferenceDistribution | None, side: str
-) -> LorenzCurve:
-    _, s, L = _rearrange(f, q, side)
-    if q is None:
-        return LorenzCurve(s, L, side, f.grid.total_measure)
-    return LorenzCurve(s, L, side, q.total_nu, truncation_sensitive=not q.integrable)
+def _curves(
+    f: SampledDistribution, q: ReferenceDistribution | None
+) -> tuple[LorenzCurve, LorenzCurve]:
+    end = f.grid.total_measure if q is None else q.total_nu
+    sensitive = q is not None and not q.integrable
+    return tuple(
+        LorenzCurve(r.s, r.L, side, end, sensitive)
+        for r, side in zip(_rearrange(f, q), (POSITIVE, NEGATIVE))
+    )
 
 
 def lorenz_curves(f: SampledDistribution) -> tuple[LorenzCurve, LorenzCurve]:
     """Positive and negative Lorenz curves of f on its truncated window."""
-    return _curve(f, None, POSITIVE), _curve(f, None, NEGATIVE)
+    return _curves(f, None)
 
 
 def relative_lorenz_curves(
@@ -275,7 +273,7 @@ def relative_lorenz_curves(
     and f_i*dmu to L, so the endpoints (1 + NV and -NV for normalized f) do
     not depend on q.
     """
-    return _curve(f, q, POSITIVE), _curve(f, q, NEGATIVE)
+    return _curves(f, q)
 
 
 def curves(f: SampledDistribution, q: ReferenceDistribution | None = None):

@@ -19,7 +19,7 @@ from qmaj.errors import (
     ScanError,
 )
 from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution
-from qmaj.rearrange import NEGATIVE, POSITIVE, _rearrange
+from qmaj.rearrange import _rearrange
 
 
 def test_reflexivity(fock):
@@ -128,7 +128,7 @@ def test_key_breakpoints_match_ratio_breakpoints(zoo, half_grid, vacuum_ref):
     for q in (None, vacuum_ref, thermal):
         for a, b in zip(names, names[1:]):
             f, g = zoo[a], zoo[b]
-            sides = [_rearrange(h, q, s) for h in (f, g) for s in (POSITIVE, NEGATIVE)]
+            sides = [r for h in (f, g) for r in _rearrange(h, q)]
             got = _key_breakpoints(sides)
             want = ratio_breakpoints(f, g, q, max_points=256)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -206,9 +206,7 @@ def test_piecewise_rejects_negative_u(fock):
 
 
 def _shifted(f, us, q=None):
-    return _shifted_integrals(
-        _rearrange(f, q, POSITIVE), _rearrange(f, q, NEGATIVE), us
-    )
+    return _shifted_integrals(*_rearrange(f, q), us)
 
 
 def _assert_shifted_match(f, q, us):
@@ -290,8 +288,7 @@ def test_regular_rearrangement_matches_argsort(zoo):
     # one breakpoint per distinct value, bitwise the definition's breakpoint
     # at the same cell count
     for f in [*_tied_vectors(), *zoo.values()]:
-        for side in (POSITIVE, NEGATIVE):
-            got = _rearrange(f, None, side)
+        for side, got in zip((POSITIVE, NEGATIVE), _rearrange(f)):
             keys, s, L = _argsort_rearrangement(f, side)
             ends = _run_end_counts(keys)
             at = np.concatenate([[0], ends])
@@ -313,8 +310,7 @@ def test_relative_rearrangement_on_definition(zoo, half_grid, vacuum_ref):
     cases += [(f, q) for f in zoo.values() for q in (vacuum_ref, thermal)]
     collapsed = 0
     for f, q in cases:
-        for side in (POSITIVE, NEGATIVE):
-            got = _rearrange(f, q, side)
+        for side, got in zip((POSITIVE, NEGATIVE), _rearrange(f, q)):
             keys, s, L = _argsort_rearrangement(f, side, q)
             step = np.diff(got.keys)
             assert (step < 0).all() if side == POSITIVE else (step > 0).all()
@@ -430,8 +426,7 @@ def test_product_path_matches_cell_path(hbar):
     for ref, ref_cells in ((None, None), (q, ReferenceDistribution(grid, q.values))):
         for f, f_cells in zip(products, cells):
             assert f.factors and not f_cells.factors
-            for side in (POSITIVE, NEGATIVE):
-                a, b = _rearrange(f, ref, side), _rearrange(f_cells, ref_cells, side)
+            for a, b in zip(_rearrange(f, ref), _rearrange(f_cells, ref_cells)):
                 assert np.abs(np.interp(b.s, a.s, a.L) - b.L).max() <= 1e-11
                 assert a.s[-1] == pytest.approx(b.s[-1], rel=0, abs=1e-11)
                 assert a.L[-1] == pytest.approx(b.L[-1], rel=0, abs=1e-11)
