@@ -60,6 +60,8 @@ class GaussianChannelSpec:
             raise ChannelError(f"X must be 2n x 2n, got {X.shape}")
         if Y.shape != (d, d):
             raise ChannelError(f"Y must match X, got {Y.shape}")
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+            raise ChannelError("X and Y must be finite")
         if not np.allclose(Y, Y.T, atol=1e-12):
             raise ChannelError("Y must be symmetric")
         delta = (
@@ -68,6 +70,8 @@ class GaussianChannelSpec:
         )
         if delta.shape != (d,):
             raise ChannelError(f"delta must have length {d}")
+        if not np.isfinite(delta).all():
+            raise ChannelError("delta must be finite")
         for name, arr in (("X", X), ("Y", 0.5 * (Y + Y.T)), ("delta", delta)):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
@@ -124,8 +128,8 @@ def pure_loss_channel(eta: float) -> GaussianChannelSpec:
 
 def amplifier_channel(gain: float) -> GaussianChannelSpec:
     """Quantum-limited amplifier, |det X| = gain >= 1."""
-    if gain < 1:
-        raise ChannelError(f"gain must be >= 1, got {gain}")
+    if not 1 <= gain < math.inf:
+        raise ChannelError(f"gain must be finite and >= 1, got {gain}")
     return GaussianChannelSpec(
         math.sqrt(gain) * np.eye(2), (gain - 1.0) * np.eye(2)
     )
@@ -133,8 +137,8 @@ def amplifier_channel(gain: float) -> GaussianChannelSpec:
 
 def phase_conjugation_channel(kappa: float) -> GaussianChannelSpec:
     """X = -kappa sigma_3, Y = (1 + kappa^2) I; unnormalized Gaussian fixed point."""
-    if kappa < 0:
-        raise ChannelError(f"kappa must be >= 0, got {kappa}")
+    if not 0 <= kappa < math.inf:
+        raise ChannelError(f"kappa must be finite and >= 0, got {kappa}")
     x = np.array([[-kappa, 0.0], [0.0, kappa]])
     return GaussianChannelSpec(x, (1.0 + kappa**2) * np.eye(2))
 
@@ -221,7 +225,7 @@ def apply_gaussian(
 
     out = SampledDistribution(grid, resampled.ravel())
     defect = abs(out.total_integral - f.total_integral)
-    if defect > LEAKAGE_TOL:
+    if not defect <= LEAKAGE_TOL:  # NaN fails too
         raise LeakageError(
             f"channel output leaks {defect:.3g} of mass beyond the grid "
             f"(tolerance {LEAKAGE_TOL:g}); enlarge the window"
@@ -269,7 +273,7 @@ def dephasing_nodes(gamma: float):
     Gauss-Hermite nodes when the +-5/sqrt(gamma) window fits inside the
     circle; uniform wrapped nodes with folded Gaussian weights otherwise.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigError(f"gamma must be > 0, got {gamma}")
     window = 5.0 / math.sqrt(gamma)
     if window <= math.pi:

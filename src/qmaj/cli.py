@@ -148,13 +148,17 @@ def parse_channel(text: str) -> _Channel:
 
 # -- file formats -------------------------------------------------------------
 
-def write_curves_csv(path, s, l_plus, l_minus) -> None:
+def _curves_csv(s, l_plus, l_minus) -> str:
     lines = ["s,L_plus,L_minus"]
     lines += [
         f"{float(a)!r},{float(b)!r},{float(c)!r}"
         for a, b, c in zip(s, l_plus, l_minus)
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_curves_csv(path, s, l_plus, l_minus) -> None:
+    Path(path).write_text(_curves_csv(s, l_plus, l_minus))
 
 
 def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
@@ -289,9 +293,7 @@ def cmd_lorenz(args) -> int:
     if args.out:
         write_curves_csv(args.out, s, lp, lm)
     else:
-        sys.stdout.write("s,L_plus,L_minus\n")
-        for a, b, c in zip(s, lp, lm):
-            sys.stdout.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
+        sys.stdout.write(_curves_csv(s, lp, lm))
     if args.svg:
         write_curves_svg(args.svg, s, lp, lm, loglog=args.loglog)
     if pos.truncation_sensitive:

@@ -163,7 +163,8 @@ def compare(
     """
     _require_tolerance("eps_norm", eps_norm)
     same_grid(f, g)
-    if abs(f.total_integral - g.total_integral) > eps_norm:
+    # written so that a NaN integral (a NaN or overflowing cell) fails too
+    if not abs(f.total_integral - g.total_integral) <= eps_norm:
         raise NormalizationError(
             f"total integrals differ: {f.total_integral:.6g} vs "
             f"{g.total_integral:.6g} (eps_norm={eps_norm:g})"

@@ -122,9 +122,8 @@ def _eval_curve(curve: Curve, s: Number) -> Number:
 
 
 def _dominates(cf: Curve, cg: Curve, cnf: Curve, cng: Curve):
-    """Exact check that f dominates g: returns (holds, strict, worst witness)."""
+    """Exact check that f dominates g: returns (holds, worst witness)."""
     holds = True
-    strict = False
     worst: Witness | None = None
     for (a, b), sign, side in ((( cf, cg), 1, "positive"), ((cnf, cng), -1, "negative")):
         grid = sorted({pt[0] for pt in a} | {pt[0] for pt in b})
@@ -134,9 +133,7 @@ def _dominates(cf: Curve, cg: Curve, cnf: Curve, cng: Curve):
                 holds = False
                 if worst is None or gap < worst.gap:
                     worst = Witness(float(s), side, float(gap))
-            elif gap > 0:
-                strict = True
-    return holds, strict, worst
+    return holds, worst
 
 
 def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
@@ -160,8 +157,8 @@ def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
     qv = _as_entries(q) if q is not None else None
     cf, cnf = vec_lorenz(QuasiVector(fe), qv)
     cg, cng = vec_lorenz(QuasiVector(ge), qv)
-    f_holds, _, forward_violation = _dominates(cf, cg, cnf, cng)
-    g_holds, _, backward_violation = _dominates(cg, cf, cng, cnf)
+    f_holds, forward_violation = _dominates(cf, cg, cnf, cng)
+    g_holds, backward_violation = _dominates(cg, cf, cng, cnf)
     if f_holds and g_holds:
         return MajorizationVerdict(Outcome.EQUIVALENT, None, None, 0.0)
     if f_holds:

@@ -1,23 +1,27 @@
 """Rearrangements and Lorenz curves of sampled quasiprobability functions.
 
-Everything here reads one weighted rearrangement per side of f, built by
-``_rearrange``: the cells where f > 0 ranked by decreasing key f/q, and the
-cells where f < 0 ranked by increasing key, with q = 1 for the regular
-rearrangement.  A cell adds q_i * dmu_i to the abscissa s (the measure nu)
-and f_i * dmu_i to the ordinate L.  The rearrangement is constant on each
-level set of f/q, so it keeps one breakpoint per distinct key: the end of
-each run of tied cells.  The regular rearrangement is a plain sort of the
-values; the relative one is an unstable sort of the cells by f/q, since the
-order of tied cells only changes the rounding of their run's sums.
+Everything here reads the weighted rearrangement of f that ``_rearrange``
+builds from one ascending sort of the keys f/q, with q = 1 for the regular
+rearrangement.  ``_split`` cuts the sorted keys into both sides: the
+negative side is the head of keys below 0, ranked by increasing key, and
+the positive side the tail above 0 read backwards, ranked by decreasing
+key.  Zero and NaN keys (NaN sorts last) belong to neither.  A cell adds
+q_i * dmu_i to the abscissa s (the measure nu) and f_i * dmu_i to the
+ordinate L.  The rearrangement is constant on each level set of f/q, so it
+keeps one breakpoint per distinct key: the end of each run of tied cells.
+The regular rearrangement is a plain sort of the values; the relative one
+is an unstable argsort of the cells by f/q, since the order of tied cells
+only changes the rounding of their run's sums.
 ``_merged`` merges the sorted breakpoints of two curves in linear time.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
 and q is absent or a product q1 x q2 over the same modes, the level sets of
 f/q are the pairs of level sets of f1/q1 and f2/q2.  A pair has key k1*k2,
 nu n1*n2 and mass m1*m2, so the rearrangement sorts the pairs of the two
-factors' rearrangements rather than the cells: same-sign pairs form the
-positive side, mixed pairs the negative one.  There are at most as many
-pairs as cells.  Any other f, such as a mix of tensors, sorts its cells.
+factors' rearrangements rather than the cells: same-sign pairs get a
+positive key, mixed pairs a negative one, and the sorted pairs split like
+sorted cells.  There are at most as many pairs as cells.  Any other f, such
+as a mix of tensors, sorts its cells.
 The product keys round differently from the cell keys (f1*f2)/(q1*q2), so
 the two paths agree to rounding, not bitwise.
 
@@ -224,7 +228,7 @@ def _rearrange(
     if q is None:
         # tied keys are equal values here: sort the values themselves
         vals = np.sort(f.values)
-        return _split(vals, np.full(vals.shape, dmu), vals * dmu)
+        return _split(vals, np.broadcast_to(dmu, vals.shape), vals * dmu)
     # the cell measure is uniform, so only f and q are permuted; the sorted
     # keys are recomputed from them rather than gathered
     order = np.argsort(f.values / q.values)

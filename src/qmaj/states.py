@@ -22,6 +22,7 @@ standard hbar=1 expressions exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, replace
@@ -141,7 +142,7 @@ class Dephase(StateSpec):
     inner: StateSpec
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise SpecValidationError(f"gamma must be > 0, got {self.gamma}")
         if self.inner.modes != 1:
             raise SpecValidationError(f"dephase needs a one-mode state")
@@ -215,8 +216,10 @@ def _tokenize(text: str):
     return out
 
 
-def _scalar_value(text: str):
+def _scalar_value(text: str, pos: int):
     z = complex(text.replace("i", "j"))
+    if not cmath.isfinite(z):  # a literal beyond the float range, like 1e999
+        raise ParseError(f"scalar {text!r} is not finite", pos)
     return z if z.imag != 0 else z.real
 
 
@@ -269,11 +272,11 @@ class _Parser:
                 self.take()
                 self.take()
                 s_kind, s_value, s_pos = self.take("scalar")
-                named[item_value] = _scalar_value(s_value)
+                named[item_value] = _scalar_value(s_value, s_pos)
             elif item_kind == "scalar":
                 self.take()
                 self.take("punct", ":")
-                w = _scalar_value(item_value)
+                w = _scalar_value(item_value, item_pos)
                 if isinstance(w, complex):
                     raise ParseError("mixture weight must be real", item_pos)
                 weighted.append((float(w), self.term()))

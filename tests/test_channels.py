@@ -28,6 +28,7 @@ from qmaj.channels import (
 )
 from qmaj.compare import Outcome, compare
 from qmaj.errors import ChannelError, ConfigError, LeakageError
+from qmaj.grids import SampledDistribution
 
 def test_identity_channel_exact(fock):
     out = apply_gaussian(identity_channel(), fock[0])
@@ -99,12 +100,27 @@ def test_apply_gaussian_validation(fock):
         apply_gaussian(
             GaussianChannelSpec(np.eye(2), -0.1 * np.eye(2)), fock[0]
         )
+    bad = np.array([[math.nan, 0.0], [0.0, 1.0]])
+    for args in ((bad, np.zeros((2, 2))), (np.eye(2), np.diag([math.inf, 1.0])),
+                 (np.eye(2), np.zeros((2, 2)), [math.nan, 0.0])):
+        with pytest.raises(ChannelError, match="finite"):
+            GaussianChannelSpec(*args)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ChannelError, match="finite"):
+            amplifier_channel(value)
+        with pytest.raises(ChannelError, match="finite"):
+            phase_conjugation_channel(value)
 
 
 def test_leakage_detection(fock):
     # a displacement beyond the window pushes visible mass off the grid
     with pytest.raises(LeakageError):
         apply_gaussian(displacement_channel(9.0, 0.0), fock[0])
+    # a NaN defect is no evidence that the mass stayed on the grid
+    values = fock[0].values.copy()
+    values[0] = math.nan
+    with pytest.raises(LeakageError):
+        apply_gaussian(identity_channel(), SampledDistribution(fock[0].grid, values))
 
 
 def test_dephasing_fock_invariant(fock):
@@ -133,6 +149,8 @@ def test_strong_dephasing_ring_state(half_grid):
 def test_dephasing_quadrature_validation(fock):
     with pytest.raises(ConfigError):
         apply_dephasing(-1.0, fock[0])
+    with pytest.raises(ConfigError):
+        apply_dephasing(math.nan, fock[0])
 
 
 def test_classify_gaussian():

@@ -228,6 +228,10 @@ def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "compare", "fock:4", "nonsense(")
     assert code == 3
     assert "error" in err
+    # a literal beyond the float range would parse as inf and render NaN cells
+    for spec in ("cat(alpha=1e999)", "on(a=1e999,n=1)"):
+        code, out, err = run(capsys, "compare", spec, "vacuum", "--grid", "N=60")
+        assert code == 3 and "not finite" in err and out == ""
 
 
 def test_exit_code_usage(capsys):
@@ -258,12 +262,14 @@ def test_exit_code_usage(capsys):
         ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "norm:inf"],
         ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "tsallis:inf"],
         ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "renyi:inf"],
+        ["apply", "--channel", "dephase:gamma=nan", "--state", "fock:1",
+         "--grid", "N=60", "--out", os.devnull],
     ],
     ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
          "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative",
          "tol-inf", "grid-L-overflow", "alpha-renyi-nan", "alpha-norm-nan",
          "alpha-divergence-nan", "alpha-norm-inf", "alpha-tsallis-inf",
-         "alpha-renyi-inf"],
+         "alpha-renyi-inf", "dephase-gamma-nan"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])
@@ -287,6 +293,16 @@ def test_exit_code_normalization(tmp_path, capsys):
         "--grid", "L=7,N=350",
     )
     assert code == 4
+    # non-finite channel data is rejected before anything is written
+    for channel in ("gauss:X=[nan 0;0 1],Y=[0 0;0 0]", "amp:gain=1e999"):
+        out_file = tmp_path / "nan.grid"
+        code, out, err = run(
+            capsys,
+            "apply", "--channel", channel, "--state", "fock:1",
+            "--out", str(out_file), "--grid", "N=60",
+        )
+        assert code == 4 and "must be finite" in err
+        assert not out_file.exists()
 
 
 def test_grid_file_round_trip(tmp_path, half_grid):

@@ -79,6 +79,17 @@ def test_normalization_mismatch_raises(half_grid, fock):
         compare(fock[0], scaled)
 
 
+def test_nan_integral_raises(fock):
+    # a NaN cell makes the integral NaN, which no eps_norm can match
+    values = fock[2].values.copy()
+    values[0] = np.nan
+    f = SampledDistribution(fock[2].grid, values)
+    with pytest.raises(NormalizationError):
+        compare(f, fock[2])
+    with pytest.raises(NormalizationError):
+        compare(fock[2], f, eps_norm=1e300)
+
+
 def test_grid_mismatch_raises(fock):
     other = GridSpec(modes=1, half_width=7.0, points_per_axis=100)
     g = states.render("vacuum", other)

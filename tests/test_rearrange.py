@@ -297,6 +297,30 @@ def test_regular_rearrangement_matches_argsort(zoo):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_split_keeps_zero_and_nan_cells_off_both_sides():
+    # zero, -0.0 and NaN keys belong to neither side, so dropping their cells
+    # and weights leaves both rearrangements bitwise as they were
+    rng = np.random.default_rng(3)
+    nonzero = rng.uniform(0.1, 2.0, 40) * np.repeat([1.0, -1.0], 20)
+    vals = rng.permutation(np.concatenate([nonzero, [0.0, -0.0, np.nan] * 3]))
+    weights = 2.0 ** rng.integers(-3, 4, size=vals.size)
+    keep = np.flatnonzero(~np.isnan(vals) & (vals != 0))
+    assert np.unique(vals[keep] / weights[keep]).size == keep.size
+    full, kept = (
+        SampledDistribution(DiscreteSpace(v.size), v) for v in (vals, vals[keep])
+    )
+    for q, q_kept in (
+        (None, None),
+        (ReferenceDistribution(full.grid, weights),
+         ReferenceDistribution(kept.grid, weights[keep])),
+    ):
+        pos, neg = got = _rearrange(full, q)
+        assert len(got) == 2 and (pos.keys > 0).all() and (neg.keys < 0).all()
+        for a, b in zip(got, _rearrange(kept, q_kept)):
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def test_relative_rearrangement_on_definition(zoo, half_grid, vacuum_ref):
     # tie order inside a run changes only the rounding of its sums, so the
     # definition's breakpoints lie on the collapsed curve

@@ -86,6 +86,12 @@ def test_parse_error_positions():
         parse_state("waffle(x=1)")
     with pytest.raises(ParseError):
         parse_state("on(a=1, n=2.5)")  # fock:2.5 is rejected alike
+    # a scalar beyond the float range is an error at the scalar
+    for text, at in (("cat(alpha=1e999)", 10), ("on(a=1e999,n=1)", 5),
+                     ("coherent(alpha=1-1e999i)", 15), ("mix(1e999:vacuum)", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_state(text)
+        assert err.value.position == at
 
 
 def test_parse_semantic_errors():
@@ -99,6 +105,8 @@ def test_parse_semantic_errors():
         parse_state("lossy(eta=0.5, tensor(vacuum, vacuum))")  # one-mode channels
     with pytest.raises(SpecValidationError):
         parse_state("dephase(gamma=1, tensor(vacuum, vacuum))")
+    with pytest.raises(SpecValidationError):
+        Dephase(float("nan"), Fock(0))
 
 
 def test_parse_rejects_stray_arguments():
