@@ -13,6 +13,7 @@ by one must all equal one.  Strictness needs more rows than columns.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,17 @@ class QuasiVector:
 
 
 def _as_entries(f) -> tuple[Number, ...]:
-    return f.entries if isinstance(f, QuasiVector) else tuple(f)
+    """The entries of a vector; ConfigError if any is NaN or infinite.
+
+    NaN compares false with everything and an infinite total leaves no sum to
+    preserve, so either would give a verdict that means nothing.
+    """
+    entries = f.entries if isinstance(f, QuasiVector) else tuple(f)
+    # holds for every finite int, float and Fraction, fails for NaN and +-inf
+    bad = [v for v in entries if not abs(v) < math.inf]
+    if bad:
+        raise ConfigError(f"vector entries must be finite, got {bad[0]}")
+    return entries
 
 
 def _ratio(value: Number, weight: Number) -> Number:
@@ -267,8 +278,6 @@ def thermal_embedding_demo(f, beta: float, energies: Sequence[float]):
     and measures abscissae in the reference's own measure, which realizes the
     embedding construction of thermo-majorization at finite size.
     """
-    import math
-
     entries = _as_entries(f)
     if len(energies) != len(entries):
         raise ConfigError("need one energy per entry")

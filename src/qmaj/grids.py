@@ -90,9 +90,15 @@ class GridSpec:
         return (self.points_per_axis,) * self.naxes
 
     def axis(self) -> np.ndarray:
-        """Cell-center coordinates along one axis (identical for all axes)."""
-        d = self.cell_size
-        return -self.half_width + (np.arange(self.points_per_axis) + 0.5) * d
+        """Cell-center coordinates along one axis (identical for all axes).
+
+        The positive half is (k + 1/2) * cell_size and the negative half its
+        mirror, so ``ax == -ax[::-1]`` holds bitwise: mirrored cells sample
+        the same |coordinate|, and each coordinate is rounded relative to
+        itself rather than to the half-width.
+        """
+        half = (np.arange(self.points_per_axis // 2) + 0.5) * self.cell_size
+        return np.concatenate([-half[::-1], half])
 
     def mesh(self) -> list[np.ndarray]:
         """Broadcastable cell-center coordinate views, one per axis.

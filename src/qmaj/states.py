@@ -102,6 +102,8 @@ class ON(StateSpec):
     def __post_init__(self):
         if self.n < 1:
             raise SpecValidationError(f"on() needs n >= 1, got {self.n}")
+        if not math.isfinite(abs(self.a) * abs(self.a)):
+            raise SpecValidationError(f"on() needs a finite |a|^2, got a={self.a}")
 
 
 @dataclass(frozen=True)

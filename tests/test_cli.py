@@ -232,6 +232,9 @@ def test_exit_code_parse_error(capsys):
     for spec in ("cat(alpha=1e999)", "on(a=1e999,n=1)"):
         code, out, err = run(capsys, "compare", spec, "vacuum", "--grid", "N=60")
         assert code == 3 and "not finite" in err and out == ""
+    # a finite amplitude whose |a|^2 overflows is rejected before rendering
+    code, out, err = run(capsys, "compare", "on(a=1e200,n=1)", "vacuum", "--grid", "N=60")
+    assert code == 3 and "finite |a|^2" in err and out == ""
 
 
 def test_exit_code_usage(capsys):
@@ -264,12 +267,16 @@ def test_exit_code_usage(capsys):
         ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "renyi:inf"],
         ["apply", "--channel", "dephase:gamma=nan", "--state", "fock:1",
          "--grid", "N=60", "--out", os.devnull],
+        ["dvec", "compare", "nan,1", "1,0"],
+        ["dvec", "compare", "1e999,-1e999", "1,0"],
+        ["dvec", "compare", "1,0", "0,1", "--q", "1,nan"],
     ],
     ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
          "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative",
          "tol-inf", "grid-L-overflow", "alpha-renyi-nan", "alpha-norm-nan",
          "alpha-divergence-nan", "alpha-norm-inf", "alpha-tsallis-inf",
-         "alpha-renyi-inf", "dephase-gamma-nan"],
+         "alpha-renyi-inf", "dephase-gamma-nan", "dvec-nan", "dvec-inf",
+         "dvec-q-nan"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])

@@ -53,6 +53,29 @@ def test_sum_mismatch():
         vec_compare((1, 0), (2, 0))
 
 
+@pytest.mark.parametrize(
+    "f, g, q",
+    [
+        ((float("nan"), 1.0), (1.0, 0.0), None),
+        ((1e999, -1e999), (1.0, 0.0), None),
+        ((1.0, 0.0), (float("-inf"), 1.0), None),
+        ((1.0, 0.0), (0.0, 1.0), (1.0, float("nan"))),
+        ((1.0, 0.0), (0.0, 1.0), (1.0, float("inf"))),
+    ],
+    ids=["f-nan", "f-inf", "g-inf", "q-nan", "q-inf"],
+)
+def test_non_finite_entries_rejected(f, g, q):
+    # NaN compares false and an infinite total has no sum to preserve, so
+    # neither may reach a verdict
+    with pytest.raises(ConfigError, match="finite"):
+        vec_compare(f, g, q)
+    with pytest.raises(ConfigError, match="finite"):
+        vec_statement4(f, g, q)
+    # exact entries of any size are finite
+    big = Fraction(10**400)
+    assert negative_volume_vec((big, -big, 1)) == big
+
+
 def test_length_padding():
     assert vec_compare((1, 0, 0, 0), (1, 0)).outcome is Outcome.EQUIVALENT
 

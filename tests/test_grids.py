@@ -168,6 +168,36 @@ def test_default_grid_conventions():
         default_grid(modes=3)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        default_grid(hbar="half"),
+        default_grid(hbar="one"),
+        GridSpec(1, 1.0, 2),
+        GridSpec(1, 3.3, 10),
+        GridSpec(1, 7.0, 2100),
+        GridSpec(2, 0.1, 58),
+        GridSpec(2, 5.0 * math.sqrt(2.0), 64, "one"),
+    ],
+    ids=["half", "one", "L1-N2", "L3.3-N10", "L7-N2100", "L0.1-N58", "two-one"],
+)
+def test_axis_exactly_antisymmetric(grid):
+    ax = grid.axis()
+    assert ax.shape == (grid.points_per_axis,) and (np.diff(ax) > 0).all()
+    assert ax.tobytes() == (-ax[::-1]).tobytes()
+    # each center is its own rounding of (k + 1/2) * cell_size
+    k = np.arange(grid.points_per_axis // 2) + 0.5
+    assert ax[grid.points_per_axis // 2:].tobytes() == (k * grid.cell_size).tobytes()
+
+
+def test_axis_two_mode_default_unchanged():
+    # L = 5, N = 64 is exact in both the mirrored and the -L + (k + 1/2) d form
+    grid = default_grid(modes=2)
+    d = grid.cell_size
+    old = -grid.half_width + (np.arange(grid.points_per_axis) + 0.5) * d
+    assert grid.axis().tobytes() == old.tobytes()
+
+
 def test_renormalized(half_grid):
     f = SampledDistribution(half_grid, states.render("vacuum", half_grid).values * 0.5)
     g = f.renormalized()

@@ -17,6 +17,7 @@ from qmaj.grids import (
 from qmaj.rearrange import (
     NEGATIVE,
     POSITIVE,
+    _fold,
     _merged,
     _rearrange,
     _shifted_integrals,
@@ -130,15 +131,25 @@ def test_curve_shapes_exact(zoo):
             assert (np.diff(neg.slopes()) >= -tol).all()
 
 
-def test_equimeasurability(half_grid, fock):
+def test_equimeasurability(half_grid, fock, zoo, vacuum_ref):
+    # permuted copies keep the rearrangement, regular and against the
+    # permuted reference.  Copies never fold, so the regular one sorts the
+    # same values: bitwise, also for an original that does not fold.  A
+    # folded original rounds its sums differently (pinned by _check_sides).
     rng = np.random.default_rng(11)
-    perm = rng.permutation(half_grid.size)
-    shuffled = SampledDistribution(half_grid, fock[4].values[perm])
-    a = lorenz_curves(fock[4])
-    b = lorenz_curves(shuffled)
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.s, y.s)
-        np.testing.assert_array_equal(x.L, y.L)
+    perms = [rng.permutation(half_grid.size) for _ in range(2)]
+    for f in (zoo["cat2"], fock[4]):
+        copies = [SampledDistribution(half_grid, f.values[p]) for p in perms]
+        refs = [ReferenceDistribution(half_grid, vacuum_ref.values[p]) for p in perms]
+        assert all(_fold(c) is None for c in copies)
+        bitwise = slice(0 if _fold(f) is None else 1, None)
+        for sides in zip(*(_rearrange(g) for g in (f, *copies))):
+            assert len({r.keys.tobytes() for r in sides}) == 1
+            assert len({(r.s.tobytes(), r.L.tobytes()) for r in sides[bitwise]}) == 1
+        for c, q in zip(copies, refs):
+            for x, y in zip(_rearrange(f, vacuum_ref), _rearrange(c, q)):
+                assert x.keys.tobytes() == y.keys.tobytes()
+        _check_sides(f)
 
 
 def test_relative_reduces_to_regular(half_grid, fock):
@@ -253,9 +264,9 @@ def _clustered(levels_from: float, levels_to: float, points: int) -> np.ndarray:
     return levels_from + (levels_to - levels_from) * x**3
 
 
-def _argsort_rearrangement(f, side, q=None):
-    """The rearrangement by its definition: a stable sort of the cells by f/q,
-    one breakpoint per cell."""
+def _definition(f, side, q=None):
+    """One side by its definition: the cells in a stable sort by f/q, with
+    each cell's key, nu term and mass term."""
     v = f.values
     mask = v > 0 if side == POSITIVE else v < 0
     vals = v[mask]
@@ -263,15 +274,62 @@ def _argsort_rearrangement(f, side, q=None):
     order = np.argsort(-vals / qm if side == POSITIVE else vals / qm, kind="stable")
     vals, qm = vals[order], qm[order]
     dmu = f.grid.cell_measure
-    s = np.concatenate([[0.0], np.cumsum(qm * dmu)])
-    L = np.concatenate([[0.0], np.cumsum(vals * dmu)])
-    return vals / qm, s, L
+    return vals / qm, qm * dmu, vals * dmu
 
 
 def _run_end_counts(keys):
     # cell counts at the last cell of each run of equal keys
     last = np.append(keys[1:] != keys[:-1], True)[: len(keys)]
     return np.flatnonzero(last) + 1
+
+
+def _cumsum(terms):
+    return np.concatenate([[0.0], np.cumsum(terms)])
+
+
+def _check_sides(f, q=None) -> int:
+    """Check both sides of f against the definition; return the cells that
+    collapsed into the run ends.
+
+    Keys are always bitwise the definition's distinct keys, in rank order.
+    Cells that do not fold: the regular rearrangement is bitwise the
+    definition's cumsum at each run end, and the relative one's tie order
+    changes only the rounding of a run's sums, so the definition's
+    breakpoints lie on its curve.  Folded cells add an orbit's m equal terms
+    in one product, so at a sample of run ends s and L must be no farther
+    from the exactly rounded sums (``math.fsum``) than the cumsum is, or
+    than 8 ulps of the largest of those sums.
+    """
+    folded = _fold(f) is not None and (q is None or _fold(q) is not None)
+    collapsed = 0
+    for side, got in zip((POSITIVE, NEGATIVE), _rearrange(f, q)):
+        keys, nu, mass = _definition(f, side, q)
+        ends = _run_end_counts(keys)
+        assert got.keys.dtype == keys.dtype
+        assert got.keys.tobytes() == keys[ends - 1].tobytes()
+        assert got.s[0] == 0.0 and got.L[0] == 0.0
+        assert len(got.s) == len(got.L) == len(ends) + 1
+        collapsed += len(keys) - len(ends)
+        s, L = _cumsum(nu), _cumsum(mass)
+        at = np.concatenate([[0], ends])
+        if folded and len(ends):
+            runs = np.unique(np.linspace(0, len(ends) - 1, 6).round().astype(int))
+            for terms, curve, cells in ((nu, got.s, s[at]), (mass, got.L, L[at])):
+                t = terms.tolist()
+                exact = np.array([math.fsum(t[: ends[k]]) for k in runs])
+                fold_err = np.abs(curve[runs + 1] - exact).max()
+                cell_err = np.abs(cells[runs + 1] - exact).max()
+                # short sums of few terms round either way by a few ulps
+                floor = 8 * np.spacing(np.abs(exact).max())
+                assert fold_err <= max(cell_err, floor)
+        elif q is None:
+            for a, b in ((got.s, s[at]), (got.L, L[at])):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            # rounding of the cumulative sums, on the scale of the curve
+            on_curve = np.interp(s, got.s, got.L)
+            assert np.abs(on_curve - L).max() <= 1e-15 * np.abs(L).max()
+    return collapsed
 
 
 def _tied_vectors():
@@ -284,17 +342,18 @@ def _tied_vectors():
     ]
 
 
+GRID_SYMMETRIC = {"fock0", "fock1", "fock4", "thermal04", "lossy1"}
+
+
 def test_regular_rearrangement_matches_argsort(zoo):
-    # one breakpoint per distinct value, bitwise the definition's breakpoint
-    # at the same cell count
-    for f in [*_tied_vectors(), *zoo.values()]:
-        for side, got in zip((POSITIVE, NEGATIVE), _rearrange(f)):
-            keys, s, L = _argsort_rearrangement(f, side)
-            ends = _run_end_counts(keys)
-            at = np.concatenate([[0], ends])
-            want = (keys[ends - 1], s[at], L[at])
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # one breakpoint per distinct value at the definition's breakpoint:
+    # bitwise where the cells do not fold
+    for f in _tied_vectors():
+        assert _fold(f) is None
+        _check_sides(f)
+    for name, f in zoo.items():
+        assert (_fold(f) is not None) == (name in GRID_SYMMETRIC)
+        _check_sides(f)
 
 
 def test_split_keeps_zero_and_nan_cells_off_both_sides():
@@ -334,19 +393,60 @@ def test_relative_rearrangement_on_definition(zoo, half_grid, vacuum_ref):
     cases += [(f, q) for f in zoo.values() for q in (vacuum_ref, thermal)]
     collapsed = 0
     for f, q in cases:
-        for side, got in zip((POSITIVE, NEGATIVE), _rearrange(f, q)):
-            keys, s, L = _argsort_rearrangement(f, side, q)
-            step = np.diff(got.keys)
-            assert (step < 0).all() if side == POSITIVE else (step > 0).all()
-            assert got.s[0] == 0.0 and got.L[0] == 0.0
-            distinct = np.unique(keys)
-            want = distinct[::-1] if side == POSITIVE else distinct
-            np.testing.assert_array_equal(got.keys, want)
-            # rounding of the cumulative sums, on the scale of the curve
-            on_curve = np.interp(s, got.s, got.L)
-            assert np.abs(on_curve - L).max() <= 1e-15 * np.abs(L).max()
-            collapsed += len(keys) - len(got.keys)
+        collapsed += _check_sides(f, q)
     assert collapsed > 0
+
+
+def test_grid_symmetric_states_fold(zoo, half_grid, vacuum_ref):
+    # Fock, thermal and lossy states and the thermal references are rotation
+    # invariant, so on the mirrored axis each octant cell stands for its orbit
+    refs = [
+        vacuum_ref,
+        states.reference("thermal(nbar=-1)", half_grid),
+        states.reference("thermal(nbar=1.3)", half_grid),
+    ]
+    h = half_grid.points_per_axis // 2
+    octant = (h * (h + 1) // 2,)  # 61,425 of 490,000 cells
+    for q in refs:
+        assert _fold(q).shape == octant
+    for name in sorted(GRID_SYMMETRIC):
+        f = zoo[name]
+        fold = _fold(f)
+        assert fold.shape == octant and _fold(f) is fold  # kept on f
+        # the octant holds every distinct value
+        assert np.array_equal(np.unique(fold), np.unique(f.values))
+        # thermal(nbar=1.3) here; the others in the two tests above
+        _check_sides(f, refs[2])
+        pos, neg = _rearrange(f, refs[2])
+        assert pos.L[-1] + neg.L[-1] == pytest.approx(f.total_integral, abs=1e-12)
+
+
+def _perturbed(f, cell, value):
+    v = f.values.copy()
+    v[cell] = value
+    return SampledDistribution(f.grid, v)
+
+
+def test_cell_path_when_not_grid_symmetric(zoo, half_grid):
+    # cells that do not come in orbits of equal values, and a folding f
+    # against a reference that does not fold, keep the cell sort
+    small = GridSpec(1, 7.0, 120)
+    fock1 = zoo["fock1"]
+    corner = half_grid.size - 1
+    cases = [
+        (zoo["cat2"], None),
+        (states.render("cubic(g=0.02, s=0.1)", small), None),
+        (states.render("dephase(gamma=0.5, fock:1)", small), None),
+        (_perturbed(fock1, corner, np.nextafter(fock1.values[corner], 1.0)), None),
+        (_perturbed(fock1, 12345, np.nan), None),
+        (fock1, states.reference("coherent(alpha=1.2)", half_grid)),
+    ]
+    assert _fold(fock1) is not None  # folds, but not against a coherent q
+    for f, q in cases:
+        assert _fold(f) is None or (q is not None and _fold(q) is None)
+        _check_sides(f, q)
+        if q is None:
+            _check_sides(f, states.reference("vacuum", f.grid))
 
 
 @pytest.mark.parametrize(

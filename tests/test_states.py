@@ -107,6 +107,10 @@ def test_parse_semantic_errors():
         parse_state("dephase(gamma=1, tensor(vacuum, vacuum))")
     with pytest.raises(SpecValidationError):
         Dephase(float("nan"), Fock(0))
+    with pytest.raises(SpecValidationError):
+        parse_state("on(a=1e200, n=1)")  # |a|^2 overflows
+    with pytest.raises(SpecValidationError):
+        ON(1e160 + 1e160j, 2)
 
 
 def test_parse_rejects_stray_arguments():
