@@ -288,8 +288,7 @@ def cmd_lorenz(args) -> int:
     q = _reference_for(args, grid)
     pos, neg = curves(f, q)
     s_min = grid.cell_measure if args.loglog else None
-    s, lp, lm = resample_pair(pos, neg, points=args.points,
-                              log_spaced=args.loglog, s_min=s_min)
+    s, lp, lm = resample_pair(pos, neg, points=args.points, s_min=s_min)
     if args.out:
         write_curves_csv(args.out, s, lp, lm)
     else:

@@ -240,8 +240,8 @@ def statement4_check(
         u_grid = np.asarray(u_grid, dtype=float)
         if u_grid.size == 0:
             raise ConfigError("u_grid must be nonempty")
-        if (u_grid < 0).any():
-            raise ConfigError("u_grid entries must be >= 0")
+        if not (np.isfinite(u_grid) & (u_grid >= 0)).all():
+            raise ConfigError("u_grid entries must be finite and >= 0")
     (pf, nf), (pg, ng) = _rearrange(f, q), _rearrange(g, q)
     if u_grid is None:
         u_grid = _key_breakpoints([pf, nf, pg, ng])

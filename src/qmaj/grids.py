@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -189,40 +189,15 @@ def _cells(grid, values) -> np.ndarray:
     return vals
 
 
-class _LazyValues:
-    """Cell values that a product of factors builds on first read.
-
-    A product is constructed with ``values=None``; its ``values`` attribute
-    is then absent, so the first read lands in ``__getattr__``, which stores
-    the outer product of the factors' values.  Every other instance holds
-    its values from construction.
-    """
-
-    def _set_values(self) -> bool:
-        """Lock the given values; False when they are left to the factors."""
-        _check_factors(self.grid, self.factors)
-        if self.values is None and self.factors:
-            object.__delattr__(self, "values")
-            return False
-        object.__setattr__(self, "values", _cells(self.grid, self.values))
-        return True
-
-    def __getattr__(self, name):
-        factors = self.__dict__.get("factors")
-        if name != "values" or not factors:
-            raise AttributeError(name)
-        vals = _cells(self.grid, reduce(np.multiply.outer, (h.values for h in factors)))
-        object.__setattr__(self, "values", vals)
-        return vals
-
-
 @dataclass(frozen=True)
-class SampledDistribution(_LazyValues):
+class SampledDistribution:
     """A real function sampled on the cells of a grid or discrete space.
 
     ``values`` is the flat (C-order) array of cell-center samples; every cell
     carries the uniform measure of its space.  Instances are immutable; the
-    value buffer is locked against writes.
+    value buffer is locked against writes.  ``sorted_values``, which the
+    distribution functions search, and ``octant``, which the rearrangement
+    sorts, are computed on first read and kept.
 
     ``factors`` holds the factors of a tensor product, each sampled on the
     grid of its own modes; it is empty for any other function.  A product
@@ -245,11 +220,23 @@ class SampledDistribution(_LazyValues):
     total_integral: float = field(init=False)
 
     def __post_init__(self):
-        if self._set_values():
-            total = float(self.values.sum() * self.grid.cell_measure)
-        else:
+        _check_factors(self.grid, self.factors)
+        if self.values is None and self.factors:
+            # absent until the first read lands in __getattr__
+            object.__delattr__(self, "values")
             total = math.prod(h.total_integral for h in self.factors)
+        else:
+            object.__setattr__(self, "values", _cells(self.grid, self.values))
+            total = float(self.values.sum() * self.grid.cell_measure)
         object.__setattr__(self, "total_integral", total)
+
+    def __getattr__(self, name):
+        factors = self.__dict__.get("factors")
+        if name != "values" or not factors:
+            raise AttributeError(name)
+        vals = _cells(self.grid, reduce(np.multiply.outer, (h.values for h in factors)))
+        object.__setattr__(self, "values", vals)
+        return vals
 
     def renormalized(self) -> "SampledDistribution":
         if self.total_integral == 0.0:
@@ -259,41 +246,61 @@ class SampledDistribution(_LazyValues):
     def as_nd(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
 
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        """The values in ascending order; NaN sorts last and is cut off."""
+        v = np.sort(self.values)
+        v = v[: np.searchsorted(v, np.nan)]
+        v.setflags(write=False)
+        return v
+
+    @cached_property
+    def octant(self) -> np.ndarray | None:
+        """The cells in the octant 0 < x <= p of a one-mode grid, or None.
+
+        Only a function whose values equal themselves under both mirrors and
+        the transpose of the grid folds; that is checked on the values, so
+        NaN cells never fold.  +0.0 and -0.0 compare equal, but zero keys
+        belong to neither side of a rearrangement.
+        """
+        shape = self.grid.shape
+        if len(shape) != 2:
+            return None
+        v = self.values.reshape(shape)
+        if not all(np.array_equal(v, w) for w in (v[::-1], v[:, ::-1], v.T)):
+            return None
+        h = shape[0] // 2
+        fold = v[h:, h:][np.triu_indices(h)]
+        fold.setflags(write=False)
+        return fold
+
 
 @dataclass(frozen=True)
-class ReferenceDistribution(_LazyValues):
+class ReferenceDistribution(SampledDistribution):
     """Strictly positive weight function q for relative majorization.
 
+    Its ``total_integral`` is nu(X), the nu measure of the window.
     ``integrable`` is False when the function on the untruncated space has no
     finite integral (growing Gaussians from negative-temperature references);
     curves built against such a reference are flagged truncation sensitive.
-    ``factors`` and lazy ``values`` are as for :class:`SampledDistribution`:
-    a product's positivity is checked on its factors, and ``total_nu`` is the
-    product of theirs.  Only a rearrangement of a function that is not a
-    product over the same modes, the piecewise integrals, the divergence
-    monotone and ``ratio_breakpoints`` read a product's cells.
+    A product's positivity is checked on its factors: its cells are read
+    only by a rearrangement of a function that is not a product over the
+    same modes, the piecewise integrals, the divergence monotone and
+    ``ratio_breakpoints``.
     """
 
-    grid: GridSpec | DiscreteSpace
-    values: np.ndarray | None
-    integrable: bool = True
-    factors: tuple["ReferenceDistribution", ...] = field(
-        default=(), compare=False, repr=False
-    )
-    total_nu: float = field(init=False)  # nu(X) of the window: integral of q
+    integrable: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
-        if self._set_values():
-            if not (self.values > 0).all():
-                raise ConfigError("reference distribution must be strictly positive")
-            total = float(self.values.sum() * self.grid.cell_measure)
-        else:
-            # positive factors give positive cells unless the smallest cell,
-            # the rounded product of the factors' smallest values, underflows
-            if not reduce(operator.mul, (r.values.min() for r in self.factors)) > 0:
-                raise ConfigError("reference distribution must be strictly positive")
-            total = math.prod(r.total_nu for r in self.factors)
-        object.__setattr__(self, "total_nu", total)
+        super().__post_init__()
+        # positive factors give positive cells unless the smallest cell, the
+        # rounded product of the factors' smallest values, underflows
+        smallest = (
+            self.values.min() if "values" in self.__dict__
+            else reduce(operator.mul, (r.values.min() for r in self.factors))
+        )
+        if not smallest > 0:
+            raise ConfigError("reference distribution must be strictly positive")
 
 
 def same_grid(a, b) -> None:

@@ -9,9 +9,12 @@ key.  Zero and NaN keys (NaN sorts last) belong to neither.  A cell adds
 q_i * dmu_i to the abscissa s (the measure nu) and f_i * dmu_i to the
 ordinate L.  The rearrangement is constant on each level set of f/q, so it
 keeps one breakpoint per distinct key: the end of each run of tied cells.
-The regular rearrangement is a plain sort of the values; the relative one
-is an unstable argsort of the cells by f/q, since the order of tied cells
-only changes the rounding of their run's sums.
+Three producers (the product and octant rules below, and the cells against
+a reference) build an unsorted table of keys with their nu and mass, and
+share one unstable argsort of the keys, since the order of tied cells only
+changes the rounding of their run's sums.  The regular rearrangement of the
+cells is the one path without an argsort: its keys are the values, so it
+sorts them directly.
 ``_merged`` merges the sorted breakpoints of two curves in linear time.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
@@ -26,15 +29,15 @@ The product keys round differently from the cell keys (f1*f2)/(q1*q2), so
 the two paths agree to rounding, not bitwise.
 
 Octant rule: when f on a one-mode grid equals itself under both mirrors
-and the transpose of the grid (``_fold``, checked on the values; q, when
-given, must pass the same check), its cells come in orbits of 4 equal
-cells on the diagonals and 8 elsewhere.  The rearrangement then sorts the
-octant 0 < x <= p of the grid, an eighth of the cells, with nu m*q*dmu
-and mass m*f*dmu for orbit size m.  Fock, thermal and lossy states and
-the thermal references fold, since the grid axis is exactly antisymmetric;
-cat, cubic, dephased and perturbed functions and NaN cells do not.  The
-keys are the cell keys, bitwise; s and L add m equal terms in one product,
-so they round differently from the cell sort.
+and the transpose of the grid (``SampledDistribution.octant``, checked on
+the values; q, when given, must pass the same check), its cells come in
+orbits of 4 equal cells on the diagonals and 8 elsewhere.  The
+rearrangement then sorts the octant 0 < x <= p of the grid, an eighth of
+the cells, with nu m*q*dmu and mass m*f*dmu for orbit size m.  Fock,
+thermal and lossy states and the thermal references fold, since the grid
+axis is exactly antisymmetric; cat, cubic, dephased and perturbed functions
+and NaN cells do not.  The keys are the cell keys, bitwise; s and L add m
+equal terms in one product, so they round differently from the cell sort.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
   as a piecewise-linear curve, concave (positive) or convex (negative).
@@ -61,30 +64,18 @@ from .grids import ReferenceDistribution, SampledDistribution, same_grid
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-
-def _sorted_values(f: SampledDistribution) -> np.ndarray:
-    """f's values in ascending order, sorted on the first call and kept on f.
-
-    NaN sorts last and compares false with every t, so it is cut off.
-    """
-    v = f.__dict__.get("_sorted_values")
-    if v is None:
-        v = np.sort(f.values)
-        v = v[: np.searchsorted(v, np.nan)]
-        v.setflags(write=False)
-        object.__setattr__(f, "_sorted_values", v)
-    return v
+DECIMATION_TOL = 1e-6  # sup-norm target of LorenzCurve.decimated
 
 
 def distribution_function(f: SampledDistribution, t: float) -> float:
     """D_f(t): measure of the cells where f exceeds t."""
-    v = _sorted_values(f)
+    v = f.sorted_values
     return float(v.size - np.searchsorted(v, t, side="right")) * f.grid.cell_measure
 
 
 def codistribution_function(f: SampledDistribution, t: float) -> float:
     """C_f(t): measure of the cells where f lies below t."""
-    v = _sorted_values(f)
+    v = f.sorted_values
     below = 0 if math.isnan(t) else np.searchsorted(v, t, side="left")
     return float(below) * f.grid.cell_measure
 
@@ -125,24 +116,20 @@ class LorenzCurve:
 
     def slope_at(self, at: float) -> float:
         """Rearrangement value at cumulative measure ``at``."""
-        k = int(np.searchsorted(self.s, at, side="left"))
+        k = max(int(np.searchsorted(self.s, at, side="left")), 1)
         if k >= len(self.s):
             return 0.0
-        if k == 0:
-            k = 1
         return float((self.L[k] - self.L[k - 1]) / (self.s[k] - self.s[k - 1]))
 
-    def decimated(
-        self, max_points: int = 100_000, tol: float = 1e-6
-    ) -> "LorenzCurve":
+    def decimated(self, max_points: int = 100_000) -> "LorenzCurve":
         """Subsample breakpoints, tracking the exact sup-norm error incurred.
 
         Seeds cut points uniformly in abscissa and in ordinate, then
         bisects every segment whose dropped breakpoints deviate from the
-        chord by more than ``tol`` until the tolerance or the budget is
-        reached.  Relative curves against rapidly decaying references have
-        near-vertical heads where slope-based selection would fail; the
-        ordinate cuts and the refinement handle those.
+        chord by more than ``DECIMATION_TOL`` until the tolerance or the
+        budget is reached.  Relative curves against rapidly decaying
+        references have near-vertical heads where slope-based selection
+        would fail; the ordinate cuts and the refinement handle those.
         """
         m = len(self.s)
         if m <= max_points:
@@ -159,11 +146,11 @@ class LorenzCurve:
         for _ in range(24):
             deviation = np.abs(np.interp(self.s, self.s[kept], self.L[kept]) - self.L)
             err = float(deviation.max())
-            if err <= tol or len(kept) >= max_points:
+            if err <= DECIMATION_TOL or len(kept) >= max_points:
                 break
             starts, ends = kept[:-1], kept[1:]
             seg_max = np.maximum.reduceat(deviation, starts)
-            bad = seg_max > tol
+            bad = seg_max > DECIMATION_TOL
             mids = (starts[bad] + ends[bad]) // 2
             mids = mids[(mids > starts[bad]) & (mids < ends[bad])]
             if len(mids) == 0:
@@ -214,27 +201,6 @@ def _split(
     return pos, _side(keys[:lo], nu[:lo], mass[:lo])
 
 
-def _fold(f: SampledDistribution | ReferenceDistribution) -> np.ndarray | None:
-    """f's cells in the octant 0 < x <= p of a one-mode grid, or None.
-
-    Only a function whose values equal themselves under both mirrors and the
-    transpose of the grid folds; that is checked on the values, so NaN cells
-    never fold.  +0.0 and -0.0 compare equal, but zero keys belong to neither
-    side.  The octant is taken on the first call and kept on f.
-    """
-    if "_fold" not in f.__dict__:
-        fold = None
-        shape = f.grid.shape
-        if len(shape) == 2:
-            v = f.values.reshape(shape)
-            if all(np.array_equal(v, w) for w in (v[::-1], v[:, ::-1], v.T)):
-                h = shape[0] // 2
-                fold = v[h:, h:][np.triu_indices(h)]
-                fold.setflags(write=False)
-        object.__setattr__(f, "_fold", fold)
-    return f.__dict__["_fold"]
-
-
 def _rearrange(
     f: SampledDistribution, q: ReferenceDistribution | None = None
 ) -> tuple[_Rearrangement, _Rearrangement]:
@@ -244,6 +210,7 @@ def _rearrange(
         same_grid(f, q)
         if [r.grid for r in q.factors] != [h.grid for h in parts]:
             parts = ()
+    dmu = f.grid.cell_measure
     if parts:
         # keys carry the sign of their side, so the same-sign pairs of level
         # sets get a positive key k1*k2 and the mixed pairs a negative one
@@ -254,29 +221,21 @@ def _rearrange(
             nu = np.multiply.outer(nu, np.concatenate([np.diff(b.s) for b in both]))
             mass = np.multiply.outer(mass, np.concatenate([np.diff(b.L) for b in both]))
         keys, nu, mass = keys.ravel(), nu.ravel(), mass.ravel()
-        order = np.argsort(keys)
-        return _split(keys[order], nu[order], mass[order])
-    dmu = f.grid.cell_measure
-    fo = _fold(f)
-    qo = 1.0 if q is None else _fold(q)
-    if fo is not None and qo is not None:
+    elif f.octant is not None and (q is None or q.octant is not None):
         # each octant cell stands for the 4 (diagonal) or 8 equal cells of
         # its orbit under the mirrors and the transpose of the grid
-        order = np.argsort(fo / qo)
+        qo = 1.0 if q is None else q.octant
         i, j = np.triu_indices(f.grid.shape[0] // 2)
-        m = np.where(i == j, 4.0, 8.0)[order]
-        vals = fo[order]
-        qv = qo if q is None else qo[order]
-        return _split(vals / qv, m * qv * dmu, m * vals * dmu)
-    if q is None:
+        m = np.where(i == j, 4.0, 8.0)
+        keys, nu, mass = f.octant / qo, m * qo * dmu, m * f.octant * dmu
+    elif q is None:
         # tied keys are equal values here: sort the values themselves
         vals = np.sort(f.values)
         return _split(vals, np.broadcast_to(dmu, vals.shape), vals * dmu)
-    # the cell measure is uniform, so only f and q are permuted; the sorted
-    # keys are recomputed from them rather than gathered
-    order = np.argsort(f.values / q.values)
-    vals, qv = f.values[order], q.values[order]
-    return _split(vals / qv, qv * dmu, vals * dmu)
+    else:
+        keys, nu, mass = f.values / q.values, q.values * dmu, f.values * dmu
+    order = np.argsort(keys)
+    return _split(keys[order], nu[order], mass[order])
 
 
 def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,7 +257,7 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _curves(
     f: SampledDistribution, q: ReferenceDistribution | None
 ) -> tuple[LorenzCurve, LorenzCurve]:
-    end = f.grid.total_measure if q is None else q.total_nu
+    end = f.grid.total_measure if q is None else q.total_integral
     sensitive = q is not None and not q.integrable
     return tuple(
         LorenzCurve(r.s, r.L, side, end, sensitive)
@@ -328,24 +287,24 @@ def curves(f: SampledDistribution, q: ReferenceDistribution | None = None):
     return lorenz_curves(f) if q is None else relative_lorenz_curves(f, q)
 
 
+def _shift(u: float, q: ReferenceDistribution | None):
+    if not (math.isfinite(u) and u >= 0):
+        raise ConfigError(f"u must be finite and >= 0, got {u}")
+    return u if q is None else u * q.values
+
+
 def piecewise_plus_integral(
     f: SampledDistribution, u: float, q: ReferenceDistribution | None = None
 ) -> float:
     """Integral of (f - u*q)+ over the window (q = 1 when absent)."""
-    if u < 0:
-        raise ConfigError(f"u must be >= 0, got {u}")
-    shift = u if q is None else u * q.values
-    return float(np.maximum(f.values - shift, 0.0).sum() * f.grid.cell_measure)
+    return float(np.maximum(f.values - _shift(u, q), 0.0).sum() * f.grid.cell_measure)
 
 
 def piecewise_minus_integral(
     f: SampledDistribution, u: float, q: ReferenceDistribution | None = None
 ) -> float:
     """Integral of (f + u*q)- over the window (q = 1 when absent)."""
-    if u < 0:
-        raise ConfigError(f"u must be >= 0, got {u}")
-    shift = u if q is None else u * q.values
-    return float(np.minimum(f.values + shift, 0.0).sum() * f.grid.cell_measure)
+    return float(np.minimum(f.values + _shift(u, q), 0.0).sum() * f.grid.cell_measure)
 
 
 def _shifted_integrals(
@@ -370,25 +329,18 @@ def resample_pair(
     pos: LorenzCurve,
     neg: LorenzCurve,
     points: int = 2000,
-    log_spaced: bool = False,
     s_min: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared-abscissa resampling of a curve pair for CSV/plot export.
 
-    Log spacing floors the abscissa at the given ``s_min`` or, without one,
-    at the first breakpoint of either curve, since the curves start at s = 0.
-    That breakpoint closes the first run of tied cells, so it can span many
-    cells.
+    The abscissa is log spaced from ``s_min`` when it is given (the curves
+    start at s = 0), and linear from 0 otherwise.
     """
     if points < 2:
         raise ConfigError(f"need at least 2 resampling points, got {points}")
     end = max(pos.domain_end, neg.domain_end)
-    if log_spaced:
-        lo = s_min if s_min is not None else min(
-            pos.s[1] if len(pos.s) > 1 else end,
-            neg.s[1] if len(neg.s) > 1 else end,
-        )
-        grid = np.geomspace(lo, end, points)
-    else:
+    if s_min is None:
         grid = np.linspace(0.0, end, points)
+    else:
+        grid = np.geomspace(s_min, end, points)
     return grid, pos(grid), neg(grid)

@@ -119,6 +119,14 @@ def test_bad_tolerance_raises(eps):
         statement4_check(f, f, eps_cmp=eps)
 
 
+@pytest.mark.parametrize(
+    "u_grid", [[], [-0.5], [0.0, np.nan], [np.inf], [1.0, -np.inf]]
+)
+def test_statement4_rejects_bad_u_grid(fock, u_grid):
+    with pytest.raises(ConfigError):
+        statement4_check(fock[1], fock[1], u_grid=u_grid)
+
+
 def test_statement4_discrete_hand_example():
     space = DiscreteSpace(2)
     f = SampledDistribution(space, np.array([2.0, -1.0]))

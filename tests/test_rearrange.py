@@ -17,7 +17,6 @@ from qmaj.grids import (
 from qmaj.rearrange import (
     NEGATIVE,
     POSITIVE,
-    _fold,
     _merged,
     _rearrange,
     _shifted_integrals,
@@ -141,8 +140,8 @@ def test_equimeasurability(half_grid, fock, zoo, vacuum_ref):
     for f in (zoo["cat2"], fock[4]):
         copies = [SampledDistribution(half_grid, f.values[p]) for p in perms]
         refs = [ReferenceDistribution(half_grid, vacuum_ref.values[p]) for p in perms]
-        assert all(_fold(c) is None for c in copies)
-        bitwise = slice(0 if _fold(f) is None else 1, None)
+        assert all(c.octant is None for c in copies)
+        bitwise = slice(0 if f.octant is None else 1, None)
         for sides in zip(*(_rearrange(g) for g in (f, *copies))):
             assert len({r.keys.tobytes() for r in sides}) == 1
             assert len({(r.s.tobytes(), r.L.tobytes()) for r in sides[bitwise]}) == 1
@@ -209,11 +208,14 @@ def test_piecewise_plus_above_max(fock):
     assert piecewise_plus_integral(fock[0], 2.0 / math.pi) == 0.0
 
 
-def test_piecewise_rejects_negative_u(fock):
+def test_piecewise_rejects_negative_u(fock, vacuum_ref):
     from qmaj.errors import ConfigError
 
-    with pytest.raises(ConfigError):
-        piecewise_plus_integral(fock[0], -0.1)
+    # NaN and infinite u are rejected too, rather than giving a NaN integral
+    for integral in (piecewise_plus_integral, piecewise_minus_integral):
+        for u, q in itertools.product((-0.1, math.nan, math.inf), (None, vacuum_ref)):
+            with pytest.raises(ConfigError):
+                integral(fock[0], u, q)
 
 
 def _shifted(f, us, q=None):
@@ -300,7 +302,7 @@ def _check_sides(f, q=None) -> int:
     from the exactly rounded sums (``math.fsum``) than the cumsum is, or
     than 8 ulps of the largest of those sums.
     """
-    folded = _fold(f) is not None and (q is None or _fold(q) is not None)
+    folded = f.octant is not None and (q is None or q.octant is not None)
     collapsed = 0
     for side, got in zip((POSITIVE, NEGATIVE), _rearrange(f, q)):
         keys, nu, mass = _definition(f, side, q)
@@ -349,10 +351,10 @@ def test_regular_rearrangement_matches_argsort(zoo):
     # one breakpoint per distinct value at the definition's breakpoint:
     # bitwise where the cells do not fold
     for f in _tied_vectors():
-        assert _fold(f) is None
+        assert f.octant is None
         _check_sides(f)
     for name, f in zoo.items():
-        assert (_fold(f) is not None) == (name in GRID_SYMMETRIC)
+        assert (f.octant is not None) == (name in GRID_SYMMETRIC)
         _check_sides(f)
 
 
@@ -408,11 +410,11 @@ def test_grid_symmetric_states_fold(zoo, half_grid, vacuum_ref):
     h = half_grid.points_per_axis // 2
     octant = (h * (h + 1) // 2,)  # 61,425 of 490,000 cells
     for q in refs:
-        assert _fold(q).shape == octant
+        assert q.octant.shape == octant
     for name in sorted(GRID_SYMMETRIC):
         f = zoo[name]
-        fold = _fold(f)
-        assert fold.shape == octant and _fold(f) is fold  # kept on f
+        fold = f.octant
+        assert fold.shape == octant and f.octant is fold  # kept on f
         # the octant holds every distinct value
         assert np.array_equal(np.unique(fold), np.unique(f.values))
         # thermal(nbar=1.3) here; the others in the two tests above
@@ -441,9 +443,9 @@ def test_cell_path_when_not_grid_symmetric(zoo, half_grid):
         (_perturbed(fock1, 12345, np.nan), None),
         (fock1, states.reference("coherent(alpha=1.2)", half_grid)),
     ]
-    assert _fold(fock1) is not None  # folds, but not against a coherent q
+    assert fock1.octant is not None  # folds, but not against a coherent q
     for f, q in cases:
-        assert _fold(f) is None or (q is not None and _fold(q) is None)
+        assert f.octant is None or (q is not None and q.octant is None)
         _check_sides(f, q)
         if q is None:
             _check_sides(f, states.reference("vacuum", f.grid))
@@ -512,6 +514,15 @@ def _assert_decimation_tracked(pos, small):
     assert small.decimation_error < 1e-6
 
 
+def test_slope_at_single_breakpoint_side():
+    # the vacuum is nowhere negative, so its negative side is the lone s = 0
+    grid = GridSpec(points_per_axis=60)
+    pos, neg = lorenz_curves(states.render("vacuum", grid))
+    assert len(neg.s) == 1
+    assert [neg.slope_at(at) for at in (-1.0, 0.0, 1.0)] == [0.0, 0.0, 0.0]
+    assert pos.slope_at(0.0) == pos.slope_at(-1.0) > 0.0
+
+
 def test_decimation_error_tracking(fock, zoo):
     pos, _ = lorenz_curves(fock[4])
     small = pos.decimated(max_points=20_000)
@@ -527,7 +538,7 @@ def test_decimation_error_tracking(fock, zoo):
 
 def test_resample_pair_log_floor(fock):
     pos, neg = lorenz_curves(fock[1])
-    s, lp, lm = resample_pair(pos, neg, points=100, log_spaced=True, s_min=4e-4)
+    s, lp, lm = resample_pair(pos, neg, points=100, s_min=4e-4)
     assert s[0] == pytest.approx(4e-4)
     assert (np.diff(s) > 0).all()
     assert lp[-1] == pytest.approx(pos.final, abs=1e-9)

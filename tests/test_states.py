@@ -226,7 +226,7 @@ def test_reference_rejects_signed_states(half_grid):
 def test_reference_positive_temperature(half_grid):
     q = reference("thermal(nbar=4)", half_grid)
     assert q.integrable
-    assert q.total_nu == pytest.approx(1.0, abs=1e-4)
+    assert q.total_integral == pytest.approx(1.0, abs=1e-4)
 
 
 def test_hierarchy_collapses_at_high_temperature(fock, half_grid):
@@ -315,7 +315,7 @@ def test_factored_summaries_match_cells(hbar):
         assert q.factors
         np.testing.assert_array_equal(q.values, render(spec, grid, rep).values)
         cells = ReferenceDistribution(grid, q.values)
-        assert q.total_nu == pytest.approx(cells.total_nu, rel=1e-15)
+        assert q.total_integral == pytest.approx(cells.total_integral, rel=1e-15)
     for spec in ("tensor(fock:1, vacuum)", "tensor(vacuum, fock:1)"):
         with pytest.raises(ConfigError):
             reference(spec)
