@@ -12,6 +12,14 @@ Y -> Y/2 and delta -> delta/sqrt(2) internally, which is the same kernel
 expressed in the contracted coordinates.
 
 Coordinate ordering is per-mode interleaved: (x1, p1, x2, p2, ...).
+
+Dephasing mixes rotations with wrapped-Gaussian angle weights, so it damps
+the angular harmonic m of a one-mode function by exp(-m^2 / (2 gamma)).  It
+is applied as that filter: one cubic-spline resample onto a polar grid, one
+real FFT along the angle, and one resample back.
+
+scipy is imported inside the functions that interpolate, so importing this
+module (and the package) does not load it.
 """
 
 from __future__ import annotations
@@ -21,14 +29,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import map_coordinates, spline_filter
-from scipy.signal import fftconvolve
 
 from .errors import ChannelError, ConfigError, LeakageError
 from .grids import HBAR_HALF, GridSpec, SampledDistribution
 
 LEAKAGE_TOL = 1e-3
-DEPHASING_NODES = 64  # rotation angles averaged by apply_dephasing
 
 
 class StochasticityClass(Enum):
@@ -189,6 +194,8 @@ def apply_gaussian(
     The output is not renormalized; mass pushed off the grid shows up in the
     integral and raises LeakageError beyond 1e-3.
     """
+    from scipy.ndimage import map_coordinates
+
     grid = f.grid
     if not isinstance(grid, GridSpec):
         raise ChannelError("apply_gaussian needs a phase-space grid")
@@ -221,7 +228,8 @@ def apply_gaussian(
             raise ChannelError(
                 "rank-deficient nonzero Y is not supported; use Y = 0 or Y > 0"
             )
-        resampled = _gaussian_convolve(resampled, Y, grid)
+        kern = _gaussian_kernel(Y, grid)
+        resampled = _convolve_same(resampled, kern) * grid.cell_measure
 
     out = SampledDistribution(grid, resampled.ravel())
     defect = abs(out.total_integral - f.total_integral)
@@ -233,8 +241,8 @@ def apply_gaussian(
     return out
 
 
-def _gaussian_convolve(arr: np.ndarray, Y: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Convolve with the normalized Gaussian exp(-v^T Y^-1 v) kernel."""
+def _gaussian_kernel(Y: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Gaussian exp(-v^T Y^-1 v) on cell offsets to 5 sigma, summing to 1/cell."""
     d = grid.cell_size
     sigma_max = math.sqrt(np.linalg.eigvalsh(Y).max() / 2.0)
     radius = max(int(math.ceil(5.0 * sigma_max / d)), 1)
@@ -248,8 +256,35 @@ def _gaussian_convolve(arr: np.ndarray, Y: np.ndarray, grid: GridSpec) -> np.nda
         for j in range(grid.naxes):
             quad += mesh[i] * y_inv[i, j] * mesh[j]
     kern = np.exp(-quad)
-    kern /= kern.sum() * grid.cell_measure  # exact discrete stochasticity
-    return fftconvolve(arr, kern, mode="same") * grid.cell_measure
+    return kern / (kern.sum() * grid.cell_measure)  # exact discrete stochasticity
+
+
+def _convolve_same(arr: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Linear convolution with an odd-sized centered kernel, cropped to arr.
+
+    The same result as scipy.signal.fftconvolve(mode="same"), by a real FFT
+    zero-padded to 5-smooth lengths.  Powers of two would also avoid the slow
+    prime lengths, but can nearly double each axis, which is up to 16x the
+    array on a two-mode grid.
+    """
+    radius = kern.shape[0] // 2
+    axes = tuple(range(arr.ndim))
+    size = [_fast_len(n + 2 * radius) for n in arr.shape]
+    spectrum = np.fft.rfftn(arr, size, axes) * np.fft.rfftn(kern, size, axes)
+    full = np.fft.irfftn(spectrum, size, axes)
+    return full[tuple(slice(radius, radius + n) for n in arr.shape)]
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n; numpy's FFT is slow on large primes."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def pure_loss_fock(n: int, eta: float) -> dict[int, float]:
@@ -267,55 +302,61 @@ def pure_loss_fock(n: int, eta: float) -> dict[int, float]:
     }
 
 
-def dephasing_nodes(gamma: float):
-    """Rotation angles and weights of the dephasing mixture p_gamma.
-
-    Gauss-Hermite nodes when the +-5/sqrt(gamma) window fits inside the
-    circle; uniform wrapped nodes with folded Gaussian weights otherwise.
-    """
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    window = 5.0 / math.sqrt(gamma)
-    if window <= math.pi:
-        nodes, weights = np.polynomial.hermite.hermgauss(DEPHASING_NODES)
-        phis = nodes * math.sqrt(2.0 / gamma)
-        w = weights / math.sqrt(math.pi)
-        return phis, w / w.sum()
-    phis = (
-        -math.pi + (np.arange(DEPHASING_NODES) + 0.5) * 2.0 * math.pi / DEPHASING_NODES
-    )
-    folds = int(math.ceil(window / (2.0 * math.pi))) + 1
-    w = np.zeros(DEPHASING_NODES)
-    for m in range(-folds, folds + 1):
-        w += np.exp(-0.5 * gamma * (phis + 2.0 * math.pi * m) ** 2)
-    return phis, w / w.sum()
-
-
 def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution:
-    """Average phase-space rotations of f with Gaussian angle weights.
+    """Mix phase-space rotations of f with wrapped-Gaussian angle weights.
 
-    A convex mixture of rotations is doubly stochastic, so the input always
-    majorizes the output.  Small gamma approaches uniform phase averaging.
+    The angle has variance 1/gamma, so angular harmonic m is damped by
+    exp(-m^2 / (2 gamma)); small gamma approaches uniform phase averaging.  A
+    convex mixture of rotations is doubly stochastic, so the input always
+    majorizes the output.
+
+    f is resampled by cubic spline onto a polar grid: radii step by half a
+    cell out to the corner radius plus 4 zero rows, at n_theta angles.  (A
+    whole-cell radial step doubles the interpolation error of the round trip;
+    a half step brings it down to that of one rotation of the grid.)  One
+    real FFT along the angle applies the filter.  The r < 0 rows are the
+    r > 0 rows rolled by half a turn, so the spline back onto the grid is
+    smooth through the origin and periodic on both polar axes.  n_theta is
+    the smallest power of two above the angular Nyquist at the corner plus
+    the band the filter keeps (harmonics with exp(-m^2 / (2 gamma)) > e^-36),
+    that band capped at the Nyquist, since the samples hold nothing above it.
     """
+    from scipy.ndimage import map_coordinates
+
     grid = f.grid
     if not isinstance(grid, GridSpec) or grid.modes != 1:
         raise ChannelError("dephasing is implemented for single-mode grids")
-    phis, weights = dephasing_nodes(gamma)
-    # one spline prefilter shared by all rotation nodes
-    coeffs = spline_filter(f.as_nd(), order=3, mode="constant")
+    if not 0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be finite and > 0, got {gamma}")
+    corner = grid.half_width * math.sqrt(2.0)
+    nyquist = math.pi * corner / grid.cell_size
+    n_theta = 1 << int(nyquist + min(math.sqrt(72.0 * gamma), nyquist)).bit_length()
+    dr = 0.5 * grid.cell_size
+    rows = int(math.ceil(corner / dr)) + 4
+    radii = np.arange(rows + 1) * dr
+    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    polar_coords = np.stack(
+        [
+            grid.index_of(np.outer(radii, np.cos(theta))),
+            grid.index_of(np.outer(radii, np.sin(theta))),
+        ]
+    )
+    polar = map_coordinates(
+        f.as_nd(), polar_coords, order=3, mode="constant", cval=0.0
+    )
+    damping = np.exp(-np.arange(n_theta // 2 + 1) ** 2 / (2.0 * gamma))
+    polar = np.fft.irfft(np.fft.rfft(polar, axis=1) * damping, n_theta, axis=1)
+    # rows -rows..rows: f(-r, theta) = f(r, theta + pi)
+    polar = np.concatenate([np.roll(polar[:0:-1], n_theta // 2, axis=1), polar])
+
     x, p = grid.mesh()
-    out = np.zeros(grid.shape)
-    for phi, w in zip(phis, weights):
-        c, s = math.cos(phi), math.sin(phi)
-        coords = np.stack(
-            [
-                grid.index_of(np.broadcast_to(c * x + s * p, grid.shape)),
-                grid.index_of(np.broadcast_to(-s * x + c * p, grid.shape)),
-            ]
-        )
-        out += w * map_coordinates(
-            coeffs, coords, order=3, mode="constant", cval=0.0, prefilter=False
-        )
+    coords = np.stack(
+        [
+            rows + np.hypot(x, p) / dr,
+            np.mod(np.arctan2(p, x), 2.0 * math.pi) * (n_theta / (2.0 * math.pi)),
+        ]
+    )
+    out = map_coordinates(polar, coords, order=3, mode="grid-wrap")
     return SampledDistribution(grid, out.ravel())
 
 

@@ -25,10 +25,13 @@ from qmaj.channels import (
     pure_loss_fock,
     rotation_channel,
     two_mode_squeezer_dilation,
+    _convention_scaled,
+    _convolve_same,
+    _gaussian_kernel,
 )
 from qmaj.compare import Outcome, compare
 from qmaj.errors import ChannelError, ConfigError, LeakageError
-from qmaj.grids import SampledDistribution
+from qmaj.grids import GridSpec, SampledDistribution
 
 def test_identity_channel_exact(fock):
     out = apply_gaussian(identity_channel(), fock[0])
@@ -65,6 +68,18 @@ def test_plc_matches_binomial_mixture(fock, half_grid):
     out = apply_gaussian(plc, fock[3])
     target = states.render("lossy(eta=0.7, fock:3)", half_grid)
     assert np.abs(out.values - target.values).max() < 1e-3
+
+
+@pytest.mark.parametrize("ch", [pure_loss_channel(0.7), amplifier_channel(2.0)])
+def test_convolution_matches_fftconvolve(fock, ch):
+    from scipy.signal import fftconvolve
+
+    grid = fock[3].grid
+    kern = _gaussian_kernel(_convention_scaled(ch, grid)[1], grid)
+    ref = fftconvolve(fock[3].as_nd(), kern, mode="same")
+    out = _convolve_same(fock[3].as_nd(), kern)
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_apply_gaussian_preserves_integral(fock):
@@ -146,11 +161,46 @@ def test_strong_dephasing_ring_state(half_grid):
     assert compare(coh, ring).outcome is Outcome.MAJORIZES
 
 
+def _rotation_average(gamma, f):
+    """64-node Gauss-Hermite average of spline-rotated copies of f."""
+    from scipy.ndimage import map_coordinates
+
+    grid = f.grid
+    x, p = grid.mesh()
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
+    out = np.zeros(grid.shape)
+    for t, w in zip(nodes, weights / math.sqrt(math.pi)):
+        phi = t * math.sqrt(2.0 / gamma)
+        c, s = math.cos(phi), math.sin(phi)
+        coords = np.stack(
+            [
+                grid.index_of(np.broadcast_to(c * x + s * p, grid.shape)),
+                grid.index_of(np.broadcast_to(-s * x + c * p, grid.shape)),
+            ]
+        )
+        out += w * map_coordinates(f.as_nd(), coords, order=3, mode="constant")
+    return out
+
+
+@pytest.mark.parametrize("gamma", [2.0, 10.0])
+def test_dephasing_matches_rotation_average(gamma):
+    f = states.render("cat(alpha=2)", GridSpec(1, 7.0, 350))
+    out = apply_dephasing(gamma, f)
+    assert np.abs(out.as_nd() - _rotation_average(gamma, f)).max() < 1e-5
+
+
+def test_dephasing_composition_law(zoo):
+    # angle variances add: 1/3 + 1/6 = 1/2
+    f = zoo["cat2"]
+    twice = apply_dephasing(3.0, apply_dephasing(6.0, f))
+    once = apply_dephasing(2.0, f)
+    assert np.abs(twice.values - once.values).max() < 1e-5
+
+
 def test_dephasing_quadrature_validation(fock):
-    with pytest.raises(ConfigError):
-        apply_dephasing(-1.0, fock[0])
-    with pytest.raises(ConfigError):
-        apply_dephasing(math.nan, fock[0])
+    for gamma in (-1.0, 0.0, math.nan, math.inf, float("1e999")):
+        with pytest.raises(ConfigError):
+            apply_dephasing(gamma, fock[0])
 
 
 def test_classify_gaussian():

@@ -267,6 +267,8 @@ def test_exit_code_usage(capsys):
         ["monotone", "--state", "fock:1", "--grid", "N=60", "--which", "renyi:inf"],
         ["apply", "--channel", "dephase:gamma=nan", "--state", "fock:1",
          "--grid", "N=60", "--out", os.devnull],
+        ["apply", "--channel", "dephase:gamma=inf", "--state", "fock:1",
+         "--grid", "N=60", "--out", os.devnull],
         ["dvec", "compare", "nan,1", "1,0"],
         ["dvec", "compare", "1e999,-1e999", "1,0"],
         ["dvec", "compare", "1,0", "0,1", "--q", "1,nan"],
@@ -275,8 +277,8 @@ def test_exit_code_usage(capsys):
          "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative",
          "tol-inf", "grid-L-overflow", "alpha-renyi-nan", "alpha-norm-nan",
          "alpha-divergence-nan", "alpha-norm-inf", "alpha-tsallis-inf",
-         "alpha-renyi-inf", "dephase-gamma-nan", "dvec-nan", "dvec-inf",
-         "dvec-q-nan"],
+         "alpha-renyi-inf", "dephase-gamma-nan", "dephase-gamma-inf", "dvec-nan",
+         "dvec-inf", "dvec-q-nan"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])
@@ -289,6 +291,24 @@ def test_exit_code_malformed_flag(argv):
     )
     assert proc.returncode == 2
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    # scipy loads only where a channel or a cubic state interpolates
+    src = str(Path(qmaj.__file__).resolve().parents[1])
+    code = (
+        "import sys, qmaj, qmaj.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exit_code_normalization(tmp_path, capsys):
