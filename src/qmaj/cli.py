@@ -189,8 +189,8 @@ def write_grid_file(path, f: SampledDistribution) -> None:
         f"# qmaj-grid modes={g.modes} half_width={g.half_width!r} "
         f"points={g.points_per_axis} hbar={g.hbar}"
     )
-    lines = [header] + [repr(float(v)) for v in f.values]
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = f.values.tolist()
+    Path(path).write_text(header + "\n" + ("%r\n" * len(values)) % tuple(values))
 
 
 def read_grid_file(path) -> SampledDistribution:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,6 +179,63 @@ def _check_factors(grid, factors) -> None:
         raise ConfigError(f"factor grids {grids} do not tile {grid}")
 
 
+class _Orbits(NamedTuple):
+    rows: np.ndarray    # x index of each octant cell in the quadrant x, p > 0
+    cols: np.ndarray    # its p index; rows <= cols
+    size: np.ndarray    # cells m in its orbit: 4 on the diagonal, else 8
+    weight: np.ndarray  # orbit measure m * dmu
+
+
+@lru_cache(maxsize=8)
+def _octant_orbits(grid: GridSpec) -> _Orbits:
+    """The octant 0 < x <= p of a one-mode grid and its orbit measures.
+
+    Built once per grid and kept read-only.  The weights are m * dmu exactly
+    (m is a power of two), so m * dmu * a rounds like m * a * dmu.
+    """
+    h = grid.points_per_axis // 2
+    rows, cols = np.triu_indices(h)
+    size = np.where(rows == cols, 4.0, 8.0)
+    orbits = _Orbits(rows, cols, size, size * grid.cell_measure)
+    for arr in orbits:
+        arr.setflags(write=False)
+    return orbits
+
+
+class _Octant(NamedTuple):
+    """``values`` of a function known by its octant (``SampledDistribution.octant``)."""
+
+    cells: np.ndarray
+
+
+def _unfold(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
+    """The flat cell array whose octant is ``octant``: each orbit's cells."""
+    orbits = _octant_orbits(grid)
+    h = grid.points_per_axis // 2
+    quad = np.empty((h, h))
+    quad[orbits.rows, orbits.cols] = octant
+    quad[orbits.cols, orbits.rows] = octant
+    full = np.empty(grid.shape)
+    full[h:, h:] = quad
+    full[h:, :h] = quad[:, ::-1]
+    full[:h, h:] = quad[::-1]
+    full[:h, :h] = quad[::-1, ::-1]
+    return _cells(grid, full)
+
+
+def _fold_cells(grid, octant) -> np.ndarray:
+    """``octant`` as a flat, read-only array of one per octant cell."""
+    fold = np.asarray(octant, dtype=float).ravel()
+    if not isinstance(grid, GridSpec) or grid.modes != 1:
+        raise ConfigError(f"only one-mode grids fold, not {grid}")
+    expected = len(_octant_orbits(grid).size)
+    if fold.size != expected:
+        raise ConfigError(f"octant has {fold.size} entries, grid has {expected}")
+    fold = np.ascontiguousarray(fold)
+    fold.setflags(write=False)
+    return fold
+
+
 def _cells(grid, values) -> np.ndarray:
     """``values`` as a flat, contiguous, read-only array of one per cell."""
     vals = np.asarray(values, dtype=float).ravel()
@@ -203,13 +261,22 @@ class SampledDistribution:
     grid of its own modes; it is empty for any other function.  A product
     may be built with ``values=None``: its ``total_integral`` is then the
     product of the factors' totals, and ``values``, their outer product, is
-    built on first read and kept.  The calls that read cells build it:
-    ``renormalized``, ``as_nd``, grid-file writes, channel application, the
-    pointwise monotones, the distribution functions, ``ratio_breakpoints``,
-    the piecewise integrals, and a rearrangement against a reference that
-    is not a product over the same modes.  Rendering, ``reference``,
-    ``truncation_report``, the curves, ``compare`` and ``statement4_check``
-    of products read only the factors.
+    built on first read and kept.
+
+    A rotation-invariant one-mode render (Fock, thermal, lossy, their
+    mixtures and dephasings, and the thermal references) is built from its
+    ``octant`` alone.  Its ``total_integral`` is the orbit-weighted octant
+    sum, and ``values``, each octant cell copied over its orbit, is built on
+    first read and kept.
+
+    For both kinds, the calls that read cells build ``values``:
+    ``renormalized``, ``as_nd``, ``truncation_report`` of a one-mode
+    function, grid-file writes, channel application, the pointwise
+    monotones, the distribution functions, ``ratio_breakpoints``, the
+    piecewise integrals, and a rearrangement that neither folds nor pairs
+    factors.  Rendering, ``reference``, the curves, ``compare``,
+    ``statement4_check`` and ``scan_threshold`` read only the factors or
+    the octant.
     """
 
     grid: GridSpec | DiscreteSpace
@@ -221,7 +288,13 @@ class SampledDistribution:
 
     def __post_init__(self):
         _check_factors(self.grid, self.factors)
-        if self.values is None and self.factors:
+        if isinstance(self.values, _Octant):
+            fold = _fold_cells(self.grid, self.values.cells)
+            object.__delattr__(self, "values")  # built in __getattr__
+            object.__setattr__(self, "octant", fold)
+            m = _octant_orbits(self.grid).size
+            total = float((m * fold).sum() * self.grid.cell_measure)
+        elif self.values is None and self.factors:
             # absent until the first read lands in __getattr__
             object.__delattr__(self, "values")
             total = math.prod(h.total_integral for h in self.factors)
@@ -231,10 +304,16 @@ class SampledDistribution:
         object.__setattr__(self, "total_integral", total)
 
     def __getattr__(self, name):
-        factors = self.__dict__.get("factors")
-        if name != "values" or not factors:
+        if name != "values":
             raise AttributeError(name)
-        vals = _cells(self.grid, reduce(np.multiply.outer, (h.values for h in factors)))
+        known = self.__dict__
+        if known.get("factors"):
+            factors = (h.values for h in known["factors"])
+            vals = _cells(self.grid, reduce(np.multiply.outer, factors))
+        elif known.get("octant") is not None:
+            vals = _unfold(self.grid, known["octant"])
+        else:
+            raise AttributeError(name)
         object.__setattr__(self, "values", vals)
         return vals
 
@@ -258,10 +337,12 @@ class SampledDistribution:
     def octant(self) -> np.ndarray | None:
         """The cells in the octant 0 < x <= p of a one-mode grid, or None.
 
-        Only a function whose values equal themselves under both mirrors and
+        A function built from its octant has it from the start.  Otherwise
+        only a function whose values equal themselves under both mirrors and
         the transpose of the grid folds; that is checked on the values, so
         NaN cells never fold.  +0.0 and -0.0 compare equal, but zero keys
-        belong to neither side of a rearrangement.
+        belong to neither side of a rearrangement.  The cells are listed in
+        the row-major order of ``np.triu_indices`` over the quadrant.
         """
         shape = self.grid.shape
         if len(shape) != 2:
@@ -270,7 +351,8 @@ class SampledDistribution:
         if not all(np.array_equal(v, w) for w in (v[::-1], v[:, ::-1], v.T)):
             return None
         h = shape[0] // 2
-        fold = v[h:, h:][np.triu_indices(h)]
+        orbits = _octant_orbits(self.grid)
+        fold = v[h:, h:][orbits.rows, orbits.cols]
         fold.setflags(write=False)
         return fold
 
@@ -295,10 +377,12 @@ class ReferenceDistribution(SampledDistribution):
         super().__post_init__()
         # positive factors give positive cells unless the smallest cell, the
         # rounded product of the factors' smallest values, underflows
-        smallest = (
-            self.values.min() if "values" in self.__dict__
-            else reduce(operator.mul, (r.values.min() for r in self.factors))
-        )
+        if "values" in self.__dict__:
+            smallest = self.values.min()
+        elif self.factors:
+            smallest = reduce(operator.mul, (r.values.min() for r in self.factors))
+        else:
+            smallest = self.octant.min()
         if not smallest > 0:
             raise ConfigError("reference distribution must be strictly positive")
 

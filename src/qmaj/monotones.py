@@ -30,14 +30,12 @@ from .rearrange import _merged, _rearrange, lorenz_curves
 
 
 def negative_volume(f: SampledDistribution) -> float:
-    """Half the excess of the absolute integral over the integral itself.
+    """The mass of the negative part, the integral of max(-f, 0).
 
-    Equals the mass of the negative part; zero exactly for probability
-    distributions and convention independent.
+    Half the excess of the absolute integral over the integral itself;
+    exactly zero for any nonnegative function, and convention independent.
     """
-    dmu = f.grid.cell_measure
-    l1 = float(np.abs(f.values).sum() * dmu)
-    return 0.5 * (l1 - f.total_integral)
+    return float(np.maximum(-f.values, 0.0).sum() * f.grid.cell_measure)
 
 
 def lp_norm(f: SampledDistribution, alpha: float) -> float:

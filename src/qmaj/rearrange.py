@@ -34,9 +34,9 @@ the values; q, when given, must pass the same check), its cells come in
 orbits of 4 equal cells on the diagonals and 8 elsewhere.  The
 rearrangement then sorts the octant 0 < x <= p of the grid, an eighth of
 the cells, with nu m*q*dmu and mass m*f*dmu for orbit size m.  Fock,
-thermal and lossy states and the thermal references fold, since the grid
-axis is exactly antisymmetric; cat, cubic, dephased and perturbed functions
-and NaN cells do not.  The keys are the cell keys, bitwise; s and L add m
+thermal and lossy states, their mixtures and dephasings, and the thermal
+references are rendered on the octant, so they fold with no check; cat,
+cubic and perturbed functions, their dephasings, and NaN cells do not.  The keys are the cell keys, bitwise; s and L add m
 equal terms in one product, so they round differently from the cell sort.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
@@ -59,7 +59,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .grids import ReferenceDistribution, SampledDistribution, same_grid
+from .grids import (
+    ReferenceDistribution,
+    SampledDistribution,
+    _octant_orbits,
+    same_grid,
+)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -170,20 +175,21 @@ class _Rearrangement(NamedTuple):
     L: np.ndarray     # cumulative integral of f, L[0] = 0
 
 
-def _cumulative(steps: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(steps) + 1)
-    np.cumsum(steps, out=out[1:])
+def _cumulative(steps: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """0, then the running sums of ``steps`` through each index in ``ends``."""
+    out = np.zeros(len(ends) + 1)
+    # the indices are in range; mode="raise" would copy through a buffer
+    np.cumsum(steps).take(ends, out=out[1:], mode="clip")
     return out
 
 
 def _side(keys: np.ndarray, nu: np.ndarray, mass: np.ndarray) -> _Rearrangement:
     # tied cells share the slope f/q, so a breakpoint sits only at the last
-    # cell of each run of equal keys; ``ends`` counts the cells up to it
+    # cell of each run of equal keys, indexed by ``ends``
     last = np.ones(keys.shape, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    ends = np.flatnonzero(last) + 1
-    at = np.concatenate([[0], ends])
-    return _Rearrangement(keys[ends - 1], _cumulative(nu)[at], _cumulative(mass)[at])
+    ends = np.flatnonzero(last)
+    return _Rearrangement(keys[ends], _cumulative(nu, ends), _cumulative(mass, ends))
 
 
 def _split(
@@ -223,19 +229,24 @@ def _rearrange(
         keys, nu, mass = keys.ravel(), nu.ravel(), mass.ravel()
     elif f.octant is not None and (q is None or q.octant is not None):
         # each octant cell stands for the 4 (diagonal) or 8 equal cells of
-        # its orbit under the mirrors and the transpose of the grid
+        # its orbit under the mirrors and the transpose of the grid; the
+        # orbit measure m * dmu is kept per grid
         qo = 1.0 if q is None else q.octant
-        i, j = np.triu_indices(f.grid.shape[0] // 2)
-        m = np.where(i == j, 4.0, 8.0)
-        keys, nu, mass = f.octant / qo, m * qo * dmu, m * f.octant * dmu
+        w = _octant_orbits(f.grid).weight
+        keys, nu, mass = f.octant / qo, w * qo, w * f.octant
     elif q is None:
         # tied keys are equal values here: sort the values themselves
         vals = np.sort(f.values)
         return _split(vals, np.broadcast_to(dmu, vals.shape), vals * dmu)
     else:
         keys, nu, mass = f.values / q.values, q.values * dmu, f.values * dmu
+    # gathered one at a time, so each unsorted table is freed in turn
     order = np.argsort(keys)
-    return _split(keys[order], nu[order], mass[order])
+    keys = keys[order]
+    nu = nu[order]
+    mass = mass[order]
+    del order
+    return _split(keys, nu, mass)
 
 
 def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:

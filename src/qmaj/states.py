@@ -44,6 +44,8 @@ from .grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
+    _Octant,
+    _octant_orbits,
     default_grid,
 )
 
@@ -497,10 +499,42 @@ def _fock_weights(spec: StateSpec) -> dict[int, float]:
     )
 
 
-def _values_half(spec: StateSpec, rep: str, ax: np.ndarray) -> np.ndarray:
-    """ND sample array over (N,)*2k axes in hbar=1/2 coordinates."""
-    x = ax[:, None]
-    p = ax[None, :]
+def _rotation_invariant(spec: StateSpec) -> bool:
+    """Whether the spec's functions depend on x^2 + p^2 alone.
+
+    These are the Fock-diagonal states (Fock, thermal, lossy), their
+    mixtures and their dephasings; they are rendered on the grid octant.
+    """
+    if isinstance(spec, Mix):
+        return all(_rotation_invariant(part) for part in spec.parts)
+    if isinstance(spec, Dephase):
+        return _rotation_invariant(spec.inner)
+    return isinstance(spec, (Fock, Thermal, Lossy))
+
+
+def _coordinates(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray]:
+    """hbar=1/2 coordinates (x, p) of the grid's cells or of its octant's.
+
+    The cells come as the broadcastable mesh views (N, 1) and (1, N) of the
+    axis, the octant 0 < x <= p as two flat arrays of its cells.
+    """
+    ax = grid.axis()
+    if grid.hbar == HBAR_ONE:
+        ax = ax / _SQRT2
+    if not octant:
+        return ax[:, None], ax[None, :]
+    orbits = _octant_orbits(grid)
+    half = ax[grid.points_per_axis // 2:]
+    return half[orbits.rows], half[orbits.cols]
+
+
+def _values_half(spec: StateSpec, rep: str, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Samples at hbar=1/2 coordinates x and p, broadcast together.
+
+    A rotation-invariant spec takes any coordinates, such as the octant's;
+    the others need the mesh views of ``_coordinates``, and a tensor returns
+    the (N,)*2k outer product of its parts.
+    """
     if isinstance(spec, Fock):
         return _fock_wigner(spec.n, x, p) if rep == WIGNER else _fock_husimi(spec.n, x, p)
     if isinstance(spec, Coherent):
@@ -524,12 +558,12 @@ def _values_half(spec: StateSpec, rep: str, ax: np.ndarray) -> np.ndarray:
     if isinstance(spec, ON):
         return _on_wigner(spec.a, spec.n, x, p) if rep == WIGNER else _on_husimi(spec.a, spec.n, x, p)
     if isinstance(spec, Mix):
-        acc = spec.weights[0] * _values_half(spec.parts[0], rep, ax)
+        acc = spec.weights[0] * _values_half(spec.parts[0], rep, x, p)
         for w, part in zip(spec.weights[1:], spec.parts[1:]):
-            acc += w * _values_half(part, rep, ax)
+            acc += w * _values_half(part, rep, x, p)
         return acc
     if isinstance(spec, Tensor):
-        vals = [_values_half(part, rep, ax) for part in spec.parts]
+        vals = [_values_half(part, rep, x, p) for part in spec.parts]
         out = vals[0]
         for v in vals[1:]:
             out = np.multiply.outer(out, v)
@@ -537,12 +571,15 @@ def _values_half(spec: StateSpec, rep: str, ax: np.ndarray) -> np.ndarray:
     if isinstance(spec, Lossy):
         weights = _fock_weights(spec)
         fock_fn = _fock_wigner if rep == WIGNER else _fock_husimi
-        acc = np.zeros((len(ax), len(ax)))
+        acc = np.zeros(np.broadcast_shapes(x.shape, p.shape))
         for n, w in sorted(weights.items()):
             acc += w * fock_fn(n, x, p)
         return acc
     if isinstance(spec, Dephase):
-        inner = _values_half(spec.inner, rep, ax)
+        inner = _values_half(spec.inner, rep, x, p)
+        if _rotation_invariant(spec.inner):
+            return inner  # dephasing leaves a rotation-invariant state as it is
+        ax = x.ravel()
         half_width = float(ax[-1]) + 0.5 * float(ax[1] - ax[0])
         tmp_grid = GridSpec(1, half_width, len(ax), HBAR_HALF)
         tmp = SampledDistribution(tmp_grid, inner.ravel())
@@ -550,7 +587,7 @@ def _values_half(spec: StateSpec, rep: str, ax: np.ndarray) -> np.ndarray:
     if isinstance(spec, Cubic):
         if rep != WIGNER:
             raise UnsupportedStateError("cubic phase states render as Wigner only")
-        return _cubic_values_half(spec.g, spec.s, ax)
+        return _cubic_values_half(spec.g, spec.s, x.ravel())
     raise UnsupportedStateError(f"cannot render {spec!r} as {rep}")
 
 
@@ -565,7 +602,11 @@ def render(
     hbar=1/2 closed forms are evaluated at contracted coordinates with the
     2^-n prefactor.  A tensor product keeps its factors, each rendered on the
     grid of its own modes; its values, their outer product, are built only
-    when read.
+    when read.  A rotation-invariant state (Fock, thermal, lossy, their
+    mixtures and dephasings) is evaluated on the grid octant 0 < x <= p
+    only; its values, each octant cell copied over its orbit of 4 or 8
+    cells, are built only when read, and equal the evaluation on every cell
+    bitwise.
     """
     if isinstance(spec, str):
         spec = parse_state(spec)
@@ -582,12 +623,11 @@ def render(
             render(part, replace(grid, modes=part.modes), rep) for part in spec.parts
         )
         return SampledDistribution(grid, None, factors)
-    ax = grid.axis()
+    fold = _rotation_invariant(spec)
+    vals = _values_half(spec, rep, *_coordinates(grid, fold))
     if grid.hbar == HBAR_ONE:
-        vals = _values_half(spec, rep, ax / _SQRT2) * 0.5**grid.modes
-    else:
-        vals = _values_half(spec, rep, ax)
-    return SampledDistribution(grid, vals.ravel())
+        vals = vals * 0.5**grid.modes
+    return SampledDistribution(grid, _Octant(vals) if fold else vals.ravel())
 
 
 def reference(
@@ -614,12 +654,9 @@ def reference(
         w = 1.0 + 2.0 * spec.nbar
         if w == 0:
             raise SpecValidationError("thermal reference undefined at nbar = -1/2")
-        ax = grid.axis()
-        if grid.hbar == HBAR_ONE:
-            ax = ax / _SQRT2
-        r2 = ax[:, None] ** 2 + ax[None, :] ** 2
-        vals = np.exp(-2.0 * r2 / w)
-        return ReferenceDistribution(grid, vals.ravel(), integrable=w > 0)
+        x, p = _coordinates(grid, octant=True)
+        vals = np.exp(-2.0 * (x**2 + p**2) / w)
+        return ReferenceDistribution(grid, _Octant(vals), integrable=w > 0)
     f = render(spec, grid, rep)
     try:
         return _as_reference(f)
@@ -638,7 +675,8 @@ def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
     leaves every cell bitwise equal.
     """
     if not f.factors:
-        return ReferenceDistribution(f.grid, f.values)
+        fold = vars(f).get("octant")  # known without a mirror check
+        return ReferenceDistribution(f.grid, f.values if fold is None else _Octant(fold))
     factors, sign = [], 1
     for h in f.factors:
         if (h.values < 0).all():

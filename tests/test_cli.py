@@ -341,6 +341,16 @@ def test_grid_file_round_trip(tmp_path, half_grid):
     np.testing.assert_array_equal(g.values, f.values)
 
 
+def test_grid_file_lines(tmp_path):
+    # the header, then one shortest round-trip repr per cell
+    f = states.render("lossy(eta=0.7, fock:1)", GridSpec(1, 7.0, 64))
+    path = tmp_path / "w.grid"
+    write_grid_file(path, f)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "# qmaj-grid modes=1 half_width=7.0 points=64 hbar=half"
+    assert lines[1:] == [repr(float(v)) for v in f.values] + [""]
+
+
 GRID_HEADER = "# qmaj-grid modes=1 half_width=1.0 points=2 hbar=half\n"
 
 

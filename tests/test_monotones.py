@@ -28,6 +28,19 @@ def test_nv_probability_distribution(zoo):
     assert negative_volume(zoo["coherent"]) == 0.0
 
 
+def test_nv_is_exactly_zero_without_negative_cells(half_grid, one_grid):
+    # an octant-built total_integral rounds a few ulps apart from the cell
+    # sum, so only the negative mass itself is exactly 0 here
+    for grid in (half_grid, one_grid):
+        for text, rep in [
+            ("thermal(nbar=0.4)", "wigner"),
+            ("vacuum", "wigner"),
+            ("fock:3", "husimi"),
+            ("mix(0.5:fock:1, 0.5:thermal(nbar=2))", "husimi"),
+        ]:
+            assert negative_volume(states.render(text, grid, rep)) == 0.0
+
+
 def test_nv_fock4_table_value(fock):
     assert negative_volume(fock[4]) == pytest.approx(0.596, abs=5e-3)
 

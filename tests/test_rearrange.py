@@ -438,7 +438,7 @@ def test_cell_path_when_not_grid_symmetric(zoo, half_grid):
     cases = [
         (zoo["cat2"], None),
         (states.render("cubic(g=0.02, s=0.1)", small), None),
-        (states.render("dephase(gamma=0.5, fock:1)", small), None),
+        (states.render("dephase(gamma=0.5, cat(alpha=1))", small), None),
         (_perturbed(fock1, corner, np.nextafter(fock1.values[corner], 1.0)), None),
         (_perturbed(fock1, 12345, np.nan), None),
         (fock1, states.reference("coherent(alpha=1.2)", half_grid)),

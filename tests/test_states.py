@@ -35,12 +35,14 @@ from qmaj.states import (
     Mix,
     Tensor,
     Thermal,
+    _values_half,
     cubic_phase_wavefunction,
     harmonic_eigenfunction,
     parse_state,
     pretty,
     reference,
     render,
+    thermal_reference_family,
     wigner_from_wavefunction,
 )
 
@@ -202,6 +204,47 @@ def test_dephase_render(half_grid):
     assert np.abs(f.values - target.values).max() < 1e-4
 
 
+def test_dephase_of_rotation_invariant_state_is_exact(half_grid, one_grid):
+    # dephasing leaves a Fock-diagonal state as it is: no filter runs
+    inners = ["fock:2", "thermal(nbar=0.4)", "mix(0.5:fock:1, 0.5:lossy(eta=0.3, fock:3))"]
+    for grid in (half_grid, one_grid):
+        for inner in inners:
+            for rep in ("wigner", "husimi"):
+                f = render(f"dephase(gamma=10, {inner})", grid, rep)
+                target = render(inner, grid, rep)
+                assert f.octant.tobytes() == target.octant.tobytes()
+                assert f.values.tobytes() == target.values.tobytes()
+
+
+OCTANT_SPECS = [f"fock:{n}" for n in range(6)] + [
+    "thermal(nbar=0.4)",
+    "lossy(eta=0.7, fock:1)",
+    "mix(0.25:fock:1, 0.75:thermal(nbar=1.5))",
+]
+
+
+@pytest.mark.parametrize("points", [64, 700])
+@pytest.mark.parametrize("hbar", ["half", "one"])
+def test_octant_renders_match_mesh(points, hbar):
+    # rotation-invariant states are evaluated on the octant alone; every
+    # cell equals the closed form evaluated on the whole mesh, bitwise
+    grid = GridSpec(1, 7.0 if hbar == "half" else 7.0 * math.sqrt(2.0), points, hbar)
+    ax = grid.axis() / (math.sqrt(2.0) if hbar == "one" else 1.0)
+    x, p = ax[:, None], ax[None, :]
+    scale = 0.5 if hbar == "one" else 1.0
+    for rep in ("wigner", "husimi"):
+        for text in OCTANT_SPECS:
+            f = render(text, grid, rep)
+            assert "values" not in vars(f)  # built on first read
+            mesh = _values_half(parse_state(text), rep, x, p) * scale
+            assert f.values.tobytes() == mesh.ravel().tobytes()
+            assert SampledDistribution(grid, f.values).octant.tobytes() == f.octant.tobytes()
+    q = reference("thermal(nbar=-1)", grid)
+    mesh = np.exp(-2.0 * (x**2 + p**2) / -1.0)
+    assert q.values.tobytes() == mesh.ravel().tobytes()
+    assert SampledDistribution(grid, q.values).octant.tobytes() == q.octant.tobytes()
+
+
 def test_thermal_negative_rejected_as_state(half_grid):
     with pytest.raises(SpecValidationError):
         render("thermal(nbar=-1)", half_grid)
@@ -281,6 +324,27 @@ def test_criterion7_builds_no_cell_array():
     finally:
         tracemalloc.stop()
     assert peak < grid.size * 8
+
+
+def test_table3_step_builds_no_cell_array(half_grid):
+    # a thermal reference and the Fock states it ranks are built on the
+    # octant, and a relative compare reads only the octants; one cell array
+    # of the default grid is 3.9 MB
+    f, g = render("fock:5", half_grid), render("vacuum", half_grid)
+    family = thermal_reference_family(half_grid)
+    compare(f, g, family(2.9))  # warm: the grid's orbit table is kept
+    tracemalloc.start()
+    try:
+        q = family(2.9)
+        _, reference_peak = tracemalloc.get_traced_memory()
+        compare(f, g, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any("values" in vars(h) for h in (f, g, q))
+    assert reference_peak < half_grid.size * 8
+    # the two curve pairs at full resolution and their merged breakpoints
+    assert peak < 2 * half_grid.size * 8
 
 
 @pytest.mark.parametrize("hbar", ["half", "one"])
