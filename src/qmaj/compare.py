@@ -288,8 +288,9 @@ def scan_threshold(
     then narrows the flip below ``resolution``, which must be positive.
     """
     a, b = bracket
-    if not (b > a):
-        raise ConfigError(f"bad bracket {bracket}")
+    # before any reference renders: an infinite end gives NaN parameters
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ConfigError(f"bracket must be finite with lo < hi, got {bracket}")
     # adjacent floats never get closer than their spacing, so bisection
     # towards a zero, negative or NaN resolution would not end
     if not resolution > 0:

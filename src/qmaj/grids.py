@@ -202,12 +202,6 @@ def _octant_orbits(grid: GridSpec) -> _Orbits:
     return orbits
 
 
-class _Octant(NamedTuple):
-    """``values`` of a function known by its octant (``SampledDistribution.octant``)."""
-
-    cells: np.ndarray
-
-
 def _unfold(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
     """The flat cell array whose octant is ``octant``: each orbit's cells."""
     orbits = _octant_orbits(grid)
@@ -223,25 +217,17 @@ def _unfold(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
     return _cells(grid, full)
 
 
-def _fold_cells(grid, octant) -> np.ndarray:
-    """``octant`` as a flat, read-only array of one per octant cell."""
-    fold = np.asarray(octant, dtype=float).ravel()
-    if not isinstance(grid, GridSpec) or grid.modes != 1:
-        raise ConfigError(f"only one-mode grids fold, not {grid}")
-    expected = len(_octant_orbits(grid).size)
-    if fold.size != expected:
-        raise ConfigError(f"octant has {fold.size} entries, grid has {expected}")
-    fold = np.ascontiguousarray(fold)
-    fold.setflags(write=False)
-    return fold
-
-
-def _cells(grid, values) -> np.ndarray:
-    """``values`` as a flat, contiguous, read-only array of one per cell."""
+def _cells(grid, values, octant: bool = False) -> np.ndarray:
+    """A flat, contiguous, read-only array of one entry per cell or octant cell."""
+    if not octant:
+        expected, name = math.prod(grid.shape), "values"
+    elif isinstance(grid, GridSpec) and grid.modes == 1:
+        expected, name = len(_octant_orbits(grid).size), "octant"
+    else:
+        raise ConfigError(f"only one-mode grids have an octant, not {grid}")
     vals = np.asarray(values, dtype=float).ravel()
-    expected = int(np.prod(grid.shape))
     if vals.size != expected:
-        raise ConfigError(f"values has {vals.size} entries, grid has {expected} cells")
+        raise ConfigError(f"{name} has {vals.size} entries, grid has {expected}")
     vals = np.ascontiguousarray(vals)
     vals.setflags(write=False)
     return vals
@@ -251,32 +237,29 @@ def _cells(grid, values) -> np.ndarray:
 class SampledDistribution:
     """A real function sampled on the cells of a grid or discrete space.
 
-    ``values`` is the flat (C-order) array of cell-center samples; every cell
-    carries the uniform measure of its space.  Instances are immutable; the
-    value buffer is locked against writes.  ``sorted_values``, which the
-    distribution functions search, and ``octant``, which the rearrangement
-    sorts, are computed on first read and kept.
+    Every cell carries the uniform measure of its space.  A function is
+    built from exactly one storage form; any other combination raises
+    ConfigError:
 
-    ``factors`` holds the factors of a tensor product, each sampled on the
-    grid of its own modes; it is empty for any other function.  A product
-    may be built with ``values=None``: its ``total_integral`` is then the
-    product of the factors' totals, and ``values``, their outer product, is
-    built on first read and kept.
+    * ``values``, the flat (C-order) array of cell-center samples;
+    * ``factors``, the factors of a tensor product, each sampled on the grid
+      of its own modes; ``total_integral`` is the product of their totals;
+    * ``octant``, the cells 0 < x <= p of a one-mode grid in the row-major
+      order of ``np.triu_indices`` over the quadrant, each standing for its
+      orbit of 4 or 8 equal cells under the mirrors and the transpose of the
+      grid; ``total_integral`` is the orbit-weighted sum.  ``states.render``
+      and ``states.reference`` build rotation-invariant functions this way.
 
-    A rotation-invariant one-mode render (Fock, thermal, lossy, their
-    mixtures and dephasings, and the thermal references) is built from its
-    ``octant`` alone.  Its ``total_integral`` is the orbit-weighted octant
-    sum, and ``values``, each octant cell copied over its orbit, is built on
-    first read and kept.
-
-    For both kinds, the calls that read cells build ``values``:
-    ``renormalized``, ``as_nd``, ``truncation_report`` of a one-mode
-    function, grid-file writes, channel application, the pointwise
-    monotones, the distribution functions, ``ratio_breakpoints``, the
-    piecewise integrals, and a rearrangement that neither folds nor pairs
-    factors.  Rendering, ``reference``, the curves, ``compare``,
-    ``statement4_check`` and ``scan_threshold`` read only the factors or
-    the octant.
+    Instances are immutable and their arrays read-only.  For the last two
+    forms ``values`` (the outer product, or each octant cell copied over its
+    orbit) is built on first read and kept, like ``sorted_values``.  The
+    calls that read cells build it: ``renormalized``, ``as_nd``,
+    ``truncation_report`` of a one-mode function, grid-file writes, channel
+    application, the pointwise monotones, the distribution functions,
+    ``ratio_breakpoints``, the piecewise integrals, and a rearrangement that
+    reads neither octants nor factors.  Rendering, ``reference``, the
+    curves, ``compare``, ``statement4_check`` and ``scan_threshold`` read
+    only the factors or the octant.
     """
 
     grid: GridSpec | DiscreteSpace
@@ -284,20 +267,26 @@ class SampledDistribution:
     factors: tuple["SampledDistribution", ...] = field(
         default=(), compare=False, repr=False
     )
+    octant: np.ndarray | None = field(
+        default=None, compare=False, repr=False, kw_only=True
+    )
     total_integral: float = field(init=False)
 
     def __post_init__(self):
-        _check_factors(self.grid, self.factors)
-        if isinstance(self.values, _Octant):
-            fold = _fold_cells(self.grid, self.values.cells)
-            object.__delattr__(self, "values")  # built in __getattr__
-            object.__setattr__(self, "octant", fold)
-            m = _octant_orbits(self.grid).size
-            total = float((m * fold).sum() * self.grid.cell_measure)
-        elif self.values is None and self.factors:
+        forms = (self.values is not None, bool(self.factors), self.octant is not None)
+        if sum(forms) != 1:
+            raise ConfigError("give exactly one of values, factors and octant")
+        if self.factors:
+            _check_factors(self.grid, self.factors)
             # absent until the first read lands in __getattr__
             object.__delattr__(self, "values")
             total = math.prod(h.total_integral for h in self.factors)
+        elif self.octant is not None:
+            fold = _cells(self.grid, self.octant, octant=True)
+            object.__delattr__(self, "values")
+            object.__setattr__(self, "octant", fold)
+            m = _octant_orbits(self.grid).size
+            total = float((m * fold).sum() * self.grid.cell_measure)
         else:
             object.__setattr__(self, "values", _cells(self.grid, self.values))
             total = float(self.values.sum() * self.grid.cell_measure)
@@ -306,14 +295,11 @@ class SampledDistribution:
     def __getattr__(self, name):
         if name != "values":
             raise AttributeError(name)
-        known = self.__dict__
-        if known.get("factors"):
-            factors = (h.values for h in known["factors"])
+        if self.factors:
+            factors = (h.values for h in self.factors)
             vals = _cells(self.grid, reduce(np.multiply.outer, factors))
-        elif known.get("octant") is not None:
-            vals = _unfold(self.grid, known["octant"])
         else:
-            raise AttributeError(name)
+            vals = _unfold(self.grid, self.octant)
         object.__setattr__(self, "values", vals)
         return vals
 
@@ -333,29 +319,6 @@ class SampledDistribution:
         v.setflags(write=False)
         return v
 
-    @cached_property
-    def octant(self) -> np.ndarray | None:
-        """The cells in the octant 0 < x <= p of a one-mode grid, or None.
-
-        A function built from its octant has it from the start.  Otherwise
-        only a function whose values equal themselves under both mirrors and
-        the transpose of the grid folds; that is checked on the values, so
-        NaN cells never fold.  +0.0 and -0.0 compare equal, but zero keys
-        belong to neither side of a rearrangement.  The cells are listed in
-        the row-major order of ``np.triu_indices`` over the quadrant.
-        """
-        shape = self.grid.shape
-        if len(shape) != 2:
-            return None
-        v = self.values.reshape(shape)
-        if not all(np.array_equal(v, w) for w in (v[::-1], v[:, ::-1], v.T)):
-            return None
-        h = shape[0] // 2
-        orbits = _octant_orbits(self.grid)
-        fold = v[h:, h:][orbits.rows, orbits.cols]
-        fold.setflags(write=False)
-        return fold
-
 
 @dataclass(frozen=True)
 class ReferenceDistribution(SampledDistribution):
@@ -365,10 +328,10 @@ class ReferenceDistribution(SampledDistribution):
     ``integrable`` is False when the function on the untruncated space has no
     finite integral (growing Gaussians from negative-temperature references);
     curves built against such a reference are flagged truncation sensitive.
-    A product's positivity is checked on its factors: its cells are read
-    only by a rearrangement of a function that is not a product over the
-    same modes, the piecewise integrals, the divergence monotone and
-    ``ratio_breakpoints``.
+    Positivity is checked on the octant or the factors when given.  A
+    product's cells are read only by a rearrangement of a function that is
+    not a product over the same modes, the piecewise integrals, the
+    divergence monotone and ``ratio_breakpoints``.
     """
 
     integrable: bool = field(default=True, kw_only=True)
@@ -377,12 +340,10 @@ class ReferenceDistribution(SampledDistribution):
         super().__post_init__()
         # positive factors give positive cells unless the smallest cell, the
         # rounded product of the factors' smallest values, underflows
-        if "values" in self.__dict__:
-            smallest = self.values.min()
-        elif self.factors:
+        if self.factors:
             smallest = reduce(operator.mul, (r.values.min() for r in self.factors))
         else:
-            smallest = self.octant.min()
+            smallest = (self.values if self.octant is None else self.octant).min()
         if not smallest > 0:
             raise ConfigError("reference distribution must be strictly positive")
 

@@ -28,16 +28,18 @@ as a mix of tensors, sorts its cells.
 The product keys round differently from the cell keys (f1*f2)/(q1*q2), so
 the two paths agree to rounding, not bitwise.
 
-Octant rule: when f on a one-mode grid equals itself under both mirrors
-and the transpose of the grid (``SampledDistribution.octant``, checked on
-the values; q, when given, must pass the same check), its cells come in
-orbits of 4 equal cells on the diagonals and 8 elsewhere.  The
-rearrangement then sorts the octant 0 < x <= p of the grid, an eighth of
-the cells, with nu m*q*dmu and mass m*f*dmu for orbit size m.  Fock,
-thermal and lossy states, their mixtures and dephasings, and the thermal
-references are rendered on the octant, so they fold with no check; cat,
-cubic and perturbed functions, their dephasings, and NaN cells do not.  The keys are the cell keys, bitwise; s and L add m
-equal terms in one product, so they round differently from the cell sort.
+Octant rule: when f is built from its octant (``SampledDistribution.octant``,
+a one-mode function equal to itself under both mirrors and the transpose of
+the grid) and q, when given, is too, its cells come in orbits of 4 equal
+cells on the diagonals and 8 elsewhere.  The rearrangement then sorts the
+octant 0 < x <= p of the grid, an eighth of the cells, with nu m*q*dmu and
+mass m*f*dmu for orbit size m.  ``states.render`` and ``states.reference``
+build Fock, thermal and lossy states, their mixtures and dephasings, and the
+thermal references from their octants.  A function given by its values
+sorts its cells, even where they are symmetric: a renormalized copy, a grid
+file, ``coherent(alpha=0)``.  The keys are the cell keys, bitwise; s and L
+add m equal terms in one product, so they round differently from the cell
+sort.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
   as a piecewise-linear curve, concave (positive) or convex (negative).

@@ -44,7 +44,6 @@ from .grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
-    _Octant,
     _octant_orbits,
     default_grid,
 )
@@ -353,10 +352,12 @@ def parse_state(text: str) -> StateSpec:
 
 
 def _fmt_scalar(v) -> str:
+    # through the builtin types, so numpy scalars print as plain literals
     if isinstance(v, complex):
+        v = complex(v)
         sign = "+" if v.imag >= 0 else "-"
         return f"{v.real!r}{sign}{abs(v.imag)!r}i"
-    return repr(v)
+    return repr(float(v))
 
 
 def pretty(spec: StateSpec) -> str:
@@ -379,7 +380,7 @@ def pretty(spec: StateSpec) -> str:
         return f"dephase(gamma={_fmt_scalar(spec.gamma)}, {pretty(spec.inner)})"
     if isinstance(spec, Mix):
         inner = ", ".join(
-            f"{w!r}:{pretty(p)}" for w, p in zip(spec.weights, spec.parts)
+            f"{_fmt_scalar(w)}:{pretty(p)}" for w, p in zip(spec.weights, spec.parts)
         )
         return f"mix({inner})"
     if isinstance(spec, Tensor):
@@ -604,9 +605,10 @@ def render(
     grid of its own modes; its values, their outer product, are built only
     when read.  A rotation-invariant state (Fock, thermal, lossy, their
     mixtures and dephasings) is evaluated on the grid octant 0 < x <= p
-    only; its values, each octant cell copied over its orbit of 4 or 8
-    cells, are built only when read, and equal the evaluation on every cell
-    bitwise.
+    only and built from it (``octant=``); its values, each octant cell
+    copied over its orbit of 4 or 8 cells, are built only when read, and
+    equal the evaluation on every cell bitwise.  Any other state is built
+    from its values, even where they happen to be symmetric.
     """
     if isinstance(spec, str):
         spec = parse_state(spec)
@@ -627,7 +629,9 @@ def render(
     vals = _values_half(spec, rep, *_coordinates(grid, fold))
     if grid.hbar == HBAR_ONE:
         vals = vals * 0.5**grid.modes
-    return SampledDistribution(grid, _Octant(vals) if fold else vals.ravel())
+    if fold:
+        return SampledDistribution(grid, None, octant=vals)
+    return SampledDistribution(grid, vals.ravel())
 
 
 def reference(
@@ -656,7 +660,7 @@ def reference(
             raise SpecValidationError("thermal reference undefined at nbar = -1/2")
         x, p = _coordinates(grid, octant=True)
         vals = np.exp(-2.0 * (x**2 + p**2) / w)
-        return ReferenceDistribution(grid, _Octant(vals), integrable=w > 0)
+        return ReferenceDistribution(grid, None, octant=vals, integrable=w > 0)
     f = render(spec, grid, rep)
     try:
         return _as_reference(f)
@@ -674,9 +678,10 @@ def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
     underflow, which the reference checks.  Negating the negative factors
     leaves every cell bitwise equal.
     """
+    if f.octant is not None:
+        return ReferenceDistribution(f.grid, None, octant=f.octant)
     if not f.factors:
-        fold = vars(f).get("octant")  # known without a mirror check
-        return ReferenceDistribution(f.grid, f.values if fold is None else _Octant(fold))
+        return ReferenceDistribution(f.grid, f.values)
     factors, sign = [], 1
     for h in f.factors:
         if (h.values < 0).all():

@@ -186,6 +186,20 @@ def test_scan_threshold_no_flip(fock, half_grid):
         scan_threshold(fock[1], fock[1], family, (0.1, 2.0), resolution=0.1)
 
 
+def test_scan_threshold_rejects_an_infinite_bracket(fock):
+    # checked before the family renders a single reference
+    calls = []
+
+    def family(nbar):
+        calls.append(nbar)
+        return states.reference(states.Thermal(nbar), fock[0].grid)
+
+    for bracket in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (1.0, 1.0)):
+        with pytest.raises(ConfigError):
+            scan_threshold(fock[1], fock[0], family, bracket)
+    assert calls == []
+
+
 def test_witness_locates_crossing(fock, zoo):
     verdict = compare(fock[4], zoo["lossy1"])
     w = verdict.witness

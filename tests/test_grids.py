@@ -98,7 +98,7 @@ def test_factors_must_tile_the_grid():
     one = states.render("vacuum", GridSpec(1, 3.0, 16))
     two = GridSpec(2, 3.0, 16)
     vals = np.multiply.outer(one.as_nd(), one.as_nd()).ravel()
-    assert SampledDistribution(two, vals, (one, one)).factors[1] is one
+    assert SampledDistribution(two, None, (one, one)).factors[1] is one
     for other in (
         GridSpec(1, 3.0, 18),  # points per axis
         GridSpec(1, 4.0, 16),  # half width
@@ -108,13 +108,27 @@ def test_factors_must_tile_the_grid():
     ):
         h = SampledDistribution(other, np.ones(int(np.prod(other.shape))))
         with pytest.raises(ConfigError):
-            SampledDistribution(two, vals, (one, h))
+            SampledDistribution(two, None, (one, h))
         with pytest.raises(ConfigError):
-            ReferenceDistribution(two, vals, factors=(one, h))
+            ReferenceDistribution(two, None, factors=(one, h))
     with pytest.raises(ConfigError):
-        SampledDistribution(two, vals, (one,))
+        SampledDistribution(two, None, (one,))
     with pytest.raises(ConfigError):
-        SampledDistribution(DiscreteSpace(vals.size), vals, (one, one))
+        SampledDistribution(DiscreteSpace(vals.size), None, (one, one))
+    # exactly one of values, factors and octant, and an octant only of the
+    # one-mode grid it was cut from
+    fold = one.octant
+    assert fold is not None
+    for grid, values, factors, octant in (
+        (two, None, (), fold),
+        (DiscreteSpace(fold.size), None, (), fold),
+        (one.grid, None, (), fold[:-1]),
+        (one.grid, one.values, (), fold),
+        (two, vals, (one, one), None),
+        (one.grid, None, (), None),
+    ):
+        with pytest.raises(ConfigError):
+            SampledDistribution(grid, values, factors, octant=octant)
 
 
 def test_truncation_vacuum_default(half_grid):

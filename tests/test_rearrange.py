@@ -151,13 +151,17 @@ def test_equimeasurability(half_grid, fock, zoo, vacuum_ref):
         _check_sides(f)
 
 
-def test_relative_reduces_to_regular(half_grid, fock):
+def test_relative_reduces_to_regular(half_grid, fock, zoo):
+    # q = 1 built from its octant against a folded f, and from its values
+    # against cells that do not fold
+    octant_ones = ReferenceDistribution(half_grid, None, octant=np.ones(61425))
     ones = ReferenceDistribution(half_grid, np.ones(half_grid.size))
-    rel = relative_lorenz_curves(fock[4], ones)
-    reg = lorenz_curves(fock[4])
-    for a, b in zip(rel, reg):
-        np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(a.L, b.L)
+    for f, q in ((fock[4], octant_ones), (zoo["cat2"], ones)):
+        rel = relative_lorenz_curves(f, q)
+        reg = lorenz_curves(f)
+        for a, b in zip(rel, reg):
+            np.testing.assert_array_equal(a.s, b.s)
+            np.testing.assert_array_equal(a.L, b.L)
 
 
 def test_relative_grid_mismatch(half_grid, fock):
@@ -430,8 +434,9 @@ def _perturbed(f, cell, value):
 
 
 def test_cell_path_when_not_grid_symmetric(zoo, half_grid):
-    # cells that do not come in orbits of equal values, and a folding f
-    # against a reference that does not fold, keep the cell sort
+    # cells that do not come in orbits of equal values, symmetric cells
+    # given by their values, and a folding f against a reference that does
+    # not fold, keep the cell sort
     small = GridSpec(1, 7.0, 120)
     fock1 = zoo["fock1"]
     corner = half_grid.size - 1
@@ -441,6 +446,7 @@ def test_cell_path_when_not_grid_symmetric(zoo, half_grid):
         (states.render("dephase(gamma=0.5, cat(alpha=1))", small), None),
         (_perturbed(fock1, corner, np.nextafter(fock1.values[corner], 1.0)), None),
         (_perturbed(fock1, 12345, np.nan), None),
+        (SampledDistribution(half_grid, fock1.values), None),
         (fock1, states.reference("coherent(alpha=1.2)", half_grid)),
     ]
     assert fock1.octant is not None  # folds, but not against a coherent q

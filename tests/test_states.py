@@ -19,6 +19,7 @@ from qmaj.grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
+    _octant_orbits,
     default_grid,
     truncation_report,
 )
@@ -138,9 +139,14 @@ def test_pretty_round_trip():
         Dephase(0.5, Coherent(1.5 + 0j)),
         Mix((0.75, 0.25), (Cat(2.0), Fock(7))),
         Tensor((Fock(2), Fock(2))),
+        # numpy scalars print as plain literals
+        Thermal(np.float64(0.5)),
+        Coherent(np.complex128(1 - 0.25j)),
+        Mix((np.float64(0.75), 0.25), (Fock(1), Thermal(0.4))),
     ]
     for spec in zoo:
         assert parse_state(pretty(spec)) == spec
+    assert pretty(Thermal(np.float64(0.5))) == "thermal(nbar=0.5)"
 
 
 # -- rendering ----------------------------------------------------------------
@@ -232,17 +238,22 @@ def test_octant_renders_match_mesh(points, hbar):
     ax = grid.axis() / (math.sqrt(2.0) if hbar == "one" else 1.0)
     x, p = ax[:, None], ax[None, :]
     scale = 0.5 if hbar == "one" else 1.0
+    orbits, h = _octant_orbits(grid), points // 2
+
+    def octant_of(mesh):
+        return mesh[h:, h:][orbits.rows, orbits.cols].tobytes()
+
     for rep in ("wigner", "husimi"):
         for text in OCTANT_SPECS:
             f = render(text, grid, rep)
             assert "values" not in vars(f)  # built on first read
             mesh = _values_half(parse_state(text), rep, x, p) * scale
             assert f.values.tobytes() == mesh.ravel().tobytes()
-            assert SampledDistribution(grid, f.values).octant.tobytes() == f.octant.tobytes()
+            assert f.octant.tobytes() == octant_of(mesh)
     q = reference("thermal(nbar=-1)", grid)
     mesh = np.exp(-2.0 * (x**2 + p**2) / -1.0)
     assert q.values.tobytes() == mesh.ravel().tobytes()
-    assert SampledDistribution(grid, q.values).octant.tobytes() == q.octant.tobytes()
+    assert q.octant.tobytes() == octant_of(mesh)
 
 
 def test_thermal_negative_rejected_as_state(half_grid):
