@@ -233,7 +233,7 @@ def _cells(grid, values, octant: bool = False) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledDistribution:
     """A real function sampled on the cells of a grid or discrete space.
 
@@ -250,7 +250,8 @@ class SampledDistribution:
       grid; ``total_integral`` is the orbit-weighted sum.  ``states.render``
       and ``states.reference`` build rotation-invariant functions this way.
 
-    Instances are immutable and their arrays read-only.  For the last two
+    Instances are immutable and their arrays read-only, and compare and hash
+    by identity, so neither reads cells.  For the last two
     forms ``values`` (the outer product, or each octant cell copied over its
     orbit) is built on first read and kept, like ``sorted_values``.  The
     calls that read cells build it: ``renormalized``, ``as_nd``,
@@ -264,12 +265,8 @@ class SampledDistribution:
 
     grid: GridSpec | DiscreteSpace
     values: np.ndarray | None
-    factors: tuple["SampledDistribution", ...] = field(
-        default=(), compare=False, repr=False
-    )
-    octant: np.ndarray | None = field(
-        default=None, compare=False, repr=False, kw_only=True
-    )
+    factors: tuple["SampledDistribution", ...] = field(default=(), repr=False)
+    octant: np.ndarray | None = field(default=None, repr=False, kw_only=True)
     total_integral: float = field(init=False)
 
     def __post_init__(self):
@@ -320,7 +317,7 @@ class SampledDistribution:
         return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceDistribution(SampledDistribution):
     """Strictly positive weight function q for relative majorization.
 
@@ -328,7 +325,8 @@ class ReferenceDistribution(SampledDistribution):
     ``integrable`` is False when the function on the untruncated space has no
     finite integral (growing Gaussians from negative-temperature references);
     curves built against such a reference are flagged truncation sensitive.
-    Positivity is checked on the octant or the factors when given.  A
+    Positivity and finiteness of its cells and total are checked on the
+    octant or the factors when given.  A
     product's cells are read only by a rearrangement of a function that is
     not a product over the same modes, the piecewise integrals, the
     divergence monotone and ``ratio_breakpoints``.
@@ -337,15 +335,24 @@ class ReferenceDistribution(SampledDistribution):
     integrable: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
-        super().__post_init__()
-        # positive factors give positive cells unless the smallest cell, the
-        # rounded product of the factors' smallest values, underflows
-        if self.factors:
-            smallest = reduce(operator.mul, (r.values.min() for r in self.factors))
-        else:
-            smallest = (self.values if self.octant is None else self.octant).min()
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            super().__post_init__()
+            # positive factors give positive cells unless the smallest cell,
+            # the rounded product of the factors' smallest values, underflows,
+            # or the largest, that of their largest values, overflows
+            if self.factors:
+                cells = [(r.values.min(), r.values.max()) for r in self.factors]
+                smallest, largest = (reduce(operator.mul, c) for c in zip(*cells))
+            else:
+                cells = self.values if self.octant is None else self.octant
+                smallest, largest = cells.min(), cells.max()
         if not smallest > 0:
             raise ConfigError("reference distribution must be strictly positive")
+        if not (largest < math.inf and self.total_integral < math.inf):
+            raise ConfigError(
+                f"reference distribution must be finite, but its largest cell "
+                f"is {largest:g} and its total {self.total_integral:g}"
+            )
 
 
 def same_grid(a, b) -> None:

@@ -9,15 +9,20 @@ Grammar (whitespace-insensitive)::
            | NUMBER ":" term        weighted part (mix only)
            | term                   positional sub-state
 
-Functions: coherent(alpha=..), thermal(nbar=..), cat(alpha=..),
-on(a=.., n=..), cubic(g=.., s=..), lossy(eta=.., <term>),
-dephase(gamma=.., <term>), mix(w:term, ...), tensor(term, term).
-Complex scalars accept an ``i`` or ``j`` suffix, e.g. ``alpha=1+0.5i``.
+Each state type is one ``StateSpec`` subclass, and the class is the one
+place that knows it.  Its lower-case name is the function name and its
+fields are the function's arguments, in order: a field typed ``StateSpec``
+is a positional sub-state, any other a named scalar.  So
+``lossy(eta=0.7, fock:1)`` is ``Lossy(0.7, Fock(1))``.  Only ``fock:n``
+(and ``vacuum``), ``mix(w:state, ...)`` and ``tensor(state, state)`` have
+a syntax of their own.  Complex scalars accept an ``i`` or ``j`` suffix,
+e.g. ``alpha=1+0.5i``.
 
-All closed forms are stored in the hbar=1/2 convention (coherent-state
-alpha-plane coordinates); rendering onto an hbar=1 grid evaluates them at
-contracted coordinates with the matching prefactor, which reproduces the
-standard hbar=1 expressions exactly.
+The ``wigner`` and ``husimi`` methods of a class are its closed forms, in
+the hbar=1/2 convention (coherent-state alpha-plane coordinates); the
+composite types override ``sample`` instead.  Rendering onto an hbar=1 grid
+evaluates them at contracted coordinates with the matching prefactor, which
+reproduces the standard hbar=1 expressions exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,34 +61,102 @@ _SQRT2 = math.sqrt(2.0)
 _MAX_TENSOR_ARITY = 2
 
 
-# -- abstract syntax ----------------------------------------------------------
+# -- state types --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Base class of the state AST."""
+    """Base class of the state AST, one subclass per state type.
+
+    ``sample`` evaluates a representation at hbar=1/2 coordinates x and p,
+    broadcast together.  A ``rotation_invariant`` spec depends on x^2 + p^2
+    alone and takes any coordinates, such as the grid octant's; the others
+    need the mesh views (N, 1) and (1, N) of the axis.
+    """
+
+    rotation_invariant = False
 
     @property
     def modes(self) -> int:
         return 1
 
+    def sample(self, rep: str, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return self.wigner(x, p) if rep == WIGNER else self.husimi(x, p)
+
+    def fock_weights(self) -> dict[int, float]:
+        """Photon-number weights of a Fock-diagonal spec, for the loss channel."""
+        raise UnsupportedStateError(
+            "the loss channel has a closed form only for Fock-diagonal states"
+        )
+
+
+def laguerre(n: int, z: np.ndarray) -> np.ndarray:
+    """Laguerre polynomial by the three-term recurrence.
+
+    Times exp(-z/2) it agrees with scipy.special.eval_laguerre to 8e-14 for
+    n <= 150 and z <= 392.
+    """
+    prev = np.zeros_like(z)
+    cur = np.ones_like(z)
+    for k in range(1, n + 1):
+        prev, cur = cur, ((2 * k - 1 - z) * cur - (k - 1) * prev) / k
+    return cur
+
 
 @dataclass(frozen=True)
 class Fock(StateSpec):
     n: int
+    rotation_invariant = True
 
     def __post_init__(self):
         if self.n < 0:
             raise SpecValidationError(f"fock index must be >= 0, got {self.n}")
+
+    def wigner(self, x, p):
+        n, r2 = self.n, x * x + p * p
+        return (2.0 / math.pi) * np.exp(-2.0 * r2) * (-1.0) ** n * laguerre(n, 4.0 * r2)
+
+    def husimi(self, x, p):
+        n, r2 = self.n, x * x + p * p
+        return (1.0 / math.pi) * r2**n / math.factorial(n) * np.exp(-r2)
+
+    def fock_weights(self) -> dict[int, float]:
+        return {self.n: 1.0}
 
 
 @dataclass(frozen=True)
 class Coherent(StateSpec):
     alpha: complex
 
+    def wigner(self, x, p):
+        return (2.0 / math.pi) * np.exp(
+            -2.0 * ((x - self.alpha.real) ** 2 + (p - self.alpha.imag) ** 2)
+        )
+
+    def husimi(self, x, p):
+        return (1.0 / math.pi) * np.exp(
+            -((x - self.alpha.real) ** 2 + (p - self.alpha.imag) ** 2)
+        )
+
 
 @dataclass(frozen=True)
 class Thermal(StateSpec):
     nbar: float
+    rotation_invariant = True
+
+    def sample(self, rep, x, p):
+        if self.nbar < 0:
+            raise SpecValidationError(
+                "negative-temperature thermal functions are references, not states"
+            )
+        return super().sample(rep, x, p)
+
+    def wigner(self, x, p):
+        w = 1.0 + 2.0 * self.nbar
+        return (2.0 / (math.pi * w)) * np.exp(-2.0 * (x * x + p * p) / w)
+
+    def husimi(self, x, p):
+        w = 1.0 + self.nbar
+        return (1.0 / (math.pi * w)) * np.exp(-(x * x + p * p) / w)
 
 
 @dataclass(frozen=True)
@@ -92,6 +166,28 @@ class Cat(StateSpec):
     def __post_init__(self):
         if isinstance(self.alpha, complex):
             raise SpecValidationError("cat amplitude must be real")
+
+    def wigner(self, x, p):
+        a = self.alpha
+        norm = 2.0 * (1.0 + math.exp(-2.0 * a * a))
+        interference = (4.0 / math.pi) * np.exp(-2.0 * (x * x + p * p)) * np.cos(
+            4.0 * a * p
+        )
+        return (
+            Coherent(complex(a)).wigner(x, p)
+            + Coherent(complex(-a)).wigner(x, p)
+            + interference
+        ) / norm
+
+    def husimi(self, x, p):
+        a = self.alpha
+        r2 = x * x + p * p
+        norm = 2.0 * math.pi * (1.0 + math.exp(-2.0 * a * a))
+        return (
+            np.exp(-((x - a) ** 2 + p * p))
+            + np.exp(-((x + a) ** 2 + p * p))
+            + 2.0 * np.exp(-r2 - a * a) * np.cos(2.0 * a * p)
+        ) / norm
 
 
 @dataclass(frozen=True)
@@ -105,6 +201,23 @@ class ON(StateSpec):
         if not math.isfinite(abs(self.a) * abs(self.a)):
             raise SpecValidationError(f"on() needs a finite |a|^2, got a={self.a}")
 
+    def wigner(self, x, p):
+        w = abs(self.a) ** 2
+        base = (Fock(0).wigner(x, p) + w * Fock(self.n).wigner(x, p)) / (1.0 + w)
+        cross = 2.0 * (self.a * (x - 1j * p) ** self.n).real
+        base += cross * np.exp(-(x * x + p * p)) / (
+            2.0 * math.pi * math.sqrt(math.factorial(self.n)) * (1.0 + w)
+        )
+        return base
+
+    def husimi(self, x, p):
+        amp = 1.0 + self.a * (x - 1j * p) ** self.n / math.sqrt(math.factorial(self.n))
+        return (
+            np.exp(-(x * x + p * p))
+            * np.abs(amp) ** 2
+            / (math.pi * (1.0 + abs(self.a) ** 2))
+        )
+
 
 @dataclass(frozen=True)
 class Cubic(StateSpec):
@@ -113,7 +226,8 @@ class Cubic(StateSpec):
     ``s`` scales the Gaussian exponent of the source relative to vacuum: the
     position variance is multiplied by 1/s, so s < 1 squeezes momentum and
     widens the reach of the cubic gate; s = 1 is the plain vacuum.  The
-    momentum offset of the source family is fixed to zero.
+    momentum offset of the source family is fixed to zero.  The Wigner
+    function is transformed numerically from the wavefunction.
     """
 
     g: float
@@ -123,11 +237,23 @@ class Cubic(StateSpec):
         if self.s <= 0:
             raise SpecValidationError(f"squeezing must be > 0, got {self.s}")
 
+    def sample(self, rep, x, p):
+        if rep != WIGNER:
+            raise UnsupportedStateError("cubic phase states render as Wigner only")
+        grid = _grid_of(x)
+        reach = max(grid.half_width, 10.0 * (0.5 / math.sqrt(self.s)))  # 10 sigma_x
+        dx = min(0.01, 0.25 * math.pi / (4.0 * grid.half_width))
+        xs = np.linspace(-reach, reach, 2 * int(reach / dx) + 1)
+        psi = cubic_phase_wavefunction(self.g, self.s, xs)
+        psi = psi / math.sqrt(float((np.abs(psi) ** 2).sum() * (xs[1] - xs[0])))
+        return wigner_from_wavefunction(psi, xs, grid).as_nd()
+
 
 @dataclass(frozen=True)
 class Lossy(StateSpec):
     eta: float
     inner: StateSpec
+    rotation_invariant = True
 
     def __post_init__(self):
         if not 0 <= self.eta <= 1:
@@ -136,6 +262,19 @@ class Lossy(StateSpec):
             )
         if self.inner.modes != 1:
             raise SpecValidationError(f"lossy needs a one-mode state")
+
+    def sample(self, rep, x, p):
+        acc = np.zeros(np.broadcast_shapes(x.shape, p.shape))
+        for n, w in sorted(self.fock_weights().items()):
+            acc += w * Fock(n).sample(rep, x, p)
+        return acc
+
+    def fock_weights(self) -> dict[int, float]:
+        out: dict[int, float] = {}
+        for n, q in self.inner.fock_weights().items():
+            for k, b in channels.pure_loss_fock(n, self.eta).items():
+                out[k] = out.get(k, 0.0) + q * b
+        return out
 
 
 @dataclass(frozen=True)
@@ -148,6 +287,17 @@ class Dephase(StateSpec):
             raise SpecValidationError(f"gamma must be > 0, got {self.gamma}")
         if self.inner.modes != 1:
             raise SpecValidationError(f"dephase needs a one-mode state")
+
+    @property
+    def rotation_invariant(self) -> bool:
+        return self.inner.rotation_invariant
+
+    def sample(self, rep, x, p):
+        inner = self.inner.sample(rep, x, p)
+        if self.rotation_invariant:
+            return inner  # dephasing leaves a rotation-invariant state as it is
+        tmp = SampledDistribution(_grid_of(x), inner.ravel())
+        return channels.apply_dephasing(self.gamma, tmp).as_nd()
 
 
 @dataclass(frozen=True)
@@ -172,6 +322,23 @@ class Mix(StateSpec):
     def modes(self) -> int:
         return self.parts[0].modes
 
+    @property
+    def rotation_invariant(self) -> bool:
+        return all(part.rotation_invariant for part in self.parts)
+
+    def sample(self, rep, x, p):
+        acc = self.weights[0] * self.parts[0].sample(rep, x, p)
+        for w, part in zip(self.weights[1:], self.parts[1:]):
+            acc += w * part.sample(rep, x, p)
+        return acc
+
+    def fock_weights(self) -> dict[int, float]:
+        out: dict[int, float] = {}
+        for w, part in zip(self.weights, self.parts):
+            for n, q in part.fock_weights().items():
+                out[n] = out.get(n, 0.0) + w * q
+        return out
+
 
 @dataclass(frozen=True)
 class Tensor(StateSpec):
@@ -187,8 +354,23 @@ class Tensor(StateSpec):
     def modes(self) -> int:
         return sum(p.modes for p in self.parts)
 
+    def sample(self, rep, x, p):
+        """The (N,)*2k outer product of the parts' samples on the mesh."""
+        vals = [part.sample(rep, x, p) for part in self.parts]
+        out = vals[0]
+        for v in vals[1:]:
+            out = np.multiply.outer(out, v)
+        return out
+
 
 VACUUM = Fock(0)
+_FUNCTIONS = {cls.__name__.lower(): cls for cls in StateSpec.__subclasses__()}
+
+
+def _arguments(cls: type) -> tuple[tuple[str, type], ...]:
+    """A state type's grammar arguments: its fields and their types, in order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
 # -- parser -------------------------------------------------------------------
@@ -292,58 +474,50 @@ class _Parser:
         return self.build(value, pos, named, weighted, positional)
 
     def build(self, name, pos, named, weighted, positional) -> StateSpec:
-        def need(*keys, inner: int = 0):
-            missing = [k for k in keys if k not in named]
-            if missing:
-                raise ParseError(f"{name} needs argument {missing[0]}=", pos)
-            extra = [k for k in named if k not in keys]
-            if extra:
-                raise ParseError(f"{name} got unknown argument {extra[0]}=", pos)
-            if weighted:
-                raise ParseError(f"{name} takes no weighted parts", pos)
-            if len(positional) != inner:
-                raise ParseError(
-                    f"{name} takes {inner} inner state(s), got {len(positional)}",
-                    pos,
-                )
-
+        if name == "mix":
+            if positional or named or not weighted:
+                raise ParseError("mix takes weighted parts: mix(w:state, ...)", pos)
+            ws, parts = zip(*weighted)
+            return Mix(tuple(ws), tuple(parts))
+        if name == "tensor":
+            if named or weighted:
+                raise ParseError("tensor takes positional states", pos)
+            return Tensor(tuple(positional))
+        if name not in _FUNCTIONS:
+            raise ParseError(f"unknown state function {name!r}", pos)
+        cls = _FUNCTIONS[name]
+        args = _arguments(cls)
+        keys = [key for key, kind in args if kind is not StateSpec]
+        missing = [k for k in keys if k not in named]
+        if missing:
+            raise ParseError(f"{name} needs argument {missing[0]}=", pos)
+        extra = [k for k in named if k not in keys]
+        if extra:
+            raise ParseError(f"{name} got unknown argument {extra[0]}=", pos)
+        if weighted:
+            raise ParseError(f"{name} takes no weighted parts", pos)
+        inner = len(args) - len(keys)
+        if len(positional) != inner:
+            raise ParseError(
+                f"{name} takes {inner} inner state(s), got {len(positional)}", pos
+            )
+        subs, values = iter(positional), []
         try:
-            if name == "coherent":
-                need("alpha")
-                return Coherent(complex(named["alpha"]))
-            if name == "thermal":
-                need("nbar")
-                return Thermal(float(named["nbar"]))
-            if name == "cat":
-                need("alpha")
-                return Cat(float(named["alpha"]))
-            if name == "on":
-                need("a", "n")
-                n = float(named["n"])
-                if not n.is_integer():
-                    raise ParseError(f"on() n must be an integer, got {n!r}", pos)
-                return ON(complex(named["a"]), int(n))
-            if name == "cubic":
-                need("g", "s")
-                return Cubic(float(named["g"]), float(named["s"]))
-            if name == "lossy":
-                need("eta", inner=1)
-                return Lossy(float(named["eta"]), positional[0])
-            if name == "dephase":
-                need("gamma", inner=1)
-                return Dephase(float(named["gamma"]), positional[0])
-            if name == "mix":
-                if positional or named or not weighted:
-                    raise ParseError("mix takes weighted parts: mix(w:state, ...)", pos)
-                ws, parts = zip(*weighted)
-                return Mix(tuple(ws), tuple(parts))
-            if name == "tensor":
-                if named or weighted:
-                    raise ParseError("tensor takes positional states", pos)
-                return Tensor(tuple(positional))
+            for key, kind in args:
+                if kind is StateSpec:
+                    values.append(next(subs))
+                elif kind is int:
+                    n = float(named[key])
+                    if not n.is_integer():
+                        raise ParseError(
+                            f"{name}() {key} must be an integer, got {n!r}", pos
+                        )
+                    values.append(int(n))
+                else:
+                    values.append(kind(named[key]))
+            return cls(*values)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad argument for {name}: {exc}", pos)
-        raise ParseError(f"unknown state function {name!r}", pos)
 
 
 def parse_state(text: str) -> StateSpec:
@@ -364,154 +538,22 @@ def pretty(spec: StateSpec) -> str:
     """Canonical text form; parse_state(pretty(x)) reproduces x."""
     if isinstance(spec, Fock):
         return "vacuum" if spec.n == 0 else f"fock:{spec.n}"
-    if isinstance(spec, Coherent):
-        return f"coherent(alpha={_fmt_scalar(spec.alpha)})"
-    if isinstance(spec, Thermal):
-        return f"thermal(nbar={_fmt_scalar(spec.nbar)})"
-    if isinstance(spec, Cat):
-        return f"cat(alpha={_fmt_scalar(spec.alpha)})"
-    if isinstance(spec, ON):
-        return f"on(a={_fmt_scalar(spec.a)}, n={spec.n})"
-    if isinstance(spec, Cubic):
-        return f"cubic(g={_fmt_scalar(spec.g)}, s={_fmt_scalar(spec.s)})"
-    if isinstance(spec, Lossy):
-        return f"lossy(eta={_fmt_scalar(spec.eta)}, {pretty(spec.inner)})"
-    if isinstance(spec, Dephase):
-        return f"dephase(gamma={_fmt_scalar(spec.gamma)}, {pretty(spec.inner)})"
     if isinstance(spec, Mix):
-        inner = ", ".join(
-            f"{_fmt_scalar(w)}:{pretty(p)}" for w, p in zip(spec.weights, spec.parts)
-        )
-        return f"mix({inner})"
-    if isinstance(spec, Tensor):
-        return f"tensor({', '.join(pretty(p) for p in spec.parts)})"
-    raise UnsupportedStateError(f"cannot print {spec!r}")
-
-
-# -- closed forms (hbar = 1/2 coordinates) ------------------------------------
-
-def laguerre(n: int, z: np.ndarray) -> np.ndarray:
-    """Laguerre polynomial by the three-term recurrence.
-
-    Times exp(-z/2) it agrees with scipy.special.eval_laguerre to 8e-14 for
-    n <= 150 and z <= 392.
-    """
-    prev = np.zeros_like(z)
-    cur = np.ones_like(z)
-    for k in range(1, n + 1):
-        prev, cur = cur, ((2 * k - 1 - z) * cur - (k - 1) * prev) / k
-    return cur
-
-
-def _fock_wigner(n: int, x, p):
-    r2 = x * x + p * p
-    return (2.0 / math.pi) * np.exp(-2.0 * r2) * (-1.0) ** n * laguerre(n, 4.0 * r2)
-
-
-def _coherent_wigner(alpha: complex, x, p):
-    return (2.0 / math.pi) * np.exp(
-        -2.0 * ((x - alpha.real) ** 2 + (p - alpha.imag) ** 2)
-    )
-
-
-def _thermal_wigner(nbar: float, x, p):
-    w = 1.0 + 2.0 * nbar
-    return (2.0 / (math.pi * w)) * np.exp(-2.0 * (x * x + p * p) / w)
-
-
-def _cat_wigner(alpha: float, x, p):
-    norm = 2.0 * (1.0 + math.exp(-2.0 * alpha * alpha))
-    interference = (4.0 / math.pi) * np.exp(-2.0 * (x * x + p * p)) * np.cos(
-        4.0 * alpha * p
-    )
-    return (
-        _coherent_wigner(complex(alpha), x, p)
-        + _coherent_wigner(complex(-alpha), x, p)
-        + interference
-    ) / norm
-
-
-def _on_wigner(a: complex, n: int, x, p):
-    w = abs(a) ** 2
-    base = (_fock_wigner(0, x, p) + w * _fock_wigner(n, x, p)) / (1.0 + w)
-    cross = 2.0 * (a * (x - 1j * p) ** n).real
-    base += cross * np.exp(-(x * x + p * p)) / (
-        2.0 * math.pi * math.sqrt(math.factorial(n)) * (1.0 + w)
-    )
-    return base
-
-
-def _fock_husimi(n: int, x, p):
-    r2 = x * x + p * p
-    return (1.0 / math.pi) * r2**n / math.factorial(n) * np.exp(-r2)
-
-
-def _coherent_husimi(alpha: complex, x, p):
-    return (1.0 / math.pi) * np.exp(
-        -((x - alpha.real) ** 2 + (p - alpha.imag) ** 2)
-    )
-
-
-def _thermal_husimi(nbar: float, x, p):
-    w = 1.0 + nbar
-    return (1.0 / (math.pi * w)) * np.exp(-(x * x + p * p) / w)
-
-
-def _cat_husimi(alpha: float, x, p):
-    r2 = x * x + p * p
-    norm = 2.0 * math.pi * (1.0 + math.exp(-2.0 * alpha * alpha))
-    return (
-        np.exp(-((x - alpha) ** 2 + p * p))
-        + np.exp(-((x + alpha) ** 2 + p * p))
-        + 2.0 * np.exp(-r2 - alpha * alpha) * np.cos(2.0 * alpha * p)
-    ) / norm
-
-
-def _on_husimi(a: complex, n: int, x, p):
-    amp = 1.0 + a * (x - 1j * p) ** n / math.sqrt(math.factorial(n))
-    return (
-        np.exp(-(x * x + p * p))
-        * np.abs(amp) ** 2
-        / (math.pi * (1.0 + abs(a) ** 2))
-    )
+        items = [f"{_fmt_scalar(w)}:{pretty(p)}" for w, p in zip(spec.weights, spec.parts)]
+    elif isinstance(spec, Tensor):
+        items = [pretty(p) for p in spec.parts]
+    else:
+        items = []
+        for key, kind in _arguments(type(spec)):
+            v = getattr(spec, key)
+            if kind is StateSpec:
+                items.append(pretty(v))
+            else:
+                items.append(f"{key}={v if kind is int else _fmt_scalar(v)}")
+    return f"{type(spec).__name__.lower()}({', '.join(items)})"
 
 
 # -- rendering ----------------------------------------------------------------
-
-def _fock_weights(spec: StateSpec) -> dict[int, float]:
-    """Photon-number weights of a Fock-diagonal spec, for the loss channel."""
-    if isinstance(spec, Fock):
-        return {spec.n: 1.0}
-    if isinstance(spec, Mix):
-        out: dict[int, float] = {}
-        for w, part in zip(spec.weights, spec.parts):
-            for n, q in _fock_weights(part).items():
-                out[n] = out.get(n, 0.0) + w * q
-        return out
-    if isinstance(spec, Lossy):
-        inner = _fock_weights(spec.inner)
-        out = {}
-        for n, q in inner.items():
-            for k, b in channels.pure_loss_fock(n, spec.eta).items():
-                out[k] = out.get(k, 0.0) + q * b
-        return out
-    raise UnsupportedStateError(
-        "the loss channel has a closed form only for Fock-diagonal states"
-    )
-
-
-def _rotation_invariant(spec: StateSpec) -> bool:
-    """Whether the spec's functions depend on x^2 + p^2 alone.
-
-    These are the Fock-diagonal states (Fock, thermal, lossy), their
-    mixtures and their dephasings; they are rendered on the grid octant.
-    """
-    if isinstance(spec, Mix):
-        return all(_rotation_invariant(part) for part in spec.parts)
-    if isinstance(spec, Dephase):
-        return _rotation_invariant(spec.inner)
-    return isinstance(spec, (Fock, Thermal, Lossy))
-
 
 def _coordinates(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray]:
     """hbar=1/2 coordinates (x, p) of the grid's cells or of its octant's.
@@ -529,67 +571,14 @@ def _coordinates(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray]:
     return half[orbits.rows], half[orbits.cols]
 
 
-def _values_half(spec: StateSpec, rep: str, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Samples at hbar=1/2 coordinates x and p, broadcast together.
+def _window(grid: GridSpec) -> str:
+    return f"the window L={grid.half_width:g}, N={grid.points_per_axis}"
 
-    A rotation-invariant spec takes any coordinates, such as the octant's;
-    the others need the mesh views of ``_coordinates``, and a tensor returns
-    the (N,)*2k outer product of its parts.
-    """
-    if isinstance(spec, Fock):
-        return _fock_wigner(spec.n, x, p) if rep == WIGNER else _fock_husimi(spec.n, x, p)
-    if isinstance(spec, Coherent):
-        return (
-            _coherent_wigner(spec.alpha, x, p)
-            if rep == WIGNER
-            else _coherent_husimi(spec.alpha, x, p)
-        )
-    if isinstance(spec, Thermal):
-        if spec.nbar < 0:
-            raise SpecValidationError(
-                "negative-temperature thermal functions are references, not states"
-            )
-        return (
-            _thermal_wigner(spec.nbar, x, p)
-            if rep == WIGNER
-            else _thermal_husimi(spec.nbar, x, p)
-        )
-    if isinstance(spec, Cat):
-        return _cat_wigner(spec.alpha, x, p) if rep == WIGNER else _cat_husimi(spec.alpha, x, p)
-    if isinstance(spec, ON):
-        return _on_wigner(spec.a, spec.n, x, p) if rep == WIGNER else _on_husimi(spec.a, spec.n, x, p)
-    if isinstance(spec, Mix):
-        acc = spec.weights[0] * _values_half(spec.parts[0], rep, x, p)
-        for w, part in zip(spec.weights[1:], spec.parts[1:]):
-            acc += w * _values_half(part, rep, x, p)
-        return acc
-    if isinstance(spec, Tensor):
-        vals = [_values_half(part, rep, x, p) for part in spec.parts]
-        out = vals[0]
-        for v in vals[1:]:
-            out = np.multiply.outer(out, v)
-        return out
-    if isinstance(spec, Lossy):
-        weights = _fock_weights(spec)
-        fock_fn = _fock_wigner if rep == WIGNER else _fock_husimi
-        acc = np.zeros(np.broadcast_shapes(x.shape, p.shape))
-        for n, w in sorted(weights.items()):
-            acc += w * fock_fn(n, x, p)
-        return acc
-    if isinstance(spec, Dephase):
-        inner = _values_half(spec.inner, rep, x, p)
-        if _rotation_invariant(spec.inner):
-            return inner  # dephasing leaves a rotation-invariant state as it is
-        ax = x.ravel()
-        half_width = float(ax[-1]) + 0.5 * float(ax[1] - ax[0])
-        tmp_grid = GridSpec(1, half_width, len(ax), HBAR_HALF)
-        tmp = SampledDistribution(tmp_grid, inner.ravel())
-        return channels.apply_dephasing(spec.gamma, tmp).as_nd()
-    if isinstance(spec, Cubic):
-        if rep != WIGNER:
-            raise UnsupportedStateError("cubic phase states render as Wigner only")
-        return _cubic_values_half(spec.g, spec.s, x.ravel())
-    raise UnsupportedStateError(f"cannot render {spec!r} as {rep}")
+
+def _grid_of(x: np.ndarray) -> GridSpec:
+    """The hbar=1/2 one-mode grid whose axis the mesh view x samples."""
+    ax = x.ravel()
+    return GridSpec(1, float(ax[-1]) + 0.5 * float(ax[1] - ax[0]), len(ax), HBAR_HALF)
 
 
 def render(
@@ -608,7 +597,9 @@ def render(
     only and built from it (``octant=``); its values, each octant cell
     copied over its orbit of 4 or 8 cells, are built only when read, and
     equal the evaluation on every cell bitwise.  Any other state is built
-    from its values, even where they happen to be symmetric.
+    from its values, even where they happen to be symmetric.  A closed form
+    that overflows the float range, or any sample that is not finite (a
+    Fock state of a few hundred photons, say), raises NumericsError.
     """
     if isinstance(spec, str):
         spec = parse_state(spec)
@@ -625,8 +616,15 @@ def render(
             render(part, replace(grid, modes=part.modes), rep) for part in spec.parts
         )
         return SampledDistribution(grid, None, factors)
-    fold = _rotation_invariant(spec)
-    vals = _values_half(spec, rep, *_coordinates(grid, fold))
+    fold = spec.rotation_invariant
+    where = f"as {rep} on {_window(grid)}"
+    try:
+        with np.errstate(all="ignore"):  # samples that are not finite are refused below
+            vals = spec.sample(rep, *_coordinates(grid, fold))
+    except OverflowError as exc:  # math.factorial(n) beyond the float range
+        raise NumericsError(f"{pretty(spec)} overflows {where}: {exc}") from None
+    if not np.isfinite(vals).all():
+        raise NumericsError(f"{pretty(spec)} is not finite {where}")
     if grid.hbar == HBAR_ONE:
         vals = vals * 0.5**grid.modes
     if fold:
@@ -644,7 +642,9 @@ def reference(
     Thermal references accept any mean photon number except -1/2: below that
     point the Gaussian grows with radius, has no finite normalization and is
     rendered unnormalized with ``integrable=False`` (positive rescaling of a
-    reference does not change the relative preorder).
+    reference does not change the relative preorder).  Just below -1/2 it
+    grows so fast that it overflows the float range on the window, which
+    raises ConfigError.
     """
     if isinstance(spec, str):
         spec = parse_state(spec)
@@ -659,8 +659,12 @@ def reference(
         if w == 0:
             raise SpecValidationError("thermal reference undefined at nbar = -1/2")
         x, p = _coordinates(grid, octant=True)
-        vals = np.exp(-2.0 * (x**2 + p**2) / w)
-        return ReferenceDistribution(grid, None, octant=vals, integrable=w > 0)
+        with np.errstate(over="ignore"):  # the reference refuses infinite cells
+            vals = np.exp(-2.0 * (x**2 + p**2) / w)
+        try:
+            return ReferenceDistribution(grid, None, octant=vals, integrable=w > 0)
+        except ConfigError as exc:
+            raise ConfigError(f"{pretty(spec)} on {_window(grid)}: {exc}") from None
     f = render(spec, grid, rep)
     try:
         return _as_reference(f)
@@ -793,18 +797,3 @@ def wigner_from_wavefunction(
             "wavefunction sampling is inconsistent"
         )
     return SampledDistribution(grid, w.ravel())
-
-
-def _cubic_values_half(g: float, s: float, ax: np.ndarray) -> np.ndarray:
-    """Cubic-phase Wigner samples over half-convention axes."""
-    half_width = float(ax[-1]) + 0.5 * float(ax[1] - ax[0])
-    sigma_x = 0.5 / math.sqrt(s)
-    reach = max(half_width, 10.0 * sigma_x)
-    dx = min(0.01, 0.25 * math.pi / (4.0 * half_width))
-    npts = 2 * int(reach / dx) + 1
-    xs = np.linspace(-reach, reach, npts)
-    psi = cubic_phase_wavefunction(g, s, xs)
-    psi = psi / math.sqrt(float((np.abs(psi) ** 2).sum() * (xs[1] - xs[0])))
-    n_axis = len(ax)
-    tmp_grid = GridSpec(1, half_width, n_axis, HBAR_HALF)
-    return wigner_from_wavefunction(psi, xs, tmp_grid).as_nd()

@@ -237,6 +237,34 @@ def test_exit_code_parse_error(capsys):
     assert code == 3 and "finite |a|^2" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "fock:171", "vacuum", "--grid", "N=60", "--rep", "husimi"],
+        ["compare", "on(a=1,n=200)", "vacuum", "--grid", "N=60"],
+        ["monotone", "--state", "fock:170", "--rep", "husimi", "--grid", "N=60"],
+        ["monotone", "--state", "fock:200", "--grid", "L=20,N=400"],
+    ],
+    ids=["factorial", "on-factorial", "inf-cells", "nan-cells"],
+)
+def test_exit_code_overflowing_render(capsys, argv):
+    # a closed form beyond the float range is a numeric failure, not output
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and ("not finite" in err or "overflows" in err)
+    assert out == "" and "L=" in err
+
+
+def test_exit_code_infinite_reference(capsys):
+    code, out, err = run(
+        capsys, "compare", "fock:1", "fock:2", "--ref", "thermal(nbar=-0.6)"
+    )
+    assert code == 2 and "must be finite" in err and out == ""
+    code, out, _ = run(
+        capsys, "compare", "fock:1", "fock:2", "--ref", "thermal(nbar=-2)", "--grid", "N=60"
+    )
+    assert code == 0 and "outcome=" in out
+
+
 def test_exit_code_usage(capsys):
     code, _, err = run(capsys, "lorenz", "--state", "fock:1", "--grid", "L=7,K=3")
     assert code == 2

@@ -131,6 +131,42 @@ def test_factors_must_tile_the_grid():
             SampledDistribution(grid, values, factors, octant=octant)
 
 
+def test_equality_is_identity():
+    # comparing or hashing a sampled function reads no cells
+    grid = GridSpec(1, 7.0, 60)
+    cells = states.render("cat(alpha=2)", grid)
+    folded = states.render("fock:2", grid)
+    product = states.render("tensor(vacuum, fock:1)", GridSpec(2, 3.0, 8))
+    ref = states.reference("vacuum", grid)
+    for f in (cells, folded, product, ref):
+        assert f == f and not f != f
+        assert hash(f) == hash(f)
+        assert {f: 1}[f] == 1
+    assert cells != states.render("cat(alpha=2)", grid)
+    assert folded != states.render("fock:2", grid)
+    assert ref != states.reference("vacuum", grid)
+    assert len({cells, folded, product, ref}) == 4
+    for f in (folded, product, ref):
+        assert "values" not in vars(f)
+
+
+def test_reference_cells_must_be_finite():
+    grid = GridSpec(1, 3.0, 16)
+    fold = states.render("vacuum", grid).octant
+    assert ReferenceDistribution(grid, None, octant=fold).integrable
+    with pytest.raises(ConfigError, match="must be finite"):
+        ReferenceDistribution(grid, None, octant=np.where(fold < 0.01, np.inf, fold))
+    with pytest.raises(ConfigError, match="must be finite"):
+        ReferenceDistribution(grid, np.append(np.ones(grid.size - 1), np.inf))
+    # each factor is finite, but their largest cells multiply to overflow
+    big = SampledDistribution(grid, np.full(grid.size, 1e200))
+    with pytest.raises(ConfigError, match="must be finite"):
+        ReferenceDistribution(GridSpec(2, 3.0, 16), None, factors=(big, big))
+    # finite cells, but their total overflows
+    with pytest.raises(ConfigError, match="must be finite"):
+        ReferenceDistribution(grid, np.full(grid.size, 1e307))
+
+
 def test_truncation_vacuum_default(half_grid):
     rep = truncation_report(states.render("vacuum", half_grid))
     assert rep.boundary_max < 1e-40

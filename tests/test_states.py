@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +36,9 @@ from qmaj.states import (
     Fock,
     Lossy,
     Mix,
+    StateSpec,
     Tensor,
     Thermal,
-    _values_half,
     cubic_phase_wavefunction,
     harmonic_eigenfunction,
     parse_state,
@@ -149,6 +151,59 @@ def test_pretty_round_trip():
     assert pretty(Thermal(np.float64(0.5))) == "thermal(nbar=0.5)"
 
 
+ONE_OF_EACH = [
+    Fock(3),
+    Coherent(1 - 0.5j),
+    Thermal(0.4),
+    Cat(2.0),
+    ON(2 + 1j, 3),
+    Cubic(0.02, 0.1),
+    Lossy(0.7, Mix((0.5, 0.5), (Fock(1), Fock(2)))),
+    Dephase(0.5, Cat(1.0)),
+    Mix((0.75, 0.25), (Cat(2.0), Fock(7))),
+    Tensor((Dephase(1.0, Coherent(1j)), Lossy(0.3, Fock(2)))),
+]
+
+
+def test_grammar_covers_every_state_type():
+    assert {type(x) for x in ONE_OF_EACH} == set(StateSpec.__subclasses__())
+    for spec in ONE_OF_EACH:
+        assert parse_state(pretty(spec)) == spec
+
+
+def test_readme_state_literals_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## State grammar", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```text\n(.*?)```", section, re.S)
+    literals = [line for block in blocks for line in block.splitlines() if line]
+    specs = [parse_state(text) for text in literals]
+    # one example per state type, and nested ones too
+    assert {type(x) for x in specs} == set(StateSpec.__subclasses__())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("on(a=1, n=2.5)", "on() n must be an integer, got 2.5"),
+        ("cat(alpha=1+2i)", "bad argument for cat: float() argument must be a "
+                            "string or a real number, not 'complex'"),
+        ("coherent(alpha=1, beta=2)", "coherent got unknown argument beta="),
+        ("lossy(eta=0.5)", "lossy takes 1 inner state(s), got 0"),
+        ("foo(x=1)", "unknown state function 'foo'"),
+        ("mix(fock:1)", "mix takes weighted parts: mix(w:state, ...)"),
+        ("thermal(0.5:vacuum)", "thermal needs argument nbar="),
+        ("dephase(gamma=1, vacuum, 0.5:vacuum)", "dephase takes no weighted parts"),
+        ("lossy(eta=0.5, fock:1, fock:2)", "lossy takes 1 inner state(s), got 2"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_state(text)
+    assert type(err.value) is ParseError
+    assert err.value.position == 0
+    assert str(err.value) == f"{message} (at offset 0)"
+
+
 # -- rendering ----------------------------------------------------------------
 
 def test_vacuum_peak_value(half_grid):
@@ -247,13 +302,45 @@ def test_octant_renders_match_mesh(points, hbar):
         for text in OCTANT_SPECS:
             f = render(text, grid, rep)
             assert "values" not in vars(f)  # built on first read
-            mesh = _values_half(parse_state(text), rep, x, p) * scale
+            mesh = parse_state(text).sample(rep, x, p) * scale
             assert f.values.tobytes() == mesh.ravel().tobytes()
             assert f.octant.tobytes() == octant_of(mesh)
     q = reference("thermal(nbar=-1)", grid)
     mesh = np.exp(-2.0 * (x**2 + p**2) / -1.0)
     assert q.values.tobytes() == mesh.ravel().tobytes()
     assert q.octant.tobytes() == octant_of(mesh)
+
+
+@pytest.mark.parametrize(
+    "spec, grid, rep, named",
+    [
+        # n! beyond the float range
+        ("fock:171", GridSpec(1, 7.0, 60), "husimi", "fock:171"),
+        ("on(a=1, n=200)", GridSpec(1, 7.0, 60), "wigner", "on(a=1.0+0.0i, n=200)"),
+        # r^2n overflows to inf: every cell at N=60, 2 of the 61,425 octant
+        # cells of fock:155 on the default grid
+        ("fock:170", GridSpec(1, 7.0, 60), "husimi", "fock:170"),
+        ("fock:155", GridSpec(1, 7.0, 700), "husimi", "fock:155"),
+        # L_n(4r^2) overflows where exp(-2r^2) underflows: 0 * inf is NaN
+        ("fock:200", GridSpec(1, 20.0, 400), "wigner", "fock:200"),
+        ("mix(0.5:vacuum, 0.5:fock:170)", GridSpec(1, 7.0, 60), "husimi",
+         "mix(0.5:vacuum, 0.5:fock:170)"),
+        ("tensor(vacuum, fock:171)", GridSpec(2, 7.0, 8), "husimi", "fock:171"),
+    ],
+)
+def test_overflowing_render_raises(spec, grid, rep, named):
+    with pytest.raises(NumericsError) as err:
+        render(spec, grid, rep)
+    message = str(err.value)
+    assert message.startswith(f"{named} ")
+    assert f"L={grid.half_width:g}, N={grid.points_per_axis}" in message
+
+
+def test_largest_finite_renders_stay_finite():
+    # just below the overflow: fock:155 on the default grid, and n! beyond
+    # the float range from n = 171 on any window
+    assert math.isfinite(render("fock:154", rep="husimi").total_integral)
+    assert math.isfinite(render("fock:170", GridSpec(1, 3.0, 60), rep="husimi").total_integral)
 
 
 def test_thermal_negative_rejected_as_state(half_grid):
@@ -270,6 +357,16 @@ def test_reference_thermal_negative(half_grid):
     assert not q20.integrable
     with pytest.raises(SpecValidationError):
         reference("thermal(nbar=-0.5)", half_grid)
+
+
+def test_reference_must_be_finite(half_grid):
+    # just below nbar = -1/2 the growing Gaussian overflows the window
+    for nbar in (-0.6, -0.55):
+        with pytest.raises(ConfigError, match="must be finite"):
+            reference(Thermal(nbar), half_grid)
+    for nbar in (-1, -2):
+        q = reference(Thermal(nbar), half_grid)
+        assert math.isfinite(q.octant.max()) and math.isfinite(q.total_integral)
 
 
 def test_reference_rejects_signed_states(half_grid):
