@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChannelError, ConfigError, LeakageError
-from .grids import HBAR_HALF, GridSpec, SampledDistribution
+from .grids import HBAR_HALF, GridSpec, SampledDistribution, _fold
 
 LEAKAGE_TOL = 1e-3
 
@@ -183,6 +183,24 @@ def _convention_scaled(ch: GaussianChannelSpec, grid: GridSpec):
     return ch.X, ch.Y, ch.delta
 
 
+def _commutes_with_octant(X: np.ndarray, Y: np.ndarray, delta: np.ndarray) -> bool:
+    """Whether the kernel commutes with the grid's mirrors and transpose.
+
+    It does when X is a scalar times a signed permutation matrix (one
+    nonzero of the same magnitude in each row and column), Y a scalar times
+    the identity and delta zero: pure loss, amplifiers, phase conjugation
+    and the identity.
+    """
+    a = np.abs(X)
+    top = a.max()
+    return (
+        np.count_nonzero(a) == len(a)
+        and bool((a.sum(axis=0) == top).all() and (a.sum(axis=1) == top).all())
+        and bool((Y == Y[0, 0] * np.eye(len(Y))).all())
+        and not delta.any()
+    )
+
+
 def apply_gaussian(
     ch: GaussianChannelSpec,
     f: SampledDistribution,
@@ -193,6 +211,12 @@ def apply_gaussian(
     FFT convolution with the centered Gaussian of matrix Y when Y is nonzero.
     The output is not renormalized; mass pushed off the grid shows up in the
     integral and raises LeakageError beyond 1e-3.
+
+    A function built from its octant stays one when the kernel commutes with
+    the grid's mirrors and transpose: the output is the same computation read
+    at the octant's cells, and a resample that ends the computation is
+    evaluated there only.  Any other input or kernel gives a function built
+    from its values.
     """
     from scipy.ndimage import map_coordinates
 
@@ -211,6 +235,13 @@ def apply_gaussian(
     if eigs.min() < -1e-10:
         raise ChannelError(f"Y is not positive semidefinite (min eig {eigs.min():.3g})")
 
+    smooth = eigs.max() > 1e-14
+    if smooth and eigs.min() < 1e-14:
+        raise ChannelError(
+            "rank-deficient nonzero Y is not supported; use Y = 0 or Y > 0"
+        )
+    covariant = f.octant is not None and _commutes_with_octant(X, Y, delta)
+
     x_inv = np.linalg.inv(X)
     mesh = grid.mesh()
     coords = np.empty((grid.naxes,) + grid.shape)
@@ -219,19 +250,22 @@ def apply_gaussian(
         for j in range(grid.naxes):
             acc = acc + x_inv[i, j] * (mesh[j] - delta[j])
         coords[i] = grid.index_of(acc)
+    if covariant and not smooth:
+        coords = _fold(grid, coords)
     resampled = map_coordinates(
         f.as_nd(), coords, order=3, mode="constant", cval=0.0
     ) / abs(det)
 
-    if eigs.max() > 1e-14:
-        if eigs.min() < 1e-14:
-            raise ChannelError(
-                "rank-deficient nonzero Y is not supported; use Y = 0 or Y > 0"
-            )
+    if smooth:
         kern = _gaussian_kernel(Y, grid)
         resampled = _convolve_same(resampled, kern) * grid.cell_measure
+        if covariant:
+            resampled = _fold(grid, resampled)
 
-    out = SampledDistribution(grid, resampled.ravel())
+    if covariant:
+        out = SampledDistribution(grid, None, octant=resampled)
+    else:
+        out = SampledDistribution(grid, resampled.ravel())
     defect = abs(out.total_integral - f.total_integral)
     if not defect <= LEAKAGE_TOL:  # NaN fails too
         raise LeakageError(
@@ -320,6 +354,11 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     the smallest power of two above the angular Nyquist at the corner plus
     the band the filter keeps (harmonics with exp(-m^2 / (2 gamma)) > e^-36),
     that band capped at the Nyquist, since the samples hold nothing above it.
+
+    Rotations commute with the grid's mirrors and transpose, so a function
+    built from its octant stays one: the resample back onto the grid is
+    evaluated at the octant's cells only.  The filter still runs, since an
+    octant is symmetric under those eight maps, not under every rotation.
     """
     from scipy.ndimage import map_coordinates
 
@@ -350,6 +389,8 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     polar = np.concatenate([np.roll(polar[:0:-1], n_theta // 2, axis=1), polar])
 
     x, p = grid.mesh()
+    if f.octant is not None:
+        x, p = _fold(grid, np.stack(np.broadcast_arrays(x, p)))
     coords = np.stack(
         [
             rows + np.hypot(x, p) / dr,
@@ -357,6 +398,8 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
         ]
     )
     out = map_coordinates(polar, coords, order=3, mode="grid-wrap")
+    if f.octant is not None:
+        return SampledDistribution(grid, None, octant=out)
     return SampledDistribution(grid, out.ravel())
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -29,6 +30,7 @@ from .grids import (
     HBAR_ONE,
     GridSpec,
     SampledDistribution,
+    _unfold,
     default_grid,
     truncation_report,
 )
@@ -184,13 +186,23 @@ def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
 
 
 def write_grid_file(path, f: SampledDistribution) -> None:
+    """The grid header, then one shortest round-trip repr per cell.
+
+    A function built from its octant formats each octant cell once and
+    places that line at every cell of its orbit, so the file is the same as
+    for its values.
+    """
     g = f.grid
     header = (
         f"# qmaj-grid modes={g.modes} half_width={g.half_width!r} "
         f"points={g.points_per_axis} hbar={g.hbar}"
     )
-    values = f.values.tolist()
-    Path(path).write_text(header + "\n" + ("%r\n" * len(values)) % tuple(values))
+    values = (f.values if f.octant is None else f.octant).tolist()
+    body = ("%r\n" * len(values)) % tuple(values)
+    if f.octant is not None:
+        orbit = _unfold(g, np.arange(len(values))).ravel().tolist()
+        body = "".join(itemgetter(*orbit)(body.splitlines(keepends=True)))
+    Path(path).write_text(header + "\n" + body)
 
 
 def read_grid_file(path) -> SampledDistribution:

@@ -80,7 +80,10 @@ def _extreme_gaps(
     """Smallest and largest signed gap of f over g on the merged breakpoints.
 
     A gap is positive where f's positive curve lies above g's or f's negative
-    curve lies below g's.
+    curve lies below g's.  Each witness carries its extreme gap exactly, and
+    a canonical place for it: the smallest-s breakpoint whose gap lies within
+    8 eps max(1, |extreme|) of the extreme, positive side first, so rounding
+    does not pick the place on a flat plateau.
     """
     sp = _merged(pos_f.s, pos_g.s)
     dp = pos_f(sp) - pos_g(sp)
@@ -98,7 +101,25 @@ def _extreme_gaps(
         if dp[hi_p] >= dn[hi_n]
         else Witness(float(sn[hi_n]), neg_f.side, float(dn[hi_n]))
     )
-    return lowest, highest
+    sides = ((sp, dp, pos_f.side), (sn, dn, neg_f.side))
+    return _canonical(lowest, sides, -1.0), _canonical(highest, sides, 1.0)
+
+
+def _canonical(w: Witness, sides, sign: float) -> Witness:
+    """w moved to the first breakpoint, positive side first, near its gap.
+
+    ``sign`` is -1 for the smallest gap and +1 for the largest, so no gap
+    lies beyond the extreme and one comparison finds the near ones.  The
+    breakpoints of each side ascend in s.  A NaN gap is near nothing, so its
+    witness stays where the argmin or argmax put it.
+    """
+    bound = w.gap - sign * 8.0 * np.finfo(float).eps * max(1.0, abs(w.gap))
+    for s, gaps, side in sides:
+        near = gaps >= bound if sign > 0 else gaps <= bound
+        first = int(np.argmax(near))
+        if near[first]:
+            return Witness(float(s[first]), side, w.gap)
+    return w
 
 
 def _require_tolerance(name: str, value: float) -> None:

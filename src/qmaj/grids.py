@@ -203,18 +203,32 @@ def _octant_orbits(grid: GridSpec) -> _Orbits:
 
 
 def _unfold(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
-    """The flat cell array whose octant is ``octant``: each orbit's cells."""
+    """The (N, N) array whose octant is ``octant``: each orbit's cells.
+
+    The entries keep the octant's dtype, so an index array unfolds to the
+    octant cell that stands for each cell.
+    """
     orbits = _octant_orbits(grid)
     h = grid.points_per_axis // 2
-    quad = np.empty((h, h))
+    quad = np.empty((h, h), octant.dtype)
     quad[orbits.rows, orbits.cols] = octant
     quad[orbits.cols, orbits.rows] = octant
-    full = np.empty(grid.shape)
+    full = np.empty(grid.shape, octant.dtype)
     full[h:, h:] = quad
     full[h:, :h] = quad[:, ::-1]
     full[:h, h:] = quad[::-1]
     full[:h, :h] = quad[::-1, ::-1]
-    return _cells(grid, full)
+    return full
+
+
+def _fold(grid: GridSpec, cells: np.ndarray) -> np.ndarray:
+    """The entries of ``cells`` at the octant's cells; the inverse of _unfold.
+
+    The last two axes of ``cells`` are the grid's; any leading axes are kept.
+    """
+    orbits = _octant_orbits(grid)
+    h = grid.points_per_axis // 2
+    return cells[..., h + orbits.rows, h + orbits.cols]
 
 
 def _cells(grid, values, octant: bool = False) -> np.ndarray:
@@ -248,19 +262,24 @@ class SampledDistribution:
       order of ``np.triu_indices`` over the quadrant, each standing for its
       orbit of 4 or 8 equal cells under the mirrors and the transpose of the
       grid; ``total_integral`` is the orbit-weighted sum.  ``states.render``
-      and ``states.reference`` build rotation-invariant functions this way.
+      and ``states.reference`` build rotation-invariant functions this way,
+      and ``channels.apply_gaussian`` and ``channels.apply_dephasing`` build
+      their output this way from such an input when the channel commutes
+      with the mirrors and the transpose.
 
     Instances are immutable and their arrays read-only, and compare and hash
     by identity, so neither reads cells.  For the last two
     forms ``values`` (the outer product, or each octant cell copied over its
     orbit) is built on first read and kept, like ``sorted_values``.  The
-    calls that read cells build it: ``renormalized``, ``as_nd``,
-    ``truncation_report`` of a one-mode function, grid-file writes, channel
-    application, the pointwise monotones, the distribution functions,
-    ``ratio_breakpoints``, the piecewise integrals, and a rearrangement that
-    reads neither octants nor factors.  Rendering, ``reference``, the
-    curves, ``compare``, ``statement4_check`` and ``scan_threshold`` read
-    only the factors or the octant.
+    calls that read cells build it: ``renormalized``, ``as_nd``, channel
+    application (of its input), the pointwise monotones, the distribution
+    functions, ``ratio_breakpoints``, the piecewise integrals, a
+    rearrangement that reads neither octants nor factors, and grid-file
+    writes of a product.  Rendering, ``reference``, the curves,
+    ``compare``, ``statement4_check``, ``scan_threshold`` and
+    ``truncation_report`` read only the factors or the octant (its last
+    column), and so do grid-file writes of an octant (one line per octant
+    cell, placed at each cell of its orbit).
     """
 
     grid: GridSpec | DiscreteSpace
@@ -296,7 +315,7 @@ class SampledDistribution:
             factors = (h.values for h in self.factors)
             vals = _cells(self.grid, reduce(np.multiply.outer, factors))
         else:
-            vals = _unfold(self.grid, self.octant)
+            vals = _cells(self.grid, _unfold(self.grid, self.octant))
         object.__setattr__(self, "values", vals)
         return vals
 
@@ -382,8 +401,15 @@ def truncation_report(f: SampledDistribution) -> TruncationReport:
     factor's boundary times the other factors' whole windows.  Rounding is
     monotone, so the largest |cell| there is the product, in factor order,
     of that factor's boundary maximum and the others' largest |values|.
+    The boundary orbits of an octant are its cells in the last column
+    (p index N/2 - 1), so an octant is read there and its cells are not
+    built.
     """
     defect = abs(1.0 - f.total_integral)
+    if f.octant is not None:
+        orbits = _octant_orbits(f.grid)
+        edge = f.octant[orbits.cols == f.grid.points_per_axis // 2 - 1]
+        return TruncationReport(defect, float(np.abs(edge).max()))
     if f.factors:
         bounds = [truncation_report(h).boundary_max for h in f.factors]
         peaks = [float(np.abs(h.values).max()) for h in f.factors]

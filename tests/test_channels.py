@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from qmaj.channels import (
 )
 from qmaj.compare import Outcome, compare
 from qmaj.errors import ChannelError, ConfigError, LeakageError
-from qmaj.grids import GridSpec, SampledDistribution
+from qmaj.grids import GridSpec, SampledDistribution, _unfold
 
 def test_identity_channel_exact(fock):
     out = apply_gaussian(identity_channel(), fock[0])
@@ -136,6 +137,62 @@ def test_leakage_detection(fock):
     values[0] = math.nan
     with pytest.raises(LeakageError):
         apply_gaussian(identity_channel(), SampledDistribution(fock[0].grid, values))
+    # an amplifier on a small window, from an octant to an octant
+    small = states.render("fock:1", GridSpec(1, 3.0, 60))
+    assert small.octant is not None
+    with pytest.raises(LeakageError):
+        apply_gaussian(amplifier_channel(2.0), small)
+
+
+# the octant of a rotation-invariant render on a 350-point grid, and that
+# function built from its values
+OCTANT_INPUT = "lossy(eta=0.7, fock:1)"
+
+
+def _octant_and_values():
+    f = states.render(OCTANT_INPUT, GridSpec(1, 7.0, 350))
+    assert f.octant is not None
+    return f, SampledDistribution(f.grid, f.values)
+
+
+@pytest.mark.parametrize(
+    "apply",
+    [
+        partial(apply_gaussian, pure_loss_channel(0.7)),
+        partial(apply_gaussian, amplifier_channel(2.0)),
+        partial(apply_gaussian, phase_conjugation_channel(0.8)),
+        partial(apply_gaussian, identity_channel()),
+        partial(apply_dephasing, 0.5),
+    ],
+    ids=["plc", "amp", "pconj", "identity", "dephase"],
+)
+def test_covariant_channel_keeps_the_octant(apply):
+    f, full = _octant_and_values()
+    out, want = apply(f), apply(full)
+    assert out.octant is not None and want.octant is None
+    scale = np.abs(want.values).max()
+    got = _unfold(f.grid, out.octant).ravel()
+    assert np.abs(got - want.values).max() <= 1e-14 * scale
+    assert abs(out.total_integral - want.total_integral) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        rotation_channel(0.3),
+        GaussianChannelSpec(np.eye(2), 0.2 * np.eye(2), [0.3, 0.0]),
+        GaussianChannelSpec(np.eye(2), np.diag([0.2, 0.3])),
+    ],
+    ids=["rotation", "displaced", "anisotropic"],
+)
+def test_other_channel_gives_values(ch):
+    # the value path is unchanged, so the output is bitwise that of the
+    # same function given by its values
+    f, full = _octant_and_values()
+    out, want = apply_gaussian(ch, f), apply_gaussian(ch, full)
+    assert out.octant is None
+    np.testing.assert_array_equal(out.values, want.values)
+    assert out.total_integral == want.total_integral
 
 
 def test_dephasing_fock_invariant(fock):

@@ -20,7 +20,7 @@ from qmaj.cli import (
 )
 from qmaj.compare import compare, compare_curve_pairs
 from qmaj.errors import ConfigError, ParseError
-from qmaj.grids import GridSpec
+from qmaj.grids import GridSpec, SampledDistribution, truncation_report
 
 
 def run(capsys, *argv):
@@ -377,6 +377,22 @@ def test_grid_file_lines(tmp_path):
     lines = path.read_text().split("\n")
     assert lines[0] == "# qmaj-grid modes=1 half_width=7.0 points=64 hbar=half"
     assert lines[1:] == [repr(float(v)) for v in f.values] + [""]
+    # an octant writes one repr per orbit, placed at each of its cells
+    assert f.octant is not None
+    write_grid_file(tmp_path / "v.grid", SampledDistribution(f.grid, f.values))
+    assert (tmp_path / "v.grid").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("channel", ["plc:eta=0.7", "amp:gain=2", "dephase:gamma=0.5"])
+def test_apply_keeps_cells_of_octant_unbuilt(tmp_path, channel):
+    # what cmd_apply does after the channel reads the octant only
+    f = states.render("fock:1", GridSpec(1, 7.0, 350))
+    out = parse_channel(channel).apply(f)
+    report = truncation_report(out)
+    write_grid_file(tmp_path / "out.grid", out)
+    assert "values" not in vars(out)
+    want = truncation_report(SampledDistribution(out.grid, out.values))
+    assert report.boundary_max == want.boundary_max
 
 
 GRID_HEADER = "# qmaj-grid modes=1 half_width=1.0 points=2 hbar=half\n"

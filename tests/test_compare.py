@@ -206,6 +206,16 @@ def test_witness_locates_crossing(fock, zoo):
     assert w.gap < 0 and 0 < w.s < fock[4].grid.total_measure
 
 
+def test_witness_is_first_on_a_flat_plateau(fock):
+    # about 54,000 positive-side breakpoints lie within 8 ulps of the worst
+    # gap of fock:1 against fock:2; the witness is the one of smallest s
+    verdict = compare(fock[1], fock[2])
+    assert verdict.outcome is Outcome.INCOMPARABLE
+    w = verdict.witness
+    assert w.side == "positive"
+    assert w.s == pytest.approx(58.1904, abs=1e-9)
+
+
 def _criterion3_cases(fock, zoo, vacuum_ref, half_grid):
     th1 = states.render("thermal(nbar=1)", half_grid)
     qm1 = states.reference("thermal(nbar=-1)", half_grid)

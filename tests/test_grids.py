@@ -178,6 +178,18 @@ def _vacuum_on_window(L: float, N: int) -> SampledDistribution:
     return states.render("vacuum", spec)
 
 
+@pytest.mark.parametrize("spec", ["vacuum", "fock:3", "thermal(nbar=2)"])
+def test_truncation_of_octant_reads_its_last_column(spec):
+    f = states.render(spec, GridSpec(1, 3.0, 64))
+    assert f.octant is not None
+    rep = truncation_report(f)
+    assert "values" not in vars(f)
+    want = truncation_report(SampledDistribution(f.grid, f.values))
+    assert rep.boundary_max == want.boundary_max
+    # the two forms sum their integrals in different orders
+    assert rep.normalization_defect == pytest.approx(want.normalization_defect, abs=1e-15)
+
+
 def test_truncation_tight_window():
     # mass of the hbar=1/2 vacuum inside the square [-L, L]^2 is erf(sqrt(2) L)^2
     rep = truncation_report(_vacuum_on_window(1.0, 200))
