@@ -108,15 +108,6 @@ def classify_gaussian(ch: GaussianChannelSpec) -> StochasticityClass:
 
 # -- named constructors -------------------------------------------------------
 
-def identity_channel(modes: int = 1) -> GaussianChannelSpec:
-    d = 2 * modes
-    return GaussianChannelSpec(np.eye(d), np.zeros((d, d)))
-
-
-def displacement_channel(dx: float, dp: float) -> GaussianChannelSpec:
-    return GaussianChannelSpec(np.eye(2), np.zeros((2, 2)), np.array([dx, dp]))
-
-
 def rotation_channel(theta: float) -> GaussianChannelSpec:
     c, s = math.cos(theta), math.sin(theta)
     return GaussianChannelSpec(np.array([[c, -s], [s, c]]), np.zeros((2, 2)))

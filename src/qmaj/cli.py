@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import channels, monotones, states
-from .compare import compare, scan_threshold
+from .compare import DEFAULT_EPS_CMP, compare, scan_threshold
 from .errors import (
     ConfigError,
     ParseError,
@@ -283,20 +283,27 @@ def write_curves_svg(path, s, l_plus, l_minus, loglog: bool = False) -> None:
 
 # -- subcommands --------------------------------------------------------------
 
-def _grid_for(args, spec) -> GridSpec:
-    return _parse_grid_flag(args.grid, spec.modes, args.hbar)
+def _render(args, *texts: str) -> tuple:
+    """The grid, then each state rendered on it; the states share a mode count.
+
+    ``apply`` has no ``--rep`` and renders Wigner functions.
+    """
+    specs = [states.parse_state(text) for text in texts]
+    if any(spec.modes != specs[0].modes for spec in specs):
+        raise ConfigError("states act on different mode counts")
+    grid = _parse_grid_flag(args.grid, specs[0].modes, args.hbar)
+    rep = getattr(args, "rep", states.WIGNER)
+    return grid, *(states.render(spec, grid, rep) for spec in specs)
 
 
 def _reference_for(args, grid):
-    if getattr(args, "ref", None):
+    if args.ref:
         return states.reference(args.ref, grid, args.rep)
     return None
 
 
 def cmd_lorenz(args) -> int:
-    spec = states.parse_state(args.state)
-    grid = _grid_for(args, spec)
-    f = states.render(spec, grid, args.rep)
+    grid, f = _render(args, args.state)
     q = _reference_for(args, grid)
     pos, neg = curves(f, q)
     s_min = grid.cell_measure if args.loglog else None
@@ -315,47 +322,22 @@ def cmd_lorenz(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    spec_a = states.parse_state(args.state_a)
-    spec_b = states.parse_state(args.state_b)
-    if spec_a.modes != spec_b.modes:
-        raise ConfigError("states act on different mode counts")
-    grid = _grid_for(args, spec_a)
-    f = states.render(spec_a, grid, args.rep)
-    g = states.render(spec_b, grid, args.rep)
+    grid, f, g = _render(args, args.state_a, args.state_b)
     q = _reference_for(args, grid)
     verdict = compare(f, g, q, eps_cmp=args.tol)
     print(f"{args.state_a} vs {args.state_b}: {verdict}")
-    record = {
-        "outcome": verdict.outcome.value,
-        "eps_cmp": args.tol,
-        "relative": args.ref or "",
-    }
-    if verdict.witness is not None:
-        record.update(
-            witness_s=verdict.witness.s,
-            witness_side=verdict.witness.side,
-            witness_gap=verdict.witness.gap,
-        )
-    if verdict.witness_reverse is not None:
-        record.update(
-            reverse_s=verdict.witness_reverse.s,
-            reverse_side=verdict.witness_reverse.side,
-            reverse_gap=verdict.witness_reverse.gap,
-        )
-    for key, value in record.items():
-        print(f"{key}={value}")
+    print(f"outcome={verdict.outcome.value}")
+    print(f"eps_cmp={args.tol}")
+    print(f"relative={args.ref or ''}")
+    for name, w in (("witness", verdict.witness), ("reverse", verdict.witness_reverse)):
+        if w is not None:
+            print(f"{name}_s={w.s}\n{name}_side={w.side}\n{name}_gap={w.gap}")
     return 0
 
 
 def cmd_scan(args) -> int:
-    if args.family != "thermal":
-        raise ConfigError(f"unknown reference family {args.family!r}")
     bracket = _parse_bracket(args.bracket)
-    spec_a = states.parse_state(args.state_a)
-    spec_b = states.parse_state(args.state_b)
-    grid = _grid_for(args, spec_a)
-    f = states.render(spec_a, grid, args.rep)
-    g = states.render(spec_b, grid, args.rep)
+    grid, f, g = _render(args, args.state_a, args.state_b)
     result = scan_threshold(
         f,
         g,
@@ -364,7 +346,7 @@ def cmd_scan(args) -> int:
         resolution=args.resolution,
         eps_cmp=args.tol,
     )
-    print(f"parameter={result.parameter}")
+    print("parameter=nbar")
     print(f"lower={result.lower!r}")
     print(f"upper={result.upper!r}")
     print(f"midpoint={result.midpoint!r}")
@@ -374,28 +356,22 @@ def cmd_scan(args) -> int:
 
 
 def cmd_monotone(args) -> int:
-    spec = states.parse_state(args.state)
-    grid = _grid_for(args, spec)
-    f = states.render(spec, grid, args.rep)
+    grid, f = _render(args, args.state)
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     q = _reference_for(args, grid)
     if q is None and any(w.startswith("divergence") for w in which):
         q = states.reference(states.VACUUM, grid, args.rep)
     report = monotones.monotone_report(f, which, q)
-    for line in report.lines():
-        print(line)
+    for k, v in report.items():
+        print(f"{k}={v:.10g}")
     if args.csv:
-        rows = ["name,value"] + [
-            f"{k},{v!r}" for k, v in report.entries.items()
-        ]
+        rows = ["name,value"] + [f"{k},{v!r}" for k, v in report.items()]
         Path(args.csv).write_text("\n".join(rows) + "\n")
     return 0
 
 
 def cmd_apply(args) -> int:
-    spec = states.parse_state(args.state)
-    grid = _grid_for(args, spec)
-    f = states.render(spec, grid, args.rep)
+    _, f = _render(args, args.state)
     channel = parse_channel(args.channel)
     out = channel.apply(f)
     for line in channel.notes:
@@ -410,8 +386,6 @@ def cmd_apply(args) -> int:
 def cmd_dvec(args) -> int:
     from .discrete import QuasiVector, vec_compare
 
-    if args.op != "compare":
-        raise ConfigError(f"unknown dvec operation {args.op!r}")
     f = QuasiVector.from_text(args.f, exact=args.exact)
     g = QuasiVector.from_text(args.g, exact=args.exact)
     q = QuasiVector.from_text(args.q, exact=args.exact).entries if args.q else None
@@ -423,12 +397,15 @@ def cmd_dvec(args) -> int:
 
 # -- wiring -------------------------------------------------------------------
 
-def _add_common(sub, rep_default="wigner"):
+def _add_common(sub, rep=True, tol=False):
+    """--grid and --hbar; --rep unless Wigner-only, --tol where it compares."""
     sub.add_argument("--grid", help="grid override, e.g. L=7,N=700")
     sub.add_argument("--hbar", choices=[HBAR_HALF, HBAR_ONE], default=HBAR_HALF)
-    sub.add_argument("--rep", choices=["wigner", "husimi"], default=rep_default)
-    sub.add_argument("--tol", type=float, default=1e-4,
-                     help="comparison tolerance in curve units")
+    if rep:
+        sub.add_argument("--rep", choices=["wigner", "husimi"], default="wigner")
+    if tol:
+        sub.add_argument("--tol", type=float, default=DEFAULT_EPS_CMP,
+                         help="comparison tolerance in curve units")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -452,16 +429,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("state_a")
     p.add_argument("state_b")
     p.add_argument("--ref", help="reference state for relative majorization")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_compare)
 
-    p = subs.add_parser("scan", help="bisect a reference family for a verdict flip")
+    p = subs.add_parser("scan", help="bisect the thermal references for a verdict flip")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    p.add_argument("--family", default="thermal")
     p.add_argument("--bracket", required=True, help="lo:hi parameter range")
     p.add_argument("--resolution", type=float, default=0.01)
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=cmd_scan)
 
     p = subs.add_parser("monotone", help="evaluate Schur-convex monotones")
@@ -472,11 +448,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_monotone)
 
-    p = subs.add_parser("apply", help="apply a channel kernel to a state")
+    p = subs.add_parser("apply", help="apply a channel kernel to a Wigner function")
     p.add_argument("--channel", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True, help="output grid file")
-    _add_common(p)
+    _add_common(p, rep=False)
     p.set_defaults(func=cmd_apply)
 
     p = subs.add_parser("dvec", help="exact discrete vector comparison")

@@ -277,7 +277,6 @@ def statement4_check(
 class ThresholdResult:
     """Bracketed comparability flip along a reference family parameter."""
 
-    parameter: str
     lower: float
     upper: float
     resolution: float
@@ -299,7 +298,6 @@ def scan_threshold(
     family: Callable[[float], ReferenceDistribution],
     bracket: tuple[float, float],
     resolution: float = 0.01,
-    parameter: str = "nbar",
     eps_cmp: float = DEFAULT_EPS_CMP,
 ) -> ThresholdResult:
     """Bisection on a reference-family parameter for a comparability flip.
@@ -326,9 +324,7 @@ def scan_threshold(
     flags = [_is_comparable(o) for o in outcomes]
     flip = next((i for i in range(len(pts) - 1) if flags[i] != flags[i + 1]), None)
     if flip is None:
-        raise ScanError(
-            f"no comparability sign change for {parameter} in [{a:g}, {b:g}]"
-        )
+        raise ScanError(f"no comparability sign change in [{a:g}, {b:g}]")
     lo, hi = float(pts[flip]), float(pts[flip + 1])
     out_lo, out_hi = outcomes[flip], outcomes[flip + 1]
     while hi - lo > resolution:
@@ -340,4 +336,4 @@ def scan_threshold(
         else:
             hi = mid
             out_hi = out_mid
-    return ThresholdResult(parameter, lo, hi, resolution, out_lo, out_hi)
+    return ThresholdResult(lo, hi, resolution, out_lo, out_hi)

@@ -68,6 +68,37 @@ def _as_entries(f) -> tuple[Number, ...]:
     return entries
 
 
+def _positive(q) -> tuple[Number, ...]:
+    """The entries of a reference vector; ConfigError unless all are > 0."""
+    weights = _as_entries(q)
+    if any(w <= 0 for w in weights):
+        raise ConfigError("reference vector must be strictly positive")
+    return weights
+
+
+def _padded(f, g, q):
+    """f and g zero-padded to one length, and the checked reference or None.
+
+    The length is that of the longer input, or of the reference when one is
+    given; a reference shorter than either input is refused.
+    """
+    fe, ge = _as_entries(f), _as_entries(g)
+    width = max(len(fe), len(ge))
+    qe = None
+    if q is not None:
+        qe = _positive(q)
+        if len(qe) < width:
+            raise ConfigError("reference vector shorter than the inputs")
+        width = len(qe)
+    return fe + (0,) * (width - len(fe)), ge + (0,) * (width - len(ge)), qe
+
+
+def _slack(*vectors) -> Number:
+    """Sum tolerance: 0 if every entry is an int or Fraction, else 1e-12."""
+    exact = all(isinstance(v, (int, Fraction)) for vec in vectors for v in vec)
+    return 0 if exact else 1e-12
+
+
 def _ratio(value: Number, weight: Number) -> Number:
     # int/int must not silently degrade to float
     if isinstance(value, float) or isinstance(weight, float):
@@ -88,11 +119,9 @@ def vec_lorenz(f, q: Sequence[Number] | None = None) -> tuple[Curve, Curve]:
     if q is None:
         weights: tuple[Number, ...] = tuple(1 for _ in entries)
     else:
-        weights = _as_entries(q)
+        weights = _positive(q)
         if len(weights) != k:
             raise ConfigError("reference vector length mismatch")
-        if any(w <= 0 for w in weights):
-            raise ConfigError("reference vector must be strictly positive")
     total_nu = sum(weights)
 
     def build(side_positive: bool) -> Curve:
@@ -154,20 +183,11 @@ def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
     neither curve side but extend the flat plateau).  Equal totals required,
     exactly for exact entries and within 1e-12 for floats.
     """
-    fe, ge = _as_entries(f), _as_entries(g)
-    if abs(sum(fe) - sum(ge)) > 1e-12:
+    fe, ge, qe = _padded(f, g, q)
+    if abs(sum(fe) - sum(ge)) > _slack(fe, ge):
         raise ConfigError(f"sum mismatch: {sum(fe)} vs {sum(ge)}")
-    width = max(len(fe), len(ge))
-    if q is not None:
-        qe = _as_entries(q)
-        if len(qe) < width:
-            raise ConfigError("reference vector shorter than the inputs")
-        width = len(qe)
-    fe = fe + (0,) * (width - len(fe))
-    ge = ge + (0,) * (width - len(ge))
-    qv = _as_entries(q) if q is not None else None
-    cf, cnf = vec_lorenz(QuasiVector(fe), qv)
-    cg, cng = vec_lorenz(QuasiVector(ge), qv)
+    cf, cnf = vec_lorenz(QuasiVector(fe), qe)
+    cg, cng = vec_lorenz(QuasiVector(ge), qe)
     f_holds, forward_violation = _dominates(cf, cg, cnf, cng)
     g_holds, backward_violation = _dominates(cg, cf, cng, cnf)
     if f_holds and g_holds:
@@ -189,13 +209,9 @@ def vec_statement4(f, g, q: Sequence[Number] | None = None) -> tuple[bool, bool]
     and one point beyond the maximum is a finite exact certificate of the
     "for all u >= 0" statement.
     """
-    fe, ge = _as_entries(f), _as_entries(g)
-    width = max(len(fe), len(ge))
-    qe = _as_entries(q) if q is not None else tuple(1 for _ in range(width))
-    if len(qe) < width:
-        raise ConfigError("reference vector shorter than the inputs")
-    fe = fe + (0,) * (len(qe) - len(fe))
-    ge = ge + (0,) * (len(qe) - len(ge))
+    fe, ge, qe = _padded(f, g, q)
+    if qe is None:
+        qe = (1,) * len(fe)
 
     def plus(v, u):
         return sum(max(v[i] - u * qe[i], 0) for i in range(len(v)))
@@ -203,22 +219,15 @@ def vec_statement4(f, g, q: Sequence[Number] | None = None) -> tuple[bool, bool]
     def minus(v, u):
         return sum(min(v[i] + u * qe[i], 0) for i in range(len(v)))
 
-    ratios = {_ratio(abs(fe[i]), qe[i]) for i in range(len(fe))}
-    ratios |= {_ratio(abs(ge[i]), qe[i]) for i in range(len(ge))}
+    def holds(a, b):
+        return all(
+            plus(a, u) >= plus(b, u) and minus(a, u) <= minus(b, u) for u in grid
+        )
+
+    ratios = {_ratio(abs(v[i]), qe[i]) for v in (fe, ge) for i in range(len(v))}
     grid = sorted(ratios | {0})
     grid.append(grid[-1] + 1)
-    fwd = all(
-        plus(fe, u) >= plus(ge, u) and minus(fe, u) <= minus(ge, u) for u in grid
-    )
-    bwd = all(
-        plus(ge, u) >= plus(fe, u) and minus(ge, u) <= minus(fe, u) for u in grid
-    )
-    return fwd, bwd
-
-
-def negative_volume_vec(f) -> Number:
-    entries = _as_entries(f)
-    return (sum(abs(v) for v in entries) - sum(entries)) / 2
+    return holds(fe, ge), holds(ge, fe)
 
 
 @dataclass(frozen=True)
@@ -237,9 +246,9 @@ class StochasticMatrix:
         if any(v < 0 for r in rows for v in r):
             raise ConfigError("matrix entries must be nonnegative")
         for j in range(width):
-            col = sum(r[j] for r in rows)
-            if abs(col - 1) > 1e-12:
-                raise ConfigError(f"column {j} sums to {col}, not 1")
+            col = [r[j] for r in rows]
+            if abs(sum(col) - 1) > _slack(col):
+                raise ConfigError(f"column {j} sums to {sum(col)}, not 1")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -247,14 +256,15 @@ class StochasticMatrix:
         return len(self.rows), len(self.rows[0])
 
     def is_sds(self) -> bool:
-        return all(sum(r) <= 1 + 1e-12 for r in self.rows)
+        return all(sum(r) <= 1 + _slack(r) for r in self.rows)
 
     def is_sqs(self, q: Sequence[Number]) -> bool:
         qe = _as_entries(q)
         if len(qe) != self.shape[1] or len(qe) < self.shape[0]:
             raise ConfigError("reference length must cover matrix dimensions")
         for m, row in enumerate(self.rows):
-            if sum(row[j] * qe[j] for j in range(len(row))) > qe[m] + 1e-12:
+            total = sum(row[j] * qe[j] for j in range(len(row)))
+            if total > qe[m] + _slack(row, qe):
                 return False
         return True
 
@@ -269,20 +279,3 @@ def apply_matrix(S: StochasticMatrix, f) -> QuasiVector:
     return QuasiVector(
         tuple(sum(S.rows[i][j] * entries[j] for j in range(k)) for i in range(m))
     )
-
-
-def thermal_embedding_demo(f, beta: float, energies: Sequence[float]):
-    """Relative curves against a normalized Gibbs reference.
-
-    Orders the entries by the ratio to the Gibbs weights (the beta-ordering)
-    and measures abscissae in the reference's own measure, which realizes the
-    embedding construction of thermo-majorization at finite size.
-    """
-    entries = _as_entries(f)
-    if len(energies) != len(entries):
-        raise ConfigError("need one energy per entry")
-    gibbs = [math.exp(-beta * e) for e in energies]
-    z = sum(gibbs)
-    q = tuple(w / z for w in gibbs)
-    pos, neg = vec_lorenz(QuasiVector(entries), q)
-    return pos, neg, q

@@ -14,7 +14,6 @@ cumulative measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,8 +46,7 @@ def lp_norm(f: SampledDistribution, alpha: float) -> float:
             f"lp_norm requires a finite alpha >= 1 (got {alpha}): |t|^alpha "
             "is not convex over the reals below 1"
         )
-    dmu = f.grid.cell_measure
-    return float((np.abs(f.values) ** alpha).sum() * dmu) ** (1.0 / alpha)
+    return _alpha_integral(f, alpha) ** (1.0 / alpha)
 
 
 def purity(f: SampledDistribution) -> float:
@@ -68,17 +66,13 @@ def purity(f: SampledDistribution) -> float:
 def renyi_entropy(f: SampledDistribution, alpha: float) -> float:
     """alpha-Renyi entropy of |f|, natural log, alpha > 1 only."""
     _require_alpha_above_one(alpha)
-    dmu = f.grid.cell_measure
-    total = float((np.abs(f.values) ** alpha).sum() * dmu)
-    return math.log(total) / (1.0 - alpha)
+    return math.log(_alpha_integral(f, alpha)) / (1.0 - alpha)
 
 
 def tsallis_entropy(f: SampledDistribution, alpha: float) -> float:
     """alpha-Tsallis entropy of |f|, alpha > 1 only."""
     _require_alpha_above_one(alpha)
-    dmu = f.grid.cell_measure
-    total = float((np.abs(f.values) ** alpha).sum() * dmu)
-    return (1.0 - total) / (alpha - 1.0)
+    return (1.0 - _alpha_integral(f, alpha)) / (alpha - 1.0)
 
 
 def renyi_divergence(
@@ -86,12 +80,18 @@ def renyi_divergence(
 ) -> float:
     """alpha-Renyi divergence of |f| from the positive reference q."""
     _require_alpha_above_one(alpha)
-    same_grid(f, q)
-    dmu = f.grid.cell_measure
-    total = float(
-        (np.abs(f.values) ** alpha * q.values ** (1.0 - alpha)).sum() * dmu
-    )
-    return math.log(total) / (alpha - 1.0)
+    return math.log(_alpha_integral(f, alpha, q)) / (alpha - 1.0)
+
+
+def _alpha_integral(
+    f: SampledDistribution, alpha: float, q: ReferenceDistribution | None = None
+) -> float:
+    """The integral of |f|^alpha, weighted by q^(1 - alpha) when q is given."""
+    terms = np.abs(f.values) ** alpha
+    if q is not None:
+        same_grid(f, q)
+        terms = terms * q.values ** (1.0 - alpha)
+    return float(terms.sum() * f.grid.cell_measure)
 
 
 def _require_alpha_above_one(alpha: float) -> None:
@@ -148,66 +148,51 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Named monotone values plus the conventions they were computed under."""
-
-    entries: dict[str, float]
-    hbar: str
-    alphas: dict[str, float] = field(default_factory=dict)
-
-    def lines(self) -> list[str]:
-        return [f"{k}={v:.10g}" for k, v in self.entries.items()]
+# the monotones monotone_report knows by name: those of f alone, and those
+# of an alpha, which a divergence reads against the reference q
+_PLAIN = {
+    "nv": negative_volume,
+    "purity": purity,
+    "max": lambda f: extreme_values(f)[0],
+    "min": lambda f: extreme_values(f)[1],
+    "g": g_monotone,
+    "l1": lambda f: lp_norm(f, 1.0),
+}
+_OF_ALPHA = {
+    "norm": lambda f, alpha, q: lp_norm(f, alpha),
+    "renyi": lambda f, alpha, q: renyi_entropy(f, alpha),
+    "tsallis": lambda f, alpha, q: tsallis_entropy(f, alpha),
+    "divergence": lambda f, alpha, q: renyi_divergence(f, q, alpha),
+}
 
 
 def monotone_report(
     f: SampledDistribution,
     which: list[str] | None = None,
     q: ReferenceDistribution | None = None,
-) -> MonotoneReport:
-    """Evaluate a named selection of monotones.
+) -> dict[str, float]:
+    """Evaluate a named selection of monotones, keyed in request order.
 
     ``which`` entries: nv, purity, max, min, g, l1, norm:<a>, renyi:<a>,
-    tsallis:<a>, divergence:<a> (divergence needs a reference q).
+    tsallis:<a>, divergence:<a> (divergence needs a reference q); an alpha
+    monotone is keyed ``<name>_<a>``.
     """
-    which = which or ["nv", "purity", "max", "min"]
     entries: dict[str, float] = {}
-    alphas: dict[str, float] = {}
-    for token in which:
+    for token in which or ["nv", "purity", "max", "min"]:
         name, _, arg = token.partition(":")
         name = name.strip()
-        if name == "nv":
-            entries["nv"] = negative_volume(f)
-        elif name == "purity":
-            entries["purity"] = purity(f)
-        elif name == "max":
-            entries["max"] = extreme_values(f)[0]
-        elif name == "min":
-            entries["min"] = extreme_values(f)[1]
-        elif name == "g":
-            entries["g"] = g_monotone(f)
-        elif name == "l1":
-            entries["l1"] = lp_norm(f, 1.0)
-        elif name in ("norm", "renyi", "tsallis", "divergence"):
+        if name in _PLAIN:
+            entries[name] = _PLAIN[name](f)
+        elif name in _OF_ALPHA:
             if not arg:
                 raise ConfigError(f"{name} requires an alpha, e.g. {name}:2")
             try:
                 alpha = float(arg)
             except ValueError:
                 raise ConfigError(f"bad {name} alpha {arg!r}") from None
-            key = f"{name}_{arg}"
-            alphas[key] = alpha
-            if name == "norm":
-                entries[key] = lp_norm(f, alpha)
-            elif name == "renyi":
-                entries[key] = renyi_entropy(f, alpha)
-            elif name == "tsallis":
-                entries[key] = tsallis_entropy(f, alpha)
-            else:
-                if q is None:
-                    raise ConfigError("divergence requires a reference")
-                entries[key] = renyi_divergence(f, q, alpha)
+            if name == "divergence" and q is None:
+                raise ConfigError("divergence requires a reference")
+            entries[f"{name}_{arg}"] = _OF_ALPHA[name](f, alpha, q)
         else:
             raise ConfigError(f"unknown monotone {token!r}")
-    hbar = f.grid.hbar if isinstance(f.grid, GridSpec) else "n/a"
-    return MonotoneReport(entries, hbar, alphas)
+    return entries

@@ -121,13 +121,6 @@ class LorenzCurve:
     def slopes(self) -> np.ndarray:
         return np.diff(self.L) / np.diff(self.s)
 
-    def slope_at(self, at: float) -> float:
-        """Rearrangement value at cumulative measure ``at``."""
-        k = max(int(np.searchsorted(self.s, at, side="left")), 1)
-        if k >= len(self.s):
-            return 0.0
-        return float((self.L[k] - self.L[k - 1]) / (self.s[k] - self.s[k - 1]))
-
     def decimated(self, max_points: int = 100_000) -> "LorenzCurve":
         """Subsample breakpoints, tracking the exact sup-norm error incurred.
 

@@ -261,7 +261,7 @@ class Lossy(StateSpec):
                 f"transmittance must be in [0, 1], got {self.eta}"
             )
         if self.inner.modes != 1:
-            raise SpecValidationError(f"lossy needs a one-mode state")
+            raise SpecValidationError("lossy needs a one-mode state")
 
     def sample(self, rep, x, p):
         acc = np.zeros(np.broadcast_shapes(x.shape, p.shape))
@@ -286,7 +286,7 @@ class Dephase(StateSpec):
         if not self.gamma > 0:
             raise SpecValidationError(f"gamma must be > 0, got {self.gamma}")
         if self.inner.modes != 1:
-            raise SpecValidationError(f"dephase needs a one-mode state")
+            raise SpecValidationError("dephase needs a one-mode state")
 
     @property
     def rotation_invariant(self) -> bool:
@@ -706,22 +706,6 @@ def thermal_reference_family(grid: GridSpec, rep: str = WIGNER):
 
 
 # -- numerical wavefunction -> Wigner transform -------------------------------
-
-def harmonic_eigenfunction(n: int, x: np.ndarray, hbar: str = HBAR_HALF) -> np.ndarray:
-    """Normalized oscillator eigenfunction, stable normalized recurrence."""
-    if hbar == HBAR_HALF:
-        xi = _SQRT2 * x
-        psi = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
-    else:
-        xi = x
-        psi = (1.0 / math.pi) ** 0.25 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return psi
-    prev = np.zeros_like(psi)
-    for k in range(n):
-        prev, psi = psi, (xi * _SQRT2 * psi - math.sqrt(k) * prev) / math.sqrt(k + 1)
-    return psi
-
 
 def cubic_phase_wavefunction(g: float, s: float, x: np.ndarray) -> np.ndarray:
     """exp(i g x^3) applied to a squeezed vacuum (hbar = 1/2).

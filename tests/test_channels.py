@@ -18,8 +18,6 @@ from qmaj.channels import (
     beamsplitter_dilation,
     classify_dilation,
     classify_gaussian,
-    displacement_channel,
-    identity_channel,
     lon_to_gaussian,
     phase_conjugation_channel,
     pure_loss_channel,
@@ -34,8 +32,15 @@ from qmaj.compare import Outcome, compare
 from qmaj.errors import ChannelError, ConfigError, LeakageError
 from qmaj.grids import GridSpec, SampledDistribution, _unfold
 
+IDENTITY = GaussianChannelSpec(np.eye(2), np.zeros((2, 2)))
+
+
+def _displacement(dx: float, dp: float) -> GaussianChannelSpec:
+    return GaussianChannelSpec(np.eye(2), np.zeros((2, 2)), np.array([dx, dp]))
+
+
 def test_identity_channel_exact(fock):
-    out = apply_gaussian(identity_channel(), fock[0])
+    out = apply_gaussian(IDENTITY, fock[0])
     assert np.abs(out.values - fock[0].values).max() < 1e-12
 
 
@@ -50,7 +55,7 @@ def test_plc_vacuum_fixed_point(fock, one_grid):
 
 def test_displacement_gives_coherent(one_grid):
     vac = states.render("vacuum", one_grid)
-    out = apply_gaussian(displacement_channel(0.62, -0.34), vac)
+    out = apply_gaussian(_displacement(0.62, -0.34), vac)
     alpha = (0.62 - 0.34j) / math.sqrt(2.0)
     target = states.render(states.Coherent(alpha), one_grid)
     assert np.abs(out.values - target.values).max() < 1e-4
@@ -131,12 +136,12 @@ def test_apply_gaussian_validation(fock):
 def test_leakage_detection(fock):
     # a displacement beyond the window pushes visible mass off the grid
     with pytest.raises(LeakageError):
-        apply_gaussian(displacement_channel(9.0, 0.0), fock[0])
+        apply_gaussian(_displacement(9.0, 0.0), fock[0])
     # a NaN defect is no evidence that the mass stayed on the grid
     values = fock[0].values.copy()
     values[0] = math.nan
     with pytest.raises(LeakageError):
-        apply_gaussian(identity_channel(), SampledDistribution(fock[0].grid, values))
+        apply_gaussian(IDENTITY, SampledDistribution(fock[0].grid, values))
     # an amplifier on a small window, from an octant to an octant
     small = states.render("fock:1", GridSpec(1, 3.0, 60))
     assert small.octant is not None
@@ -161,7 +166,7 @@ def _octant_and_values():
         partial(apply_gaussian, pure_loss_channel(0.7)),
         partial(apply_gaussian, amplifier_channel(2.0)),
         partial(apply_gaussian, phase_conjugation_channel(0.8)),
-        partial(apply_gaussian, identity_channel()),
+        partial(apply_gaussian, IDENTITY),
         partial(apply_dephasing, 0.5),
     ],
     ids=["plc", "amp", "pconj", "identity", "dephase"],

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +270,42 @@ def test_exit_code_infinite_reference(capsys):
 def test_exit_code_usage(capsys):
     code, _, err = run(capsys, "lorenz", "--state", "fock:1", "--grid", "L=7,K=3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lorenz", "--state", "fock:1", "--tol", "1e-4"],
+        ["monotone", "--state", "fock:1", "--tol", "1e-4"],
+        ["apply", "--channel", "plc:eta=0.7", "--state", "fock:1",
+         "--out", os.devnull, "--tol", "1e-4"],
+        # the kernels are Gaussian Wigner kernels, wrong on a Husimi function
+        ["apply", "--channel", "plc:eta=0.7", "--state", "fock:1",
+         "--out", os.devnull, "--rep", "husimi"],
+        ["scan", "fock:1", "fock:0", "--bracket", "0.1:2", "--family", "thermal"],
+    ],
+    ids=["lorenz-tol", "monotone-tol", "apply-tol", "apply-rep", "scan-family"],
+)
+def test_flag_without_effect_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err
+
+
+def test_readme_quick_start(tmp_path, monkeypatch, capsys):
+    # every qmaj line of the README's Quick start, with its commented outcome
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("qmaj ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+        want = re.search(r"# -> (\w+)", line)
+        if want:
+            assert f"outcome={want.group(1)}" in out.splitlines(), line
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,14 +10,26 @@ from qmaj.compare import Outcome
 from qmaj.discrete import (
     QuasiVector,
     StochasticMatrix,
+    _as_entries,
     apply_matrix,
-    negative_volume_vec,
-    thermal_embedding_demo,
     vec_compare,
     vec_lorenz,
     vec_statement4,
 )
 from qmaj.errors import ConfigError
+
+
+def negative_volume_vec(f):
+    """The mass of the negative part: half of sum |v| - sum v."""
+    entries = _as_entries(f)
+    return (sum(abs(v) for v in entries) - sum(entries)) / 2
+
+
+def gibbs(beta: float, energies) -> tuple[float, ...]:
+    """The normalized Gibbs weights exp(-beta E) / Z."""
+    weights = [math.exp(-beta * e) for e in energies]
+    z = sum(weights)
+    return tuple(w / z for w in weights)
 
 
 def test_vec_lorenz_simple():
@@ -51,6 +64,43 @@ def test_float_example():
 def test_sum_mismatch():
     with pytest.raises(ConfigError):
         vec_compare((1, 0), (2, 0))
+
+
+def test_exact_entries_compare_exactly():
+    # the float slack of 1e-12 holds only where an entry is a float
+    off = 1 + Fraction(1, 10**13)
+    with pytest.raises(ConfigError, match="sum mismatch"):
+        vec_compare((1, 0), (off, 0))
+    floats = vec_compare((1.0, 0.0), (1.0 + 1e-13, 0.0))
+    assert floats.outcome is Outcome.MAJORIZED_BY
+    with pytest.raises(ConfigError, match="sums to"):
+        StochasticMatrix(((off,), (0,)))
+    StochasticMatrix(((1.0 + 1e-13,), (0.0,)))
+    # two columns of one half put a row sum of 1 + 1e-13 in reach
+    wide = StochasticMatrix(
+        ((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**13)),
+         (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**13)))
+    )
+    assert not wide.is_sds()
+    assert not wide.is_sqs((1, 1))
+    loose = StochasticMatrix(((0.5, 0.5 + 1e-13), (0.5, 0.5 - 1e-13)))
+    assert loose.is_sds()
+    assert loose.is_sqs((1.0, 1.0))
+
+
+@pytest.mark.parametrize("q", [(1, -1), (1, 0)], ids=["negative", "zero"])
+def test_reference_checked_like_compare(q):
+    # vec_statement4 refuses a reference that vec_compare refuses
+    with pytest.raises(ConfigError, match="strictly positive"):
+        vec_compare((1, 0), (0, 1), q)
+    with pytest.raises(ConfigError, match="strictly positive"):
+        vec_statement4((1, 0), (0, 1), q)
+
+
+def test_statement4_pads_like_compare():
+    assert vec_statement4((1, 0, 0, 0), (1, 0)) == (True, True)
+    with pytest.raises(ConfigError, match="shorter"):
+        vec_statement4((1, 0, 0), (1, 0), (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -260,7 +310,8 @@ def test_preorder_properties_via_chains():
 
 def test_thermal_embedding_uniform_reduces_to_regular():
     f = (Fraction(9, 10), Fraction(1, 10))
-    pos, neg, q = thermal_embedding_demo(f, 0.0, [0.0, 1.0])
+    q = gibbs(0.0, [0.0, 1.0])
+    pos, neg = vec_lorenz(QuasiVector(f), q)
     assert q == (0.5, 0.5)
     reg_pos, _ = vec_lorenz(QuasiVector(f))
     # same curve up to the uniform rescaling of the abscissa
@@ -271,12 +322,10 @@ def test_thermal_embedding_uniform_reduces_to_regular():
 
 
 def test_thermal_embedding_gibbs_is_flat_line():
-    import math
-
     beta, energies = 0.7, [0.0, 1.0, 2.0]
     z = sum(math.exp(-beta * e) for e in energies)
     f = tuple(math.exp(-beta * e) / z for e in energies)
-    pos, neg, q = thermal_embedding_demo(f, beta, energies)
+    pos, neg = vec_lorenz(QuasiVector(f), gibbs(beta, energies))
     for s, l in pos:
         assert l == pytest.approx(s, abs=1e-12)
     assert neg == [(0, 0), (1, 0)]
@@ -284,7 +333,8 @@ def test_thermal_embedding_gibbs_is_flat_line():
 
 def test_thermal_embedding_two_level_slopes():
     f = (0.9, 0.1)
-    pos, _, q = thermal_embedding_demo(f, 1.0, [0.0, 1.0])
+    q = gibbs(1.0, [0.0, 1.0])
+    pos, _ = vec_lorenz(QuasiVector(f), q)
     slopes = [
         (pos[k][1] - pos[k - 1][1]) / (pos[k][0] - pos[k - 1][0])
         for k in range(1, len(pos))

@@ -40,7 +40,6 @@ from qmaj.states import (
     Tensor,
     Thermal,
     cubic_phase_wavefunction,
-    harmonic_eigenfunction,
     parse_state,
     pretty,
     reference,
@@ -517,6 +516,21 @@ def test_reference_positivity_read_from_factors(spec, half_width, rep):
 
 
 # -- wavefunction transform ---------------------------------------------------
+
+def harmonic_eigenfunction(n: int, x: np.ndarray, hbar: str = "half") -> np.ndarray:
+    """Normalized oscillator eigenfunction, stable normalized recurrence."""
+    root2 = math.sqrt(2.0)
+    if hbar == "half":
+        xi = root2 * x
+        psi = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    else:
+        xi = x
+        psi = (1.0 / math.pi) ** 0.25 * np.exp(-0.5 * x * x)
+    prev = np.zeros_like(psi)
+    for k in range(n):
+        prev, psi = psi, (xi * root2 * psi - math.sqrt(k) * prev) / math.sqrt(k + 1)
+    return psi
+
 
 def test_wavefunction_vacuum_consistency(half_grid):
     x = np.arange(-8.0, 8.0, 0.01)
