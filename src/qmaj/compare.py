@@ -38,8 +38,9 @@ from .rearrange import (
 DEFAULT_EPS_CMP = 1e-4
 DEFAULT_EPS_NORM = 1e-3
 STRICTNESS = 10.0
-# points of the coarse sweep in scan_threshold; perfbench's scan brackets
-# assume 10, so that bisection always takes the same number of steps
+# points of the coarse sweep in scan_threshold, which stops at the first
+# flip; perfbench's scan brackets assume 10, so that bisection always takes
+# the same number of steps
 PRESCAN = 10
 
 
@@ -136,6 +137,20 @@ def _reversed(w: Witness) -> Witness:
     return Witness(w.s, w.side, 0.0 - w.gap)
 
 
+def _require_equal_totals(
+    f: SampledDistribution, g: SampledDistribution, eps_norm: float
+) -> None:
+    """Raise unless f and g share a grid and their integrals agree to eps_norm."""
+    _require_tolerance("eps_norm", eps_norm)
+    same_grid(f, g)
+    # written so that a NaN integral (a NaN or overflowing cell) fails too
+    if not abs(f.total_integral - g.total_integral) <= eps_norm:
+        raise NormalizationError(
+            f"total integrals differ: {f.total_integral:.6g} vs "
+            f"{g.total_integral:.6g} (eps_norm={eps_norm:g})"
+        )
+
+
 def compare_curve_pairs(
     curves_f: tuple[LorenzCurve, LorenzCurve],
     curves_g: tuple[LorenzCurve, LorenzCurve],
@@ -182,14 +197,7 @@ def compare(
     Raises NormalizationError when the total integrals differ by more than
     eps_norm: unequal integrals are a precondition failure, not a verdict.
     """
-    _require_tolerance("eps_norm", eps_norm)
-    same_grid(f, g)
-    # written so that a NaN integral (a NaN or overflowing cell) fails too
-    if not abs(f.total_integral - g.total_integral) <= eps_norm:
-        raise NormalizationError(
-            f"total integrals differ: {f.total_integral:.6g} vs "
-            f"{g.total_integral:.6g} (eps_norm={eps_norm:g})"
-        )
+    _require_equal_totals(f, g, eps_norm)
     return compare_curve_pairs(curves(f, q), curves(g, q), eps_cmp=eps_cmp)
 
 
@@ -245,6 +253,7 @@ def statement4_check(
     q: ReferenceDistribution | None = None,
     u_grid: Sequence[float] | None = None,
     eps_cmp: float = DEFAULT_EPS_CMP,
+    eps_norm: float = DEFAULT_EPS_NORM,
 ) -> Statement4Result:
     """Check both dominance directions via shifted positive/negative parts.
 
@@ -254,9 +263,11 @@ def statement4_check(
     read the same rearrangement, but statement 4 integrates the shifted parts
     where ``compare`` interpolates curves.  The default u grid is
     ``ratio_breakpoints(f, g, q, max_points=256)``, read off the same keys.
+    Like ``compare``, raises NormalizationError when the total integrals
+    differ by more than eps_norm.
     """
     _require_tolerance("eps_cmp", eps_cmp)
-    same_grid(f, g)
+    _require_equal_totals(f, g, eps_norm)
     if u_grid is not None:
         u_grid = np.asarray(u_grid, dtype=float)
         if u_grid.size == 0:
@@ -302,9 +313,13 @@ def scan_threshold(
 ) -> ThresholdResult:
     """Bisection on a reference-family parameter for a comparability flip.
 
-    A coarse ``PRESCAN``-point sweep locates the first adjacent pair of
-    parameters whose verdicts differ (comparable vs incomparable); bisection
-    then narrows the flip below ``resolution``, which must be positive.
+    A coarse ``PRESCAN``-point sweep, walked from ``bracket[0]`` up, stops
+    at the first adjacent pair of parameters whose verdicts differ
+    (comparable vs incomparable); bisection then narrows that flip below
+    ``resolution``, which must be positive.  ``family`` is never called past
+    the point that closes the flip, so an error it would raise there does
+    not surface.  Without a flip all ``PRESCAN`` points are decided before
+    ``ScanError`` is raised.
     """
     a, b = bracket
     # before any reference renders: an infinite end gives NaN parameters
@@ -319,18 +334,22 @@ def scan_threshold(
     def verdict_at(param: float) -> Outcome:
         return compare(f, g, family(param), eps_cmp=eps_cmp).outcome
 
-    outcomes = [verdict_at(p) for p in pts]
-
-    flags = [_is_comparable(o) for o in outcomes]
-    flip = next((i for i in range(len(pts) - 1) if flags[i] != flags[i + 1]), None)
-    if flip is None:
+    # the first flip closes at the first point whose comparability differs
+    # from its left neighbour's, so no verdict past it is needed
+    out_lo = verdict_at(pts[0])
+    lo_comparable = _is_comparable(out_lo)
+    for k in range(1, PRESCAN):
+        out_hi = verdict_at(pts[k])
+        if _is_comparable(out_hi) != lo_comparable:
+            break
+        out_lo = out_hi
+    else:
         raise ScanError(f"no comparability sign change in [{a:g}, {b:g}]")
-    lo, hi = float(pts[flip]), float(pts[flip + 1])
-    out_lo, out_hi = outcomes[flip], outcomes[flip + 1]
+    lo, hi = float(pts[k - 1]), float(pts[k])
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         out_mid = verdict_at(mid)
-        if _is_comparable(out_mid) == flags[flip]:
+        if _is_comparable(out_mid) == lo_comparable:
             lo = mid
             out_lo = out_mid
         else:

@@ -80,7 +80,9 @@ def _padded(f, g, q):
     """f and g zero-padded to one length, and the checked reference or None.
 
     The length is that of the longer input, or of the reference when one is
-    given; a reference shorter than either input is refused.
+    given; a reference shorter than either input is refused.  The totals of
+    f and g must be equal, exactly for exact entries and within 1e-12 for
+    floats.
     """
     fe, ge = _as_entries(f), _as_entries(g)
     width = max(len(fe), len(ge))
@@ -90,6 +92,8 @@ def _padded(f, g, q):
         if len(qe) < width:
             raise ConfigError("reference vector shorter than the inputs")
         width = len(qe)
+    if abs(sum(fe) - sum(ge)) > _slack(fe, ge):
+        raise ConfigError(f"sum mismatch: {sum(fe)} vs {sum(ge)}")
     return fe + (0,) * (width - len(fe)), ge + (0,) * (width - len(ge)), qe
 
 
@@ -184,8 +188,6 @@ def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
     exactly for exact entries and within 1e-12 for floats.
     """
     fe, ge, qe = _padded(f, g, q)
-    if abs(sum(fe) - sum(ge)) > _slack(fe, ge):
-        raise ConfigError(f"sum mismatch: {sum(fe)} vs {sum(ge)}")
     cf, cnf = vec_lorenz(QuasiVector(fe), qe)
     cg, cng = vec_lorenz(QuasiVector(ge), qe)
     f_holds, forward_violation = _dominates(cf, cg, cnf, cng)
@@ -207,7 +209,7 @@ def vec_statement4(f, g, q: Sequence[Number] | None = None) -> tuple[bool, bool]
     Both sides are piecewise linear in u with kinks only at the entry values
     (entrywise |f|/q ratios in the relative case), so checking those plus 0
     and one point beyond the maximum is a finite exact certificate of the
-    "for all u >= 0" statement.
+    "for all u >= 0" statement.  Equal totals required, as in ``vec_compare``.
     """
     fe, ge, qe = _padded(f, g, q)
     if qe is None:

@@ -118,9 +118,6 @@ class LorenzCurve:
     def final(self) -> float:
         return float(self.L[-1])
 
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.L) / np.diff(self.s)
-
     def decimated(self, max_points: int = 100_000) -> "LorenzCurve":
         """Subsample breakpoints, tracking the exact sup-norm error incurred.
 

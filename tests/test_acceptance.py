@@ -44,6 +44,11 @@ from qmaj.rearrange import (
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def _slopes(curve) -> np.ndarray:
+    """Slope of each segment of a curve: the rearrangement values in order."""
+    return np.diff(curve.L) / np.diff(curve.s)
+
+
 def _announce(num: int, label: str):
     print(f"\n[acceptance] criterion {num} ({label}): PASS")
 
@@ -258,10 +263,10 @@ def test_criterion_5_property_suites(zoo, fock, vacuum_ref, half_grid):
         pos, neg = lorenz_curves(f)
         if len(pos.s) > 2:
             tol = 64 * eps * pos.final / np.diff(pos.s).min()
-            assert (np.diff(pos.slopes()) <= tol).all()
+            assert (np.diff(_slopes(pos)) <= tol).all()
         if len(neg.s) > 2:
             tol = 64 * eps * abs(neg.final) / np.diff(neg.s).min()
-            assert (np.diff(neg.slopes()) >= -tol).all()
+            assert (np.diff(_slopes(neg)) >= -tol).all()
 
     # Schur-monotone ordering against every Majorizes verdict collected here:
     # regular monotones on regular verdicts, divergences and the negative

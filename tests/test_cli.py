@@ -134,6 +134,15 @@ def test_scan_cli(capsys):
     assert code == 0
     rec = record_of(out)
     assert abs(float(rec["midpoint"]) - 0.64) < 0.05
+    # the sweep stops at the first flip without moving a bit of the result
+    assert out == (
+        "parameter=nbar\n"
+        "lower=0.6277777777777778\n"
+        "upper=0.6541666666666667\n"
+        "midpoint=0.6409722222222223\n"
+        "verdict_lower=majorizes\n"
+        "verdict_upper=incomparable\n"
+    )
 
 
 def test_scan_no_sign_change_exit(capsys):

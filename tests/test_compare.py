@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from qmaj import states
 from qmaj.compare import (
+    PRESCAN,
     Outcome,
+    ThresholdResult,
+    _is_comparable,
     _key_breakpoints,
     compare,
     ratio_breakpoints,
@@ -90,6 +95,16 @@ def test_nan_integral_raises(fock):
         compare(fock[2], f, eps_norm=1e300)
 
 
+def test_statement4_refuses_unequal_totals(fock):
+    # the same precondition as compare: unequal integrals get no verdict
+    twice = SampledDistribution(fock[0].grid, 2.0 * fock[0].values)
+    with pytest.raises(NormalizationError):
+        compare(fock[1], twice)
+    with pytest.raises(NormalizationError):
+        statement4_check(fock[1], twice)
+    assert statement4_check(fock[1], twice, eps_norm=1.5) == (False, False)
+
+
 def test_grid_mismatch_raises(fock):
     other = GridSpec(modes=1, half_width=7.0, points_per_axis=100)
     g = states.render("vacuum", other)
@@ -117,6 +132,8 @@ def test_bad_tolerance_raises(eps):
         compare(f, f, eps_norm=eps)
     with pytest.raises(ConfigError):
         statement4_check(f, f, eps_cmp=eps)
+    with pytest.raises(ConfigError):
+        statement4_check(f, f, eps_norm=eps)
 
 
 @pytest.mark.parametrize(
@@ -180,10 +197,74 @@ def test_scan_threshold_first_fock(fock, half_grid):
     assert result.verdict_lower is not result.verdict_upper
 
 
-def test_scan_threshold_no_flip(fock, half_grid):
+def _full_sweep_scan(f, g, family, bracket, resolution):
+    """``scan_threshold`` as it was when it decided every sweep point first."""
+    a, b = bracket
+    pts = np.linspace(a, b, PRESCAN)
+
+    def verdict_at(param):
+        return compare(f, g, family(param)).outcome
+
+    outcomes = [verdict_at(p) for p in pts]
+    flags = [_is_comparable(o) for o in outcomes]
+    flip = next((i for i in range(len(pts) - 1) if flags[i] != flags[i + 1]), None)
+    if flip is None:
+        raise ScanError(f"no comparability sign change in [{a:g}, {b:g}]")
+    lo, hi = float(pts[flip]), float(pts[flip + 1])
+    out_lo, out_hi = outcomes[flip], outcomes[flip + 1]
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        out_mid = verdict_at(mid)
+        if _is_comparable(out_mid) == flags[flip]:
+            lo = mid
+            out_lo = out_mid
+        else:
+            hi = mid
+            out_hi = out_mid
+    return ThresholdResult(lo, hi, resolution, out_lo, out_hi)
+
+
+def _counting_family(grid):
+    family = states.thermal_reference_family(grid)
+    calls = []
+
+    def counted(nbar):
+        calls.append(nbar)
+        return family(nbar)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scan_threshold_matches_the_full_sweep(fock, half_grid, n):
+    # stopping at the first flip finds the same flip and the same bisection
     family = states.thermal_reference_family(half_grid)
+    args = (fock[n], fock[0], family, (0.1, 3.5), 0.01)
+    assert scan_threshold(*args) == _full_sweep_scan(*args)
+
+
+def test_scan_threshold_stops_at_the_first_flip(fock, half_grid):
+    family, calls = _counting_family(half_grid)
+    bracket = (0.1, 3.5)
+    result = scan_threshold(fock[1], fock[0], family, bracket, resolution=0.01)
+    pts = np.linspace(*bracket, PRESCAN)
+    closing = int(np.searchsorted(pts, result.upper))
+    assert pts[closing - 1] <= result.lower < result.upper <= pts[closing]
+    assert 0 < closing < PRESCAN - 1
+    # the sweep runs left to right up to the point that closes the flip,
+    # then bisection stays inside the flip
+    assert calls[: closing + 1] == list(pts[: closing + 1])
+    assert all(pts[closing - 1] < c < pts[closing] for c in calls[closing + 1 :])
+    bisections = math.ceil(math.log2((pts[1] - pts[0]) / 0.01))
+    assert len(calls) == closing + 1 + bisections
+
+
+def test_scan_threshold_no_flip(fock, half_grid):
+    # without a flip every sweep point is decided before the scan gives up
+    family, calls = _counting_family(half_grid)
     with pytest.raises(ScanError):
         scan_threshold(fock[1], fock[1], family, (0.1, 2.0), resolution=0.1)
+    assert calls == list(np.linspace(0.1, 2.0, PRESCAN))
 
 
 def test_scan_threshold_rejects_an_infinite_bracket(fock):

@@ -62,17 +62,23 @@ def test_float_example():
 
 
 def test_sum_mismatch():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sum mismatch"):
         vec_compare((1, 0), (2, 0))
+    with pytest.raises(ConfigError, match="sum mismatch"):
+        vec_statement4((1, 0), (2, 0))
+    with pytest.raises(ConfigError, match="sum mismatch"):
+        vec_statement4((1.0, 0.0), (0.0, 1.5), (1.0, 1.0))
 
 
 def test_exact_entries_compare_exactly():
     # the float slack of 1e-12 holds only where an entry is a float
     off = 1 + Fraction(1, 10**13)
-    with pytest.raises(ConfigError, match="sum mismatch"):
-        vec_compare((1, 0), (off, 0))
+    for check in (vec_compare, vec_statement4):
+        with pytest.raises(ConfigError, match="sum mismatch"):
+            check((1, 0), (off, 0))
     floats = vec_compare((1.0, 0.0), (1.0 + 1e-13, 0.0))
     assert floats.outcome is Outcome.MAJORIZED_BY
+    assert vec_statement4((1.0, 0.0), (1.0 + 1e-13, 0.0)) == (False, True)
     with pytest.raises(ConfigError, match="sums to"):
         StochasticMatrix(((off,), (0,)))
     StochasticMatrix(((1.0 + 1e-13,), (0.0,)))

@@ -33,6 +33,11 @@ from qmaj.rearrange import (
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def slopes(curve) -> np.ndarray:
+    """Slope of each segment of a curve: the rearrangement values in order."""
+    return np.diff(curve.L) / np.diff(curve.s)
+
+
 def slope_at(curve, at: float) -> float:
     """Rearrangement value of a curve at cumulative measure ``at``."""
     k = max(int(np.searchsorted(curve.s, at, side="left")), 1)
@@ -135,10 +140,10 @@ def test_curve_shapes_exact(zoo):
         pos, neg = lorenz_curves(f)
         if len(pos.s) > 2:
             tol = 64 * eps * pos.final / np.diff(pos.s).min()
-            assert (np.diff(pos.slopes()) <= tol).all()
+            assert (np.diff(slopes(pos)) <= tol).all()
         if len(neg.s) > 2:
             tol = 64 * eps * abs(neg.final) / np.diff(neg.s).min()
-            assert (np.diff(neg.slopes()) >= -tol).all()
+            assert (np.diff(slopes(neg)) >= -tol).all()
 
 
 def test_equimeasurability(half_grid, fock, zoo, vacuum_ref):
@@ -587,6 +592,6 @@ def test_product_path_matches_cell_path(hbar):
             want = compare(cells[i], cells[j], ref_cells, eps_norm=1.0).outcome
             assert compare(products[i], products[j], ref, eps_norm=1.0).outcome is want
             assert compare(products[i], cells[j], ref, eps_norm=1.0).outcome is want
-            assert statement4_check(products[i], products[j], ref) == statement4_check(
-                cells[i], cells[j], ref_cells
-            )
+            assert statement4_check(
+                products[i], products[j], ref, eps_norm=1.0
+            ) == statement4_check(cells[i], cells[j], ref_cells, eps_norm=1.0)

@@ -426,7 +426,7 @@ def test_criterion7_builds_no_cell_array():
             truncation_report(f)
             relative_lorenz_curves(f, q)
         compare(pair, cubic, q, eps_norm=2e-2)
-        statement4_check(pair, cubic, q)
+        statement4_check(pair, cubic, q, eps_norm=2e-2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
