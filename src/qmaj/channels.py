@@ -18,6 +18,12 @@ the angular harmonic m of a one-mode function by exp(-m^2 / (2 gamma)).  It
 is applied as that filter: one cubic-spline resample onto a polar grid, one
 real FFT along the angle, and one resample back.
 
+A function built from its octant stays one through dephasing and through a
+Gaussian kernel that commutes with the grid's mirrors and transpose.  Such
+a kernel runs as one 1-D operator applied along x and then along p, and
+dephasing runs over a quarter turn, the period of an octant in the angle.
+Both agree with the same function given by its values to rounding.
+
 scipy is imported inside the functions that interpolate, so importing this
 module (and the package) does not load it.
 """
@@ -31,7 +37,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChannelError, ConfigError, LeakageError
-from .grids import HBAR_HALF, GridSpec, SampledDistribution, _fold
+from .grids import (
+    HBAR_HALF,
+    GridSpec,
+    SampledDistribution,
+    _fold,
+    _octant_orbits,
+    _unfold,
+)
 
 LEAKAGE_TOL = 1e-3
 
@@ -204,13 +217,11 @@ def apply_gaussian(
     integral and raises LeakageError beyond 1e-3.
 
     A function built from its octant stays one when the kernel commutes with
-    the grid's mirrors and transpose: the output is the same computation read
-    at the octant's cells, and a resample that ends the computation is
-    evaluated there only.  Any other input or kernel gives a function built
-    from its values.
+    the grid's mirrors and transpose.  The 2-D resample and convolution then
+    factor into one 1-D pass per axis (see _covariant_gaussian), which agrees
+    with the same function given by its values to rounding.  Any other input
+    or kernel gives a function built from its values.
     """
-    from scipy.ndimage import map_coordinates
-
     grid = f.grid
     if not isinstance(grid, GridSpec):
         raise ChannelError("apply_gaussian needs a phase-space grid")
@@ -231,31 +242,28 @@ def apply_gaussian(
         raise ChannelError(
             "rank-deficient nonzero Y is not supported; use Y = 0 or Y > 0"
         )
-    covariant = f.octant is not None and _commutes_with_octant(X, Y, delta)
-
-    x_inv = np.linalg.inv(X)
-    mesh = grid.mesh()
-    coords = np.empty((grid.naxes,) + grid.shape)
-    for i in range(grid.naxes):
-        acc = np.zeros(grid.shape)
-        for j in range(grid.naxes):
-            acc = acc + x_inv[i, j] * (mesh[j] - delta[j])
-        coords[i] = grid.index_of(acc)
-    if covariant and not smooth:
-        coords = _fold(grid, coords)
-    resampled = map_coordinates(
-        f.as_nd(), coords, order=3, mode="constant", cval=0.0
-    ) / abs(det)
-
-    if smooth:
-        kern = _gaussian_kernel(Y, grid)
-        resampled = _convolve_same(resampled, kern) * grid.cell_measure
-        if covariant:
-            resampled = _fold(grid, resampled)
-
-    if covariant:
-        out = SampledDistribution(grid, None, octant=resampled)
+    if f.octant is not None and _commutes_with_octant(X, Y, delta):
+        y = Y[:1, :1] if smooth else None
+        out = SampledDistribution(
+            grid, None, octant=_covariant_gaussian(f, np.abs(X).max(), y)
+        )
     else:
+        from scipy.ndimage import map_coordinates
+
+        x_inv = np.linalg.inv(X)
+        mesh = grid.mesh()
+        coords = np.empty((grid.naxes,) + grid.shape)
+        for i in range(grid.naxes):
+            acc = np.zeros(grid.shape)
+            for j in range(grid.naxes):
+                acc = acc + x_inv[i, j] * (mesh[j] - delta[j])
+            coords[i] = grid.index_of(acc)
+        resampled = map_coordinates(
+            f.as_nd(), coords, order=3, mode="constant", cval=0.0
+        ) / abs(det)
+        if smooth:
+            kern = _gaussian_kernel(Y, grid)
+            resampled = _convolve_same(resampled, kern) * grid.cell_measure
         out = SampledDistribution(grid, resampled.ravel())
     defect = abs(out.total_integral - f.total_integral)
     if not defect <= LEAKAGE_TOL:  # NaN fails too
@@ -266,38 +274,97 @@ def apply_gaussian(
     return out
 
 
+def _covariant_gaussian(
+    f: SampledDistribution, a: float, y: np.ndarray | None
+) -> np.ndarray:
+    """The output octant of a kernel that commutes with the octant.
+
+    X is a times a signed permutation, Y is y times the identity (y is its
+    1x1 corner, None for Y = 0) and delta is zero.  The signed permutation
+    fixes the octant input F, and the kernel factorizes, so the channel is
+    A F A^T with one 1-D operator A = G W / a: W is the cubic-spline resample
+    at x / a, cut to zero outside the samples like map_coordinates' "constant"
+    mode, and G the convolution with the normalized 1-D Gaussian of Y.
+
+    Each pass applies A along the rows of the quadrant x, p > 0 mirrored to
+    all x, keeps the rows x > 0 and transposes, so the second pass runs
+    along p and leaves the quadrant in its first orientation.
+    """
+    from scipy.ndimage import spline_filter1d
+
+    grid = f.grid
+    n = grid.points_per_axis
+    h = n // 2
+    t = grid.index_of(grid.axis() / a)
+    inside = (0.0 <= t) & (t <= n - 1)
+    t = t[inside]
+    start = np.floor(t)
+    u = t - start
+    v = 1.0 - u
+    weights = [
+        v * v * v / 6.0,
+        (u * u * (u - 2.0) * 3.0 + 4.0) / 6.0,
+        (v * v * (v - 2.0) * 3.0 + 4.0) / 6.0,
+        u * u * u / 6.0,
+    ]
+    # the 4 coefficients around each point, mirrored at the ends as
+    # spline_filter1d's "constant" mode extends them
+    taps = start.astype(np.intp) + np.arange(-1, 3)[:, None]
+    taps = (n - 1) - np.abs((n - 1) - np.abs(taps))
+    kern = None if y is None else _gaussian_kernel(y, grid)
+
+    quad = _unfold(grid, f.octant)[h:, h:]
+    for _ in range(2):
+        coef = spline_filter1d(
+            np.concatenate([quad[::-1], quad]), 3, axis=0, mode="constant"
+        )
+        rows = np.zeros((n, h))
+        rows[inside] = sum(w[:, None] * coef[k] for w, k in zip(weights, taps))
+        if kern is not None:
+            rows = _convolve_same(rows, kern) * grid.cell_size
+        quad = (rows[h:] / a).T
+    orbits = _octant_orbits(grid)
+    return quad[orbits.rows, orbits.cols]
+
+
 def _gaussian_kernel(Y: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Gaussian exp(-v^T Y^-1 v) on cell offsets to 5 sigma, summing to 1/cell."""
+    """Gaussian exp(-v^T Y^-1 v) on cell offsets to 5 sigma, summing to 1/cell.
+
+    The kernel has one axis per row of Y, so the 1x1 corner of a multiple of
+    the identity gives its 1-D factor, which sums to 1/cell_size.
+    """
     d = grid.cell_size
     sigma_max = math.sqrt(np.linalg.eigvalsh(Y).max() / 2.0)
     radius = max(int(math.ceil(5.0 * sigma_max / d)), 1)
     if 2 * radius + 1 > 4 * grid.points_per_axis:
         raise ChannelError("noise kernel wider than the grid; enlarge the window")
     offs = np.arange(-radius, radius + 1) * d
-    mesh = np.meshgrid(*([offs] * grid.naxes), indexing="ij")
+    mesh = np.meshgrid(*([offs] * len(Y)), indexing="ij")
     y_inv = np.linalg.inv(Y)
     quad = np.zeros(mesh[0].shape)
-    for i in range(grid.naxes):
-        for j in range(grid.naxes):
+    for i in range(len(Y)):
+        for j in range(len(Y)):
             quad += mesh[i] * y_inv[i, j] * mesh[j]
     kern = np.exp(-quad)
-    return kern / (kern.sum() * grid.cell_measure)  # exact discrete stochasticity
+    return kern / (kern.sum() * d ** len(Y))  # exact discrete stochasticity
 
 
 def _convolve_same(arr: np.ndarray, kern: np.ndarray) -> np.ndarray:
     """Linear convolution with an odd-sized centered kernel, cropped to arr.
 
-    The same result as scipy.signal.fftconvolve(mode="same"), by a real FFT
+    The kernel acts on the leading kern.ndim axes of arr.  The same result as
+    scipy.signal.fftconvolve(mode="same") along those axes, by a real FFT
     zero-padded to 5-smooth lengths.  Powers of two would also avoid the slow
     prime lengths, but can nearly double each axis, which is up to 16x the
     array on a two-mode grid.
     """
     radius = kern.shape[0] // 2
-    axes = tuple(range(arr.ndim))
-    size = [_fast_len(n + 2 * radius) for n in arr.shape]
+    axes = tuple(range(kern.ndim))
+    size = [_fast_len(arr.shape[i] + 2 * radius) for i in axes]
+    kern = kern.reshape(kern.shape + (1,) * (arr.ndim - kern.ndim))
     spectrum = np.fft.rfftn(arr, size, axes) * np.fft.rfftn(kern, size, axes)
     full = np.fft.irfftn(spectrum, size, axes)
-    return full[tuple(slice(radius, radius + n) for n in arr.shape)]
+    return full[tuple(slice(radius, radius + arr.shape[i]) for i in axes)]
 
 
 def _fast_len(n: int) -> int:
@@ -347,9 +414,14 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     that band capped at the Nyquist, since the samples hold nothing above it.
 
     Rotations commute with the grid's mirrors and transpose, so a function
-    built from its octant stays one: the resample back onto the grid is
-    evaluated at the octant's cells only.  The filter still runs, since an
-    octant is symmetric under those eight maps, not under every rotation.
+    built from its octant stays one.  The filter still runs, since an octant
+    is symmetric under those eight maps, not under every rotation, but over
+    a quarter turn: an octant repeats every quarter turn, so the polar grid
+    holds the n_theta / 4 angles of one period, the filter damps its
+    harmonic k as harmonic 4k of the turn, and the r < 0 rows need no roll,
+    since half a turn is two periods.  The resample back onto the grid is
+    evaluated at the octant's cells only, and agrees with the same function
+    given by its values to rounding.
     """
     from scipy.ndimage import map_coordinates
 
@@ -361,10 +433,13 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     corner = grid.half_width * math.sqrt(2.0)
     nyquist = math.pi * corner / grid.cell_size
     n_theta = 1 << int(nyquist + min(math.sqrt(72.0 * gamma), nyquist)).bit_length()
+    # an octant repeats every quarter turn: one period is n_theta / 4 angles
+    turns = 1 if f.octant is None else 4
+    period = n_theta // turns
     dr = 0.5 * grid.cell_size
     rows = int(math.ceil(corner / dr)) + 4
     radii = np.arange(rows + 1) * dr
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    theta = np.arange(period) * (2.0 * math.pi / n_theta)
     polar_coords = np.stack(
         [
             grid.index_of(np.outer(radii, np.cos(theta))),
@@ -374,10 +449,12 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     polar = map_coordinates(
         f.as_nd(), polar_coords, order=3, mode="constant", cval=0.0
     )
-    damping = np.exp(-np.arange(n_theta // 2 + 1) ** 2 / (2.0 * gamma))
-    polar = np.fft.irfft(np.fft.rfft(polar, axis=1) * damping, n_theta, axis=1)
-    # rows -rows..rows: f(-r, theta) = f(r, theta + pi)
-    polar = np.concatenate([np.roll(polar[:0:-1], n_theta // 2, axis=1), polar])
+    damping = np.exp(-(turns * np.arange(period // 2 + 1)) ** 2 / (2.0 * gamma))
+    polar = np.fft.irfft(np.fft.rfft(polar, axis=1) * damping, period, axis=1)
+    # rows -rows..rows: f(-r, theta) = f(r, theta + pi), a whole number of
+    # periods for an octant
+    half_turn = (n_theta // 2) % period
+    polar = np.concatenate([np.roll(polar[:0:-1], half_turn, axis=1), polar])
 
     x, p = grid.mesh()
     if f.octant is not None:
@@ -385,7 +462,8 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     coords = np.stack(
         [
             rows + np.hypot(x, p) / dr,
-            np.mod(np.arctan2(p, x), 2.0 * math.pi) * (n_theta / (2.0 * math.pi)),
+            np.mod(np.arctan2(p, x), 2.0 * math.pi / turns)
+            * (n_theta / (2.0 * math.pi)),
         ]
     )
     out = map_coordinates(polar, coords, order=3, mode="grid-wrap")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -197,12 +196,10 @@ def write_grid_file(path, f: SampledDistribution) -> None:
         f"# qmaj-grid modes={g.modes} half_width={g.half_width!r} "
         f"points={g.points_per_axis} hbar={g.hbar}"
     )
-    values = (f.values if f.octant is None else f.octant).tolist()
-    body = ("%r\n" * len(values)) % tuple(values)
+    lines = list(map(repr, (f.values if f.octant is None else f.octant).tolist()))
     if f.octant is not None:
-        orbit = _unfold(g, np.arange(len(values))).ravel().tolist()
-        body = "".join(itemgetter(*orbit)(body.splitlines(keepends=True)))
-    Path(path).write_text(header + "\n" + body)
+        lines = _unfold(g, np.array(lines, dtype=object)).ravel().tolist()
+    Path(path).write_text(header + "\n" + "\n".join(lines) + "\n")
 
 
 def read_grid_file(path) -> SampledDistribution:

@@ -30,9 +30,16 @@ from qmaj.channels import (
 )
 from qmaj.compare import Outcome, compare
 from qmaj.errors import ChannelError, ConfigError, LeakageError
-from qmaj.grids import GridSpec, SampledDistribution, _unfold
+from qmaj.grids import GridSpec, SampledDistribution, _fold, _unfold
 
 IDENTITY = GaussianChannelSpec(np.eye(2), np.zeros((2, 2)))
+
+# a quarter turn with exact zeros: Y = 0 and X a signed permutation, so it
+# commutes with the octant but needs no convolution (rotation_channel(pi/2)
+# holds cos(pi/2) = 6e-17 and so takes the values path)
+QUARTER_TURN = GaussianChannelSpec(
+    np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2))
+)
 
 
 def _displacement(dx: float, dp: float) -> GaussianChannelSpec:
@@ -147,17 +154,45 @@ def test_leakage_detection(fock):
     assert small.octant is not None
     with pytest.raises(LeakageError):
         apply_gaussian(amplifier_channel(2.0), small)
+    # and a NaN in an octant, through the 1-D passes with and without noise
+    octant = small.octant.copy()
+    octant[len(octant) // 2] = math.nan
+    holed = SampledDistribution(small.grid, None, octant=octant)
+    for ch in (pure_loss_channel(0.7), IDENTITY):
+        with pytest.raises(LeakageError):
+            apply_gaussian(ch, holed)
 
 
-# the octant of a rotation-invariant render on a 350-point grid, and that
-# function built from its values
+# a rotation-invariant state, so its render is built from its octant
 OCTANT_INPUT = "lossy(eta=0.7, fock:1)"
 
 
-def _octant_and_values():
-    f = states.render(OCTANT_INPUT, GridSpec(1, 7.0, 350))
+def _lossy_octant(grid):
+    f = states.render(OCTANT_INPUT, grid)
     assert f.octant is not None
+    return f
+
+
+def _octant_and_values():
+    # its render on a 350-point grid, and that function built from its values
+    f = _lossy_octant(GridSpec(1, 7.0, 350))
     return f, SampledDistribution(f.grid, f.values)
+
+
+def _d4_octant(grid):
+    """exp(-(x^4 + p^4) / 4) (1 + 0.3 cos(4 phi) r^4 / (1 + r^4)), normalized.
+
+    It is symmetric under the grid's mirrors and transpose but not under
+    every rotation, so dephasing damps its harmonics 4, 8, ...  Its factor
+    r^4 cos(4 phi) / (1 + r^4) is a smooth function of x and p, where
+    cos(4 phi) alone would jump from cell to cell at the origin.
+    """
+    x, p = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    r4 = (x * x + p * p) ** 2
+    harmonic = x**4 - 6.0 * x * x * p * p + p**4  # r^4 cos(4 phi)
+    cells = np.exp(-(x**4 + p**4) / 4.0) * (1.0 + 0.3 * harmonic / (1.0 + r4))
+    f = SampledDistribution(grid, None, octant=_fold(grid, cells))
+    return SampledDistribution(grid, None, octant=f.octant / f.total_integral)
 
 
 @pytest.mark.parametrize(
@@ -167,18 +202,27 @@ def _octant_and_values():
         partial(apply_gaussian, amplifier_channel(2.0)),
         partial(apply_gaussian, phase_conjugation_channel(0.8)),
         partial(apply_gaussian, IDENTITY),
+        partial(apply_gaussian, QUARTER_TURN),
         partial(apply_dephasing, 0.5),
+        partial(apply_dephasing, 0.05),
+        partial(apply_dephasing, 5.0),
+        partial(apply_dephasing, 50.0),
     ],
-    ids=["plc", "amp", "pconj", "identity", "dephase"],
+    ids=["plc", "amp", "pconj", "identity", "quarter_turn", "dephase",
+         "dephase_0.05", "dephase_5", "dephase_50"],
 )
 def test_covariant_channel_keeps_the_octant(apply):
-    f, full = _octant_and_values()
-    out, want = apply(f), apply(full)
-    assert out.octant is not None and want.octant is None
-    scale = np.abs(want.values).max()
-    got = _unfold(f.grid, out.octant).ravel()
-    assert np.abs(got - want.values).max() <= 1e-14 * scale
-    assert abs(out.total_integral - want.total_integral) <= 1e-14
+    # on both coordinate conventions, a rotation-invariant octant and one
+    # whose harmonics 4, 8, ... a dephasing filter must damp
+    grids = [GridSpec(1, 7.0, 350), GridSpec(1, 7.0 * math.sqrt(2.0), 350, "one")]
+    for f in [make(grid) for grid in grids for make in (_lossy_octant, _d4_octant)]:
+        full = SampledDistribution(f.grid, f.values)
+        out, want = apply(f), apply(full)
+        assert out.octant is not None and want.octant is None
+        scale = np.abs(want.values).max()
+        got = _unfold(f.grid, out.octant).ravel()
+        assert np.abs(got - want.values).max() <= 1e-14 * scale
+        assert abs(out.total_integral - want.total_integral) <= 1e-14
 
 
 @pytest.mark.parametrize(
