@@ -227,7 +227,12 @@ class Cubic(StateSpec):
     position variance is multiplied by 1/s, so s < 1 squeezes momentum and
     widens the reach of the cubic gate; s = 1 is the plain vacuum.  The
     momentum offset of the source family is fixed to zero.  The Wigner
-    function is transformed numerically from the wavefunction.
+    function is transformed numerically from the wavefunction, sampled at a
+    spacing dx of about 0.01 out to 10 position widths:
+    ``wigner_from_wavefunction`` interpolates it once on a lattice of
+    spacing dy = h/(2k) <= dx (h the cell size) and sums over y for all
+    momenta by one chirp-z FFT.  Its closed form is an Airy function; the
+    test suite holds the transform to it.
     """
 
     g: float
@@ -723,12 +728,23 @@ def wigner_from_wavefunction(
 
     Discretizes the defining correlation integral: for each grid point the
     product psi(x+y) conj(psi(x-y)) is integrated against the convention's
-    Fourier kernel over y using the trapezoid of the wavefunction lattice.
-    The construction is Hermitian in y, so the imaginary residue is rounding
-    noise; it is checked against 1e-10.  Both the output axis and the y
-    lattice are exactly antisymmetric, so the samples of psi(x-y) are the
-    reversed columns of those of psi(x+y) and psi is interpolated once.
+    Fourier kernel over y by the trapezoid of a lattice y_t = t dy,
+    t = -m..m, that spans the sampled x range.  With h the grid's cell size,
+    dy = h/(2k) for the least k that makes dy <= dx (to the 1e-9 to which
+    the uniformity check knows dx), so every x_j +- y_t lies on one lattice
+    of spacing dy: psi is interpolated once on its 2k(N-1) + 2m + 1 points
+    (zero outside the samples), each row psi(x_j + y_t) is a window of
+    those samples and psi(x_j - y_t) the same window reversed.
+
+    Output momenta are p = s h for s = i - (N-1)/2, so the kernel's phase
+    is alpha t s with alpha = freq dy h.  The sum over t for all N momenta
+    is one chirp-z transform (Bluestein's method): t s = (t^2 + s^2 -
+    (s-t)^2)/2 turns it into a convolution with the chirp exp(i alpha r^2/2),
+    done by one FFT pass and its inverse along y for every row at once.  W is
+    the real part of the sum; the product is Hermitian in y, so its imaginary
+    part, the residue, is rounding noise and is checked against 1e-10.
     """
+    from numpy.lib.stride_tricks import sliding_window_view
     from scipy.interpolate import CubicSpline
 
     if grid.modes != 1:
@@ -737,6 +753,8 @@ def wigner_from_wavefunction(
     x = np.asarray(x, dtype=float).ravel()
     if psi.shape != x.shape or len(x) < 8:
         raise ConfigError("psi and x must be equal-length sampled arrays")
+    if not (np.isfinite(psi).all() and np.isfinite(x).all()):
+        raise ConfigError("psi and x must be finite")
     dx = float(x[1] - x[0])
     if not np.allclose(np.diff(x), dx, rtol=0, atol=1e-9 * abs(dx)):
         raise ConfigError("wavefunction grid must be uniform")
@@ -756,28 +774,34 @@ def wigner_from_wavefunction(
             f"need dx <= {0.5 * math.pi / (freq * p_max):g}"
         )
 
-    re_spline = CubicSpline(x, psi.real, extrapolate=False)
-    im_spline = CubicSpline(x, psi.imag, extrapolate=False)
+    n = grid.points_per_axis
+    h = grid.cell_size
+    k = math.ceil(h / (2.0 * dx) * (1.0 - 1e-9))  # dx is known to 1e-9
+    dy = h / (2 * k)
+    m = int(0.5 * (x[-1] - x[0]) / dy)
+    u = grid.axis()[0] + np.arange(-m, 2 * k * (n - 1) + m + 1) * dy
+    psi_u = CubicSpline(x, psi.real, extrapolate=False)(u)
+    psi_u = psi_u + 1j * CubicSpline(x, psi.imag, extrapolate=False)(u)
+    psi_u = np.nan_to_num(psi_u, nan=0.0)
+    plus = sliding_window_view(psi_u, 2 * m + 1)[:: 2 * k]  # psi(x_j + y_t)
+    prod = plus * np.conj(plus[:, ::-1])
 
-    def sample(args: np.ndarray) -> np.ndarray:
-        vals = re_spline(args) + 1j * im_spline(args)
-        return np.nan_to_num(vals, nan=0.0)
-
-    half_span = 0.5 * (x[-1] - x[0])
-    m = int(half_span / dx)
-    y = np.arange(-m, m + 1) * dx
-    xs = grid.axis()
-    plus = sample(xs[:, None] + y[None, :])
-    prod = plus * np.conj(plus[:, ::-1])  # xs - y == (xs + y)[:, ::-1]
-    phase = freq * np.outer(y, xs)  # y rows, output-p columns
-    cos_m, sin_m = np.cos(phase), np.sin(phase)
-    scale = pref * dx
-    w = scale * (prod.real @ cos_m + prod.imag @ sin_m)
-    residue = scale * (prod.imag @ cos_m - prod.real @ sin_m)
-    res_max = float(np.abs(residue).max())
+    alpha = freq * dy * h
+    t = np.arange(-m, m + 1)
+    s = np.arange(n) - 0.5 * (n - 1)
+    r = np.arange(n + 2 * m) - (0.5 * (n - 1) + m)  # s - t, from -(N-1)/2 - m
+    size = 1 << (n + 2 * m - 1).bit_length()
+    prod *= np.exp(-0.5j * alpha * t * t)
+    spectrum = np.fft.fft(prod, size, axis=1)
+    del prod
+    spectrum *= np.fft.fft(np.exp(0.5j * alpha * r * r), size)
+    conv = np.fft.ifft(spectrum, axis=1)[:, 2 * m : 2 * m + n]
+    del spectrum
+    total = (pref * dy) * conv * np.exp(-0.5j * alpha * s * s)
+    res_max = float(np.abs(total.imag).max())
     if res_max > 1e-10:
         raise NumericsError(
             f"imaginary residue {res_max:.3g} exceeds 1e-10; "
             "wavefunction sampling is inconsistent"
         )
-    return SampledDistribution(grid, w.ravel())
+    return SampledDistribution(grid, total.real.ravel())

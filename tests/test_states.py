@@ -555,6 +555,57 @@ def test_wavefunction_hbar_one():
     assert np.abs(w.values - target.values).max() < 1e-4
 
 
+def test_wavefunction_momentum_sign():
+    # a coherent state with p0 != 0: a flipped momentum axis would render
+    # conj(alpha) = 0.8-0.6i, 0.6 away in sup norm
+    x = np.arange(-8.0, 8.0, 0.01)
+    psi = (2.0 / math.pi) ** 0.25 * np.exp(-((x - 0.8) ** 2) + 1.2j * x)
+    grid = default_grid()
+    w = wigner_from_wavefunction(psi, x, grid)
+    target = render(Coherent(0.8 + 0.6j), grid)
+    assert np.abs(w.values - target.values).max() < 1e-12
+
+
+def airy_cubic_wigner(g: float, s: float, grid: GridSpec) -> np.ndarray:
+    """Closed-form Wigner function of cubic(g, s), hbar=1/2, via Airy Ai.
+
+    W = (2/pi) N^2 exp(-2 s x^2) I(4p - 6 g x^2) with N^2 = sqrt(2s/pi) and
+    I(P) = int exp(-2 s y^2 + i(2 g y^3 - P y)) dy
+         = sqrt(pi/(2s)) sqrt(4 pi a) Ai(z + a^2) exp(a z + 2a^3/3),
+    c = (6g)^(1/3), a = 2s/c^2, z = -P/c.  Where z + a^2 > 0 the scaled
+    airye keeps Ai times its exponential in range.
+    """
+    from scipy.special import airy, airye
+
+    x = grid.axis()[:, None]
+    p = grid.axis()[None, :]
+    c = (6.0 * g) ** (1.0 / 3.0)
+    a = 2.0 * s / c**2
+    z = -(4.0 * p - 6.0 * g * x * x) / c
+    zeta = z + a * a
+    expo = a * z + 2.0 * a**3 / 3.0
+    pos = zeta > 0
+    zp = np.where(pos, zeta, 0.0)
+    scaled = airye(zp)[0] * np.exp(expo - 2.0 / 3.0 * zp**1.5)
+    plain = airy(np.where(pos, 0.0, zeta))[0] * np.exp(np.where(pos, 0.0, expo))
+    integral = (
+        math.sqrt(math.pi / (2.0 * s))
+        * math.sqrt(4.0 * math.pi * a)
+        * np.where(pos, scaled, plain)
+    )
+    norm2 = math.sqrt(2.0 * s / math.pi)
+    return (2.0 / math.pi) * norm2 * np.exp(-2.0 * s * x * x) * integral
+
+
+def test_cubic_matches_airy_closed_form():
+    for grid in (GridSpec(1, 5.0, 64), GridSpec(1, 7.0, 350)):
+        for g, s in ((0.02, 0.1), (0.1, 1.0), (0.3, 0.5), (1.0, 2.0)):
+            w = render(f"cubic(g={g}, s={s})", grid).as_nd()
+            exact = airy_cubic_wigner(g, s, grid)
+            err = np.abs(w - exact).max() / np.abs(exact).max()
+            assert err < 1e-8, (grid.points_per_axis, g, s, err)
+
+
 def test_cubic_state_negativity(half_grid):
     f = render("cubic(g=0.02, s=0.1)", half_grid)
     assert f.total_integral == pytest.approx(1.0, abs=1e-3)
@@ -567,6 +618,16 @@ def test_wavefunction_norm_validation(half_grid):
     x = np.arange(-8.0, 8.0, 0.01)
     with pytest.raises(NumericsError):
         wigner_from_wavefunction(2.0 * harmonic_eigenfunction(0, x), x, half_grid)
+
+
+@pytest.mark.parametrize("where", ["psi", "x"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wavefunction_rejects_non_finite(half_grid, where, bad):
+    x = np.arange(-8.0, 8.0, 0.01)
+    psi = harmonic_eigenfunction(0, x).astype(complex)
+    (psi if where == "psi" else x)[400] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        wigner_from_wavefunction(psi, x, half_grid)
 
 
 def test_wavefunction_nyquist_check(half_grid):
