@@ -187,19 +187,24 @@ def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
 def write_grid_file(path, f: SampledDistribution) -> None:
     """The grid header, then one shortest round-trip repr per cell.
 
-    A function built from its octant formats each octant cell once and
-    places that line at every cell of its orbit, so the file is the same as
-    for its values.
+    Each distinct value is formatted once: the stored entries (the values,
+    or the octant) are grouped by their bit patterns, so 0.0 and -0.0 keep
+    their own lines, and each cell takes the line of its group.  A function
+    built from its octant places each octant cell's line at every cell of
+    its orbit, so the file is the same as for its values.
     """
     g = f.grid
     header = (
         f"# qmaj-grid modes={g.modes} half_width={g.half_width!r} "
         f"points={g.points_per_axis} hbar={g.hbar}"
     )
-    lines = list(map(repr, (f.values if f.octant is None else f.octant).tolist()))
+    cells = f.values if f.octant is None else f.octant
+    bits, line_of = np.unique(cells.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
     if f.octant is not None:
-        lines = _unfold(g, np.array(lines, dtype=object)).ravel().tolist()
-    Path(path).write_text(header + "\n" + "\n".join(lines) + "\n")
+        line_of = _unfold(g, line_of)
+    body = "\n".join(text[line_of.ravel()].tolist())
+    Path(path).write_text(f"{header}\n{body}\n")
 
 
 def read_grid_file(path) -> SampledDistribution:

@@ -117,8 +117,21 @@ class GridSpec:
         return views
 
     def index_of(self, coords: np.ndarray) -> np.ndarray:
-        """Fractional cell indices of physical coordinates along one axis."""
-        return (coords + self.half_width) / self.cell_size - 0.5
+        """Fractional cell indices of physical coordinates along one axis.
+
+        A cell centre as ``axis()`` computes it, k + 1/2 cells from the
+        origin, maps to its index exactly, from that offset in cells; the
+        quotient by the cell size that places every other coordinate is off
+        there by up to 1.1e-13 on 700 points, and not symmetrically.
+        """
+        h = self.cell_size
+        mid = 0.5 * (self.points_per_axis - 1)
+        idx = (coords + self.half_width) / h - 0.5
+        offset = np.rint(idx) - mid
+        centre = offset * h == coords
+        if centre.any():
+            idx[centre] = offset[centre] + mid
+        return idx
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,16 @@ def test_identity_channel_exact(fock):
     assert np.abs(out.values - fock[0].values).max() < 1e-12
 
 
+def test_identity_resample_keeps_every_cell():
+    # the cell centres map to their indices exactly, so the values path
+    # reads each cell where it is; an index 1e-14 below 0 fell outside the
+    # spline and zeroed the edge row of a state that reaches it
+    f = states.render("cubic(g=0.02, s=0.1)", GridSpec(1, 7.0, 350))
+    assert f.octant is None and np.abs(f.as_nd()[0]).max() > 1e-5
+    out = apply_gaussian(IDENTITY, f)
+    assert np.abs(out.values - f.values).max() <= 4e-15 * np.abs(f.values).max()
+
+
 def test_plc_vacuum_fixed_point(fock, one_grid):
     plc = pure_loss_channel(0.7)
     out = apply_gaussian(plc, fock[0])

@@ -430,6 +430,44 @@ def test_grid_file_lines(tmp_path):
     assert (tmp_path / "v.grid").read_bytes() == path.read_bytes()
 
 
+def _signed_zeros() -> SampledDistribution:
+    # repeated values, 0.0 and -0.0, and two values 1 ulp apart
+    values = [0.0, -0.0, 0.5, 0.5, -0.0, 0.1, 0.1, 0.0,
+              1e-300, -1e-300, 0.1 + 0.2, 0.3, 0.0, -0.0, 0.25, 0.25]
+    return SampledDistribution(GridSpec(1, 1.0, 4), values)
+
+
+def _fock1_through(channel: str):
+    return lambda: parse_channel(channel).apply(
+        states.render("fock:1", GridSpec(1, 7.0, 350))
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _signed_zeros,
+        _fock1_through("plc:eta=0.7"),
+        _fock1_through("amp:gain=2"),
+        _fock1_through("dephase:gamma=0.5"),
+        lambda: states.render("mix(0.75:cat(alpha=2), 0.25:fock:7)", GridSpec(1, 7.0, 350)),
+    ],
+    ids=["signed-zeros", "plc", "amp", "dephase", "cat-mix"],
+)
+def test_grid_file_formats_every_cell_exactly(tmp_path, make):
+    # each distinct value is formatted once, grouped by its bits: a file
+    # byte for byte one repr per cell, -0.0 apart from 0.0
+    f = make()
+    path = tmp_path / "w.grid"
+    write_grid_file(path, f)
+    header = (
+        f"# qmaj-grid modes=1 half_width={f.grid.half_width!r} "
+        f"points={f.grid.points_per_axis} hbar=half"
+    )
+    cells = "\n".join(repr(float(v)) for v in f.values)
+    assert path.read_text() == f"{header}\n{cells}\n"
+
+
 @pytest.mark.parametrize("channel", ["plc:eta=0.7", "amp:gain=2", "dephase:gamma=0.5"])
 def test_apply_keeps_cells_of_octant_unbuilt(tmp_path, channel):
     # what cmd_apply does after the channel reads the octant only

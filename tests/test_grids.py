@@ -260,6 +260,22 @@ def test_axis_two_mode_default_unchanged():
     assert grid.axis().tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize("points", [64, 350, 700])
+@pytest.mark.parametrize("hbar", ["half", "one"])
+def test_index_of_cell_centres_is_exact(points, hbar):
+    # each centre maps to its own index: on 700 points the quotient by the
+    # cell size missed 209 of them by up to 1.1e-13, and not symmetrically
+    half_width = (5.0 if points == 64 else 7.0) * (math.sqrt(2.0) if hbar == "one" else 1.0)
+    grid = GridSpec(1, half_width, points, hbar)
+    index = grid.index_of(grid.axis())
+    assert index.tobytes() == np.arange(points, dtype=float).tobytes()
+    # any other coordinate in the window keeps that quotient
+    others = np.linspace(-half_width, half_width, 1001)
+    others = others[~np.isin(others, grid.axis())]
+    want = (others + half_width) / grid.cell_size - 0.5
+    assert grid.index_of(others).tobytes() == want.tobytes()
+
+
 def test_renormalized(half_grid):
     f = SampledDistribution(half_grid, states.render("vacuum", half_grid).values * 0.5)
     g = f.renormalized()

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmaj import states
+from qmaj.channels import apply_dephasing
 from qmaj.compare import Outcome, compare, statement4_check
 from qmaj.errors import (
     ConfigError,
@@ -413,6 +415,45 @@ def test_tensor_render_is_product(half_grid):
     assert mixed.factors == ()
 
 
+# a cat or on() part makes the mix not rotation invariant, so it is given
+# the mesh, and its Fock part is sampled on the octant and unfolded
+FOLDED_MIXES = [
+    "mix(0.75:cat(alpha=2), 0.25:fock:7)",
+    "mix(0.5:on(a=2,n=3), 0.5:fock:1)",
+]
+
+
+@pytest.mark.parametrize("points", [350, 700])
+@pytest.mark.parametrize("hbar", ["half", "one"])
+def test_mixture_fold_matches_mesh(points, hbar):
+    # every cell equals the sum of the parts' samples on the whole mesh,
+    # bitwise, and so does a dephasing of such a mix
+    grid = GridSpec(1, 7.0 if hbar == "half" else 7.0 * math.sqrt(2.0), points, hbar)
+    ax = grid.axis() / (math.sqrt(2.0) if hbar == "one" else 1.0)
+    x, p = ax[:, None], ax[None, :]
+    scale = 0.5 if hbar == "one" else 1.0
+
+    def mesh_sum(spec, rep):
+        acc = spec.weights[0] * spec.parts[0].sample(rep, x, p)
+        for w, part in zip(spec.weights[1:], spec.parts[1:]):
+            acc += w * part.sample(rep, x, p)
+        return acc
+
+    for rep in ("wigner", "husimi"):
+        for text in FOLDED_MIXES:
+            spec = parse_state(text)
+            assert not spec.rotation_invariant
+            want = mesh_sum(spec, rep) * scale
+            assert render(spec, grid, rep).values.tobytes() == want.tobytes()
+        if points == 700 and (rep, hbar) != ("wigner", "half"):
+            continue  # one dephasing of the 700-point mesh is enough
+        spec = parse_state(FOLDED_MIXES[0])
+        half = SampledDistribution(states._grid_of(x), mesh_sum(spec, rep).ravel())
+        want = apply_dephasing(0.5, half).values * scale
+        got = render(Dephase(0.5, spec), grid, rep).values
+        assert got.tobytes() == want.tobytes()
+
+
 def test_criterion7_builds_no_cell_array():
     # every step of the two-mode criterion reads the factors; one cell array
     # of the 64^4 grid is 128 MiB
@@ -604,6 +645,23 @@ def test_cubic_matches_airy_closed_form():
             exact = airy_cubic_wigner(g, s, grid)
             err = np.abs(w - exact).max() / np.abs(exact).max()
             assert err < 1e-8, (grid.points_per_axis, g, s, err)
+
+
+def test_wavefunction_transform_bounds_its_temporaries(half_grid, monkeypatch):
+    # the chirp-z sum runs over blocks of rows, which bounds its temporaries
+    # (one pass over all 700 rows peaked at 92 MB) and gives the one-pass
+    # output bitwise
+    spec = parse_state("cubic(g=0.02, s=0.1)")
+    render(spec, half_grid)  # warm: scipy's imports
+    tracemalloc.start()
+    try:
+        f = render(spec, half_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * half_grid.size * 8  # eight cell arrays, 31 MB
+    monkeypatch.setattr(states, "_TRANSFORM_ROWS", half_grid.points_per_axis)
+    assert render(spec, half_grid).values.tobytes() == f.values.tobytes()
 
 
 def test_cubic_state_negativity(half_grid):
