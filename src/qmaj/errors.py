@@ -53,7 +53,12 @@ class LeakageError(NumericsError):
 
 
 class NyquistError(NumericsError):
-    """Wavefunction sampling too coarse for the requested momentum window."""
+    """A state's reach needs a wavefunction lattice beyond the transform's budget.
+
+    The y step that keeps the Wigner transform alias-free on the window
+    shrinks as the state's momentum reach grows; the lattice is refused
+    before it is allocated.
+    """
 
 
 class ChannelError(NumericsError):

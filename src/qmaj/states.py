@@ -32,8 +32,10 @@ import math
 import re
 import typing
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channels
 from .errors import (
@@ -60,8 +62,9 @@ HUSIMI = "husimi"
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_TENSOR_ARITY = 2
-# output rows per chirp-z pass of wigner_from_wavefunction
+# rows per chirp-z pass of wigner_from_wavefunction, and its most lattice points
 _TRANSFORM_ROWS = 64
+_MAX_LATTICE = 1 << 15
 
 
 # -- state types --------------------------------------------------------------
@@ -230,12 +233,11 @@ class Cubic(StateSpec):
     position variance is multiplied by 1/s, so s < 1 squeezes momentum and
     widens the reach of the cubic gate; s = 1 is the plain vacuum.  The
     momentum offset of the source family is fixed to zero.  The Wigner
-    function is transformed numerically from the wavefunction, sampled at a
-    spacing dx of about 0.01 out to 10 position widths:
-    ``wigner_from_wavefunction`` interpolates it once on a lattice of
-    spacing dy = h/(2k) <= dx (h the cell size) and sums over y for all
-    momenta by one chirp-z FFT.  Its closed form is an Airy function; the
-    test suite holds the transform to it.
+    function is transformed numerically from the closed-form wavefunction:
+    ``wigner_from_wavefunction`` evaluates it once on a lattice whose y step
+    is the largest that its momentum reach leaves alias-free on the window,
+    and sums over y for all momenta by one chirp-z FFT.  Its closed form is
+    an Airy function; the test suite holds the transform to it.
     """
 
     g: float
@@ -248,13 +250,14 @@ class Cubic(StateSpec):
     def sample(self, rep, x, p):
         if rep != WIGNER:
             raise UnsupportedStateError("cubic phase states render as Wigner only")
-        grid = _grid_of(x)
-        reach = max(grid.half_width, 10.0 * (0.5 / math.sqrt(self.s)))  # 10 sigma_x
-        dx = min(0.01, 0.25 * math.pi / (4.0 * grid.half_width))
-        xs = np.linspace(-reach, reach, 2 * int(reach / dx) + 1)
-        psi = cubic_phase_wavefunction(self.g, self.s, xs)
-        psi = psi / math.sqrt(float((np.abs(psi) ** 2).sum() * (xs[1] - xs[0])))
-        return wigner_from_wavefunction(psi, xs, grid).as_nd()
+        psi = partial(cubic_phase_wavefunction, self.g, self.s)
+        reach = 5.0 / math.sqrt(self.s)  # 10 sigma_x
+        # W is below e^-36 of its peak beyond |x| = sqrt(18/s), where the
+        # Airy ridge p = 1.5 g x^2 reaches 27|g|/s; past its ridge each row
+        # decays as exp(-4 s dp/(3|g|)), which bounds every row there too.
+        # 10 sigma_p = 5 sqrt(s) covers the Gaussian spread about the ridge.
+        p_reach = 27.0 * abs(self.g) / self.s + 5.0 * math.sqrt(self.s)
+        return wigner_from_wavefunction(psi, _grid_of(x), reach, p_reach).as_nd()
 
 
 @dataclass(frozen=True)
@@ -751,71 +754,68 @@ def cubic_phase_wavefunction(g: float, s: float, x: np.ndarray) -> np.ndarray:
 
 
 def wigner_from_wavefunction(
-    psi: np.ndarray, x: np.ndarray, grid: GridSpec
+    psi: typing.Callable[[np.ndarray], np.ndarray],
+    grid: GridSpec,
+    reach: float,
+    p_reach: float,
 ) -> SampledDistribution:
-    """Wigner function of a pure state from its sampled wavefunction.
+    """Wigner function of a pure state from its wavefunction ``psi``.
 
-    Discretizes the defining correlation integral: for each grid point the
-    product psi(x+y) conj(psi(x-y)) is integrated against the convention's
-    Fourier kernel over y by the trapezoid of a lattice y_t = t dy,
-    t = -m..m, that spans the sampled x range.  With h the grid's cell size,
-    dy = h/(2k) for the least k that makes dy <= dx (to the 1e-9 to which
-    the uniformity check knows dx), so every x_j +- y_t lies on one lattice
-    of spacing dy: psi is interpolated once on its 2k(N-1) + 2m + 1 points
-    (zero outside the samples), each row psi(x_j + y_t) is a window of
-    those samples and psi(x_j - y_t) the same window reversed.
+    ``psi`` maps an array of positions to amplitudes.  ``reach`` bounds the
+    correlation psi(x+y) conj(psi(x-y)) in |y|, ``p_reach`` every row
+    W(x, .) of the window in |p|, both in the grid's hbar convention.  The
+    integral over y is the sum over y_t = t dy, t = -m..m, m dy >= reach,
+    which is periodic in p with period 2 pi/(freq dy): alias-free on
+    |p| <= L when that period is at least L + p_reach.  psi is evaluated
+    once on a lattice of spacing delta = h/(2k) (h the cell size), and
+    dy = q delta is the largest step within the bound (q = 1 or k = 1), so
+    each row psi(x_j + y_t) is a strided window of the lattice and
+    psi(x_j - y_t) the same window reversed.  A lattice of more than
+    _MAX_LATTICE points raises NyquistError before psi is evaluated.
 
     Output momenta are p = s h for s = i - (N-1)/2, so the kernel's phase
     is alpha t s with alpha = freq dy h.  The sum over t for all N momenta
     is one chirp-z transform (Bluestein's method): t s = (t^2 + s^2 -
     (s-t)^2)/2 turns it into a convolution with the chirp exp(i alpha r^2/2),
     done by one FFT pass and its inverse along y for each block of 64 rows
-    (the rows are independent, so a 700^2 render peaks at 18 MB rather
-    than 92 MB for all rows at once, and gives the same output bitwise).  W is
-    the real part of the sum; the product is Hermitian in y, so its imaginary
-    part, the residue, is rounding noise and is checked against 1e-10.
+    (blocks bound the temporaries and give the one-pass output bitwise).
+    W is the real part of the sum; the product is Hermitian in y, so its
+    imaginary part, the residue, is rounding noise and is checked against
+    1e-10, as the lattice sum of |psi|^2 is against 1 within 1e-4.
     """
-    from numpy.lib.stride_tricks import sliding_window_view
-    from scipy.interpolate import CubicSpline
-
     if grid.modes != 1:
         raise ConfigError("wigner_from_wavefunction handles single-mode grids")
-    psi = np.asarray(psi, dtype=complex).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    if psi.shape != x.shape or len(x) < 8:
-        raise ConfigError("psi and x must be equal-length sampled arrays")
-    if not (np.isfinite(psi).all() and np.isfinite(x).all()):
-        raise ConfigError("psi and x must be finite")
-    dx = float(x[1] - x[0])
-    if not np.allclose(np.diff(x), dx, rtol=0, atol=1e-9 * abs(dx)):
-        raise ConfigError("wavefunction grid must be uniform")
-    norm = float((np.abs(psi) ** 2).sum() * dx)
-    if abs(norm - 1.0) > 1e-4:
-        raise NumericsError(
-            f"wavefunction norm {norm:.6g} deviates from 1 beyond 1e-4"
-        )
+    if not (0 < reach < math.inf and 0 <= p_reach < math.inf):
+        raise ConfigError("reach must be finite and > 0, p_reach finite and >= 0")
     if grid.hbar == HBAR_HALF:
         freq, pref = 4.0, 2.0 / math.pi
     else:
         freq, pref = 2.0, 1.0 / math.pi
-    p_max = grid.half_width
-    if freq * p_max * dx > 0.5 * math.pi:
-        raise NyquistError(
-            f"wavefunction spacing {dx:g} too coarse for |p| <= {p_max:g}; "
-            f"need dx <= {0.5 * math.pi / (freq * p_max):g}"
-        )
 
     n = grid.points_per_axis
     h = grid.cell_size
-    k = math.ceil(h / (2.0 * dx) * (1.0 - 1e-9))  # dx is known to 1e-9
-    dy = h / (2 * k)
-    m = int(0.5 * (x[-1] - x[0]) / dy)
-    u = grid.axis()[0] + np.arange(-m, 2 * k * (n - 1) + m + 1) * dy
-    psi_u = CubicSpline(x, psi.real, extrapolate=False)(u)
-    psi_u = psi_u + 1j * CubicSpline(x, psi.imag, extrapolate=False)(u)
-    psi_u = np.nan_to_num(psi_u, nan=0.0)
-    plus = sliding_window_view(psi_u, 2 * m + 1)[:: 2 * k]  # psi(x_j + y_t)
+    # h/2 over the largest alias-free dy; out of range, k or q is over budget
+    ratio = h * freq * (grid.half_width + p_reach) / (4.0 * math.pi)
+    points = math.inf
+    if 1.0 / _MAX_LATTICE < ratio < _MAX_LATTICE:
+        k, q = (math.ceil(ratio), 1) if ratio > 1.0 else (1, math.floor(1.0 / ratio))
+        delta = h / (2 * k)
+        m = math.ceil(reach / (q * delta))
+        points = 2 * k * (n - 1) + 2 * m * q + 1
+    if points > _MAX_LATTICE:
+        raise NyquistError(
+            f"reach {reach:g}, momentum reach {p_reach:g} on {_window(grid)}: "
+            f"the wavefunction lattice would exceed {_MAX_LATTICE} points")
+    u = grid.axis()[0] + np.arange(-m * q, points - m * q) * delta
+    psi_u = np.asarray(psi(u), dtype=complex)
+    if psi_u.shape != u.shape or not np.isfinite(psi_u).all():
+        raise ConfigError("psi must map positions to as many finite amplitudes")
+    norm = float((np.abs(psi_u) ** 2).sum() * delta)
+    if abs(norm - 1.0) > 1e-4:
+        raise NumericsError(f"wavefunction norm {norm:.6g} deviates from 1 beyond 1e-4")
+    plus = sliding_window_view(psi_u, 2 * m * q + 1)[:: 2 * k, ::q]  # psi(x_j + y_t)
 
+    dy = q * delta
     alpha = freq * dy * h
     t = np.arange(-m, m + 1)
     s = np.arange(n) - 0.5 * (n - 1)

@@ -369,11 +369,17 @@ def test_exit_code_malformed_flag(argv):
 
 
 def test_import_loads_no_scipy():
-    # scipy loads only where a channel or a cubic state interpolates
+    # scipy loads only where a channel interpolates: neither importing nor
+    # rendering a cubic phase state, alone or in a tensor product, loads it
     src = str(Path(qmaj.__file__).resolve().parents[1])
     code = (
         "import sys, qmaj, qmaj.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(loaded())\n"
+        "for spec in ('cubic(g=0.02, s=0.1)', 'tensor(cubic(g=0.02, s=0.1), vacuum)'):\n"
+        "    qmaj.render(spec).values\n"
+        "    print(loaded())"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -383,7 +389,19 @@ def test_import_loads_no_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", "[]", ""]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cubic(g=1e6, s=0.1)", "--grid", "N=64"], ["cubic(g=0.02, s=1e-9)"]],
+    ids=["g=1e6", "s=1e-9"],
+)
+def test_exit_code_over_budget_cubic(capsys, argv):
+    # a cubic phase whose reach needs a wavefunction lattice beyond the
+    # transform's budget is a numeric failure, not an aliased value
+    code, out, err = run(capsys, "monotone", "--which", "nv", "--state", *argv)
+    assert code == 4 and "lattice" in err and out == ""
 
 
 def test_exit_code_normalization(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -574,24 +575,22 @@ def harmonic_eigenfunction(n: int, x: np.ndarray, hbar: str = "half") -> np.ndar
 
 
 def test_wavefunction_vacuum_consistency(half_grid):
-    x = np.arange(-8.0, 8.0, 0.01)
-    w = wigner_from_wavefunction(harmonic_eigenfunction(0, x), x, half_grid)
+    w = wigner_from_wavefunction(partial(harmonic_eigenfunction, 0), half_grid, 8.0, 5.0)
     target = render("vacuum", half_grid)
     assert np.abs(w.values - target.values).max() < 1e-4
     assert w.total_integral == pytest.approx(1.0, abs=1e-3)
 
 
 def test_wavefunction_hermite1_consistency(half_grid):
-    x = np.arange(-8.0, 8.0, 0.01)
-    w = wigner_from_wavefunction(harmonic_eigenfunction(1, x), x, half_grid)
+    w = wigner_from_wavefunction(partial(harmonic_eigenfunction, 1), half_grid, 8.0, 5.0)
     target = render("fock:1", half_grid)
     assert np.abs(w.values - target.values).max() < 1e-4
 
 
 def test_wavefunction_hbar_one():
     grid = default_grid(hbar="one")
-    x = np.arange(-11.0, 11.0, 0.01)
-    w = wigner_from_wavefunction(harmonic_eigenfunction(0, x, hbar="one"), x, grid)
+    psi = partial(harmonic_eigenfunction, 0, hbar="one")
+    w = wigner_from_wavefunction(psi, grid, 11.0, 7.0)
     target = render("vacuum", grid)
     assert np.abs(w.values - target.values).max() < 1e-4
 
@@ -599,10 +598,11 @@ def test_wavefunction_hbar_one():
 def test_wavefunction_momentum_sign():
     # a coherent state with p0 != 0: a flipped momentum axis would render
     # conj(alpha) = 0.8-0.6i, 0.6 away in sup norm
-    x = np.arange(-8.0, 8.0, 0.01)
-    psi = (2.0 / math.pi) ** 0.25 * np.exp(-((x - 0.8) ** 2) + 1.2j * x)
+    def psi(x):
+        return (2.0 / math.pi) ** 0.25 * np.exp(-((x - 0.8) ** 2) + 1.2j * x)
+
     grid = default_grid()
-    w = wigner_from_wavefunction(psi, x, grid)
+    w = wigner_from_wavefunction(psi, grid, 8.0, 6.0)
     target = render(Coherent(0.8 + 0.6j), grid)
     assert np.abs(w.values - target.values).max() < 1e-12
 
@@ -639,12 +639,16 @@ def airy_cubic_wigner(g: float, s: float, grid: GridSpec) -> np.ndarray:
 
 
 def test_cubic_matches_airy_closed_form():
-    for grid in (GridSpec(1, 5.0, 64), GridSpec(1, 7.0, 350)):
-        for g, s in ((0.02, 0.1), (0.1, 1.0), (0.3, 0.5), (1.0, 2.0)):
+    cases = [(0.02, 0.1), (0.1, 1.0), (0.3, 0.5), (1.0, 2.0)]
+    for grid in (GridSpec(1, 5.0, 64), GridSpec(1, 7.0, 350), GridSpec(1, 7.0, 700)):
+        # the strongest cubic phases, whose Airy ridge leaves the window,
+        # on the two L=7 grids
+        extra = [(1.0, 0.1), (0.5, 0.2)] if grid.half_width == 7.0 else []
+        for g, s in cases + extra:
             w = render(f"cubic(g={g}, s={s})", grid).as_nd()
             exact = airy_cubic_wigner(g, s, grid)
             err = np.abs(w - exact).max() / np.abs(exact).max()
-            assert err < 1e-8, (grid.points_per_axis, g, s, err)
+            assert err < 1e-12, (grid.points_per_axis, g, s, err)
 
 
 def test_wavefunction_transform_bounds_its_temporaries(half_grid, monkeypatch):
@@ -652,7 +656,7 @@ def test_wavefunction_transform_bounds_its_temporaries(half_grid, monkeypatch):
     # (one pass over all 700 rows peaked at 92 MB) and gives the one-pass
     # output bitwise
     spec = parse_state("cubic(g=0.02, s=0.1)")
-    render(spec, half_grid)  # warm: scipy's imports
+    render(spec, half_grid)  # warm: numpy's FFT plans
     tracemalloc.start()
     try:
         f = render(spec, half_grid)
@@ -673,27 +677,51 @@ def test_cubic_state_negativity(half_grid):
 
 
 def test_wavefunction_norm_validation(half_grid):
-    x = np.arange(-8.0, 8.0, 0.01)
+    def psi(x):
+        return 2.0 * harmonic_eigenfunction(0, x)
+
     with pytest.raises(NumericsError):
-        wigner_from_wavefunction(2.0 * harmonic_eigenfunction(0, x), x, half_grid)
+        wigner_from_wavefunction(psi, half_grid, 8.0, 5.0)
 
 
-@pytest.mark.parametrize("where", ["psi", "x"])
+@pytest.mark.parametrize("where", ["psi", "reach", "p_reach"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_wavefunction_rejects_non_finite(half_grid, where, bad):
-    x = np.arange(-8.0, 8.0, 0.01)
-    psi = harmonic_eigenfunction(0, x).astype(complex)
-    (psi if where == "psi" else x)[400] = bad
+    def psi(x):
+        out = harmonic_eigenfunction(0, x).astype(complex)
+        out[len(out) // 2] = bad
+        return out
+
+    args = {"psi": psi, "reach": 8.0, "p_reach": 5.0}
+    if where != "psi":
+        args.update(psi=partial(harmonic_eigenfunction, 0), **{where: bad})
     with pytest.raises(ConfigError, match="finite"):
-        wigner_from_wavefunction(psi, x, half_grid)
+        wigner_from_wavefunction(grid=half_grid, **args)
 
 
 def test_wavefunction_nyquist_check(half_grid):
-    x = np.arange(-8.0, 8.0, 0.2)  # far too coarse for |p| <= 7
-    psi = harmonic_eigenfunction(0, x)
-    psi = psi / math.sqrt(float((np.abs(psi) ** 2).sum() * 0.2))
-    with pytest.raises(NyquistError):
-        wigner_from_wavefunction(psi, x, half_grid)
+    # a position or momentum reach that needs a lattice past the budget is
+    # refused before psi is evaluated
+    def psi(x):
+        raise AssertionError("psi evaluated")
+
+    for reach, p_reach in ((8.0, 1e9), (1e9, 5.0), (8.0, 1e308)):
+        with pytest.raises(NyquistError):
+            wigner_from_wavefunction(psi, half_grid, reach, p_reach)
+
+
+@pytest.mark.parametrize("spec", ["cubic(g=1e6, s=0.1)", "cubic(g=0.02, s=1e-9)"])
+def test_cubic_over_budget_is_refused_before_allocating(half_grid, spec):
+    # the first needs a y step below 1e-8 to stay alias-free, the second a
+    # y range of 1.6e5: both are refused before any lattice is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(NyquistError):
+            render(spec, half_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cubic_wavefunction_reduces_to_vacuum():
