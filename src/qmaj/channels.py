@@ -16,13 +16,15 @@ Coordinate ordering is per-mode interleaved: (x1, p1, x2, p2, ...).
 Dephasing mixes rotations with wrapped-Gaussian angle weights, so it damps
 the angular harmonic m of a one-mode function by exp(-m^2 / (2 gamma)).  It
 is applied as that filter: one cubic-spline resample onto a polar grid, one
-real FFT along the angle, and one resample back.
+real FFT along the angle, and one resample back.  A rotation-invariant
+state is its fixed point; the state grammar's ``dephase(gamma=G, S)``, which
+``apply --channel dephase:gamma=G`` renders, returns such a state as it is,
+so the filter only ever runs on a function given by its values.
 
-A function built from its octant stays one through dephasing and through a
-Gaussian kernel that commutes with the grid's mirrors and transpose.  Such
-a kernel runs as one 1-D operator applied along x and then along p, and
-dephasing runs over a quarter turn, the period of an octant in the angle.
-Both agree with the same function given by its values to rounding.
+A function built from its octant stays one through a Gaussian kernel that
+commutes with the grid's mirrors and transpose.  Such a kernel runs as one
+1-D operator applied along x and then along p, and agrees with the same
+function given by its values to rounding.
 
 scipy is imported inside the functions that interpolate, so importing this
 module (and the package) does not load it.
@@ -41,7 +43,6 @@ from .grids import (
     HBAR_HALF,
     GridSpec,
     SampledDistribution,
-    _fold,
     _octant_orbits,
     _unfold,
 )
@@ -412,16 +413,7 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     the smallest power of two above the angular Nyquist at the corner plus
     the band the filter keeps (harmonics with exp(-m^2 / (2 gamma)) > e^-36),
     that band capped at the Nyquist, since the samples hold nothing above it.
-
-    Rotations commute with the grid's mirrors and transpose, so a function
-    built from its octant stays one.  The filter still runs, since an octant
-    is symmetric under those eight maps, not under every rotation, but over
-    a quarter turn: an octant repeats every quarter turn, so the polar grid
-    holds the n_theta / 4 angles of one period, the filter damps its
-    harmonic k as harmonic 4k of the turn, and the r < 0 rows need no roll,
-    since half a turn is two periods.  The resample back onto the grid is
-    evaluated at the octant's cells only, and agrees with the same function
-    given by its values to rounding.
+    The output is built from its values, whatever the form of f.
     """
     from scipy.ndimage import map_coordinates
 
@@ -433,13 +425,10 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     corner = grid.half_width * math.sqrt(2.0)
     nyquist = math.pi * corner / grid.cell_size
     n_theta = 1 << int(nyquist + min(math.sqrt(72.0 * gamma), nyquist)).bit_length()
-    # an octant repeats every quarter turn: one period is n_theta / 4 angles
-    turns = 1 if f.octant is None else 4
-    period = n_theta // turns
     dr = 0.5 * grid.cell_size
     rows = int(math.ceil(corner / dr)) + 4
     radii = np.arange(rows + 1) * dr
-    theta = np.arange(period) * (2.0 * math.pi / n_theta)
+    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     polar_coords = np.stack(
         [
             grid.index_of(np.outer(radii, np.cos(theta))),
@@ -449,26 +438,19 @@ def apply_dephasing(gamma: float, f: SampledDistribution) -> SampledDistribution
     polar = map_coordinates(
         f.as_nd(), polar_coords, order=3, mode="constant", cval=0.0
     )
-    damping = np.exp(-(turns * np.arange(period // 2 + 1)) ** 2 / (2.0 * gamma))
-    polar = np.fft.irfft(np.fft.rfft(polar, axis=1) * damping, period, axis=1)
-    # rows -rows..rows: f(-r, theta) = f(r, theta + pi), a whole number of
-    # periods for an octant
-    half_turn = (n_theta // 2) % period
-    polar = np.concatenate([np.roll(polar[:0:-1], half_turn, axis=1), polar])
+    damping = np.exp(-np.arange(n_theta // 2 + 1) ** 2 / (2.0 * gamma))
+    polar = np.fft.irfft(np.fft.rfft(polar, axis=1) * damping, n_theta, axis=1)
+    # rows -rows..rows: f(-r, theta) = f(r, theta + pi)
+    polar = np.concatenate([np.roll(polar[:0:-1], n_theta // 2, axis=1), polar])
 
     x, p = grid.mesh()
-    if f.octant is not None:
-        x, p = _fold(grid, np.stack(np.broadcast_arrays(x, p)))
     coords = np.stack(
         [
             rows + np.hypot(x, p) / dr,
-            np.mod(np.arctan2(p, x), 2.0 * math.pi / turns)
-            * (n_theta / (2.0 * math.pi)),
+            np.mod(np.arctan2(p, x), 2.0 * math.pi) * (n_theta / (2.0 * math.pi)),
         ]
     )
     out = map_coordinates(polar, coords, order=3, mode="grid-wrap")
-    if f.octant is not None:
-        return SampledDistribution(grid, None, octant=out)
     return SampledDistribution(grid, out.ravel())
 
 

@@ -9,8 +9,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -85,66 +86,68 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 class _Channel(NamedTuple):
-    """A parsed channel: how to apply it, and the lines it prints."""
+    """A parsed channel: its output for a state on a grid, and the lines it prints."""
 
-    apply: Callable[[SampledDistribution], SampledDistribution]
+    apply: Callable[[states.StateSpec, GridSpec], SampledDistribution]
     notes: tuple[str, ...] = ()
 
 
 def _gaussian(spec: channels.GaussianChannelSpec) -> _Channel:
+    def apply(state: states.StateSpec, grid: GridSpec) -> SampledDistribution:
+        return channels.apply_gaussian(spec, states.render(state, grid))
+
     stochasticity = channels.classify_gaussian(spec).value
-    return _Channel(
-        partial(channels.apply_gaussian, spec), (f"stochasticity={stochasticity}",)
-    )
+    return _Channel(apply, (f"stochasticity={stochasticity}",))
 
 
 def parse_channel(text: str) -> _Channel:
-    """Channel mini-grammar: plc:eta=, gauss:X=..,Y=..,delta=.., dephase:gamma=."""
+    """Channel mini-grammar: plc:eta=, gauss:X=..,Y=..,delta=.., dephase:gamma=.
+
+    ``dephase:gamma=G`` is the ``dephase(gamma=G, S)`` state of the input S,
+    so a rotation-invariant S comes back as it is.  A parameter that the
+    channel does not take raises ParseError.
+    """
     name, _, body = text.partition(":")
     name = name.strip()
     params: dict[str, str] = {}
-    depth = 0
-    key = ""
-    buf = ""
-    for ch in body + ",":
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            if buf.strip():
-                k, _, v = buf.partition("=")
-                params[k.strip()] = v.strip()
-            buf = ""
-        else:
-            buf += ch
+    for item in re.split(r",(?![^\[]*\])", body):  # the commas outside [...]
+        if item.strip():
+            k, _, v = item.partition("=")
+            params[k.strip()] = v.strip()
     try:
         if name == "plc":
-            return _gaussian(channels.pure_loss_channel(float(params["eta"])))
-        if name == "amp":
-            return _gaussian(channels.amplifier_channel(float(params["gain"])))
-        if name == "rot":
-            return _gaussian(channels.rotation_channel(float(params["theta"])))
-        if name == "pconj":
-            return _gaussian(
-                channels.phase_conjugation_channel(float(params["kappa"]))
+            channel = _gaussian(channels.pure_loss_channel(float(params.pop("eta"))))
+        elif name == "amp":
+            channel = _gaussian(channels.amplifier_channel(float(params.pop("gain"))))
+        elif name == "rot":
+            channel = _gaussian(channels.rotation_channel(float(params.pop("theta"))))
+        elif name == "pconj":
+            channel = _gaussian(
+                channels.phase_conjugation_channel(float(params.pop("kappa")))
             )
-        if name == "dephase":
-            return _Channel(partial(channels.apply_dephasing, float(params["gamma"])))
-        if name == "gauss":
-            x = _parse_matrix(params["X"])
-            y = _parse_matrix(params["Y"])
-            delta = (
-                _parse_matrix(params["delta"]).ravel()
-                if "delta" in params
-                else None
+        elif name == "dephase":
+            gamma = float(params.pop("gamma"))
+            if not 0 < gamma < math.inf:
+                raise ConfigError(f"gamma must be finite and > 0, got {gamma}")
+            channel = _Channel(
+                lambda state, grid: states.render(states.Dephase(gamma, state), grid)
             )
-            return _gaussian(channels.GaussianChannelSpec(x, y, delta))
+        elif name == "gauss":
+            x = _parse_matrix(params.pop("X"))
+            y = _parse_matrix(params.pop("Y"))
+            delta = params.pop("delta", None)
+            delta = None if delta is None else _parse_matrix(delta).ravel()
+            channel = _gaussian(channels.GaussianChannelSpec(x, y, delta))
+        else:
+            raise ParseError(f"unknown channel {name!r}")
     except KeyError as exc:
         raise ParseError(f"channel {name!r} is missing parameter {exc}")
     except ValueError as exc:
         raise ParseError(f"bad channel parameter: {exc}")
-    raise ParseError(f"unknown channel {name!r}")
+    if params:
+        extra = next(iter(params))
+        raise ParseError(f"channel {name!r} got unknown parameter {extra}=")
+    return channel
 
 
 # -- file formats -------------------------------------------------------------
@@ -286,16 +289,12 @@ def write_curves_svg(path, s, l_plus, l_minus, loglog: bool = False) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def _render(args, *texts: str) -> tuple:
-    """The grid, then each state rendered on it; the states share a mode count.
-
-    ``apply`` has no ``--rep`` and renders Wigner functions.
-    """
+    """The grid, then each state rendered on it; the states share a mode count."""
     specs = [states.parse_state(text) for text in texts]
     if any(spec.modes != specs[0].modes for spec in specs):
         raise ConfigError("states act on different mode counts")
     grid = _parse_grid_flag(args.grid, specs[0].modes, args.hbar)
-    rep = getattr(args, "rep", states.WIGNER)
-    return grid, *(states.render(spec, grid, rep) for spec in specs)
+    return grid, *(states.render(spec, grid, args.rep) for spec in specs)
 
 
 def _reference_for(args, grid):
@@ -373,9 +372,11 @@ def cmd_monotone(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    _, f = _render(args, args.state)
+    """The channel's output for the state's Wigner function (no ``--rep``)."""
+    spec = states.parse_state(args.state)
+    grid = _parse_grid_flag(args.grid, spec.modes, args.hbar)
     channel = parse_channel(args.channel)
-    out = channel.apply(f)
+    out = channel.apply(spec, grid)
     for line in channel.notes:
         print(line)
     report = truncation_report(out)

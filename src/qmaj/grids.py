@@ -234,16 +234,6 @@ def _unfold(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
     return full
 
 
-def _fold(grid: GridSpec, cells: np.ndarray) -> np.ndarray:
-    """The entries of ``cells`` at the octant's cells; the inverse of _unfold.
-
-    The last two axes of ``cells`` are the grid's; any leading axes are kept.
-    """
-    orbits = _octant_orbits(grid)
-    h = grid.points_per_axis // 2
-    return cells[..., h + orbits.rows, h + orbits.cols]
-
-
 def _cells(grid, values, octant: bool = False) -> np.ndarray:
     """A flat, contiguous, read-only array of one entry per cell or octant cell."""
     if not octant:
@@ -276,16 +266,16 @@ class SampledDistribution:
       orbit of 4 or 8 equal cells under the mirrors and the transpose of the
       grid; ``total_integral`` is the orbit-weighted sum.  ``states.render``
       and ``states.reference`` build rotation-invariant functions this way,
-      and ``channels.apply_gaussian`` and ``channels.apply_dephasing`` build
-      their output this way from such an input when the channel commutes
-      with the mirrors and the transpose.
+      and ``channels.apply_gaussian`` builds its output this way from such
+      an input when the kernel commutes with the mirrors and the transpose.
 
     Instances are immutable and their arrays read-only, and compare and hash
     by identity, so neither reads cells.  For the last two
     forms ``values`` (the outer product, or each octant cell copied over its
     orbit) is built on first read and kept, like ``sorted_values``.  The
     calls that read cells build it: ``renormalized``, ``as_nd``, channel
-    application (of its input), the pointwise monotones, the distribution
+    application to its input (dephasing, and a Gaussian kernel that does
+    not keep the octant), the pointwise monotones, the distribution
     functions, ``ratio_breakpoints``, the piecewise integrals, a
     rearrangement that reads neither octants nor factors, and grid-file
     writes of a product.  Rendering, ``reference``, the curves,

@@ -73,10 +73,12 @@ _MAX_LATTICE = 1 << 15
 class StateSpec:
     """Base class of the state AST, one subclass per state type.
 
-    ``sample`` evaluates a representation at hbar=1/2 coordinates x and p,
-    broadcast together.  A ``rotation_invariant`` spec depends on x^2 + p^2
-    alone and takes any coordinates, such as the grid octant's; the others
-    need the mesh views (N, 1) and (1, N) of the axis.
+    ``sample`` evaluates a representation on a grid of the spec's modes, in
+    the hbar=1/2 normalization: on every cell as an (N,)*2n array, or with
+    ``octant`` on the octant's cells as a flat array.  Only a
+    ``rotation_invariant`` spec, which depends on x^2 + p^2 alone, is
+    sampled on the octant.  A closed form is evaluated at the hbar=1/2
+    coordinates of ``_coordinates``.
     """
 
     rotation_invariant = False
@@ -85,7 +87,8 @@ class StateSpec:
     def modes(self) -> int:
         return 1
 
-    def sample(self, rep: str, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def sample(self, rep: str, grid: GridSpec, octant: bool) -> np.ndarray:
+        x, p = _coordinates(grid, octant)
         return self.wigner(x, p) if rep == WIGNER else self.husimi(x, p)
 
     def fock_weights(self) -> dict[int, float]:
@@ -149,12 +152,12 @@ class Thermal(StateSpec):
     nbar: float
     rotation_invariant = True
 
-    def sample(self, rep, x, p):
+    def sample(self, rep, grid, octant):
         if self.nbar < 0:
             raise SpecValidationError(
                 "negative-temperature thermal functions are references, not states"
             )
-        return super().sample(rep, x, p)
+        return super().sample(rep, grid, octant)
 
     def wigner(self, x, p):
         w = 1.0 + 2.0 * self.nbar
@@ -247,9 +250,11 @@ class Cubic(StateSpec):
         if self.s <= 0:
             raise SpecValidationError(f"squeezing must be > 0, got {self.s}")
 
-    def sample(self, rep, x, p):
+    def sample(self, rep, grid, octant):
         if rep != WIGNER:
             raise UnsupportedStateError("cubic phase states render as Wigner only")
+        if grid.hbar == HBAR_ONE:  # the same cells in hbar=1/2 coordinates
+            grid = GridSpec(1, grid.half_width / _SQRT2, grid.points_per_axis)
         psi = partial(cubic_phase_wavefunction, self.g, self.s)
         reach = 5.0 / math.sqrt(self.s)  # 10 sigma_x
         # W is below e^-36 of its peak beyond |x| = sqrt(18/s), where the
@@ -257,7 +262,7 @@ class Cubic(StateSpec):
         # decays as exp(-4 s dp/(3|g|)), which bounds every row there too.
         # 10 sigma_p = 5 sqrt(s) covers the Gaussian spread about the ridge.
         p_reach = 27.0 * abs(self.g) / self.s + 5.0 * math.sqrt(self.s)
-        return wigner_from_wavefunction(psi, _grid_of(x), reach, p_reach).as_nd()
+        return wigner_from_wavefunction(psi, grid, reach, p_reach).as_nd()
 
 
 @dataclass(frozen=True)
@@ -274,10 +279,10 @@ class Lossy(StateSpec):
         if self.inner.modes != 1:
             raise SpecValidationError("lossy needs a one-mode state")
 
-    def sample(self, rep, x, p):
-        acc = np.zeros(np.broadcast_shapes(x.shape, p.shape))
+    def sample(self, rep, grid, octant):
+        acc = 0.0
         for n, w in sorted(self.fock_weights().items()):
-            acc += w * Fock(n).sample(rep, x, p)
+            acc += w * Fock(n).sample(rep, grid, octant)
         return acc
 
     def fock_weights(self) -> dict[int, float]:
@@ -303,11 +308,11 @@ class Dephase(StateSpec):
     def rotation_invariant(self) -> bool:
         return self.inner.rotation_invariant
 
-    def sample(self, rep, x, p):
-        inner = self.inner.sample(rep, x, p)
+    def sample(self, rep, grid, octant):
+        inner = self.inner.sample(rep, grid, octant)
         if self.rotation_invariant:
             return inner  # dephasing leaves a rotation-invariant state as it is
-        tmp = SampledDistribution(_grid_of(x), inner.ravel())
+        tmp = SampledDistribution(grid, inner.ravel())
         return channels.apply_dephasing(self.gamma, tmp).as_nd()
 
 
@@ -337,17 +342,18 @@ class Mix(StateSpec):
     def rotation_invariant(self) -> bool:
         return all(part.rotation_invariant for part in self.parts)
 
-    def sample(self, rep, x, p):
+    def sample(self, rep, grid, octant):
         """The weighted sum of the parts' samples, in part order.
 
-        On the mesh views, which a mix with a part that is not rotation
-        invariant is given, each rotation-invariant part is sampled on the
-        octant and unfolded, bitwise its samples on every cell.
+        A mix with a part that is not rotation invariant is sampled on every
+        cell, but each of its rotation-invariant parts on the octant and
+        unfolded.  The axis is mirror-exact and such a part is symmetric in
+        x and p, so that is bitwise its samples on every cell.
         """
         def part_sample(part):
             if part.rotation_invariant and not self.rotation_invariant:
-                return _sample_on_octant(part, rep, x)
-            return part.sample(rep, x, p)
+                return _unfold(grid, part.sample(rep, grid, True))
+            return part.sample(rep, grid, octant)
 
         acc = self.weights[0] * part_sample(self.parts[0])
         for w, part in zip(self.weights[1:], self.parts[1:]):
@@ -376,9 +382,12 @@ class Tensor(StateSpec):
     def modes(self) -> int:
         return sum(p.modes for p in self.parts)
 
-    def sample(self, rep, x, p):
-        """The (N,)*2k outer product of the parts' samples on the mesh."""
-        vals = [part.sample(rep, x, p) for part in self.parts]
+    def sample(self, rep, grid, octant):
+        """The (N,)*2k outer product of the parts' samples on every cell."""
+        vals = [
+            part.sample(rep, replace(grid, modes=part.modes), False)
+            for part in self.parts
+        ]
         out = vals[0]
         for v in vals[1:]:
             out = np.multiply.outer(out, v)
@@ -593,27 +602,8 @@ def _coordinates(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray]:
     return half[orbits.rows], half[orbits.cols]
 
 
-def _sample_on_octant(spec: StateSpec, rep: str, x: np.ndarray) -> np.ndarray:
-    """A rotation-invariant spec's samples on the mesh, from its octant's.
-
-    x is the mesh view (N, 1) of the axis.  The axis is mirror-exact and a
-    rotation-invariant closed form is symmetric in x and p, so each octant
-    sample copied over its orbit equals the sample of every cell bitwise.
-    """
-    grid = _grid_of(x)
-    orbits = _octant_orbits(grid)
-    half = x.ravel()[grid.points_per_axis // 2:]
-    return _unfold(grid, spec.sample(rep, half[orbits.rows], half[orbits.cols]))
-
-
 def _window(grid: GridSpec) -> str:
     return f"the window L={grid.half_width:g}, N={grid.points_per_axis}"
-
-
-def _grid_of(x: np.ndarray) -> GridSpec:
-    """The hbar=1/2 one-mode grid whose axis the mesh view x samples."""
-    ax = x.ravel()
-    return GridSpec(1, float(ax[-1]) + 0.5 * float(ax[1] - ax[0]), len(ax), HBAR_HALF)
 
 
 def render(
@@ -657,7 +647,7 @@ def render(
     where = f"as {rep} on {_window(grid)}"
     try:
         with np.errstate(all="ignore"):  # samples that are not finite are refused below
-            vals = spec.sample(rep, *_coordinates(grid, fold))
+            vals = spec.sample(rep, grid, fold)
     except OverflowError as exc:  # math.factorial(n) beyond the float range
         raise NumericsError(f"{pretty(spec)} overflows {where}: {exc}") from None
     if not np.isfinite(vals).all():

@@ -211,17 +211,71 @@ def test_apply_dephase_channel(tmp_path, capsys):
 
 
 def test_parse_channel_grammar():
+    # a channel maps a state on a grid to the output of its kernel, bitwise
+    grid = GridSpec(1, 7.0, 64)
+    cat = states.parse_state("cat(alpha=1)")
     ch = parse_channel("gauss:X=[1 0;0 1],Y=[0 0;0 0],delta=[0.5 0]")
-    assert ch.apply.func is channels.apply_gaussian
-    assert ch.apply.args[0].delta[0] == 0.5
+    shift = channels.GaussianChannelSpec(np.eye(2), np.zeros((2, 2)), [0.5, 0.0])
+    want = channels.apply_gaussian(shift, states.render(cat, grid))
+    assert ch.apply(cat, grid).values.tobytes() == want.values.tobytes()
     assert ch.notes == ("stochasticity=doubly_stochastic",)
     ch = parse_channel("dephase:gamma=0.25")
-    assert ch.apply.func is channels.apply_dephasing
-    assert ch.apply.args == (0.25,) and ch.notes == ()
+    want = channels.apply_dephasing(0.25, states.render(cat, grid))
+    assert ch.apply(cat, grid).values.tobytes() == want.values.tobytes()
+    assert ch.notes == ()
     with pytest.raises(ParseError):
         parse_channel("teleport:fidelity=1")
     with pytest.raises(ParseError):
         parse_channel("plc:transmittance=0.7")
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        "dephase:gamma=0.5,foo=1",
+        "plc:eta=0.7,gain=2",
+        "gauss:X=[1 0;0 1],Y=[0 0;0 0],Z=[1]",
+    ],
+    ids=["dephase", "plc", "gauss"],
+)
+def test_channel_refuses_unknown_parameter(tmp_path, capsys, channel):
+    # like a state function's unknown argument, a parse error that names it
+    name = channel.rsplit(",", 1)[1].split("=")[0]
+    with pytest.raises(ParseError, match=f"unknown parameter {name}="):
+        parse_channel(channel)
+    out_file = tmp_path / "x.grid"
+    code, out, err = run(
+        capsys,
+        "apply", "--channel", channel, "--state", "fock:1",
+        "--grid", "N=60", "--out", str(out_file),
+    )
+    assert code == 3 and f"unknown parameter {name}=" in err and out == ""
+    assert not out_file.exists()
+
+
+def test_apply_dephase_of_rotation_invariant_state_is_the_state(tmp_path, capsys):
+    # dephasing leaves a rotation-invariant state as it is: the file is the
+    # state's own, byte for byte
+    out_file, want_file = tmp_path / "d.grid", tmp_path / "f.grid"
+    code, out, _ = run(
+        capsys,
+        "apply", "--channel", "dephase:gamma=0.5", "--state", "fock:1",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    write_grid_file(want_file, states.render("fock:1"))
+    assert out_file.read_bytes() == want_file.read_bytes()
+
+
+def test_apply_dephase_refuses_two_modes(tmp_path, capsys):
+    out_file = tmp_path / "x.grid"
+    code, out, err = run(
+        capsys,
+        "apply", "--channel", "dephase:gamma=0.5", "--state", "tensor(vacuum, vacuum)",
+        "--out", str(out_file),
+    )
+    assert code == 3 and "dephase needs a one-mode state" in err
+    assert not out_file.exists()
 
 
 def test_dvec_cli(capsys):
@@ -370,16 +424,22 @@ def test_exit_code_malformed_flag(argv):
 
 def test_import_loads_no_scipy():
     # scipy loads only where a channel interpolates: neither importing nor
-    # rendering a cubic phase state, alone or in a tensor product, loads it
+    # rendering a cubic phase state, alone or in a tensor product, loads it,
+    # nor dephasing a rotation-invariant state, which returns it as it is
     src = str(Path(qmaj.__file__).resolve().parents[1])
     code = (
-        "import sys, qmaj, qmaj.cli\n"
+        "import contextlib, io, os, sys, qmaj, qmaj.cli\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "print(loaded())\n"
         "for spec in ('cubic(g=0.02, s=0.1)', 'tensor(cubic(g=0.02, s=0.1), vacuum)'):\n"
         "    qmaj.render(spec).values\n"
-        "    print(loaded())"
+        "    print(loaded())\n"
+        "argv = ['apply', '--channel', 'dephase:gamma=0.5', '--state', 'fock:1',\n"
+        "        '--out', os.devnull]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert qmaj.cli.main(argv) == 0\n"
+        "print(loaded())"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -389,7 +449,7 @@ def test_import_loads_no_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", "[]", ""]
+    assert proc.stdout.split("\n") == ["[]", "[]", "[]", "[]", ""]
 
 
 @pytest.mark.parametrize(
@@ -457,7 +517,7 @@ def _signed_zeros() -> SampledDistribution:
 
 def _fock1_through(channel: str):
     return lambda: parse_channel(channel).apply(
-        states.render("fock:1", GridSpec(1, 7.0, 350))
+        states.parse_state("fock:1"), GridSpec(1, 7.0, 350)
     )
 
 
@@ -489,8 +549,8 @@ def test_grid_file_formats_every_cell_exactly(tmp_path, make):
 @pytest.mark.parametrize("channel", ["plc:eta=0.7", "amp:gain=2", "dephase:gamma=0.5"])
 def test_apply_keeps_cells_of_octant_unbuilt(tmp_path, channel):
     # what cmd_apply does after the channel reads the octant only
-    f = states.render("fock:1", GridSpec(1, 7.0, 350))
-    out = parse_channel(channel).apply(f)
+    fock1 = states.parse_state("fock:1")
+    out = parse_channel(channel).apply(fock1, GridSpec(1, 7.0, 350))
     report = truncation_report(out)
     write_grid_file(tmp_path / "out.grid", out)
     assert "values" not in vars(out)

@@ -1,0 +1,45 @@
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import qmaj
+
+PACKAGE = Path(qmaj.__file__).resolve().parent
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    """The names a module's top-level statements define, imports aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            ]
+    return names
+
+
+def test_every_private_module_name_is_read():
+    # a module-level private name that no module of the package reads, as a
+    # bare name or as an attribute, is dead code; importing it is no read
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined += [
+            (path.stem, name) for name in _module_level_names(tree) if _is_private(name)
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert defined, "no private names found; is the package path right?"
+    unread = [f"{module}.{name}" for module, name in defined if name not in read]
+    assert unread == []

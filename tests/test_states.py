@@ -279,6 +279,17 @@ def test_dephase_of_rotation_invariant_state_is_exact(half_grid, one_grid):
                 assert f.values.tobytes() == target.values.tobytes()
 
 
+@pytest.mark.parametrize(
+    "grid", [GridSpec(1, 10.0, 400), default_grid(hbar="one")], ids=["L10", "one"]
+)
+def test_dephase_render_filters_on_its_grid(grid):
+    # a state that is not rotation invariant is dephased on the render's
+    # own grid: bitwise the channel applied to its render
+    got = render("dephase(gamma=0.5, cat(alpha=1))", grid)
+    want = apply_dephasing(0.5, render("cat(alpha=1)", grid))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 OCTANT_SPECS = [f"fock:{n}" for n in range(6)] + [
     "thermal(nbar=0.4)",
     "lossy(eta=0.7, fock:1)",
@@ -304,7 +315,7 @@ def test_octant_renders_match_mesh(points, hbar):
         for text in OCTANT_SPECS:
             f = render(text, grid, rep)
             assert "values" not in vars(f)  # built on first read
-            mesh = parse_state(text).sample(rep, x, p) * scale
+            mesh = parse_state(text).sample(rep, grid, False) * scale
             assert f.values.tobytes() == mesh.ravel().tobytes()
             assert f.octant.tobytes() == octant_of(mesh)
     q = reference("thermal(nbar=-1)", grid)
@@ -428,16 +439,14 @@ FOLDED_MIXES = [
 @pytest.mark.parametrize("hbar", ["half", "one"])
 def test_mixture_fold_matches_mesh(points, hbar):
     # every cell equals the sum of the parts' samples on the whole mesh,
-    # bitwise, and so does a dephasing of such a mix
+    # bitwise, and so does a dephasing of such a mix on the same grid
     grid = GridSpec(1, 7.0 if hbar == "half" else 7.0 * math.sqrt(2.0), points, hbar)
-    ax = grid.axis() / (math.sqrt(2.0) if hbar == "one" else 1.0)
-    x, p = ax[:, None], ax[None, :]
     scale = 0.5 if hbar == "one" else 1.0
 
     def mesh_sum(spec, rep):
-        acc = spec.weights[0] * spec.parts[0].sample(rep, x, p)
+        acc = spec.weights[0] * spec.parts[0].sample(rep, grid, False)
         for w, part in zip(spec.weights[1:], spec.parts[1:]):
-            acc += w * part.sample(rep, x, p)
+            acc += w * part.sample(rep, grid, False)
         return acc
 
     for rep in ("wigner", "husimi"):
@@ -449,8 +458,8 @@ def test_mixture_fold_matches_mesh(points, hbar):
         if points == 700 and (rep, hbar) != ("wigner", "half"):
             continue  # one dephasing of the 700-point mesh is enough
         spec = parse_state(FOLDED_MIXES[0])
-        half = SampledDistribution(states._grid_of(x), mesh_sum(spec, rep).ravel())
-        want = apply_dephasing(0.5, half).values * scale
+        mesh = SampledDistribution(grid, mesh_sum(spec, rep).ravel())
+        want = apply_dephasing(0.5, mesh).values * scale
         got = render(Dephase(0.5, spec), grid, rep).values
         assert got.tobytes() == want.tobytes()
 
