@@ -214,8 +214,9 @@ def apply_gaussian(
 
     Affine resample by X and delta (cubic spline, Jacobian 1/|det X|), then
     FFT convolution with the centered Gaussian of matrix Y when Y is nonzero.
-    The output is not renormalized; mass pushed off the grid shows up in the
-    integral and raises LeakageError beyond 1e-3.
+    The output is not renormalized.  Mass leaving the window and cells too
+    coarse for the resample both move its integral; a mass defect beyond
+    1e-3 raises LeakageError, which names both causes.
 
     A function built from its octant stays one when the kernel commutes with
     the grid's mirrors and transpose.  The 2-D resample and convolution then
@@ -269,8 +270,9 @@ def apply_gaussian(
     defect = abs(out.total_integral - f.total_integral)
     if not defect <= LEAKAGE_TOL:  # NaN fails too
         raise LeakageError(
-            f"channel output leaks {defect:.3g} of mass beyond the grid "
-            f"(tolerance {LEAKAGE_TOL:g}); enlarge the window"
+            f"channel output's mass defect is {defect:.3g} (tolerance "
+            f"{LEAKAGE_TOL:g}): mass left the window (enlarge L) or the cells "
+            "are too coarse for the kernel's resample (raise N)"
         )
     return out
 
@@ -359,25 +361,15 @@ def _convolve_same(arr: np.ndarray, kern: np.ndarray) -> np.ndarray:
     prime lengths, but can nearly double each axis, which is up to 16x the
     array on a two-mode grid.
     """
+    from scipy.fft import next_fast_len
+
     radius = kern.shape[0] // 2
     axes = tuple(range(kern.ndim))
-    size = [_fast_len(arr.shape[i] + 2 * radius) for i in axes]
+    size = [next_fast_len(arr.shape[i] + 2 * radius, real=True) for i in axes]
     kern = kern.reshape(kern.shape + (1,) * (arr.ndim - kern.ndim))
     spectrum = np.fft.rfftn(arr, size, axes) * np.fft.rfftn(kern, size, axes)
     full = np.fft.irfftn(spectrum, size, axes)
     return full[tuple(slice(radius, radius + arr.shape[i]) for i in axes)]
-
-
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n; numpy's FFT is slow on large primes."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
 
 
 def pure_loss_fock(n: int, eta: float) -> dict[int, float]:

@@ -365,9 +365,6 @@ def cmd_monotone(args) -> int:
     report = monotones.monotone_report(f, which, q)
     for k, v in report.items():
         print(f"{k}={v:.10g}")
-    if args.csv:
-        rows = ["name,value"] + [f"{k},{v!r}" for k, v in report.items()]
-        Path(args.csv).write_text("\n".join(rows) + "\n")
     return 0
 
 
@@ -447,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--which", default="nv,purity,max,min")
     p.add_argument("--ref", help="reference for divergences (default vacuum)")
-    p.add_argument("--csv", help="optional CSV output path")
     _add_common(p)
     p.set_defaults(func=cmd_monotone)
 

@@ -10,8 +10,7 @@ real dominance from quadrature noise).
 Both checks read the weighted rearrangements of ``qmaj.rearrange``:
 ``compare`` the Lorenz curves (s, L) of each side, ``statement4_check`` the
 sorted keys f/q with the same (s, L), through ``_shifted_integrals``, and
-its default u grid from the same keys.  ``ratio_breakpoints`` reads the raw
-values and gives that grid by its definition.
+its u grid from the same keys.
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ STRICTNESS = 10.0
 # flip; perfbench's scan brackets assume 10, so that bisection always takes
 # the same number of steps
 PRESCAN = 10
+# distinct |f|/q ratios kept, quantile spaced, in the statement-4 u grid
+_U_GRID_POINTS = 256
 
 
 class Outcome(Enum):
@@ -160,24 +161,26 @@ def compare_curve_pairs(
 
     The gaps of g over f are those of f over g with the sign flipped, so one
     pass decides both directions: g's worst violation is f's largest gap
-    reversed, and g's largest gap is f's worst violation reversed.
+    reversed, and g's largest gap is f's worst violation reversed.  The
+    first of four rules that applies decides: f majorizes g when its
+    direction holds and some gap exceeds ``STRICTNESS * eps_cmp``; the
+    mirror case gives majorized_by; a holding direction otherwise gives
+    equivalent; and no holding direction gives incomparable.  So when one
+    direction holds and the other fails by more than eps_cmp but at most
+    ``STRICTNESS * eps_cmp`` (the noise band), the verdict is equivalent.
     """
     _require_tolerance("eps_cmp", eps_cmp)
     lowest, highest = _extreme_gaps(*curves_f, *curves_g)
     fwd_holds = lowest.gap >= -eps_cmp
     bwd_holds = highest.gap <= eps_cmp
     strict = STRICTNESS * eps_cmp
-    if fwd_holds and bwd_holds:
-        return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
-    if fwd_holds:
-        if highest.gap > strict:
-            return MajorizationVerdict(Outcome.MAJORIZES, highest, None, eps_cmp)
-        return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
-    if bwd_holds:
-        if -lowest.gap > strict:
-            return MajorizationVerdict(
-                Outcome.MAJORIZED_BY, _reversed(lowest), None, eps_cmp
-            )
+    if fwd_holds and highest.gap > strict:
+        return MajorizationVerdict(Outcome.MAJORIZES, highest, None, eps_cmp)
+    if bwd_holds and -lowest.gap > strict:
+        return MajorizationVerdict(
+            Outcome.MAJORIZED_BY, _reversed(lowest), None, eps_cmp
+        )
+    if fwd_holds or bwd_holds:
         return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
     # crossings in both directions: report where each direction fails
     return MajorizationVerdict(
@@ -206,42 +209,19 @@ class Statement4Result(NamedTuple):
     backward: bool
 
 
-def ratio_breakpoints(
-    f: SampledDistribution,
-    g: SampledDistribution,
-    q: ReferenceDistribution | None = None,
-    max_points: int | None = None,
-) -> np.ndarray:
-    """Candidate u values where the piecewise-linear statement-4 sides kink.
-
-    These are the distinct |values| (entrywise |f|/q ratios in the relative
-    case) of both functions, plus 0 and a point beyond the maximum.  With
-    ``max_points`` the set is thinned to quantile-spaced representatives.
-    """
-    if q is None:
-        cand = np.abs(np.concatenate([f.values, g.values]))
-    else:
-        cand = np.abs(np.concatenate([f.values, g.values])) / np.concatenate(
-            [q.values, q.values]
-        )
-    return _bracketed(np.unique(cand[cand > 0]), max_points)
-
-
 def _key_breakpoints(rearrangements: Sequence[_Rearrangement]) -> np.ndarray:
-    """``ratio_breakpoints(f, g, q, max_points=256)`` from the keys of the
-    rearrangements of f and g.
+    """The statement-4 u grid from the rearrangements of f and g.
 
-    The |keys| of one side are its distinct |f|/q ratios in reverse order, so
-    merging them gives the same candidates as a set union over every cell.
+    It is 0, the distinct positive |f|/q ratios of both functions thinned to
+    ``_U_GRID_POINTS`` quantile-spaced ones, and 1.5 times the largest: the
+    u values where the piecewise-linear sides kink.  The |keys| of one side
+    are its distinct |f|/q ratios in reverse order, so merging them gives
+    the same candidates as a set union over every cell.
     """
     cand = reduce(_merged, (np.abs(r.keys[::-1]) for r in rearrangements))
-    return _bracketed(cand[cand > 0], 256)
-
-
-def _bracketed(cand: np.ndarray, max_points: int | None) -> np.ndarray:
-    # sorted distinct positive candidates, thinned, between 0 and 1.5 * max
-    if max_points is not None and len(cand) > max_points:
-        take = np.linspace(0, len(cand) - 1, max_points).round().astype(int)
+    cand = cand[cand > 0]
+    if len(cand) > _U_GRID_POINTS:
+        take = np.linspace(0, len(cand) - 1, _U_GRID_POINTS).round().astype(int)
         cand = cand[np.unique(take)]
     top = cand[-1] * 1.5 if len(cand) else 1.0
     return np.concatenate([[0.0], cand, [top]])
@@ -251,7 +231,6 @@ def statement4_check(
     f: SampledDistribution,
     g: SampledDistribution,
     q: ReferenceDistribution | None = None,
-    u_grid: Sequence[float] | None = None,
     eps_cmp: float = DEFAULT_EPS_CMP,
     eps_norm: float = DEFAULT_EPS_NORM,
 ) -> Statement4Result:
@@ -261,22 +240,16 @@ def statement4_check(
     of (f-uq)+ is at least that of (g-uq)+ and the integral of (f+uq)- is at
     most that of (g+uq)-.  Used as a cross-validation of ``compare``: both
     read the same rearrangement, but statement 4 integrates the shifted parts
-    where ``compare`` interpolates curves.  The default u grid is
-    ``ratio_breakpoints(f, g, q, max_points=256)``, read off the same keys.
-    Like ``compare``, raises NormalizationError when the total integrals
-    differ by more than eps_norm.
+    where ``compare`` interpolates curves.  The u grid is read off the same
+    keys (see ``_key_breakpoints``); ``piecewise_plus_integral`` and
+    ``piecewise_minus_integral`` give the sides at any other u.  Like
+    ``compare``, raises NormalizationError when the total integrals differ
+    by more than eps_norm.
     """
     _require_tolerance("eps_cmp", eps_cmp)
     _require_equal_totals(f, g, eps_norm)
-    if u_grid is not None:
-        u_grid = np.asarray(u_grid, dtype=float)
-        if u_grid.size == 0:
-            raise ConfigError("u_grid must be nonempty")
-        if not (np.isfinite(u_grid) & (u_grid >= 0)).all():
-            raise ConfigError("u_grid entries must be finite and >= 0")
     (pf, nf), (pg, ng) = _rearrange(f, q), _rearrange(g, q)
-    if u_grid is None:
-        u_grid = _key_breakpoints([pf, nf, pg, ng])
+    u_grid = _key_breakpoints([pf, nf, pg, ng])
     fp, fm = _shifted_integrals(pf, nf, u_grid)
     gp, gm = _shifted_integrals(pg, ng, u_grid)
     fwd = bool((fp >= gp - eps_cmp).all() and (fm <= gm + eps_cmp).all())

@@ -49,7 +49,7 @@ class NumericsError(QmajError):
 
 
 class LeakageError(NumericsError):
-    """A channel pushed more mass off the truncated grid than tolerated."""
+    """A channel output's mass defect, from the window or coarse cells, is too large."""
 
 
 class NyquistError(NumericsError):

@@ -276,9 +276,8 @@ class SampledDistribution:
     calls that read cells build it: ``renormalized``, ``as_nd``, channel
     application to its input (dephasing, and a Gaussian kernel that does
     not keep the octant), the pointwise monotones, the distribution
-    functions, ``ratio_breakpoints``, the piecewise integrals, a
-    rearrangement that reads neither octants nor factors, and grid-file
-    writes of a product.  Rendering, ``reference``, the curves,
+    functions, the piecewise integrals, a rearrangement that reads neither
+    octants nor factors, and grid-file writes of a product.  Rendering, ``reference``, the curves,
     ``compare``, ``statement4_check``, ``scan_threshold`` and
     ``truncation_report`` read only the factors or the octant (its last
     column), and so do grid-file writes of an octant (one line per octant
@@ -350,8 +349,8 @@ class ReferenceDistribution(SampledDistribution):
     Positivity and finiteness of its cells and total are checked on the
     octant or the factors when given.  A
     product's cells are read only by a rearrangement of a function that is
-    not a product over the same modes, the piecewise integrals, the
-    divergence monotone and ``ratio_breakpoints``.
+    not a product over the same modes, the piecewise integrals and the
+    divergence monotone.
     """
 
     integrable: bool = field(default=True, kw_only=True)

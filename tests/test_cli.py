@@ -90,6 +90,28 @@ def test_lorenz_csv_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_lorenz_without_out_writes_stdout(tmp_path, capsys):
+    path = tmp_path / "a.csv"
+    argv = ("lorenz", "--state", "fock:1", "--grid", "N=60")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    run(capsys, *argv, "--out", str(path))
+    assert out == path.read_text()
+
+
+def test_lorenz_notes_truncation_sensitive_reference(capsys):
+    code, out, err = run(
+        capsys,
+        "lorenz", "--state", "fock:1", "--ref", "thermal(nbar=-1)", "--grid", "N=60",
+    )
+    assert code == 0 and out.startswith("s,L_plus,L_minus\n")
+    assert err == "note: reference is not integrable; curves are truncation sensitive\n"
+    _, _, err = run(
+        capsys, "lorenz", "--state", "fock:1", "--ref", "vacuum", "--grid", "N=60"
+    )
+    assert err == ""
+
+
 def test_csv_round_trip_verdict(tmp_path, capsys, half_grid):
     f = states.render("fock:4", half_grid)
     g = states.render("lossy(eta=0.7,fock:1)", half_grid)
@@ -208,6 +230,30 @@ def test_apply_dephase_channel(tmp_path, capsys):
     assert code == 0
     g = read_grid_file(out_file)
     assert g.total_integral == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "channel, spec, stochasticity",
+    [
+        ("rot:theta=0.3", channels.rotation_channel(0.3), "doubly_stochastic"),
+        ("pconj:kappa=1.5", channels.phase_conjugation_channel(1.5),
+         "semidoubly_stochastic"),
+    ],
+    ids=["rot", "pconj"],
+)
+def test_apply_named_channel(tmp_path, capsys, channel, spec, stochasticity):
+    # the file holds the library channel's output, byte for byte
+    out_file, want_file = tmp_path / "c.grid", tmp_path / "w.grid"
+    code, out, _ = run(
+        capsys,
+        "apply", "--channel", channel, "--state", "cat(alpha=1)",
+        "--out", str(out_file), "--grid", "N=60",
+    )
+    assert code == 0
+    assert record_of(out)["stochasticity"] == stochasticity
+    f = states.render("cat(alpha=1)", GridSpec(points_per_axis=60))
+    write_grid_file(want_file, channels.apply_gaussian(spec, f))
+    assert out_file.read_bytes() == want_file.read_bytes()
 
 
 def test_parse_channel_grammar():
@@ -483,6 +529,39 @@ def test_exit_code_normalization(tmp_path, capsys):
         )
         assert code == 4 and "must be finite" in err
         assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "channel, defect",
+    [
+        # coarse cells: enlarging the window alone makes this defect worse
+        ("plc:eta=0.7", "0.00198"),
+        ("gauss:X=[1 0;0 1],Y=[0 0;0 0],delta=[30 0]", "1"),
+    ],
+    ids=["coarse", "displaced"],
+)
+def test_leakage_names_both_causes(tmp_path, capsys, channel, defect):
+    out_file = tmp_path / "x.grid"
+    code, out, err = run(
+        capsys,
+        "apply", "--channel", channel, "--state", "fock:1",
+        "--out", str(out_file), "--grid", "N=60",
+    )
+    assert code == 4 and out == "" and not out_file.exists()
+    assert f"mass defect is {defect} (tolerance 0.001)" in err
+    assert "mass left the window (enlarge L)" in err
+    assert "cells are too coarse for the kernel's resample (raise N)" in err
+
+
+def test_leakage_from_coarse_cells_clears_with_finer_cells(tmp_path, capsys):
+    out_file = tmp_path / "x.grid"
+    for grid in ("L=4,N=60", "N=120"):
+        code, _, _ = run(
+            capsys,
+            "apply", "--channel", "plc:eta=0.7", "--state", "fock:1",
+            "--out", str(out_file), "--grid", grid,
+        )
+        assert code == 0
 
 
 def test_grid_file_round_trip(tmp_path, half_grid):

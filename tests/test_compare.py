@@ -8,12 +8,14 @@ import pytest
 from qmaj import states
 from qmaj.compare import (
     PRESCAN,
+    STRICTNESS,
     Outcome,
     ThresholdResult,
     _is_comparable,
     _key_breakpoints,
+    _U_GRID_POINTS,
     compare,
-    ratio_breakpoints,
+    compare_curve_pairs,
     scan_threshold,
     statement4_check,
 )
@@ -24,7 +26,7 @@ from qmaj.errors import (
     ScanError,
 )
 from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution
-from qmaj.rearrange import _rearrange
+from qmaj.rearrange import LorenzCurve, _rearrange
 
 
 def test_reflexivity(fock):
@@ -136,19 +138,11 @@ def test_bad_tolerance_raises(eps):
         statement4_check(f, f, eps_norm=eps)
 
 
-@pytest.mark.parametrize(
-    "u_grid", [[], [-0.5], [0.0, np.nan], [np.inf], [1.0, -np.inf]]
-)
-def test_statement4_rejects_bad_u_grid(fock, u_grid):
-    with pytest.raises(ConfigError):
-        statement4_check(fock[1], fock[1], u_grid=u_grid)
-
-
 def test_statement4_discrete_hand_example():
     space = DiscreteSpace(2)
     f = SampledDistribution(space, np.array([2.0, -1.0]))
     g = SampledDistribution(space, np.array([1.0, 0.0]))
-    result = statement4_check(f, g, u_grid=[0.0, 0.5, 1.0, 2.0])
+    result = statement4_check(f, g)
     assert result.forward and not result.backward
 
 
@@ -157,8 +151,26 @@ def test_statement4_reflexive(fock):
     assert result.forward and result.backward
 
 
+def _ratio_breakpoints(f, g, q=None):
+    """The statement-4 u grid by its definition, from the raw values.
+
+    These are the distinct positive |values| (entrywise |f|/q ratios in the
+    relative case) of both functions, thinned to ``_U_GRID_POINTS``
+    quantile-spaced ones, plus 0 and 1.5 times the largest.
+    """
+    cand = np.abs(np.concatenate([f.values, g.values]))
+    if q is not None:
+        cand = cand / np.concatenate([q.values, q.values])
+    cand = np.unique(cand[cand > 0])
+    if len(cand) > _U_GRID_POINTS:
+        take = np.linspace(0, len(cand) - 1, _U_GRID_POINTS).round().astype(int)
+        cand = cand[np.unique(take)]
+    top = cand[-1] * 1.5 if len(cand) else 1.0
+    return np.concatenate([[0.0], cand, [top]])
+
+
 def test_key_breakpoints_match_ratio_breakpoints(zoo, half_grid, vacuum_ref):
-    # the default statement-4 u grid, read off the keys, is the definition's
+    # the statement-4 u grid, read off the keys, is the definition's
     thermal = states.reference("thermal(nbar=-1)", half_grid)
     names = list(zoo)
     for q in (None, vacuum_ref, thermal):
@@ -166,7 +178,7 @@ def test_key_breakpoints_match_ratio_breakpoints(zoo, half_grid, vacuum_ref):
             f, g = zoo[a], zoo[b]
             sides = [r for h in (f, g) for r in _rearrange(h, q)]
             got = _key_breakpoints(sides)
-            want = ratio_breakpoints(f, g, q, max_points=256)
+            want = _ratio_breakpoints(f, g, q)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -179,7 +191,7 @@ def test_statement4_matches_compare(fock, vacuum_ref, zoo):
     ]
     for f, g, q in cases:
         verdict = compare(f, g, q).outcome
-        s4 = statement4_check(f, g, q, ratio_breakpoints(f, g, q, max_points=200))
+        s4 = statement4_check(f, g, q)
         if verdict is Outcome.MAJORIZES:
             assert s4.forward and not s4.backward
         elif verdict is Outcome.MAJORIZED_BY:
@@ -330,3 +342,70 @@ def test_swapped_arguments_mirror_the_verdict(fock, zoo, vacuum_ref, half_grid):
         else:
             assert ba.witness == ab.witness and ba.witness_reverse is None
     assert {Outcome.MAJORIZES, Outcome.INCOMPARABLE} <= seen
+
+
+def _curve_pair(pos, neg=(0.0, 0.0)):
+    """A (positive, negative) curve pair with breakpoints at s = 0, 1, 2, ..."""
+    end = float(max(len(pos), len(neg)) - 1)
+    return (
+        LorenzCurve(np.arange(len(pos), dtype=float), pos, "positive", end),
+        LorenzCurve(np.arange(len(neg), dtype=float), neg, "negative", end),
+    )
+
+
+EPS = 1e-4
+BAND = 0.5 * (1.0 + STRICTNESS) * EPS  # fails by more than eps, at most strict
+
+
+@pytest.mark.parametrize(
+    "eps, f, g, outcome, witness, reverse",
+    [
+        # rule 1: the forward direction holds and a gap exceeds strictness
+        (EPS, ([0, 1.0],), ([0, 0.99],), Outcome.MAJORIZES,
+         (1.0, "positive", 1.0 - 0.99), None),
+        (EPS, ([0, 1], [0, -0.5]), ([0, 1], [0, -0.49]), Outcome.MAJORIZES,
+         (1.0, "negative", -0.49 - -0.5), None),
+        # rule 2: the mirror case
+        (EPS, ([0, 0.99],), ([0, 1.0],), Outcome.MAJORIZED_BY,
+         (1.0, "positive", 0.0 - (0.99 - 1.0)), None),
+        # rule 3: either direction holds
+        (EPS, ([0, 1.0],), ([0, 1.0 + 0.5 * EPS],), Outcome.EQUIVALENT,
+         None, None),
+        (EPS, ([0, 1.0 + BAND],), ([0, 1.0],), Outcome.EQUIVALENT, None, None),
+        (EPS, ([0, 1.0],), ([0, 1.0 + BAND],), Outcome.EQUIVALENT, None, None),
+        # rule 4: both directions fail; each witness is where one fails
+        (EPS, ([0, 1.0, 1.0],), ([0, 0.99, 1.01],), Outcome.INCOMPARABLE,
+         (2.0, "positive", 1.0 - 1.01), (1.0, "positive", 0.0 - (1.0 - 0.99))),
+        (EPS, ([0, np.nan], [0, np.nan]), ([0, 1.0],), Outcome.INCOMPARABLE,
+         (1.0, "negative", np.nan), (1.0, "negative", np.nan)),
+        # with eps = 0 every gap is strict and only equal curves are equivalent
+        (0.0, ([0, 1.0],), ([0, 1.0],), Outcome.EQUIVALENT, None, None),
+        (0.0, ([0, 1.0 + 1e-12],), ([0, 1.0],), Outcome.MAJORIZES,
+         (1.0, "positive", (1.0 + 1e-12) - 1.0), None),
+        (0.0, ([0, 1.0],), ([0, 1.0 + 1e-12],), Outcome.MAJORIZED_BY,
+         (1.0, "positive", 0.0 - (1.0 - (1.0 + 1e-12))), None),
+        (0.0, ([0, 1.0, 1.0],), ([0, 0.5, 1.5],), Outcome.INCOMPARABLE,
+         (2.0, "positive", 1.0 - 1.5), (1.0, "positive", 0.0 - (1.0 - 0.5))),
+    ],
+    ids=[
+        "majorizes", "majorizes_negative_side", "majorized_by", "equivalent",
+        "noise_band_forward", "noise_band_backward", "incomparable",
+        "incomparable_nan", "eps0_equivalent", "eps0_majorizes",
+        "eps0_majorized_by", "eps0_incomparable",
+    ],
+)
+def test_compare_curve_pairs_rules(eps, f, g, outcome, witness, reverse):
+    # the four rules in order, on hand-built curves whose gaps are known
+    verdict = compare_curve_pairs(_curve_pair(*f), _curve_pair(*g), eps_cmp=eps)
+    assert verdict.outcome is outcome and verdict.tolerance == eps
+
+    def same(got, want):
+        if want is None:
+            return got is None
+        s, side, gap = want
+        return (got.s, got.side) == (s, side) and (
+            got.gap == gap or (math.isnan(got.gap) and math.isnan(gap))
+        )
+
+    assert same(verdict.witness, witness)
+    assert same(verdict.witness_reverse, reverse)

@@ -87,6 +87,11 @@ def test_renyi_entropy_vacuum(fock):
     assert renyi_entropy(fock[0], 2.0) == pytest.approx(math.log(math.pi), abs=1e-3)
 
 
+def test_tsallis_entropy_vacuum(fock):
+    # 1 - integral of W^2, and the vacuum's is 1/pi with hbar = 1/2
+    assert tsallis_entropy(fock[0], 2.0) == pytest.approx(1.0 - 1.0 / math.pi, abs=1e-9)
+
+
 def test_renyi_entropy_lossy(zoo):
     expected = math.log(math.pi) - math.log(0.580)
     assert renyi_entropy(zoo["lossy1"], 2.0) == pytest.approx(expected, abs=1e-2)

@@ -15,6 +15,7 @@ from qmaj.grids import (
     SampledDistribution,
 )
 from qmaj.rearrange import (
+    DECIMATION_TOL,
     NEGATIVE,
     POSITIVE,
     _merged,
@@ -551,11 +552,24 @@ def test_decimation_error_tracking(fock, zoo):
     assert len(small.s) <= 20_001
     _assert_decimation_tracked(pos, small)
     # the default budget stays comfortably below the tracked 1e-6 target;
-    # the mixture has more distinct values than that budget, so it refines
+    # the mixture has more distinct values than that budget, so its seed
+    # cuts already meet the target
     assert pos.decimated().decimation_error < 1e-6
     pos, _ = lorenz_curves(zoo["rho1"])
     assert len(pos.s) > 100_001
     _assert_decimation_tracked(pos, pos.decimated())
+
+
+def test_decimation_refines_past_its_seeds(half_grid):
+    # the cubic phase state's curve misses the tolerance at its at most
+    # 2 * (5000 // 4) + 2 seed cuts, so bisection adds cuts until it meets it
+    pos, _ = lorenz_curves(states.render("cubic(g=0.02, s=0.1)", half_grid))
+    small = pos.decimated(max_points=5000)
+    assert 2 * (5000 // 4) + 2 < len(small.s) < 5000
+    assert small.decimation_error <= DECIMATION_TOL
+    # the tracked error is the exact sup norm over the dropped breakpoints
+    assert np.abs(small(pos.s) - pos.L).max() == small.decimation_error
+    _assert_decimation_tracked(pos, small)
 
 
 def test_resample_pair_log_floor(fock):

@@ -251,6 +251,15 @@ def test_husimi_nonnegative(half_grid):
         assert f.total_integral == pytest.approx(1.0, abs=1e-4)
 
 
+def test_coherent_husimi(half_grid):
+    # alpha on a cell centre: unit integral, peak 1/pi at alpha
+    f = render("coherent(alpha=0.51+0.25i)", half_grid, rep="husimi")
+    assert f.total_integral == pytest.approx(1.0, abs=1e-12)
+    peak = np.unravel_index(np.argmax(f.as_nd()), half_grid.shape)
+    assert tuple(half_grid.axis()[list(peak)]) == pytest.approx((0.51, 0.25))
+    assert f.values.max() == pytest.approx(1.0 / math.pi, rel=1e-12)
+
+
 def test_positive_wigner_states(zoo):
     assert (zoo["thermal04"].values >= 0).all()
     assert (zoo["coherent"].values >= 0).all()
@@ -411,6 +420,15 @@ def test_husimi_cubic_unsupported(half_grid):
 def test_lossy_requires_fock_diagonal(half_grid):
     with pytest.raises(UnsupportedStateError):
         render("lossy(eta=0.5, coherent(alpha=1))", half_grid)
+
+
+def test_lossy_mixture_is_the_mixture_of_lossy_parts():
+    # loss acts on the mixture's summed photon-number weights
+    grid = GridSpec(points_per_axis=60)
+    mixed = render("lossy(eta=0.5, mix(0.5:fock:1, 0.5:fock:2))", grid)
+    parts = [render(f"lossy(eta=0.5, fock:{n})", grid) for n in (1, 2)]
+    want = 0.5 * parts[0].values + 0.5 * parts[1].values
+    assert np.abs(mixed.values - want).max() <= 1e-15
 
 
 def test_tensor_render_is_product(half_grid):
