@@ -100,6 +100,15 @@ def _gaussian(spec: channels.GaussianChannelSpec) -> _Channel:
     return _Channel(apply, (f"stochasticity={stochasticity}",))
 
 
+# the Gaussian channels of one parameter: name -> (parameter, constructor)
+_ONE_PARAMETER_CHANNELS = {
+    "plc": ("eta", channels.pure_loss_channel),
+    "amp": ("gain", channels.amplifier_channel),
+    "rot": ("theta", channels.rotation_channel),
+    "pconj": ("kappa", channels.phase_conjugation_channel),
+}
+
+
 def parse_channel(text: str) -> _Channel:
     """Channel mini-grammar: plc:eta=, gauss:X=..,Y=..,delta=.., dephase:gamma=.
 
@@ -115,16 +124,9 @@ def parse_channel(text: str) -> _Channel:
             k, _, v = item.partition("=")
             params[k.strip()] = v.strip()
     try:
-        if name == "plc":
-            channel = _gaussian(channels.pure_loss_channel(float(params.pop("eta"))))
-        elif name == "amp":
-            channel = _gaussian(channels.amplifier_channel(float(params.pop("gain"))))
-        elif name == "rot":
-            channel = _gaussian(channels.rotation_channel(float(params.pop("theta"))))
-        elif name == "pconj":
-            channel = _gaussian(
-                channels.phase_conjugation_channel(float(params.pop("kappa")))
-            )
+        if name in _ONE_PARAMETER_CHANNELS:
+            param, make = _ONE_PARAMETER_CHANNELS[name]
+            channel = _gaussian(make(float(params.pop(param))))
         elif name == "dephase":
             gamma = float(params.pop("gamma"))
             if not 0 < gamma < math.inf:
@@ -176,7 +178,13 @@ def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
         data = np.array([[float(t) for t in fields] for fields in table])
     except ValueError as exc:
         raise ConfigError(f"{path}: bad curve value: {exc}") from None
+    # a NaN gap would make the verdict incomparable and an out-of-order s
+    # would interpolate a curve that is not one
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{path}: curve values must be finite")
     s, lp, lm = data[:, 0], data[:, 1], data[:, 2]
+    if s[0] < 0 or (np.diff(s) < 0).any():
+        raise ConfigError(f"{path}: s must be >= 0 and nondecreasing")
     if s[0] > 0:
         s = np.concatenate([[0.0], s])
         lp = np.concatenate([[0.0], lp])

@@ -82,46 +82,39 @@ def _extreme_gaps(
     """Smallest and largest signed gap of f over g on the merged breakpoints.
 
     A gap is positive where f's positive curve lies above g's or f's negative
-    curve lies below g's.  Each witness carries its extreme gap exactly, and
-    a canonical place for it: the smallest-s breakpoint whose gap lies within
-    8 eps max(1, |extreme|) of the extreme, positive side first, so rounding
-    does not pick the place on a flat plateau.
+    curve lies below g's.  Both sides' gaps go into one array, the positive
+    side first and s ascending within each side, and both extremes are read
+    from it.  Each witness carries its extreme gap exactly, and a canonical
+    place for it: the first breakpoint whose gap lies within
+    8 eps max(1, |extreme|) of the extreme, so rounding does not pick the
+    place on a flat plateau.  A NaN gap is an extreme of both kinds, so both
+    witnesses sit at the first NaN and the verdict is incomparable.
     """
     sp = _merged(pos_f.s, pos_g.s)
-    dp = pos_f(sp) - pos_g(sp)
     sn = _merged(neg_f.s, neg_g.s)
-    dn = neg_g(sn) - neg_f(sn)
-    lo_p, hi_p = int(np.argmin(dp)), int(np.argmax(dp))
-    lo_n, hi_n = int(np.argmin(dn)), int(np.argmax(dn))
-    lowest = (
-        Witness(float(sp[lo_p]), pos_f.side, float(dp[lo_p]))
-        if dp[lo_p] <= dn[lo_n]
-        else Witness(float(sn[lo_n]), neg_f.side, float(dn[lo_n]))
-    )
-    highest = (
-        Witness(float(sp[hi_p]), pos_f.side, float(dp[hi_p]))
-        if dp[hi_p] >= dn[hi_n]
-        else Witness(float(sn[hi_n]), neg_f.side, float(dn[hi_n]))
-    )
-    sides = ((sp, dp, pos_f.side), (sn, dn, neg_f.side))
-    return _canonical(lowest, sides, -1.0), _canonical(highest, sides, 1.0)
+    gaps = np.empty(len(sp) + len(sn))
+    dp, dn = gaps[: len(sp)], gaps[len(sp):]
+    dp[:] = pos_f(sp)
+    dp -= pos_g(sp)
+    dn[:] = neg_g(sn)
+    dn -= neg_f(sn)
 
-
-def _canonical(w: Witness, sides, sign: float) -> Witness:
-    """w moved to the first breakpoint, positive side first, near its gap.
-
-    ``sign`` is -1 for the smallest gap and +1 for the largest, so no gap
-    lies beyond the extreme and one comparison finds the near ones.  The
-    breakpoints of each side ascend in s.  A NaN gap is near nothing, so its
-    witness stays where the argmin or argmax put it.
-    """
-    bound = w.gap - sign * 8.0 * np.finfo(float).eps * max(1.0, abs(w.gap))
-    for s, gaps, side in sides:
+    def witness(i: int, sign: float) -> Witness:
+        # sign is -1 for the smallest gap and +1 for the largest, so no gap
+        # lies beyond the extreme and one comparison finds the near ones; a
+        # NaN gap is near nothing, so its witness stays at the first NaN
+        gap = gaps[i]
+        bound = gap - sign * 8.0 * np.finfo(float).eps * max(1.0, abs(gap))
         near = gaps >= bound if sign > 0 else gaps <= bound
         first = int(np.argmax(near))
         if near[first]:
-            return Witness(float(s[first]), side, w.gap)
-    return w
+            i = first
+        if i < len(sp):
+            return Witness(float(sp[i]), pos_f.side, float(gap))
+        return Witness(float(sn[i - len(sp)]), neg_f.side, float(gap))
+
+    # argmin and argmax return the first NaN when there is one
+    return witness(int(np.argmin(gaps)), -1.0), witness(int(np.argmax(gaps)), 1.0)
 
 
 def _require_tolerance(name: str, value: float) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .compare import MajorizationVerdict, Outcome, Witness
+from .compare import MajorizationVerdict, Outcome, Witness, _reversed
 from .errors import ConfigError
 
 Number = int | float | Fraction
@@ -45,13 +45,6 @@ class QuasiVector:
             return cls(tuple(conv(tok.strip()) for tok in text.split(",")))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad vector literal {text!r}: {exc}")
-
-    @property
-    def total(self) -> Number:
-        return sum(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _as_entries(f) -> tuple[Number, ...]:
@@ -165,19 +158,20 @@ def _eval_curve(curve: Curve, s: Number) -> Number:
     return l0 + (l1 - l0) * _ratio(s - s0, s1 - s0)
 
 
-def _dominates(cf: Curve, cg: Curve, cnf: Curve, cng: Curve):
-    """Exact check that f dominates g: returns (holds, worst witness)."""
-    holds = True
-    worst: Witness | None = None
-    for (a, b), sign, side in ((( cf, cg), 1, "positive"), ((cnf, cng), -1, "negative")):
-        grid = sorted({pt[0] for pt in a} | {pt[0] for pt in b})
-        for s in grid:
-            gap = sign * (_eval_curve(a, s) - _eval_curve(b, s))
-            if gap < 0:
-                holds = False
-                if worst is None or gap < worst.gap:
-                    worst = Witness(float(s), side, float(gap))
-    return holds, worst
+def _gaps(curves_f: tuple[Curve, Curve], curves_g: tuple[Curve, Curve]):
+    """f's signed gaps over g: (s, side, gap), positive side first.
+
+    ``curves_f`` and ``curves_g`` are (positive, negative) pairs.  A gap is
+    positive where f's positive curve lies above g's or f's negative curve
+    lies below g's, at each breakpoint of either curve, s ascending within
+    each side.  g's gaps over f are these with the sign flipped.
+    """
+    (cf, cnf), (cg, cng) = curves_f, curves_g
+    gaps = []
+    for a, b, sign, side in ((cf, cg, 1, "positive"), (cnf, cng, -1, "negative")):
+        for s in sorted({pt[0] for pt in a} | {pt[0] for pt in b}):
+            gaps.append((s, side, sign * (_eval_curve(a, s) - _eval_curve(b, s))))
+    return gaps
 
 
 def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
@@ -185,22 +179,28 @@ def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
 
     Vectors of different lengths are padded with zeros (zeros contribute to
     neither curve side but extend the flat plateau).  Equal totals required,
-    exactly for exact entries and within 1e-12 for floats.
+    exactly for exact entries and within 1e-12 for floats.  One pass gives
+    f's gaps over g: f's direction holds when none is negative, g's when none
+    is positive.  Each witness of an incomparable verdict is the first
+    breakpoint, positive side first, of its extreme gap, found by exact
+    comparison; only the witness is converted to float.
     """
     fe, ge, qe = _padded(f, g, q)
-    cf, cnf = vec_lorenz(QuasiVector(fe), qe)
-    cg, cng = vec_lorenz(QuasiVector(ge), qe)
-    f_holds, forward_violation = _dominates(cf, cg, cnf, cng)
-    g_holds, backward_violation = _dominates(cg, cf, cng, cnf)
+    gaps = _gaps(vec_lorenz(fe, qe), vec_lorenz(ge, qe))
+    # min and max return the first of equal items
+    lowest = min(gaps, key=lambda t: t[2])
+    highest = max(gaps, key=lambda t: t[2])
+    f_holds, g_holds = lowest[2] >= 0, highest[2] <= 0
     if f_holds and g_holds:
         return MajorizationVerdict(Outcome.EQUIVALENT, None, None, 0.0)
     if f_holds:
         return MajorizationVerdict(Outcome.MAJORIZES, None, None, 0.0)
     if g_holds:
         return MajorizationVerdict(Outcome.MAJORIZED_BY, None, None, 0.0)
-    return MajorizationVerdict(
-        Outcome.INCOMPARABLE, forward_violation, backward_violation, 0.0
+    witness, reverse = (
+        Witness(float(s), side, float(gap)) for s, side, gap in (lowest, highest)
     )
+    return MajorizationVerdict(Outcome.INCOMPARABLE, witness, _reversed(reverse), 0.0)
 
 
 def vec_statement4(f, g, q: Sequence[Number] | None = None) -> tuple[bool, bool]:

@@ -389,12 +389,6 @@ class TruncationReport:
     normalization_defect: float
     boundary_max: float
 
-    def __str__(self) -> str:  # pragma: no cover - formatting only
-        return (
-            f"normalization defect {self.normalization_defect:.3e}, "
-            f"boundary max {self.boundary_max:.3e}"
-        )
-
 
 def truncation_report(f: SampledDistribution) -> TruncationReport:
     """|1 - integral| plus the largest |f| on the window boundary.

@@ -665,8 +665,15 @@ def test_read_grid_file_malformed(tmp_path, text):
         "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,0.5,0.0,2.0\n",
         "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,half,0.0\n",
         "s,L_plus,L_minus\n",
+        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,nan,0.0\n",
+        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,1.0,-inf\n",
+        "s,L_plus,L_minus\n-1.0,0.0,0.0\n1.0,1.0,0.0\n",
+        "s,L_plus,L_minus\n1.0,1.0,0.0\n0.5,0.2,0.0\n",
     ],
-    ids=["two-columns", "four-columns", "value", "no-rows"],
+    ids=[
+        "two-columns", "four-columns", "value", "no-rows", "nan", "infinite",
+        "negative-s", "decreasing-s",
+    ],
 )
 def test_load_curves_csv_malformed(tmp_path, text):
     path = tmp_path / "bad.csv"

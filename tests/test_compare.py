@@ -376,8 +376,14 @@ BAND = 0.5 * (1.0 + STRICTNESS) * EPS  # fails by more than eps, at most strict
         # rule 4: both directions fail; each witness is where one fails
         (EPS, ([0, 1.0, 1.0],), ([0, 0.99, 1.01],), Outcome.INCOMPARABLE,
          (2.0, "positive", 1.0 - 1.01), (1.0, "positive", 0.0 - (1.0 - 0.99))),
+        # a NaN gap is an extreme of both kinds: both witnesses sit at the
+        # first NaN, positive side first, whichever side holds it
         (EPS, ([0, np.nan], [0, np.nan]), ([0, 1.0],), Outcome.INCOMPARABLE,
-         (1.0, "negative", np.nan), (1.0, "negative", np.nan)),
+         (1.0, "positive", np.nan), (1.0, "positive", np.nan)),
+        (EPS, ([0, np.nan],), ([0, 1.0],), Outcome.INCOMPARABLE,
+         (1.0, "positive", np.nan), (1.0, "positive", np.nan)),
+        (EPS, ([0, 1.0],), ([0, np.nan],), Outcome.INCOMPARABLE,
+         (1.0, "positive", np.nan), (1.0, "positive", np.nan)),
         # with eps = 0 every gap is strict and only equal curves are equivalent
         (0.0, ([0, 1.0],), ([0, 1.0],), Outcome.EQUIVALENT, None, None),
         (0.0, ([0, 1.0 + 1e-12],), ([0, 1.0],), Outcome.MAJORIZES,
@@ -390,8 +396,9 @@ BAND = 0.5 * (1.0 + STRICTNESS) * EPS  # fails by more than eps, at most strict
     ids=[
         "majorizes", "majorizes_negative_side", "majorized_by", "equivalent",
         "noise_band_forward", "noise_band_backward", "incomparable",
-        "incomparable_nan", "eps0_equivalent", "eps0_majorizes",
-        "eps0_majorized_by", "eps0_incomparable",
+        "incomparable_nan", "nan_f_positive", "nan_g_positive",
+        "eps0_equivalent", "eps0_majorizes", "eps0_majorized_by",
+        "eps0_incomparable",
     ],
 )
 def test_compare_curve_pairs_rules(eps, f, g, outcome, witness, reverse):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmaj.compare import Outcome
+from qmaj.compare import Outcome, Witness
 from qmaj.discrete import (
     QuasiVector,
     StochasticMatrix,
@@ -134,6 +134,21 @@ def test_non_finite_entries_rejected(f, g, q):
 
 def test_length_padding():
     assert vec_compare((1, 0, 0, 0), (1, 0)).outcome is Outcome.EQUIVALENT
+
+
+def test_exact_witness_at_first_tied_breakpoint():
+    # f's gap over g is -1/3 at four breakpoints: s = 2 and 3 on the positive
+    # side, s = 1 and 3 on the negative side; the witness is the first of
+    # them, found by exact comparison
+    f, g = (0, 2, 0), (1, Fraction(4, 3), Fraction(-1, 3))
+    verdict = vec_compare(f, g)
+    assert verdict.outcome is Outcome.INCOMPARABLE
+    assert verdict.witness == Witness(2.0, "positive", -1 / 3)
+    assert verdict.witness_reverse == Witness(1.0, "positive", -2 / 3)
+    mirror = vec_compare(g, f)
+    assert (mirror.witness, mirror.witness_reverse) == (
+        verdict.witness_reverse, verdict.witness
+    )
 
 
 def test_extreme_point_facts():

@@ -6,6 +6,7 @@ from pathlib import Path
 import qmaj
 
 PACKAGE = Path(qmaj.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _is_private(name: str) -> bool:
@@ -42,4 +43,25 @@ def test_every_private_module_name_is_read():
                 read.add(node.attr)
     assert defined, "no private names found; is the package path right?"
     unread = [f"{module}.{name}" for module, name in defined if name not in read]
+    assert unread == []
+
+
+def test_every_public_class_member_is_read():
+    # a public method or property that neither the package nor its tests
+    # read as an attribute is dead code
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and path.parent == PACKAGE:
+                defined += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                ]
+    assert defined, "no public members found; is the package path right?"
+    unread = [name for name in defined if name.split(".")[1] not in read]
     assert unread == []
