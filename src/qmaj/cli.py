@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import channels, monotones, states
-from .compare import DEFAULT_EPS_CMP, compare, scan_threshold
+from .compare import DEFAULT_EPS_CMP, MajorizationVerdict, compare, scan_threshold
+from .discrete import QuasiVector, vec_compare
 from .errors import (
     ConfigError,
     ParseError,
@@ -330,17 +331,22 @@ def cmd_lorenz(args) -> int:
     return 0
 
 
+def _print_verdict(a: str, b: str, verdict: MajorizationVerdict, relative) -> None:
+    """The record that ``compare`` and ``dvec`` print: a header, then key=value."""
+    print(f"{a} vs {b}: {verdict}")
+    print(f"outcome={verdict.outcome.value}")
+    print(f"eps_cmp={verdict.tolerance}")
+    print(f"relative={relative or ''}")
+    for name, w in (("witness", verdict.witness), ("reverse", verdict.witness_reverse)):
+        if w is not None:
+            print(f"{name}_s={w.s}\n{name}_side={w.side}\n{name}_gap={w.gap}")
+
+
 def cmd_compare(args) -> int:
     grid, f, g = _render(args, args.state_a, args.state_b)
     q = _reference_for(args, grid)
     verdict = compare(f, g, q, eps_cmp=args.tol)
-    print(f"{args.state_a} vs {args.state_b}: {verdict}")
-    print(f"outcome={verdict.outcome.value}")
-    print(f"eps_cmp={args.tol}")
-    print(f"relative={args.ref or ''}")
-    for name, w in (("witness", verdict.witness), ("reverse", verdict.witness_reverse)):
-        if w is not None:
-            print(f"{name}_s={w.s}\n{name}_side={w.side}\n{name}_gap={w.gap}")
+    _print_verdict(args.state_a, args.state_b, verdict, args.ref)
     return 0
 
 
@@ -392,14 +398,10 @@ def cmd_apply(args) -> int:
 
 
 def cmd_dvec(args) -> int:
-    from .discrete import QuasiVector, vec_compare
-
     f = QuasiVector.from_text(args.f, exact=args.exact)
     g = QuasiVector.from_text(args.g, exact=args.exact)
     q = QuasiVector.from_text(args.q, exact=args.exact).entries if args.q else None
-    verdict = vec_compare(f, g, q)
-    print(f"{args.f} vs {args.g}: {verdict}")
-    print(f"outcome={verdict.outcome.value}")
+    _print_verdict(args.f, args.g, vec_compare(f, g, q), args.q)
     return 0
 
 

@@ -76,45 +76,56 @@ class MajorizationVerdict:
         return msg
 
 
-def _extreme_gaps(
-    pos_f: LorenzCurve, neg_f: LorenzCurve, pos_g: LorenzCurve, neg_g: LorenzCurve,
-) -> tuple[Witness, Witness]:
-    """Smallest and largest signed gap of f over g on the merged breakpoints.
+# a float witness sits at the first gap within this times max(1, |extreme|)
+# of its extreme, so rounding does not pick the place on a flat plateau
+_FLOAT_BAND = 8.0 * np.finfo(float).eps
 
-    A gap is positive where f's positive curve lies above g's or f's negative
-    curve lies below g's.  Both sides' gaps go into one array, the positive
-    side first and s ascending within each side, and both extremes are read
-    from it.  Each witness carries its extreme gap exactly, and a canonical
-    place for it: the first breakpoint whose gap lies within
-    8 eps max(1, |extreme|) of the extreme, so rounding does not pick the
-    place on a flat plateau.  A NaN gap is an extreme of both kinds, so both
-    witnesses sit at the first NaN and the verdict is incomparable.
+
+def _verdict(
+    gaps: np.ndarray, place: Callable[[int], tuple], eps_cmp: float, band: float
+) -> MajorizationVerdict:
+    """Four-way verdict from f's signed gaps over g, gap i at ``place(i)``.
+
+    A gap is positive where f's positive curve lies above g's or f's
+    negative curve lies below g's; the positive side comes first, s
+    ascending.  g's gaps over f are these negated, so one array decides both
+    directions.  The first rule that applies decides: f majorizes g when no
+    gap is below -eps_cmp and one exceeds ``STRICTNESS * eps_cmp``; the
+    mirror case gives majorized_by; one holding direction gives equivalent;
+    none gives incomparable.  The rules read the extreme gaps themselves, so
+    exact gaps (an object array of Fractions) compare exactly.  A witness
+    sits at the first gap within ``band * max(1, |extreme|)`` of its
+    extreme, or at the first NaN, which is an extreme of both kinds.
     """
-    sp = _merged(pos_f.s, pos_g.s)
-    sn = _merged(neg_f.s, neg_g.s)
-    gaps = np.empty(len(sp) + len(sn))
-    dp, dn = gaps[: len(sp)], gaps[len(sp):]
-    dp[:] = pos_f(sp)
-    dp -= pos_g(sp)
-    dn[:] = neg_g(sn)
-    dn -= neg_f(sn)
 
-    def witness(i: int, sign: float) -> Witness:
-        # sign is -1 for the smallest gap and +1 for the largest, so no gap
-        # lies beyond the extreme and one comparison finds the near ones; a
-        # NaN gap is near nothing, so its witness stays at the first NaN
+    def witness(i: int, sign: int, reverse: bool = False) -> Witness:
+        # sign is -1 for the smallest gap and +1 for the largest, so one
+        # comparison finds the near ones; a NaN is near nothing, so its
+        # witness stays put; an int band of 0 keeps an exact bound exact
         gap = gaps[i]
-        bound = gap - sign * 8.0 * np.finfo(float).eps * max(1.0, abs(gap))
+        bound = gap - sign * band * max(1, abs(gap))
         near = gaps >= bound if sign > 0 else gaps <= bound
         first = int(np.argmax(near))
         if near[first]:
             i = first
-        if i < len(sp):
-            return Witness(float(sp[i]), pos_f.side, float(gap))
-        return Witness(float(sn[i - len(sp)]), neg_f.side, float(gap))
+        s, side = place(i)
+        # g's gap over f: 0 - (a - b) is bitwise b - a, signed zero included
+        return Witness(float(s), side, 0.0 - float(gap) if reverse else float(gap))
 
-    # argmin and argmax return the first NaN when there is one
-    return witness(int(np.argmin(gaps)), -1.0), witness(int(np.argmax(gaps)), 1.0)
+    # argmin and argmax return the first NaN of a float array
+    lo, hi = int(np.argmin(gaps)), int(np.argmax(gaps))
+    fwd_holds, bwd_holds = gaps[lo] >= -eps_cmp, gaps[hi] <= eps_cmp
+    strict = STRICTNESS * eps_cmp
+    if fwd_holds and gaps[hi] > strict:
+        found = Outcome.MAJORIZES, witness(hi, 1), None
+    elif bwd_holds and -gaps[lo] > strict:
+        found = Outcome.MAJORIZED_BY, witness(lo, -1, reverse=True), None
+    elif fwd_holds or bwd_holds:
+        found = Outcome.EQUIVALENT, None, None
+    else:
+        # crossings in both directions: report where each direction fails
+        found = Outcome.INCOMPARABLE, witness(lo, -1), witness(hi, 1, reverse=True)
+    return MajorizationVerdict(*found, eps_cmp)
 
 
 def _require_tolerance(name: str, value: float) -> None:
@@ -124,11 +135,6 @@ def _require_tolerance(name: str, value: float) -> None:
     # every gap through, so distinct states would come out equivalent
     if not 0 <= value < math.inf:
         raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _reversed(w: Witness) -> Witness:
-    # 0 - (a - b) is bitwise b - a, signed zero included
-    return Witness(w.s, w.side, 0.0 - w.gap)
 
 
 def _require_equal_totals(
@@ -152,33 +158,28 @@ def compare_curve_pairs(
 ) -> MajorizationVerdict:
     """Four-way verdict from two (positive, negative) curve pairs.
 
-    The gaps of g over f are those of f over g with the sign flipped, so one
-    pass decides both directions: g's worst violation is f's largest gap
-    reversed, and g's largest gap is f's worst violation reversed.  The
-    first of four rules that applies decides: f majorizes g when its
-    direction holds and some gap exceeds ``STRICTNESS * eps_cmp``; the
-    mirror case gives majorized_by; a holding direction otherwise gives
-    equivalent; and no holding direction gives incomparable.  So when one
-    direction holds and the other fails by more than eps_cmp but at most
-    ``STRICTNESS * eps_cmp`` (the noise band), the verdict is equivalent.
+    ``_verdict`` decides f's gaps over g at the merged breakpoints of each
+    side.  So when one direction holds and the other fails by more than
+    eps_cmp but at most ``STRICTNESS * eps_cmp`` (the noise band), the
+    verdict is equivalent.
     """
     _require_tolerance("eps_cmp", eps_cmp)
-    lowest, highest = _extreme_gaps(*curves_f, *curves_g)
-    fwd_holds = lowest.gap >= -eps_cmp
-    bwd_holds = highest.gap <= eps_cmp
-    strict = STRICTNESS * eps_cmp
-    if fwd_holds and highest.gap > strict:
-        return MajorizationVerdict(Outcome.MAJORIZES, highest, None, eps_cmp)
-    if bwd_holds and -lowest.gap > strict:
-        return MajorizationVerdict(
-            Outcome.MAJORIZED_BY, _reversed(lowest), None, eps_cmp
-        )
-    if fwd_holds or bwd_holds:
-        return MajorizationVerdict(Outcome.EQUIVALENT, None, None, eps_cmp)
-    # crossings in both directions: report where each direction fails
-    return MajorizationVerdict(
-        Outcome.INCOMPARABLE, lowest, _reversed(highest), eps_cmp
-    )
+    (pos_f, neg_f), (pos_g, neg_g) = curves_f, curves_g
+    sp = _merged(pos_f.s, pos_g.s)
+    sn = _merged(neg_f.s, neg_g.s)
+    gaps = np.empty(len(sp) + len(sn))
+    dp, dn = gaps[: len(sp)], gaps[len(sp):]
+    dp[:] = pos_f(sp)
+    dp -= pos_g(sp)
+    dn[:] = neg_g(sn)
+    dn -= neg_f(sn)
+
+    def place(i: int) -> tuple[float, str]:
+        if i < len(sp):
+            return sp[i], pos_f.side
+        return sn[i - len(sp)], neg_f.side
+
+    return _verdict(gaps, place, eps_cmp, _FLOAT_BAND)
 
 
 def compare(

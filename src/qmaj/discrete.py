@@ -6,6 +6,9 @@ routines certify the grid-based code.  Relative curves rank entries by the
 ratio f/q and measure the abscissa in the q-weighted (nu) measure, so curve
 endpoints are q-independent, matching the continuous construction.
 
+``vec_compare`` decides by ``compare``'s own rule with eps = 0, so the oracle
+and the float engine share one verdict rule and one witness placement.
+
 Square stochastic matrices cannot be strictly semidoubly stochastic: columns
 summing to one force the row total to equal the row count, so rows bounded
 by one must all equal one.  Strictness needs more rows than columns.
@@ -19,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .compare import MajorizationVerdict, Outcome, Witness, _reversed
+import numpy as np
+
+from .compare import _FLOAT_BAND, MajorizationVerdict, Statement4Result, _verdict
 from .errors import ConfigError
 
 Number = int | float | Fraction
@@ -85,7 +90,8 @@ def _padded(f, g, q):
         if len(qe) < width:
             raise ConfigError("reference vector shorter than the inputs")
         width = len(qe)
-    if abs(sum(fe) - sum(ge)) > _slack(fe, ge):
+    # written so that a NaN difference (totals that overflow) fails too
+    if not abs(sum(fe) - sum(ge)) <= _slack(fe, ge):
         raise ConfigError(f"sum mismatch: {sum(fe)} vs {sum(ge)}")
     return fe + (0,) * (width - len(fe)), ge + (0,) * (width - len(ge)), qe
 
@@ -159,51 +165,40 @@ def _eval_curve(curve: Curve, s: Number) -> Number:
 
 
 def _gaps(curves_f: tuple[Curve, Curve], curves_g: tuple[Curve, Curve]):
-    """f's signed gaps over g: (s, side, gap), positive side first.
+    """f's signed gaps over g, and their places (s, side), as two lists.
 
-    ``curves_f`` and ``curves_g`` are (positive, negative) pairs.  A gap is
-    positive where f's positive curve lies above g's or f's negative curve
-    lies below g's, at each breakpoint of either curve, s ascending within
-    each side.  g's gaps over f are these with the sign flipped.
+    ``curves_f`` and ``curves_g`` are (positive, negative) pairs.  The gaps
+    are taken at each breakpoint of either curve, signed and ordered as
+    ``_verdict`` reads them.
     """
     (cf, cnf), (cg, cng) = curves_f, curves_g
-    gaps = []
+    places, gaps = [], []
     for a, b, sign, side in ((cf, cg, 1, "positive"), (cnf, cng, -1, "negative")):
         for s in sorted({pt[0] for pt in a} | {pt[0] for pt in b}):
-            gaps.append((s, side, sign * (_eval_curve(a, s) - _eval_curve(b, s))))
-    return gaps
+            places.append((s, side))
+            gaps.append(sign * (_eval_curve(a, s) - _eval_curve(b, s)))
+    return places, gaps
 
 
 def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
-    """Exact four-way verdict between two quasivectors.
+    """Four-way verdict between two quasivectors, by ``compare``'s rule.
 
     Vectors of different lengths are padded with zeros (zeros contribute to
     neither curve side but extend the flat plateau).  Equal totals required,
-    exactly for exact entries and within 1e-12 for floats.  One pass gives
-    f's gaps over g: f's direction holds when none is negative, g's when none
-    is positive.  Each witness of an incomparable verdict is the first
-    breakpoint, positive side first, of its extreme gap, found by exact
-    comparison; only the witness is converted to float.
+    exactly for exact entries and within 1e-12 for floats.  The rule reads
+    f's gaps over g with eps = 0, so every outcome but equivalent carries a
+    witness.  Exact gaps compare as Fractions and put each witness at the
+    first breakpoint of its extreme; float gaps use ``compare``'s 8-eps band.
     """
     fe, ge, qe = _padded(f, g, q)
-    gaps = _gaps(vec_lorenz(fe, qe), vec_lorenz(ge, qe))
-    # min and max return the first of equal items
-    lowest = min(gaps, key=lambda t: t[2])
-    highest = max(gaps, key=lambda t: t[2])
-    f_holds, g_holds = lowest[2] >= 0, highest[2] <= 0
-    if f_holds and g_holds:
-        return MajorizationVerdict(Outcome.EQUIVALENT, None, None, 0.0)
-    if f_holds:
-        return MajorizationVerdict(Outcome.MAJORIZES, None, None, 0.0)
-    if g_holds:
-        return MajorizationVerdict(Outcome.MAJORIZED_BY, None, None, 0.0)
-    witness, reverse = (
-        Witness(float(s), side, float(gap)) for s, side, gap in (lowest, highest)
-    )
-    return MajorizationVerdict(Outcome.INCOMPARABLE, witness, _reversed(reverse), 0.0)
+    places, gaps = _gaps(vec_lorenz(fe, qe), vec_lorenz(ge, qe))
+    # no slack means exact entries, whose gaps stay Fractions
+    exact = not _slack(fe, ge, qe or ())
+    values = np.array(gaps, dtype=object if exact else float)
+    return _verdict(values, places.__getitem__, 0.0, 0 if exact else _FLOAT_BAND)
 
 
-def vec_statement4(f, g, q: Sequence[Number] | None = None) -> tuple[bool, bool]:
+def vec_statement4(f, g, q: Sequence[Number] | None = None) -> Statement4Result:
     """Exact dominance via shifted positive/negative part sums.
 
     Both sides are piecewise linear in u with kinks only at the entry values
@@ -229,7 +224,7 @@ def vec_statement4(f, g, q: Sequence[Number] | None = None) -> tuple[bool, bool]
     ratios = {_ratio(abs(v[i]), qe[i]) for v in (fe, ge) for i in range(len(v))}
     grid = sorted(ratios | {0})
     grid.append(grid[-1] + 1)
-    return holds(fe, ge), holds(ge, fe)
+    return Statement4Result(holds(fe, ge), holds(ge, fe))
 
 
 @dataclass(frozen=True)

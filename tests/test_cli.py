@@ -327,12 +327,26 @@ def test_apply_dephase_refuses_two_modes(tmp_path, capsys):
 def test_dvec_cli(capsys):
     code, out, _ = run(capsys, "dvec", "compare", "1.2,-0.2", "0.9,0.1")
     assert code == 0
-    assert record_of(out)["outcome"] == "majorizes"
+    # the record that compare prints: eps = 0 and a witness for majorizes
+    assert out.splitlines() == [
+        "1.2,-0.2 vs 0.9,0.1: majorizes (s*=1, side=positive, gap=0.3)",
+        "outcome=majorizes",
+        "eps_cmp=0.0",
+        "relative=",
+        "witness_s=1.0",
+        "witness_side=positive",
+        "witness_gap=0.29999999999999993",
+    ]
     code, out, _ = run(
         capsys, "dvec", "compare", "1,0", "0.5,0.5", "--q", "0.5,0.5", "--exact"
     )
     assert code == 0
-    assert record_of(out)["outcome"] == "majorizes"
+    rec = record_of(out)
+    assert rec["outcome"] == "majorizes"
+    assert rec["relative"] == "0.5,0.5"
+    assert (rec["witness_s"], rec["witness_side"], rec["witness_gap"]) == (
+        "0.5", "positive", "0.5"
+    )
 
 
 def test_exit_code_parse_error(capsys):

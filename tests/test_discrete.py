@@ -4,19 +4,24 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmaj.compare import Outcome, Witness
+from qmaj.compare import STRICTNESS, Outcome, Statement4Result, Witness, compare
 from qmaj.discrete import (
     QuasiVector,
     StochasticMatrix,
     _as_entries,
+    _gaps,
     apply_matrix,
     vec_compare,
     vec_lorenz,
     vec_statement4,
 )
 from qmaj.errors import ConfigError
+from qmaj.grids import DiscreteSpace, ReferenceDistribution, SampledDistribution
 
 
 def negative_volume_vec(f):
@@ -45,7 +50,13 @@ def test_vec_lorenz_signed():
 
 
 def test_signed_pair_majorizes():
-    assert vec_compare((2, -1), (1, 0)).outcome is Outcome.MAJORIZES
+    verdict = vec_compare((2, -1), (1, 0))
+    assert verdict.outcome is Outcome.MAJORIZES
+    assert verdict.witness == Witness(1.0, "positive", 1.0)
+    assert verdict.witness_reverse is None
+    result = vec_statement4((2, -1), (1, 0))
+    assert isinstance(result, Statement4Result)
+    assert (result.forward, result.backward) == (True, False)
 
 
 def test_two_outcome_classic():
@@ -58,7 +69,18 @@ def test_peaked_vector_majorizes_probabilities():
 
 
 def test_float_example():
-    assert vec_compare((1.2, -0.2), (0.9, 0.1)).outcome is Outcome.MAJORIZES
+    verdict = vec_compare((1.2, -0.2), (0.9, 0.1))
+    assert verdict.outcome is Outcome.MAJORIZES
+    assert verdict.witness == Witness(1.0, "positive", 0.29999999999999993)
+
+
+def test_verdict_reads_exact_gaps_not_their_floats():
+    # the only nonzero gap, d, rounds to 0.0: a rule that read the float
+    # witnesses would say equivalent
+    d = Fraction(1, 10**400)
+    verdict = vec_compare((1, 0), (1 - d, d))
+    assert verdict.outcome is Outcome.MAJORIZES
+    assert verdict.witness == Witness(1.0, "positive", 0.0)
 
 
 def test_sum_mismatch():
@@ -68,6 +90,11 @@ def test_sum_mismatch():
         vec_statement4((1, 0), (2, 0))
     with pytest.raises(ConfigError, match="sum mismatch"):
         vec_statement4((1.0, 0.0), (0.0, 1.5), (1.0, 1.0))
+    # both totals overflow to inf, so their difference is NaN, although g
+    # carries 1e307 more mass
+    for check in (vec_compare, vec_statement4):
+        with pytest.raises(ConfigError, match="sum mismatch"):
+            check((1.7e308, 1.7e308), (1.7e308, 1.7e308, 1e307))
 
 
 def test_exact_entries_compare_exactly():
@@ -149,6 +176,67 @@ def test_exact_witness_at_first_tied_breakpoint():
     assert (mirror.witness, mirror.witness_reverse) == (
         verdict.witness_reverse, verdict.witness
     )
+    # float gaps round the tied ones apart; the 8-eps band puts the
+    # witnesses where the exact ones are
+    floats = vec_compare((0.0, 2.0, 0.0), (1.0, 4 / 3, -1 / 3))
+    assert floats.outcome is Outcome.INCOMPARABLE
+    assert floats.witness == Witness(2.0, "positive", -0.3333333333333333)
+    assert floats.witness_reverse == Witness(1.0, "positive", -0.6666666666666667)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-6, 9), st.integers(1, 6))
+_WEIGHTS = st.builds(Fraction, st.integers(1, 8), st.integers(1, 4))
+
+
+@st.composite
+def _equal_total_instances(draw):
+    """Fraction vectors f, g of one length 2-6 and equal totals, and q or None."""
+    k = draw(st.integers(2, 6))
+    f = draw(st.lists(_FRACTIONS, min_size=k, max_size=k))
+    g = draw(st.lists(_FRACTIONS, min_size=k - 1, max_size=k - 1))
+    g.append(sum(f) - sum(g))
+    q = draw(st.none() | st.lists(_WEIGHTS, min_size=k, max_size=k))
+    return tuple(f), tuple(g), q
+
+
+def test_float_compare_agrees_with_exact_oracle():
+    # float compare on a DiscreteSpace against exact vec_compare: the same
+    # outcome, and witnesses at the same place with the same gap.  A draw is
+    # checked when each exact extreme gap is 0 or clear of the noise band,
+    # where rounding cannot move the verdict; the others are counted
+    eps = 1e-9
+    checked, skipped = [], []
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_equal_total_instances())
+    def check(instance):
+        f, g, q = instance
+        _, gaps = _gaps(vec_lorenz(f, q), vec_lorenz(g, q))
+        extremes = min(gaps), max(gaps)
+        if not all(x == 0 or abs(x) > 2 * STRICTNESS * eps for x in extremes):
+            skipped.append(instance)
+            return
+        space = DiscreteSpace(len(f))
+        ref = None if q is None else ReferenceDistribution(space, np.array(q, float))
+        floats = compare(
+            SampledDistribution(space, np.array(f, float)),
+            SampledDistribution(space, np.array(g, float)),
+            ref,
+            eps_cmp=eps,
+        )
+        exact = vec_compare(f, g, q)
+        assert floats.outcome is exact.outcome
+        for a, b in ((floats.witness, exact.witness),
+                     (floats.witness_reverse, exact.witness_reverse)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.side == b.side
+                assert a.s == pytest.approx(b.s, rel=0, abs=1e-12)
+                assert a.gap == pytest.approx(b.gap, rel=0, abs=1e-12)
+        checked.append(instance)
+
+    check()
+    assert len(skipped) <= len(checked) // 10, f"{len(skipped)} draws skipped"
 
 
 def test_extreme_point_facts():
