@@ -35,7 +35,7 @@ from .grids import (
     default_grid,
     truncation_report,
 )
-from .rearrange import LorenzCurve, curves, resample_pair
+from .rearrange import curves, resample_pair
 
 EXIT_USAGE = 2
 EXIT_PARSE = 3
@@ -168,34 +168,6 @@ def write_curves_csv(path, s, l_plus, l_minus) -> None:
     Path(path).write_text(_curves_csv(s, l_plus, l_minus))
 
 
-def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "s,L_plus,L_minus":
-        raise ConfigError(f"{path} is not a qmaj curve CSV")
-    table = [row.split(",") for row in rows[1:]]
-    if not table or any(len(fields) != 3 for fields in table):
-        raise ConfigError(f"{path}: every curve row needs 3 columns")
-    try:
-        data = np.array([[float(t) for t in fields] for fields in table])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad curve value: {exc}") from None
-    # a NaN gap would make the verdict incomparable and an out-of-order s
-    # would interpolate a curve that is not one
-    if not np.isfinite(data).all():
-        raise ConfigError(f"{path}: curve values must be finite")
-    s, lp, lm = data[:, 0], data[:, 1], data[:, 2]
-    if s[0] < 0 or (np.diff(s) < 0).any():
-        raise ConfigError(f"{path}: s must be >= 0 and nondecreasing")
-    if s[0] > 0:
-        s = np.concatenate([[0.0], s])
-        lp = np.concatenate([[0.0], lp])
-        lm = np.concatenate([[0.0], lm])
-    end = float(s[-1])
-    pos = LorenzCurve(s, lp, "positive", end)
-    neg = LorenzCurve(s, lm, "negative", end)
-    return pos, neg
-
-
 def write_grid_file(path, f: SampledDistribution) -> None:
     """The grid header, then one shortest round-trip repr per cell.
 
@@ -217,30 +189,6 @@ def write_grid_file(path, f: SampledDistribution) -> None:
         line_of = _unfold(g, line_of)
     body = "\n".join(text[line_of.ravel()].tolist())
     Path(path).write_text(f"{header}\n{body}\n")
-
-
-def read_grid_file(path) -> SampledDistribution:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or not rows[0].startswith("# qmaj-grid "):
-        raise ConfigError(f"{path} is not a qmaj grid file")
-    try:
-        tokens = rows[0][len("# qmaj-grid "):].split()
-        meta = dict(tok.split("=") for tok in tokens)
-        grid = GridSpec(
-            modes=int(meta["modes"]),
-            half_width=float(meta["half_width"]),
-            points_per_axis=int(meta["points"]),
-            hbar=meta["hbar"],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: grid header lacks {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad grid header: {exc}") from None
-    try:
-        values = np.array([float(v) for v in rows[1:]])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad grid value: {exc}") from None
-    return SampledDistribution(grid, values)
 
 
 def write_curves_svg(path, s, l_plus, l_minus, loglog: bool = False) -> None:

@@ -9,8 +9,10 @@ real dominance from quadrature noise).
 
 Both checks read the weighted rearrangements of ``qmaj.rearrange``:
 ``compare`` the Lorenz curves (s, L) of each side, ``statement4_check`` the
-sorted keys f/q with the same (s, L), through ``_shifted_integrals``, and
-its u grid from the same keys.
+sorted keys f/q with the same (s, L), through ``_shifted_integral``, at
+u = 0 and at every key of f and of g, where its sides kink.  Both decide
+f's signed gaps over g by the same rule, so statement 4's flags are the
+direction flags of ``compare``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .rearrange import (
     _merged,
     _Rearrangement,
     _rearrange,
-    _shifted_integrals,
+    _shifted_integral,
     curves,
 )
 
@@ -41,8 +42,6 @@ STRICTNESS = 10.0
 # flip; perfbench's scan brackets assume 10, so that bisection always takes
 # the same number of steps
 PRESCAN = 10
-# distinct |f|/q ratios kept, quantile spaced, in the statement-4 u grid
-_U_GRID_POINTS = 256
 
 
 class Outcome(Enum):
@@ -203,22 +202,19 @@ class Statement4Result(NamedTuple):
     backward: bool
 
 
-def _key_breakpoints(rearrangements: Sequence[_Rearrangement]) -> np.ndarray:
-    """The statement-4 u grid from the rearrangements of f and g.
+def _kink_gaps(a: _Rearrangement, b: _Rearrangement) -> np.ndarray:
+    """a's shifted integral less b's, both of one side, at 0 and at every key.
 
-    It is 0, the distinct positive |f|/q ratios of both functions thinned to
-    ``_U_GRID_POINTS`` quantile-spaced ones, and 1.5 times the largest: the
-    u values where the piecewise-linear sides kink.  The |keys| of one side
-    are its distinct |f|/q ratios in reverse order, so merging them gives
-    the same candidates as a set union over every cell.
+    Between keys both integrals are linear in u, and past the largest |key|
+    both vanish, so these gaps decide the sign for every u >= 0.  Each
+    function's own keys need no search (see ``_shifted_integral``).
     """
-    cand = reduce(_merged, (np.abs(r.keys[::-1]) for r in rearrangements))
-    cand = cand[cand > 0]
-    if len(cand) > _U_GRID_POINTS:
-        take = np.linspace(0, len(cand) - 1, _U_GRID_POINTS).round().astype(int)
-        cand = cand[np.unique(take)]
-    top = cand[-1] * 1.5 if len(cand) else 1.0
-    return np.concatenate([[0.0], cand, [top]])
+    at = np.append(a.keys, 0.0)
+    own_b = b.L[:-1] - b.keys * b.s[:-1]
+    return np.concatenate([
+        a.L - at * a.s - _shifted_integral(b, at),
+        _shifted_integral(a, b.keys) - own_b,
+    ])
 
 
 def statement4_check(
@@ -230,25 +226,27 @@ def statement4_check(
 ) -> Statement4Result:
     """Check both dominance directions via shifted positive/negative parts.
 
-    Direction f over g requires, for every u in the grid, that the integral
-    of (f-uq)+ is at least that of (g-uq)+ and the integral of (f+uq)- is at
-    most that of (g+uq)-.  Used as a cross-validation of ``compare``: both
-    read the same rearrangement, but statement 4 integrates the shifted parts
-    where ``compare`` interpolates curves.  The u grid is read off the same
-    keys (see ``_key_breakpoints``); ``piecewise_plus_integral`` and
-    ``piecewise_minus_integral`` give the sides at any other u.  Like
-    ``compare``, raises NormalizationError when the total integrals differ
-    by more than eps_norm.
+    Direction f over g requires, for every u >= 0, that the integral of
+    (f-uq)+ is at least that of (g-uq)+ and the integral of (f+uq)- is at
+    most that of (g+uq)-.  Each side is evaluated at u = 0 and at every
+    |key| of f and of g on that side, where it kinks, so the check is exact
+    on the sampled functions.  f's signed gaps over g, both sides, are read
+    by ``_verdict``'s rule: forward holds when the smallest is >= -eps_cmp,
+    backward when the largest is <= eps_cmp.  The shifted integrals are the
+    conjugates of the Lorenz curves, so these are ``compare``'s direction
+    flags, reached by integrating the shifted parts where ``compare``
+    interpolates curves: the check cross-validates it.
+    ``piecewise_plus_integral`` and ``piecewise_minus_integral`` give the
+    sides at any u from their definition.  Like ``compare``, raises
+    NormalizationError when the total integrals differ by more than
+    eps_norm.
     """
     _require_tolerance("eps_cmp", eps_cmp)
     _require_equal_totals(f, g, eps_norm)
     (pf, nf), (pg, ng) = _rearrange(f, q), _rearrange(g, q)
-    u_grid = _key_breakpoints([pf, nf, pg, ng])
-    fp, fm = _shifted_integrals(pf, nf, u_grid)
-    gp, gm = _shifted_integrals(pg, ng, u_grid)
-    fwd = bool((fp >= gp - eps_cmp).all() and (fm <= gm + eps_cmp).all())
-    bwd = bool((gp >= fp - eps_cmp).all() and (gm <= fm + eps_cmp).all())
-    return Statement4Result(fwd, bwd)
+    # f over g needs (f+uq)- below (g+uq)-, so the negative side is g's less f's
+    gaps = np.concatenate([_kink_gaps(pf, pg), _kink_gaps(ng, nf)])
+    return Statement4Result(bool(gaps.min() >= -eps_cmp), bool(gaps.max() <= eps_cmp))
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,8 @@ def _padded(f, g, q):
     The length is that of the longer input, or of the reference when one is
     given; a reference shorter than either input is refused.  The totals of
     f and g must be equal, exactly for exact entries and within 1e-12 for
-    floats.
+    floats, and the sums of each one's positive and of its negative entries
+    finite: a part sum past the largest float ends a curve at inf.
     """
     fe, ge = _as_entries(f), _as_entries(g)
     width = max(len(fe), len(ge))
@@ -93,6 +94,10 @@ def _padded(f, g, q):
     # written so that a NaN difference (totals that overflow) fails too
     if not abs(sum(fe) - sum(ge)) <= _slack(fe, ge):
         raise ConfigError(f"sum mismatch: {sum(fe)} vs {sum(ge)}")
+    for v in (fe, ge):
+        parts = sum(x for x in v if x > 0), sum(x for x in v if x < 0)
+        if not all(abs(x) < math.inf for x in parts):
+            raise ConfigError(f"part sums must be finite, got {parts[0]} and {parts[1]}")
     return fe + (0,) * (width - len(fe)), ge + (0,) * (width - len(ge)), qe
 
 

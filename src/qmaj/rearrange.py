@@ -43,8 +43,11 @@ sort.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
   as a piecewise-linear curve, concave (positive) or convex (negative).
-* ``_shifted_integrals`` reads the sorted keys with (s, L) to give the
-  integrals of (f - u*q)+ and (f + u*q)- for many u by binary search.
+* ``_shifted_integral`` reads one side's sorted keys with its (s, L) to
+  give the integral of (f - u*q)+ (positive side) or (f + u*q)- (negative
+  side) for many u by binary search.  These sides kink only at the keys, so
+  ``compare.statement4_check`` evaluates them at u = 0 and at every key of
+  both functions, each function at its own keys with no search.
 * ``piecewise_plus_integral`` and ``piecewise_minus_integral`` evaluate the
   same integrals from their definition, with no sort, as the reference.
 
@@ -191,10 +194,17 @@ def _split(
 
     The negative side is the head below the first key >= 0, the positive
     side the tail after the last zero key, read backwards; zero and NaN keys
-    belong to neither.
+    belong to neither.  ConfigError if either side's mass sums past the
+    largest float.
     """
     lo, end = np.searchsorted(keys, [0.0, np.nan])
     hi = np.searchsorted(keys, 0.0, side="right")
+    # a part sum that overflows would cumulate to inf, and inf less inf
+    # gives the NaN gaps of a verdict that means nothing
+    with np.errstate(over="ignore"):
+        parts = mass[hi:end].sum(), mass[:lo].sum()
+    if not all(abs(x) < math.inf for x in parts):
+        raise ConfigError(f"part sums must be finite, got {parts[0]} and {parts[1]}")
     pos = _side(keys[hi:end][::-1], nu[hi:end][::-1], mass[hi:end][::-1])
     return pos, _side(keys[:lo], nu[:lo], mass[:lo])
 
@@ -310,22 +320,19 @@ def piecewise_minus_integral(
     return float(np.minimum(f.values + _shift(u, q), 0.0).sum() * f.grid.cell_measure)
 
 
-def _shifted_integrals(
-    pos: _Rearrangement, neg: _Rearrangement, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of (f - u*q)+ and (f + u*q)- for every u >= 0 at once.
+def _shifted_integral(side: _Rearrangement, t: np.ndarray) -> np.ndarray:
+    """Integral of f - t*q over the cells of one side whose key lies beyond t.
 
-    ``pos`` and ``neg`` are the two rearrangements of f relative to q.  The
-    cells where f > u*q are those whose key f/q lies strictly above u: the
-    first k runs of the positive rearrangement, so the integral is
-    L[k] - u*s[k].  The j keys strictly below -u give L[j] + u*s[j] on the
-    negative side.  The lookup searches the keys, not the curve slopes: a
-    weight too small to move s leaves a zero-width segment whose slope is
-    undefined.
+    On the positive side, with t = u >= 0, that is the integral of
+    (f - u*q)+; on the negative side, with t = -u <= 0, that of (f + u*q)-.
+    The cells counted are those whose key f/q lies strictly farther from 0
+    than t: the first k runs of the side, so the integral is L[k] - t*s[k],
+    and at the side's own key i it is L[i] - key*s[i].  The lookup searches
+    the keys, not the curve slopes: a weight too small to move s leaves a
+    zero-width segment whose slope is undefined.
     """
-    k = np.searchsorted(-pos.keys, -u, side="left")
-    j = np.searchsorted(neg.keys, -u, side="left")
-    return pos.L[k] - u * pos.s[k], neg.L[j] + u * neg.s[j]
+    k = np.searchsorted(-np.abs(side.keys), -np.abs(t), side="left")
+    return side.L[k] - t * side.s[k]
 
 
 def resample_pair(

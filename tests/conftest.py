@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from qmaj import grids, states
+
+# every property test draws the same examples on every run, with no example
+# database and no deadline, so a test that sets only max_examples keeps
+# Tier-1 deterministic
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

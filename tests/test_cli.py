@@ -13,16 +13,11 @@ import pytest
 
 import qmaj
 from qmaj import channels, states
-from qmaj.cli import (
-    load_curves_csv,
-    main,
-    parse_channel,
-    read_grid_file,
-    write_grid_file,
-)
+from qmaj.cli import main, parse_channel, write_grid_file
 from qmaj.compare import compare, compare_curve_pairs
-from qmaj.errors import ConfigError, ParseError
+from qmaj.errors import ParseError
 from qmaj.grids import GridSpec, SampledDistribution, truncation_report
+from qmaj.rearrange import LorenzCurve
 
 
 def run(capsys, *argv):
@@ -38,6 +33,23 @@ def record_of(stdout: str) -> dict:
             key, _, value = line.partition("=")
             rec[key] = value
     return rec
+
+
+def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
+    """The curve pair in a ``lorenz`` CSV: s, then L on each side."""
+    s, l_plus, l_minus = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    end = float(s[-1])
+    return LorenzCurve(s, l_plus, "positive", end), LorenzCurve(s, l_minus, "negative", end)
+
+
+def read_grid_file(path) -> SampledDistribution:
+    """The function in a grid file: the grid in its header, one value a line."""
+    header, *cells = Path(path).read_text().splitlines()
+    meta = dict(token.split("=") for token in header.split()[2:])
+    grid = GridSpec(
+        int(meta["modes"]), float(meta["half_width"]), int(meta["points"]), meta["hbar"]
+    )
+    return SampledDistribution(grid, np.array(cells, dtype=float))
 
 
 def test_compare_equivalent(capsys):
@@ -461,13 +473,14 @@ def test_readme_quick_start(tmp_path, monkeypatch, capsys):
         ["dvec", "compare", "nan,1", "1,0"],
         ["dvec", "compare", "1e999,-1e999", "1,0"],
         ["dvec", "compare", "1,0", "0,1", "--q", "1,nan"],
+        ["dvec", "compare", "1.7e308,-1.7e308,1.7e308,-1.7e308", "0,0,0,0"],
     ],
     ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
          "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative",
          "tol-inf", "grid-L-overflow", "alpha-renyi-nan", "alpha-norm-nan",
          "alpha-divergence-nan", "alpha-norm-inf", "alpha-tsallis-inf",
          "alpha-renyi-inf", "dephase-gamma-nan", "dephase-gamma-inf", "dvec-nan",
-         "dvec-inf", "dvec-q-nan"],
+         "dvec-inf", "dvec-q-nan", "dvec-part-overflow"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])
@@ -649,48 +662,3 @@ def test_apply_keeps_cells_of_octant_unbuilt(tmp_path, channel):
     assert "values" not in vars(out)
     want = truncation_report(SampledDistribution(out.grid, out.values))
     assert report.boundary_max == want.boundary_max
-
-
-GRID_HEADER = "# qmaj-grid modes=1 half_width=1.0 points=2 hbar=half\n"
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        GRID_HEADER + "0.25\nabc\n0.25\n0.25\n",
-        GRID_HEADER + "0.25\n0.25,0.5\n0.25\n0.25\n",
-        "# qmaj-grid modes=1 half_width=1.0 hbar=half\n0.25\n",
-        "# qmaj-grid modes=1 half_width=wide points=2 hbar=half\n0.25\n",
-        "# qmaj-grid modes=1 half_width points=2 hbar=half\n0.25\n",
-    ],
-    ids=["value", "columns", "missing-key", "header-value", "header-token"],
-)
-def test_read_grid_file_malformed(tmp_path, text):
-    path = tmp_path / "bad.grid"
-    path.write_text(text)
-    with pytest.raises(ConfigError, match="bad.grid"):
-        read_grid_file(path)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,0.5\n",
-        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,0.5,0.0,2.0\n",
-        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,half,0.0\n",
-        "s,L_plus,L_minus\n",
-        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,nan,0.0\n",
-        "s,L_plus,L_minus\n0.0,0.0,0.0\n1.0,1.0,-inf\n",
-        "s,L_plus,L_minus\n-1.0,0.0,0.0\n1.0,1.0,0.0\n",
-        "s,L_plus,L_minus\n1.0,1.0,0.0\n0.5,0.2,0.0\n",
-    ],
-    ids=[
-        "two-columns", "four-columns", "value", "no-rows", "nan", "infinite",
-        "negative-s", "decreasing-s",
-    ],
-)
-def test_load_curves_csv_malformed(tmp_path, text):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ConfigError, match="bad.csv"):
-        load_curves_csv(path)

@@ -7,13 +7,12 @@ import pytest
 
 from qmaj import states
 from qmaj.compare import (
+    DEFAULT_EPS_CMP,
     PRESCAN,
     STRICTNESS,
     Outcome,
     ThresholdResult,
     _is_comparable,
-    _key_breakpoints,
-    _U_GRID_POINTS,
     compare,
     compare_curve_pairs,
     scan_threshold,
@@ -26,7 +25,7 @@ from qmaj.errors import (
     ScanError,
 )
 from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution
-from qmaj.rearrange import LorenzCurve, _rearrange
+from qmaj.rearrange import LorenzCurve, curves
 
 
 def test_reflexivity(fock):
@@ -151,37 +150,6 @@ def test_statement4_reflexive(fock):
     assert result.forward and result.backward
 
 
-def _ratio_breakpoints(f, g, q=None):
-    """The statement-4 u grid by its definition, from the raw values.
-
-    These are the distinct positive |values| (entrywise |f|/q ratios in the
-    relative case) of both functions, thinned to ``_U_GRID_POINTS``
-    quantile-spaced ones, plus 0 and 1.5 times the largest.
-    """
-    cand = np.abs(np.concatenate([f.values, g.values]))
-    if q is not None:
-        cand = cand / np.concatenate([q.values, q.values])
-    cand = np.unique(cand[cand > 0])
-    if len(cand) > _U_GRID_POINTS:
-        take = np.linspace(0, len(cand) - 1, _U_GRID_POINTS).round().astype(int)
-        cand = cand[np.unique(take)]
-    top = cand[-1] * 1.5 if len(cand) else 1.0
-    return np.concatenate([[0.0], cand, [top]])
-
-
-def test_key_breakpoints_match_ratio_breakpoints(zoo, half_grid, vacuum_ref):
-    # the statement-4 u grid, read off the keys, is the definition's
-    thermal = states.reference("thermal(nbar=-1)", half_grid)
-    names = list(zoo)
-    for q in (None, vacuum_ref, thermal):
-        for a, b in zip(names, names[1:]):
-            f, g = zoo[a], zoo[b]
-            sides = [r for h in (f, g) for r in _rearrange(h, q)]
-            got = _key_breakpoints(sides)
-            want = _ratio_breakpoints(f, g, q)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 def test_statement4_matches_compare(fock, vacuum_ref, zoo):
     cases = [
         (fock[1], fock[0], vacuum_ref),
@@ -200,6 +168,51 @@ def test_statement4_matches_compare(fock, vacuum_ref, zoo):
             assert not s4.forward and not s4.backward
         else:
             assert s4.forward and s4.backward
+
+
+def _curve_gap_flags(f, g, q, eps):
+    """compare's direction flags, read off its signed curve gaps."""
+    (pf, nf), (pg, ng) = curves(f, q), curves(g, q)
+    sp, sn = np.union1d(pf.s, pg.s), np.union1d(nf.s, ng.s)
+    gaps = np.concatenate([pf(sp) - pg(sp), ng(sn) - nf(sn)])
+    return bool(gaps.min() >= -eps), bool(gaps.max() <= eps)
+
+
+def test_statement4_flags_are_compare_direction_flags(fock, zoo, vacuum_ref, half_grid):
+    # the 19 criterion-3 cases, then fock:n against vacuum relative to
+    # thermal(nbar) just past each Table 3 threshold, where the forward
+    # direction fails by 10 to 30 eps at one crossing of the curves
+    th1 = states.render("thermal(nbar=1)", half_grid)
+    qm1 = states.reference("thermal(nbar=-1)", half_grid)
+    cases = [(fock[m], fock[n], None) for m in range(5) for n in range(m + 1, 5)]
+    cases += [(fock[n + 1], fock[n], vacuum_ref) for n in range(5)]
+    cases += [
+        (zoo["rho1"], zoo["rho2"], None),
+        (fock[4], zoo["lossy1"], None),
+        (fock[4], th1, None),
+        (fock[4], th1, qm1),
+    ]
+    for n, nbar in zip(range(1, 6), (0.70, 1.30, 1.85, 2.40, 2.95)):
+        thermal = states.reference(f"thermal(nbar={nbar})", half_grid)
+        cases.append((fock[n], fock[0], thermal))
+    flags = []
+    for f, g, q in cases:
+        flags.append(tuple(statement4_check(f, g, q)))
+        assert flags[-1] == _curve_gap_flags(f, g, q, DEFAULT_EPS_CMP)
+    # neither direction holds just past a threshold
+    assert flags[-5:] == [(False, False)] * 5
+
+
+def test_part_sums_that_overflow_are_refused():
+    # the totals are 0, but each function's positive part sums past the
+    # largest float, so its curves would end at inf
+    space = DiscreteSpace(4)
+    f = SampledDistribution(space, np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308]))
+    g = SampledDistribution(space, np.zeros(4))
+    for check in (compare, statement4_check):
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ConfigError, match="part sums must be finite"):
+                check(a, b)
 
 
 def test_scan_threshold_first_fock(fock, half_grid):

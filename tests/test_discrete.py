@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaj.compare import STRICTNESS, Outcome, Statement4Result, Witness, compare
+from qmaj.compare import (
+    STRICTNESS,
+    Outcome,
+    Statement4Result,
+    Witness,
+    compare,
+    statement4_check,
+)
 from qmaj.discrete import (
     QuasiVector,
     StochasticMatrix,
@@ -144,12 +151,14 @@ def test_statement4_pads_like_compare():
         ((1.0, 0.0), (float("-inf"), 1.0), None),
         ((1.0, 0.0), (0.0, 1.0), (1.0, float("nan"))),
         ((1.0, 0.0), (0.0, 1.0), (1.0, float("inf"))),
+        ((1.7e308, -1.7e308, 1.7e308, -1.7e308), (0.0, 0.0, 0.0, 0.0), None),
     ],
-    ids=["f-nan", "f-inf", "g-inf", "q-nan", "q-inf"],
+    ids=["f-nan", "f-inf", "g-inf", "q-nan", "q-inf", "f-part-sums"],
 )
 def test_non_finite_entries_rejected(f, g, q):
     # NaN compares false and an infinite total has no sum to preserve, so
-    # neither may reach a verdict
+    # neither may reach a verdict; nor may a finite total whose positive and
+    # negative parts each sum past the largest float
     with pytest.raises(ConfigError, match="finite"):
         vec_compare(f, g, q)
     with pytest.raises(ConfigError, match="finite"):
@@ -199,6 +208,17 @@ def _equal_total_instances(draw):
     return tuple(f), tuple(g), q
 
 
+def _floats(f, g, q):
+    """f and g as float functions on a DiscreteSpace, and q as a reference or None."""
+    space = DiscreteSpace(len(f))
+    ref = None if q is None else ReferenceDistribution(space, np.array(q, float))
+    return (
+        SampledDistribution(space, np.array(f, float)),
+        SampledDistribution(space, np.array(g, float)),
+        ref,
+    )
+
+
 def test_float_compare_agrees_with_exact_oracle():
     # float compare on a DiscreteSpace against exact vec_compare: the same
     # outcome, and witnesses at the same place with the same gap.  A draw is
@@ -207,7 +227,7 @@ def test_float_compare_agrees_with_exact_oracle():
     eps = 1e-9
     checked, skipped = [], []
 
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=150)
     @given(_equal_total_instances())
     def check(instance):
         f, g, q = instance
@@ -216,14 +236,7 @@ def test_float_compare_agrees_with_exact_oracle():
         if not all(x == 0 or abs(x) > 2 * STRICTNESS * eps for x in extremes):
             skipped.append(instance)
             return
-        space = DiscreteSpace(len(f))
-        ref = None if q is None else ReferenceDistribution(space, np.array(q, float))
-        floats = compare(
-            SampledDistribution(space, np.array(f, float)),
-            SampledDistribution(space, np.array(g, float)),
-            ref,
-            eps_cmp=eps,
-        )
+        floats = compare(*_floats(f, g, q), eps_cmp=eps)
         exact = vec_compare(f, g, q)
         assert floats.outcome is exact.outcome
         for a, b in ((floats.witness, exact.witness),
@@ -233,6 +246,29 @@ def test_float_compare_agrees_with_exact_oracle():
                 assert a.side == b.side
                 assert a.s == pytest.approx(b.s, rel=0, abs=1e-12)
                 assert a.gap == pytest.approx(b.gap, rel=0, abs=1e-12)
+        checked.append(instance)
+
+    check()
+    assert len(skipped) <= len(checked) // 10, f"{len(skipped)} draws skipped"
+
+
+def test_float_statement4_agrees_with_exact_oracle():
+    # float statement4_check on a DiscreteSpace against exact vec_statement4:
+    # the same flags.  The float check lets a direction fail by eps, so a
+    # draw is checked when each direction's exact worst gap is 0 or farther
+    # than eps from 0; the others are counted
+    eps = 1e-9
+    checked, skipped = [], []
+
+    @settings(max_examples=150)
+    @given(_equal_total_instances())
+    def check(instance):
+        f, g, q = instance
+        _, gaps = _gaps(vec_lorenz(f, q), vec_lorenz(g, q))
+        if any(0 < abs(x) <= eps for x in (min(gaps), max(gaps))):
+            skipped.append(instance)
+            return
+        assert statement4_check(*_floats(f, g, q), eps_cmp=eps) == vec_statement4(f, g, q)
         checked.append(instance)
 
     check()

@@ -20,7 +20,7 @@ from qmaj.rearrange import (
     POSITIVE,
     _merged,
     _rearrange,
-    _shifted_integrals,
+    _shifted_integral,
     codistribution_function,
     distribution_function,
     lorenz_curves,
@@ -240,7 +240,8 @@ def test_piecewise_rejects_negative_u(fock, vacuum_ref):
 
 
 def _shifted(f, us, q=None):
-    return _shifted_integrals(*_rearrange(f, q), us)
+    pos, neg = _rearrange(f, q)
+    return _shifted_integral(pos, us), _shifted_integral(neg, -us)
 
 
 def _assert_shifted_match(f, q, us):
