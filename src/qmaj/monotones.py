@@ -7,8 +7,8 @@ is computed on, scaled so the vacuum comes out at exactly 1.
 
 Most functionals read the cell values directly.  Two read the regular
 rearrangements of ``qmaj.rearrange``: ``g_monotone`` the positive Lorenz
-curve, and ``phi_functional`` the sorted values of both sides with their
-cumulative measures.
+curve, and ``phi_functional`` f's sorted values of each side against the
+rise of g's Lorenz curve of that side over each of f's segments.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .grids import (
     SampledDistribution,
     same_grid,
 )
-from .rearrange import _merged, _rearrange, lorenz_curves
+from .rearrange import _rearrange, lorenz_curves
 
 
 def negative_volume(f: SampledDistribution) -> float:
@@ -132,19 +132,17 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
 
     Integrates the product of the decreasing rearrangements of the positive
     parts plus the product of the increasing rearrangements of the negative
-    parts, on merged breakpoints.  Schur-convex in either argument;
+    parts.  On each side f's rearrangement takes the value keys[k] on
+    (s[k], s[k+1]], where g's rearrangement integrates to the rise of g's
+    Lorenz curve L_g(s[k+1]) - L_g(s[k]); the curve is flat past its end,
+    where g's rearrangement is 0.  Schur-convex in either argument;
     phi(f, f) equals the squared L2 norm and phi is symmetric.
     """
     same_grid(f, g)
     total = 0.0
     for a, b in zip(_rearrange(f), _rearrange(g)):
-        # a rearrangement takes the value keys[k] on (s[k], s[k+1]]
-        edges = _merged(a.s[1:], b.s[1:])
-        edges = edges[edges <= min(a.s[-1], b.s[-1])]
-        widths = np.diff(edges, prepend=0.0)
-        i = np.searchsorted(a.s[1:], edges, side="left")
-        j = np.searchsorted(b.s[1:], edges, side="left")
-        total += float(np.sum(a.keys[i] * b.keys[j] * widths))
+        rise = np.diff(np.interp(a.s, b.s, b.L))
+        total += float(np.sum(a.keys * rise))
     return total
 
 

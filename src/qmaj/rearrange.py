@@ -9,12 +9,13 @@ key.  Zero and NaN keys (NaN sorts last) belong to neither.  A cell adds
 q_i * dmu_i to the abscissa s (the measure nu) and f_i * dmu_i to the
 ordinate L.  The rearrangement is constant on each level set of f/q, so it
 keeps one breakpoint per distinct key: the end of each run of tied cells.
-Three producers (the product and octant rules below, and the cells against
-a reference) build an unsorted table of keys with their nu and mass, and
-share one unstable argsort of the keys, since the order of tied cells only
-changes the rounding of their run's sums.  The regular rearrangement of the
-cells is the one path without an argsort: its keys are the values, so it
-sorts them directly.
+Three producers (the product rule, the octant rule against a reference and
+the cells against a reference) build an unsorted table of keys with their
+nu and mass, and share one unstable argsort of the keys, since the order of
+tied cells only changes the rounding of their run's sums.  The regular
+rearrangements have no argsort: their keys are the values, so they sort
+them directly, the cells in one sort and the octant (below) in one sort per
+orbit size.
 ``_merged`` merges the sorted breakpoints of two curves in linear time.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
@@ -33,13 +34,17 @@ a one-mode function equal to itself under both mirrors and the transpose of
 the grid) and q, when given, is too, its cells come in orbits of 4 equal
 cells on the diagonals and 8 elsewhere.  The rearrangement then sorts the
 octant 0 < x <= p of the grid, an eighth of the cells, with nu m*q*dmu and
-mass m*f*dmu for orbit size m.  ``states.render`` and ``states.reference``
-build Fock, thermal and lossy states, their mixtures and dephasings, and the
-thermal references from their octants.  A function given by its values
-sorts its cells, even where they are symmetric: a renormalized copy, a grid
-file, ``coherent(alpha=0)``.  The keys are the cell keys, bitwise; s and L
-add m equal terms in one product, so they round differently from the cell
-sort.
+mass m*f*dmu for orbit size m.  Regularly nu takes only the two values
+4*dmu and 8*dmu, so the values of each orbit size are sorted on their own
+and merged, each diagonal value after the equal off-diagonal ones: the
+order a stable argsort of the off-diagonal values followed by the diagonal
+ones gives, so a run of tied cells always sums in the same order.
+``states.render`` and ``states.reference`` build Fock, thermal and lossy
+states, their mixtures and dephasings, and the thermal references from
+their octants.  A function given by its values sorts its cells, even where
+they are symmetric: a renormalized copy, a grid file, ``coherent(alpha=0)``.
+The keys are the cell keys, bitwise; s and L add m equal terms in one
+product, so they round differently from the cell sort.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
   as a piecewise-linear curve, concave (positive) or convex (negative).
@@ -229,13 +234,26 @@ def _rearrange(
             nu = np.multiply.outer(nu, np.concatenate([np.diff(b.s) for b in both]))
             mass = np.multiply.outer(mass, np.concatenate([np.diff(b.L) for b in both]))
         keys, nu, mass = keys.ravel(), nu.ravel(), mass.ravel()
-    elif f.octant is not None and (q is None or q.octant is not None):
+    elif f.octant is not None and q is None:
+        # the keys are the octant values and nu is one of two orbit
+        # measures: sort each class and put each diagonal key after the
+        # equal off-diagonal ones, the stable order of (off, diagonal)
+        diag = _octant_orbits(f.grid).size == 4.0
+        on, off = np.sort(f.octant[diag]), np.sort(f.octant[~diag])
+        at = np.searchsorted(off, on, side="right") + np.arange(on.size)
+        keys = np.empty(f.octant.shape)
+        keys[at] = on
+        rest = np.ones(keys.shape, dtype=bool)
+        rest[at] = False
+        keys[rest] = off
+        nu = np.where(rest, 8.0 * dmu, 4.0 * dmu)
+        return _split(keys, nu, nu * keys)
+    elif f.octant is not None and q.octant is not None:
         # each octant cell stands for the 4 (diagonal) or 8 equal cells of
         # its orbit under the mirrors and the transpose of the grid; the
         # orbit measure m * dmu is kept per grid
-        qo = 1.0 if q is None else q.octant
         w = _octant_orbits(f.grid).weight
-        keys, nu, mass = f.octant / qo, w * qo, w * f.octant
+        keys, nu, mass = f.octant / q.octant, w * q.octant, w * f.octant
     elif q is None:
         # tied keys are equal values here: sort the values themselves
         vals = np.sort(f.values)

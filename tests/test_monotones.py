@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qmaj import states
 from qmaj.compare import Outcome, compare
 from qmaj.errors import ConfigError
-from qmaj.grids import GridSpec, default_grid
+from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution, default_grid
 from qmaj.monotones import (
     extreme_values,
     g_monotone,
@@ -152,6 +157,49 @@ def test_phi_symmetry(fock):
     a = phi_functional(fock[0], fock[1])
     b = phi_functional(fock[1], fock[0])
     assert a == pytest.approx(b, rel=1e-12)
+
+
+# small integers and halves tie and hit zero often; the wide floats stay
+# clear of products that underflow
+_ENTRIES = st.one_of(
+    st.integers(-4, 4).map(lambda n: n / 2),
+    st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) > 1e-100),
+)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Two float vectors of one length 1-8."""
+    k = draw(st.integers(1, 8))
+    return tuple(draw(st.lists(_ENTRIES, min_size=k, max_size=k)) for _ in range(2))
+
+
+def _exact_phi(f, g) -> Fraction:
+    """sum desc(f+) desc(g+) + sum asc(f-) asc(g-), in exact arithmetic."""
+    f, g = [Fraction(x) for x in f], [Fraction(x) for x in g]
+    pos = (sorted((max(x, 0) for x in v), reverse=True) for v in (f, g))
+    neg = (sorted(min(x, 0) for x in v) for v in (f, g))
+    return sum(a * b for a, b in zip(*pos)) + sum(a * b for a, b in zip(*neg))
+
+
+@settings(max_examples=150)
+@given(_vector_pairs())
+def test_phi_matches_exact_sum_of_aligned_parts(pair):
+    space = DiscreteSpace(len(pair[0]))
+    f, g = (SampledDistribution(space, np.array(v)) for v in pair)
+    exact = _exact_phi(*pair)
+    assert abs(Fraction(phi_functional(f, g)) - exact) <= Fraction(1e-12) * exact
+
+
+def test_phi_octant_matches_values_form(fock, zoo):
+    # the octant form adds an orbit's equal cells in one product, so its
+    # curves round apart from the cell sort of the same values
+    folded = [fock[0], fock[1], fock[4], zoo["thermal04"], zoo["lossy1"]]
+    copies = [SampledDistribution(f.grid, f.values) for f in folded]
+    assert all(f.octant is not None for f in folded)
+    for i, j in itertools.combinations_with_replacement(range(len(folded)), 2):
+        want = phi_functional(copies[i], copies[j])
+        assert phi_functional(folded[i], folded[j]) == pytest.approx(want, rel=1e-12)
 
 
 def test_phi_incomparability_witness(fock):

@@ -13,6 +13,7 @@ from qmaj.grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
+    _octant_orbits,
 )
 from qmaj.rearrange import (
     DECIMATION_TOL,
@@ -21,6 +22,7 @@ from qmaj.rearrange import (
     _merged,
     _rearrange,
     _shifted_integral,
+    _split,
     codistribution_function,
     distribution_function,
     lorenz_curves,
@@ -174,11 +176,20 @@ def test_relative_reduces_to_regular(half_grid, fock, zoo):
     octant_ones = ReferenceDistribution(half_grid, None, octant=np.ones(61425))
     ones = ReferenceDistribution(half_grid, np.ones(half_grid.size))
     for f, q in ((fock[4], octant_ones), (zoo["cat2"], ones)):
+        for a, b in zip(_rearrange(f, q), _rearrange(f)):
+            assert a.keys.tobytes() == b.keys.tobytes()
         rel = relative_lorenz_curves(f, q)
         reg = lorenz_curves(f)
         for a, b in zip(rel, reg):
-            np.testing.assert_array_equal(a.s, b.s)
-            np.testing.assert_array_equal(a.L, b.L)
+            if f.octant is None:
+                np.testing.assert_array_equal(a.s, b.s)
+                np.testing.assert_array_equal(a.L, b.L)
+                continue
+            # the regular octant sort puts tied cells in a fixed order, the
+            # relative one's argsort in its own, so the sums of a run that
+            # mixes both orbit sizes round differently
+            for x, y in ((a.s, b.s), (a.L, b.L)):
+                assert np.abs(x - y).max() <= 4 * np.spacing(abs(y[-1]))
 
 
 def test_relative_grid_mismatch(half_grid, fock):
@@ -378,6 +389,25 @@ def test_regular_rearrangement_matches_argsort(zoo):
     for name, f in zoo.items():
         assert (f.octant is not None) == (name in GRID_SYMMETRIC)
         _check_sides(f)
+
+
+def test_regular_octant_orders_ties_by_orbit_class(half_grid, one_grid):
+    # a run of tied octant cells holds its off-diagonal cells (orbit 8)
+    # before its diagonal ones (orbit 4), whatever numpy's argsort does
+    specs = [f"fock:{n}" for n in range(6)]
+    specs += ["thermal(nbar=1)", "lossy(eta=0.7, fock:1)"]
+    for grid, spec in itertools.product((half_grid, one_grid), specs):
+        orbits = _octant_orbits(grid)
+        diag = orbits.size == 4.0
+        f = states.render(spec, grid)
+        assert f.octant is not None
+        keys = np.concatenate([f.octant[~diag], f.octant[diag]])
+        nu = np.concatenate([orbits.weight[~diag], orbits.weight[diag]])
+        order = np.argsort(keys, kind="stable")
+        want = _split(keys[order], nu[order], (nu * keys)[order])
+        for a, b in zip(_rearrange(f), want):
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_split_keeps_zero_and_nan_cells_off_both_sides():
