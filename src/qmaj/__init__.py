@@ -1,5 +1,7 @@
 """Majorization analysis for quasiprobability distributions on phase-space grids."""
 
+import ctypes as _ctypes
+
 from .compare import (
     MajorizationVerdict,
     Outcome,
@@ -61,3 +63,28 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def _keep_freed_pages() -> None:
+    # Every verdict allocates and frees several MB of numpy temporaries.
+    # glibc serves each block of 128 KiB or more by mmap, or trims the heap
+    # top after the operation, so the next operation faults the same pages
+    # back in (about 1.8 us per 4 KiB page on a 2-vCPU host).  Here blocks
+    # below 16 MiB come from the heap, and freed heap top stays mapped until
+    # more than 32 MiB of it is free; larger blocks (a 64^4 cell table) are
+    # still unmapped on free.  A 4 MiB line would still map and unmap the
+    # 4-11 MB blocks of a CLI request on the 700^2 grid each time, and a
+    # 64 MiB trim line raises the CLI's peak RSS by a fifth.  Setting either
+    # value turns off glibc's dynamic adjustment of both, so both are set.
+    # Without glibc's mallopt this does nothing.
+    try:
+        mallopt = _ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (_ctypes.c_int, _ctypes.c_int)
+        mallopt.restype = _ctypes.c_int
+        mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+_keep_freed_pages()

@@ -525,6 +525,38 @@ def test_import_loads_no_scipy():
     assert proc.stdout.split("\n") == ["[]", "[]", "[]", "[]", ""]
 
 
+def test_import_without_mallopt():
+    # where the C library has no mallopt (or cannot be loaded), importing
+    # qmaj keeps the allocator's policy and everything else works as before
+    src = str(Path(qmaj.__file__).resolve().parents[1])
+    verdict = (
+        "import qmaj\n"
+        "print(qmaj.compare(qmaj.render('fock:1'), qmaj.render('fock:2')))"
+    )
+    patches = (
+        "",
+        "def cdll(*args, **kwargs):\n"
+        "    raise OSError('no C library')\n",
+        "def cdll(*args, **kwargs):\n"
+        "    return object()\n",
+    )
+    outputs = []
+    for patch in patches:
+        if patch:
+            patch = "import ctypes\n" + patch + "ctypes.CDLL = cdll\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", patch + verdict],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("incomparable")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["cubic(g=1e6, s=0.1)", "--grid", "N=64"], ["cubic(g=0.02, s=1e-9)"]],

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,3 +434,50 @@ def test_compare_curve_pairs_rules(eps, f, g, outcome, witness, reverse):
 
     assert same(verdict.witness, witness)
     assert same(verdict.witness_reverse, reverse)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the malloc policy is glibc's",
+)
+def test_repeated_verdicts_take_no_page_faults():
+    # importing qmaj keeps freed heap pages mapped, so a verdict reuses the
+    # pages its predecessor freed instead of faulting them back in: a Table 3
+    # scan step and a criterion-7 compare fault about 1,000 and 1,500 pages
+    # each under glibc's default policy
+    src = str(Path(states.__file__).resolve().parents[1])
+    code = (
+        "import resource, qmaj\n"
+        "from qmaj import states\n"
+        "from qmaj.grids import default_grid\n"
+        "def faults():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "grid = default_grid()\n"
+        "family = states.thermal_reference_family(grid)\n"
+        "fock, vac = qmaj.render('fock:3', grid), qmaj.render('vacuum', grid)\n"
+        "for nbar in (1.0, 1.1):\n"
+        "    qmaj.compare(fock, vac, family(nbar))\n"
+        "start = faults()\n"
+        "for k in range(10):\n"
+        "    qmaj.compare(fock, vac, family(1.2 + 0.1 * k))\n"
+        "print(faults() - start)\n"
+        "grid = default_grid(modes=2)\n"
+        "pair = qmaj.render('tensor(fock:2, fock:2)', grid)\n"
+        "cubic = qmaj.render('tensor(cubic(g=0.02, s=0.1), vacuum)', grid)\n"
+        "ref = qmaj.reference('tensor(vacuum, vacuum)', grid)\n"
+        "qmaj.compare(pair, cubic, ref, eps_norm=2e-2)\n"
+        "start = faults()\n"
+        "for _ in range(3):\n"
+        "    qmaj.compare(pair, cubic, ref, eps_norm=2e-2)\n"
+        "print(faults() - start)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    scan, two_mode = map(int, proc.stdout.split())
+    assert scan < 1000 and two_mode < 200, (scan, two_mode)
