@@ -28,6 +28,7 @@ from .errors import ConfigError, NormalizationError, ScanError
 from .grids import ReferenceDistribution, SampledDistribution, same_grid
 from .rearrange import (
     LorenzCurve,
+    _ahead,
     _merged,
     _Rearrangement,
     _rearrange,
@@ -192,9 +193,12 @@ def compare(
 
     Raises NormalizationError when the total integrals differ by more than
     eps_norm: unequal integrals are a precondition failure, not a verdict.
+    g's rearrangement is built on the worker thread of ``rearrange._ahead``
+    while ``curves(f, q)`` runs, and ``curves(g, q)`` takes it.
     """
     _require_equal_totals(f, g, eps_norm)
-    return compare_curve_pairs(curves(f, q), curves(g, q), eps_cmp=eps_cmp)
+    with _ahead(g, q):
+        return compare_curve_pairs(curves(f, q), curves(g, q), eps_cmp=eps_cmp)
 
 
 class Statement4Result(NamedTuple):
@@ -239,11 +243,13 @@ def statement4_check(
     ``piecewise_plus_integral`` and ``piecewise_minus_integral`` give the
     sides at any u from their definition.  Like ``compare``, raises
     NormalizationError when the total integrals differ by more than
-    eps_norm.
+    eps_norm, and builds g's rearrangement on the worker thread of
+    ``rearrange._ahead`` while it builds f's.
     """
     _require_tolerance("eps_cmp", eps_cmp)
     _require_equal_totals(f, g, eps_norm)
-    (pf, nf), (pg, ng) = _rearrange(f, q), _rearrange(g, q)
+    with _ahead(g, q):
+        (pf, nf), (pg, ng) = _rearrange(f, q), _rearrange(g, q)
     # f over g needs (f+uq)- below (g+uq)-, so the negative side is g's less f's
     gaps = np.concatenate([_kink_gaps(pf, pg), _kink_gaps(ng, nf)])
     return Statement4Result(bool(gaps.min() >= -eps_cmp), bool(gaps.max() <= eps_cmp))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
@@ -250,6 +252,20 @@ def _cells(grid, values, octant: bool = False) -> np.ndarray:
     return vals
 
 
+def _new_values_lock() -> None:
+    # held while a lazy ``values`` is built, by whichever thread builds it;
+    # reentrant, since a product's cells read its factors' cells.  A child
+    # forked while another thread held it would wait on it for ever, so the
+    # child makes its own.
+    global _BUILDING_VALUES
+    _BUILDING_VALUES = threading.RLock()
+
+
+_new_values_lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_values_lock)
+
+
 @dataclass(frozen=True, eq=False)
 class SampledDistribution:
     """A real function sampled on the cells of a grid or discrete space.
@@ -272,7 +288,8 @@ class SampledDistribution:
     Instances are immutable and their arrays read-only, and compare and hash
     by identity, so neither reads cells.  For the last two
     forms ``values`` (the outer product, or each octant cell copied over its
-    orbit) is built on first read and kept, like ``sorted_values``.  The
+    orbit) is built on first read, once under a lock whatever the threads
+    reading it, and kept, like ``sorted_values``.  The
     calls that read cells build it: ``renormalized``, ``as_nd``, channel
     application to its input (dephasing, and a Gaussian kernel that does
     not keep the octant), the pointwise monotones, the distribution
@@ -313,12 +330,17 @@ class SampledDistribution:
     def __getattr__(self, name):
         if name != "values":
             raise AttributeError(name)
-        if self.factors:
-            factors = (h.values for h in self.factors)
-            vals = _cells(self.grid, reduce(np.multiply.outer, factors))
-        else:
-            vals = _cells(self.grid, _unfold(self.grid, self.octant))
-        object.__setattr__(self, "values", vals)
+        # both rearrangements of a pair may read one function's cells at
+        # once; the later reader finds them built when it gets the lock
+        with _BUILDING_VALUES:
+            vals = vars(self).get("values")
+            if vals is None:
+                if self.factors:
+                    factors = (h.values for h in self.factors)
+                    vals = _cells(self.grid, reduce(np.multiply.outer, factors))
+                else:
+                    vals = _cells(self.grid, _unfold(self.grid, self.octant))
+                object.__setattr__(self, "values", vals)
         return vals
 
     def renormalized(self) -> "SampledDistribution":
@@ -378,6 +400,12 @@ class ReferenceDistribution(SampledDistribution):
 
 def same_grid(a, b) -> None:
     """Raise GridMismatchError unless a and b share the same space."""
+    _same_grid(a, b)
+
+
+def _same_grid(a, b) -> None:
+    # for the rearrangement built on a worker thread, which calls no public
+    # function (see rearrange._ahead)
     if a.grid != b.grid:
         raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
 

@@ -25,7 +25,7 @@ from .grids import (
     SampledDistribution,
     same_grid,
 )
-from .rearrange import _rearrange, lorenz_curves
+from .rearrange import _ahead, _rearrange, lorenz_curves
 
 
 def negative_volume(f: SampledDistribution) -> float:
@@ -136,13 +136,16 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     (s[k], s[k+1]], where g's rearrangement integrates to the rise of g's
     Lorenz curve L_g(s[k+1]) - L_g(s[k]); the curve is flat past its end,
     where g's rearrangement is 0.  Schur-convex in either argument;
-    phi(f, f) equals the squared L2 norm and phi is symmetric.
+    phi(f, f) equals the squared L2 norm and phi is symmetric.  g's
+    rearrangement is built on the worker thread of ``rearrange._ahead``
+    while f's is built.
     """
     same_grid(f, g)
     total = 0.0
-    for a, b in zip(_rearrange(f), _rearrange(g)):
-        rise = np.diff(np.interp(a.s, b.s, b.L))
-        total += float(np.sum(a.keys * rise))
+    with _ahead(g):
+        for a, b in zip(_rearrange(f), _rearrange(g)):
+            rise = np.diff(np.interp(a.s, b.s, b.L))
+            total += float(np.sum(a.keys * rise))
     return total
 
 

@@ -15,8 +15,23 @@ nu and mass, and share one unstable argsort of the keys, since the order of
 tied cells only changes the rounding of their run's sums.  The regular
 rearrangements have no argsort: their keys are the values, so they sort
 them directly, the cells in one sort and the octant (below) in one sort per
-orbit size.
+orbit size.  Their mass is nu * key, so ``_side`` forms it one side at a
+time and cumulates it in place, and no table of masses is kept.
 ``_merged`` merges the sorted breakpoints of two curves in linear time.
+
+Pairs: a verdict reads the rearrangements of f and of g against the same
+q, and neither depends on the other.  Inside ``with _ahead(g, q):`` one
+worker thread builds g's while the calling thread builds f's, and the
+calling thread's ``_rearrange(g, q)`` then takes the worker's result.
+``compare.compare`` (through the public ``curves``),
+``compare.statement4_check`` and ``monotones.phi_functional`` call their
+builders in that block as they would alone.  numpy's sorts and array
+passes release the GIL, so on two cores a pair takes about the time of its
+longer build; on one usable CPU nothing is built ahead.  Each build runs
+exactly as it would alone, so every result is bitwise that of building
+them one after the other, and errors come out in that order.  The worker
+calls no public function, so a tracer that wraps those sees every call,
+each on the calling thread, and a forked child starts a worker of its own.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
 and q is absent or a product q1 x q2 over the same modes, the level sets of
@@ -63,6 +78,10 @@ distribution functions: exact for the samples and O(M log M).
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -73,7 +92,7 @@ from .grids import (
     ReferenceDistribution,
     SampledDistribution,
     _octant_orbits,
-    same_grid,
+    _same_grid,
 )
 
 POSITIVE = "positive"
@@ -175,52 +194,85 @@ class _Rearrangement(NamedTuple):
     L: np.ndarray     # cumulative integral of f, L[0] = 0
 
 
-def _cumulative(steps: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """0, then the running sums of ``steps`` through each index in ``ends``."""
+def _at_ends(running: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """0, then ``running`` at each index in ``ends``."""
     out = np.zeros(len(ends) + 1)
     # the indices are in range; mode="raise" would copy through a buffer
-    np.cumsum(steps).take(ends, out=out[1:], mode="clip")
+    running.take(ends, out=out[1:], mode="clip")
     return out
 
 
-def _side(keys: np.ndarray, nu: np.ndarray, mass: np.ndarray) -> _Rearrangement:
+def _side(
+    keys: np.ndarray, nu: np.ndarray, mass: np.ndarray | None
+) -> _Rearrangement:
     # tied cells share the slope f/q, so a breakpoint sits only at the last
     # cell of each run of equal keys, indexed by ``ends``
     last = np.ones(keys.shape, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=last[:-1])
     ends = np.flatnonzero(last)
-    return _Rearrangement(keys[ends], _cumulative(nu, ends), _cumulative(mass, ends))
+    # a mass that overflows cumulates to inf, which _split refuses
+    with np.errstate(over="ignore"):
+        if mass is None:
+            # a regular side: its mass nu * key is formed for this side
+            # alone and cumulated in place, so no table of masses is kept
+            running = np.multiply(nu, keys)
+            np.cumsum(running, out=running)
+        else:
+            running = np.cumsum(mass)
+    # each running sum is freed before the next one is formed
+    L = _at_ends(running, ends)
+    del running
+    s = _at_ends(np.cumsum(nu), ends)
+    return _Rearrangement(keys[ends], s, L)
 
 
 def _split(
-    keys: np.ndarray, nu: np.ndarray, mass: np.ndarray
+    keys: np.ndarray, nu: np.ndarray, mass: np.ndarray | None = None
 ) -> tuple[_Rearrangement, _Rearrangement]:
     """Both sides from ascending keys (NaN last) with each one's nu and mass.
 
     The negative side is the head below the first key >= 0, the positive
     side the tail after the last zero key, read backwards; zero and NaN keys
-    belong to neither.  ConfigError if either side's mass sums past the
-    largest float.
+    belong to neither.  A ``mass`` of None stands for nu * keys, the mass of
+    a regular rearrangement.  ConfigError if either side's mass sums past
+    the largest float.
     """
     lo, end = np.searchsorted(keys, [0.0, np.nan])
     hi = np.searchsorted(keys, 0.0, side="right")
-    # a part sum that overflows would cumulate to inf, and inf less inf
-    # gives the NaN gaps of a verdict that means nothing
-    with np.errstate(over="ignore"):
-        parts = mass[hi:end].sum(), mass[:lo].sum()
+    pos, neg = (
+        _side(*(None if a is None else a[part][::step] for a in (keys, nu, mass)))
+        for part, step in ((slice(hi, end), -1), (slice(lo), 1))
+    )
+    # a side's masses share one sign, so its running sum overflows when its
+    # sum does; inf less inf would give the NaN gaps of a verdict that means
+    # nothing
+    parts = pos.L[-1], neg.L[-1]
     if not all(abs(x) < math.inf for x in parts):
         raise ConfigError(f"part sums must be finite, got {parts[0]} and {parts[1]}")
-    pos = _side(keys[hi:end][::-1], nu[hi:end][::-1], mass[hi:end][::-1])
-    return pos, _side(keys[:lo], nu[:lo], mass[:lo])
+    return pos, neg
 
 
 def _rearrange(
     f: SampledDistribution, q: ReferenceDistribution | None = None
 ) -> tuple[_Rearrangement, _Rearrangement]:
-    """The positive and negative rearrangements of f (see the module notes)."""
+    """The positive and negative rearrangements of f (see the module notes).
+
+    Inside ``_ahead(f, q)`` on this thread, the worker's build of them.
+    """
+    pending = getattr(_pending, "build", None)
+    if pending is not None and pending[0] is f and pending[1] is q:
+        _pending.build = None
+        return pending[2].result()
+    return _build(f, q)
+
+
+def _build(
+    f: SampledDistribution, q: ReferenceDistribution | None
+) -> tuple[_Rearrangement, _Rearrangement]:
+    # runs on the worker of _ahead too, so it calls no public function
     parts = f.factors
     if q is not None:
-        same_grid(f, q)
+        _same_grid(f, q)
         if [r.grid for r in q.factors] != [h.grid for h in parts]:
             parts = ()
     dmu = f.grid.cell_measure
@@ -229,7 +281,7 @@ def _rearrange(
         # sets get a positive key k1*k2 and the mixed pairs a negative one
         keys = nu = mass = np.ones(1)
         for h, r in zip(parts, [None] * len(parts) if q is None else q.factors):
-            both = _rearrange(h, r)
+            both = _build(h, r)
             keys = np.multiply.outer(keys, np.concatenate([b.keys for b in both]))
             nu = np.multiply.outer(nu, np.concatenate([np.diff(b.s) for b in both]))
             mass = np.multiply.outer(mass, np.concatenate([np.diff(b.L) for b in both]))
@@ -246,8 +298,7 @@ def _rearrange(
         rest = np.ones(keys.shape, dtype=bool)
         rest[at] = False
         keys[rest] = off
-        nu = np.where(rest, 8.0 * dmu, 4.0 * dmu)
-        return _split(keys, nu, nu * keys)
+        return _split(keys, np.where(rest, 8.0 * dmu, 4.0 * dmu))
     elif f.octant is not None and q.octant is not None:
         # each octant cell stands for the 4 (diagonal) or 8 equal cells of
         # its orbit under the mirrors and the transpose of the grid; the
@@ -257,7 +308,7 @@ def _rearrange(
     elif q is None:
         # tied keys are equal values here: sort the values themselves
         vals = np.sort(f.values)
-        return _split(vals, np.broadcast_to(dmu, vals.shape), vals * dmu)
+        return _split(vals, np.broadcast_to(dmu, vals.shape))
     else:
         keys, nu, mass = f.values / q.values, q.values * dmu, f.values * dmu
     # gathered one at a time, so each unsorted table is freed in turn
@@ -283,6 +334,52 @@ def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(both[1:], both[:-1], out=keep[1:])
     return both[keep]
+
+
+def _new_worker() -> None:
+    # the one thread of _ahead, which ThreadPoolExecutor starts on the first
+    # submit; a forked child has no copy of its parent's, so it makes its own
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qmaj-pair")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+# per thread: (g, q, future) while an _ahead block of that thread is open
+_pending = threading.local()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _ahead(g: SampledDistribution, q: ReferenceDistribution | None = None):
+    """Build g's rearrangement against q on the worker thread during the block.
+
+    This thread's ``_rearrange(g, q)`` (the same objects) in the block takes
+    the worker's result, or raises its error, where it would have built
+    it.  Leaving the block waits for the worker's build, so an error raised
+    before g's was asked for (f's) surfaces only once it has ended.  With
+    one usable CPU the two builds would only take turns on it, so nothing is
+    built ahead.
+    """
+    if _cpus() < 2:
+        yield
+        return
+    later = _worker.submit(_build, g, q)
+    _pending.build = (g, q, later)
+    try:
+        yield
+    finally:
+        _pending.build = None
+        later.exception()  # waits for g's build, whatever its outcome
 
 
 def _curves(

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from qmaj import grids, states
+from qmaj import grids, rearrange, states
 
 # every property test draws the same examples on every run, with no example
 # database and no deadline, so a test that sets only max_examples keeps
@@ -49,3 +49,10 @@ def zoo(half_grid):
         "rho2": "mix(0.5:on(a=2,n=3), 0.5:fock:1)",
     }
     return {k: states.render(v, half_grid) for k, v in specs.items()}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Build a verdict's second operand on the worker thread, as on any host
+    with two usable CPUs (see rearrange._ahead)."""
+    monkeypatch.setattr(rearrange, "_cpus", lambda: 2)

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import functools
+import importlib
 import math
+import multiprocessing
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmaj import states
+import qmaj
+from qmaj import grids, rearrange, states
 from qmaj.compare import (
     DEFAULT_EPS_CMP,
     PRESCAN,
@@ -30,6 +37,7 @@ from qmaj.errors import (
     ScanError,
 )
 from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution
+from qmaj.monotones import phi_functional
 from qmaj.rearrange import LorenzCurve, curves
 
 
@@ -481,3 +489,114 @@ def test_repeated_verdicts_take_no_page_faults():
     assert proc.returncode == 0, proc.stderr
     scan, two_mode = map(int, proc.stdout.split())
     assert scan < 1000 and two_mode < 200, (scan, two_mode)
+
+
+def _record_public_calls(monkeypatch, calls: list) -> None:
+    """Wrap every public function and method of the qmaj modules to record
+    (name, thread) per call, every copy bound by ``from .x import y`` too."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__qualname__, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    mods = [importlib.import_module(f"qmaj.{m.name}") for m in pkgutil.iter_modules(qmaj.__path__)]
+    wrappers = {}
+    for mod in mods:
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if isinstance(obj, types.FunctionType):
+                wrappers[obj] = wrap(obj)
+            elif isinstance(obj, type):
+                for meth, fn in list(vars(obj).items()):
+                    if not meth.startswith("_") and isinstance(fn, types.FunctionType):
+                        monkeypatch.setattr(obj, meth, wrap(fn))
+    for owner in [qmaj, *mods]:
+        for name, obj in list(vars(owner).items()):
+            if isinstance(obj, types.FunctionType) and obj in wrappers:
+                monkeypatch.setattr(owner, name, wrappers[obj])
+
+
+def test_pairs_call_public_functions_on_the_calling_thread_only(
+    two_cpus, fock, zoo, vacuum_ref, monkeypatch
+):
+    # a tracer that wraps the public functions keeps one span stack, so the
+    # worker that builds g's rearrangement must call none of them
+    two = GridSpec(2, 5.0, 16)
+    tensor = [states.render(s, two) for s in ("tensor(fock:1, vacuum)", "tensor(vacuum, fock:1)")]
+    cases = [
+        (fock[1], fock[2], None),  # octant
+        (fock[3], fock[2], vacuum_ref),
+        (zoo["rho1"], zoo["rho2"], None),  # values
+        (zoo["rho1"], zoo["rho2"], vacuum_ref),
+        (*tensor, None),  # product
+        (*tensor, states.reference("tensor(vacuum, vacuum)", two)),
+    ]
+    calls, splits = [], []
+    split = rearrange._split
+
+    def record_split(*args):
+        splits.append(threading.get_ident())
+        return split(*args)
+
+    monkeypatch.setattr(rearrange, "_split", record_split)
+    _record_public_calls(monkeypatch, calls)
+    for f, g, q in cases:
+        compare(f, g, q)
+        statement4_check(f, g, q)
+        if q is None:
+            phi_functional(f, g)
+    here = threading.get_ident()
+    assert calls and all(thread == here for _, thread in calls)
+    # compare still reads both curve pairs through the public curves
+    assert sum(name == "curves" for name, _ in calls) == 2 * len(cases)
+    # and the worker did build: every rearrangement ends in a _split
+    assert {thread != here for thread in splits} == {True, False}
+
+
+def _forked(target, timeout: float = 60):
+    """target() run in a child forked by multiprocessing, its result's repr."""
+    ctx = multiprocessing.get_context("fork")
+    out = ctx.Queue()
+    child = ctx.Process(target=lambda: out.put(repr(target())))
+    child.start()
+    try:
+        return out.get(timeout=timeout)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_forked_child_compares_with_its_own_worker(two_cpus, fock, zoo, half_grid, vacuum_ref):
+    # the child has no copy of the parent's worker thread, so a pair whose
+    # build waited on it would never end
+    want = repr(compare(fock[3], fock[2], vacuum_ref))
+    assert _forked(lambda: compare(fock[3], fock[2], vacuum_ref)) == want
+    # nor of a thread that held the lock of a lazy ``values`` at the fork:
+    # the child builds the cells of a fresh reference under a lock of its own
+    q = states.reference("thermal(nbar=0.37)", half_grid)
+    assert "values" not in vars(q)
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with grids._BUILDING_VALUES:
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        held.wait()
+        got = _forked(lambda: compare(zoo["rho1"], zoo["rho2"], q), timeout=30)
+    finally:
+        release.set()
+        holder.join()
+    assert got == repr(compare(zoo["rho1"], zoo["rho2"], q))

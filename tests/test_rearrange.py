@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmaj import monotones, states
+from qmaj import grids, monotones, rearrange, states
 from qmaj.compare import compare, statement4_check
+from qmaj.errors import ConfigError
 from qmaj.grids import (
     DiscreteSpace,
     GridSpec,
@@ -19,6 +23,7 @@ from qmaj.rearrange import (
     DECIMATION_TOL,
     NEGATIVE,
     POSITIVE,
+    _ahead,
     _merged,
     _rearrange,
     _shifted_integral,
@@ -241,8 +246,6 @@ def test_piecewise_plus_above_max(fock):
 
 
 def test_piecewise_rejects_negative_u(fock, vacuum_ref):
-    from qmaj.errors import ConfigError
-
     # NaN and infinite u are rejected too, rather than giving a NaN integral
     for integral in (piecewise_plus_integral, piecewise_minus_integral):
         for u, q in itertools.product((-0.1, math.nan, math.inf), (None, vacuum_ref)):
@@ -640,3 +643,103 @@ def test_product_path_matches_cell_path(hbar):
             assert statement4_check(
                 products[i], products[j], ref, eps_norm=1.0
             ) == statement4_check(cells[i], cells[j], ref_cells, eps_norm=1.0)
+
+
+def test_regular_rearrangement_keeps_no_table_of_masses(zoo):
+    # each side forms its masses value * dmu alone and cumulates them in
+    # place, and frees each running sum before the next: the sorted values
+    # and their one largest side stay under 3 cell arrays (4 with a table of
+    # masses)
+    f = zoo["rho1"]
+    assert f.octant is None and not f.factors
+    tracemalloc.start()
+    try:
+        _rearrange(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * f.values.nbytes
+
+
+def test_ahead_raises_in_sequential_order(two_cpus, monkeypatch):
+    # f's error wins and surfaces only after g's build has ended
+    ended = []
+
+    def build(x, failing):
+        if x == "g":
+            assert threading.current_thread() is not threading.main_thread()
+            time.sleep(0.2)
+            ended.append(x)
+        if x in failing:
+            raise ValueError(x)
+        return x
+
+    def pair(failing):
+        with _ahead("g", failing):
+            return _rearrange("f", failing), _rearrange("g", failing)
+
+    monkeypatch.setattr(rearrange, "_build", build)
+    assert pair("") == ("f", "g")
+    for failing, want in (("fg", "f"), ("f", "f"), ("g", "g")):
+        ended.clear()
+        with pytest.raises(ValueError, match=want):
+            pair(failing)
+        assert ended == ["g"]
+
+
+def test_ahead_errors_of_real_operands(two_cpus):
+    # f's positive part and g's negative part sum past the largest float
+    # (their totals overflow too, which phi_functional does not read)
+    space = DiscreteSpace(4)
+    with np.errstate(over="ignore"):
+        f = SampledDistribution(space, np.array([1.7e308, 1.7e308, 0.0, 0.0]))
+        g = SampledDistribution(space, np.array([0.0, 0.0, -1.7e308, -1.7e308]))
+    h = SampledDistribution(space, np.array([1.0, 0.0, -1.0, 0.0]))
+    f_err, g_err = "got inf and 0.0", "got 0.0 and -inf"
+    for a, b, want in ((f, g, f_err), (g, f, g_err), (h, g, g_err), (f, h, f_err)):
+        with pytest.raises(ConfigError, match=want):
+            monotones.phi_functional(a, b)
+
+
+def _split_threads(monkeypatch) -> list:
+    # every rearrangement ends in one _split per operand (a product's
+    # factors are split on the same thread as the product)
+    threads, split = [], rearrange._split
+
+    def record(*args):
+        threads.append(threading.get_ident())
+        return split(*args)
+
+    monkeypatch.setattr(rearrange, "_split", record)
+    return threads
+
+
+def test_ahead_builds_a_shared_lazy_values_once(two_cpus, zoo, half_grid, monkeypatch):
+    # both builds of a relative compare of functions given by their values
+    # read the octant reference's cells; one builds them, the other waits
+    built = []
+    unfold = grids._unfold
+
+    def slow_unfold(grid, octant):
+        built.append(threading.get_ident())
+        time.sleep(0.2)
+        return unfold(grid, octant)
+
+    monkeypatch.setattr(grids, "_unfold", slow_unfold)
+    threads = _split_threads(monkeypatch)
+    q = states.reference("thermal(nbar=0.37)", half_grid)
+    assert q.octant is not None and "values" not in vars(q)
+    compare(zoo["rho1"], zoo["rho2"], q)
+    assert len(built) == 1
+    assert len(threads) == len(set(threads)) == 2 and threading.get_ident() in threads
+
+
+def test_one_cpu_builds_nothing_ahead(zoo, vacuum_ref, monkeypatch):
+    # two builds on one CPU only take turns, so both run on the calling thread
+    monkeypatch.setattr(rearrange, "_cpus", lambda: 1)
+    threads = _split_threads(monkeypatch)
+    f, g = zoo["rho1"], zoo["rho2"]
+    compare(f, g, vacuum_ref)
+    statement4_check(f, g)
+    monotones.phi_functional(f, g)
+    assert threads and set(threads) == {threading.get_ident()}
