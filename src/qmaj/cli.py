@@ -171,11 +171,13 @@ def write_curves_csv(path, s, l_plus, l_minus) -> None:
 def write_grid_file(path, f: SampledDistribution) -> None:
     """The grid header, then one shortest round-trip repr per cell.
 
-    Each distinct value is formatted once: the stored entries (the values,
-    or the octant) are grouped by their bit patterns, so 0.0 and -0.0 keep
-    their own lines, and each cell takes the line of its group.  A function
-    built from its octant places each octant cell's line at every cell of
-    its orbit, so the file is the same as for its values.
+    Each distinct value is formatted once, with its newline: the stored
+    entries (the values, or the octant) are grouped by their bit patterns,
+    so 0.0 and -0.0 keep their own lines, and each cell takes the line of
+    its group.  A function built from its octant places each octant cell's
+    line at every cell of its orbit, so the file is the same as for its
+    values.  The lines are written one grid row (along the first axis) at a
+    time, so no text of the whole file is held.
     """
     g = f.grid
     header = (
@@ -184,11 +186,13 @@ def write_grid_file(path, f: SampledDistribution) -> None:
     )
     cells = f.values if f.octant is None else f.octant
     bits, line_of = np.unique(cells.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    lines = np.array([f"{x!r}\n" for x in bits.view(float).tolist()], dtype=object)
     if f.octant is not None:
         line_of = _unfold(g, line_of)
-    body = "\n".join(text[line_of.ravel()].tolist())
-    Path(path).write_text(f"{header}\n{body}\n")
+    with open(path, "w") as out:
+        out.write(f"{header}\n")
+        for row in line_of.reshape(g.shape):
+            out.write("".join(lines[row.ravel()].tolist()))
 
 
 def write_curves_svg(path, s, l_plus, l_minus, loglog: bool = False) -> None:

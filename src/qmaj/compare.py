@@ -8,11 +8,12 @@ strict dominance only when some gap exceeds ``STRICTNESS * eps`` (separating
 real dominance from quadrature noise).
 
 Both checks read the weighted rearrangements of ``qmaj.rearrange``:
-``compare`` the Lorenz curves (s, L) of each side, ``statement4_check`` the
-sorted keys f/q with the same (s, L), through ``_shifted_integral``, at
-u = 0 and at every key of f and of g, where its sides kink.  Both decide
-f's signed gaps over g by the same rule, so statement 4's flags are the
-direction flags of ``compare``.
+``compare`` the Lorenz curves (s, L) of each side, at every breakpoint of
+either curve, each curve at its own and the other interpolated there;
+``statement4_check`` the sorted keys f/q with the same (s, L), through
+``_shifted_integral``, at u = 0 and at every key of f and of g, where its
+sides kink.  Both decide f's signed gaps over g by the same rule, so
+statement 4's flags are the direction flags of ``compare``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,7 +31,7 @@ from .grids import ReferenceDistribution, SampledDistribution, same_grid
 from .rearrange import (
     LorenzCurve,
     _ahead,
-    _merged,
+    _both,
     _Rearrangement,
     _rearrange,
     _shifted_integral,
@@ -82,37 +84,42 @@ _FLOAT_BAND = 8.0 * np.finfo(float).eps
 
 
 def _verdict(
-    gaps: np.ndarray, place: Callable[[int], tuple], eps_cmp: float, band: float
+    gaps: np.ndarray,
+    place: Callable[[np.ndarray], tuple],
+    eps_cmp: float,
+    band: float,
 ) -> MajorizationVerdict:
-    """Four-way verdict from f's signed gaps over g, gap i at ``place(i)``.
+    """Four-way verdict from f's signed gaps over g, placed by ``place``.
 
     A gap is positive where f's positive curve lies above g's or f's
-    negative curve lies below g's; the positive side comes first, s
-    ascending.  g's gaps over f are these negated, so one array decides both
-    directions.  The first rule that applies decides: f majorizes g when no
-    gap is below -eps_cmp and one exceeds ``STRICTNESS * eps_cmp``; the
-    mirror case gives majorized_by; one holding direction gives equivalent;
-    none gives incomparable.  The rules read the extreme gaps themselves, so
-    exact gaps (an object array of Fractions) compare exactly.  A witness
-    sits at the first gap within ``band * max(1, |extreme|)`` of its
-    extreme, or at the first NaN, which is an extreme of both kinds.
+    negative curve lies below g's.  ``place(near)`` gives (s, side) of the
+    first gap flagged in ``near``, in (side, s) order: the positive side
+    first, s ascending.  g's gaps over f are these negated, so one array
+    decides both directions.  The first rule that applies decides: f
+    majorizes g when no gap is below -eps_cmp and one exceeds
+    ``STRICTNESS * eps_cmp``; the mirror case gives majorized_by; one
+    holding direction gives equivalent; none gives incomparable.  The rules
+    read the extreme gaps themselves, so exact gaps (an object array of
+    Fractions) compare exactly.  A witness sits at the first gap within
+    ``band * max(1, |extreme|)`` of its extreme, or at the first NaN, which
+    is an extreme of both kinds.
     """
 
     def witness(i: int, sign: int, reverse: bool = False) -> Witness:
         # sign is -1 for the smallest gap and +1 for the largest, so one
-        # comparison finds the near ones; a NaN is near nothing, so its
-        # witness stays put; an int band of 0 keeps an exact bound exact
+        # comparison finds the near ones; a NaN is near nothing but the
+        # NaNs; an int band of 0 keeps an exact bound exact
         gap = gaps[i]
-        bound = gap - sign * band * max(1, abs(gap))
-        near = gaps >= bound if sign > 0 else gaps <= bound
-        first = int(np.argmax(near))
-        if near[first]:
-            i = first
-        s, side = place(i)
+        if gap != gap:
+            near = gaps != gaps
+        else:
+            bound = gap - sign * band * max(1, abs(gap))
+            near = gaps >= bound if sign > 0 else gaps <= bound
+        s, side = place(near)
         # g's gap over f: 0 - (a - b) is bitwise b - a, signed zero included
         return Witness(float(s), side, 0.0 - float(gap) if reverse else float(gap))
 
-    # argmin and argmax return the first NaN of a float array
+    # argmin and argmax pick a NaN of a float array that holds one
     lo, hi = int(np.argmin(gaps)), int(np.argmax(gaps))
     fwd_holds, bwd_holds = gaps[lo] >= -eps_cmp, gaps[hi] <= eps_cmp
     strict = STRICTNESS * eps_cmp
@@ -151,6 +158,42 @@ def _require_equal_totals(
         )
 
 
+def _run_ends(c: LorenzCurve) -> tuple[np.ndarray | slice, int]:
+    """What picks c's distinct breakpoints from its s and L, and their count.
+
+    Each is the last of its run of equal s, which is where ``np.interp``
+    reads the curve; a slice (no copy) when every s is distinct.
+    """
+    last = np.ones(c.s.shape, dtype=bool)
+    np.not_equal(c.s[1:], c.s[:-1], out=last[:-1])
+    n = int(np.count_nonzero(last))
+    return (slice(None) if n == last.size else last), n
+
+
+def _reading(
+    own: tuple[LorenzCurve, LorenzCurve],
+    picks: tuple[np.ndarray | slice, np.ndarray | slice],
+    other: tuple[LorenzCurve, LorenzCurve],
+    of_f: bool,
+    out: np.ndarray,
+) -> None:
+    """f's gaps over g at one pair's distinct breakpoints, positive side first.
+
+    ``own`` is f's pair when ``of_f``, else g's, read at the breakpoints
+    that ``picks`` selects; ``other`` is the other pair, interpolated there.
+    f's positive curve less g's, g's negative less f's, each as one
+    subtraction, so a gap at a breakpoint of both curves is bitwise the same
+    in either pair's reading.  Calls numpy only.
+    """
+    at = 0
+    for c, pick, curve, own_first in zip(own, picks, other, (of_f, not of_f)):
+        read = np.interp(c.s[pick], curve.s, curve.L)
+        part = out[at : at + len(read)]
+        np.subtract(*((c.L[pick], read) if own_first else (read, c.L[pick])), out=part)
+        at += len(read)
+        del read  # before the next side's reading is allocated
+
+
 def compare_curve_pairs(
     curves_f: tuple[LorenzCurve, LorenzCurve],
     curves_g: tuple[LorenzCurve, LorenzCurve],
@@ -158,26 +201,35 @@ def compare_curve_pairs(
 ) -> MajorizationVerdict:
     """Four-way verdict from two (positive, negative) curve pairs.
 
-    ``_verdict`` decides f's gaps over g at the merged breakpoints of each
-    side.  So when one direction holds and the other fails by more than
-    eps_cmp but at most ``STRICTNESS * eps_cmp`` (the noise band), the
-    verdict is equivalent.
+    ``_verdict`` decides f's gaps over g at every breakpoint of either curve
+    of each side, each curve read at its own breakpoints and the other
+    interpolated there.  f's reading runs on the worker thread of
+    ``rearrange._both`` while the calling thread runs g's.  So when one
+    direction holds and the other fails by more than eps_cmp but at most
+    ``STRICTNESS * eps_cmp`` (the noise band), the verdict is equivalent.
     """
     _require_tolerance("eps_cmp", eps_cmp)
-    (pos_f, neg_f), (pos_g, neg_g) = curves_f, curves_g
-    sp = _merged(pos_f.s, pos_g.s)
-    sn = _merged(neg_f.s, neg_g.s)
-    gaps = np.empty(len(sp) + len(sn))
-    dp, dn = gaps[: len(sp)], gaps[len(sp):]
-    dp[:] = pos_f(sp)
-    dp -= pos_g(sp)
-    dn[:] = neg_g(sn)
-    dn -= neg_f(sn)
+    # gaps holds four parts: f's positive and negative breakpoints, then g's
+    four = (*curves_f, *curves_g)
+    picks, sizes = zip(*map(_run_ends, four))
+    starts = np.cumsum((0, *sizes))
+    gaps = np.empty(starts[-1])
+    _both(
+        partial(_reading, curves_f, picks[:2], curves_g, True, gaps[: starts[2]]),
+        partial(_reading, curves_g, picks[2:], curves_f, False, gaps[starts[2] :]),
+    )
 
-    def place(i: int) -> tuple[float, str]:
-        if i < len(sp):
-            return sp[i], pos_f.side
-        return sn[i - len(sp)], neg_f.side
+    def place(near: np.ndarray) -> tuple[float, str]:
+        # the first near gap of each part; of a side's two, the one at the
+        # smaller s, f's on a tie (the same s and gap)
+        for k, side in enumerate(c.side for c in curves_f):
+            found = []
+            for j in (k, k + 2):
+                first = int(np.argmax(near[starts[j] : starts[j + 1]]))
+                if near[starts[j] + first]:
+                    found.append(four[j].s[picks[j]][first])
+            if found:
+                return min(found), side
 
     return _verdict(gaps, place, eps_cmp, _FLOAT_BAND)
 

@@ -200,7 +200,12 @@ def vec_compare(f, g, q: Sequence[Number] | None = None) -> MajorizationVerdict:
     # no slack means exact entries, whose gaps stay Fractions
     exact = not _slack(fe, ge, qe or ())
     values = np.array(gaps, dtype=object if exact else float)
-    return _verdict(values, places.__getitem__, 0.0, 0 if exact else _FLOAT_BAND)
+
+    def place(near: np.ndarray) -> tuple:
+        # the places are in (side, s) order already
+        return places[int(np.argmax(near))]
+
+    return _verdict(values, place, 0.0, 0 if exact else _FLOAT_BAND)
 
 
 def vec_statement4(f, g, q: Sequence[Number] | None = None) -> Statement4Result:

@@ -17,7 +17,6 @@ rearrangements have no argsort: their keys are the values, so they sort
 them directly, the cells in one sort and the octant (below) in one sort per
 orbit size.  Their mass is nu * key, so ``_side`` forms it one side at a
 time and cumulates it in place, and no table of masses is kept.
-``_merged`` merges the sorted breakpoints of two curves in linear time.
 
 Pairs: a verdict reads the rearrangements of f and of g against the same
 q, and neither depends on the other.  Inside ``with _ahead(g, q):`` one
@@ -29,9 +28,14 @@ builders in that block as they would alone.  numpy's sorts and array
 passes release the GIL, so on two cores a pair takes about the time of its
 longer build; on one usable CPU nothing is built ahead.  Each build runs
 exactly as it would alone, so every result is bitwise that of building
-them one after the other, and errors come out in that order.  The worker
-calls no public function, so a tracer that wraps those sees every call,
-each on the calling thread, and a forked child starts a worker of its own.
+them one after the other, and errors come out in that order.  The
+dominance check of ``compare.compare_curve_pairs`` has two independent
+readings too, each curve pair read at its own breakpoints against the
+other's interpolation; ``_both`` runs one on the same worker while the
+calling thread runs the other (``np.interp`` releases the GIL as well).
+The worker calls no public function, so a tracer that wraps those sees
+every call, each on the calling thread, and a forked child starts a worker
+of its own.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
 and q is absent or a product q1 x q2 over the same modes, the level sets of
@@ -83,7 +87,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -320,25 +324,10 @@ def _build(
     return _split(keys, nu, mass)
 
 
-def _merged(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sorted union of two sorted arrays, each shared entry kept once.
-
-    A stable sort (timsort) merges the two sorted runs in linear time, where
-    a set union would sort their concatenation from scratch.
-    """
-    both = np.concatenate([a, b])
-    both.sort(kind="stable")
-    if both.size == 0:
-        return both
-    keep = np.empty(both.shape, dtype=bool)
-    keep[0] = True
-    np.not_equal(both[1:], both[:-1], out=keep[1:])
-    return both[keep]
-
-
 def _new_worker() -> None:
-    # the one thread of _ahead, which ThreadPoolExecutor starts on the first
-    # submit; a forked child has no copy of its parent's, so it makes its own
+    # the one thread of _ahead and _both, which ThreadPoolExecutor starts on
+    # the first submit; a forked child has no copy of its parent's, so it
+    # makes its own
     global _worker
     _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qmaj-pair")
 
@@ -380,6 +369,24 @@ def _ahead(g: SampledDistribution, q: ReferenceDistribution | None = None):
     finally:
         _pending.build = None
         later.exception()  # waits for g's build, whatever its outcome
+
+
+def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
+    """Run first on the worker thread while this thread runs second.
+
+    Neither may wait on the other, and first calls no public function.
+    Returns once both have ended; first's error, if any, wins, as if it had
+    run before second.  With one usable CPU both run here, in that order.
+    """
+    if _cpus() < 2:
+        first()
+        second()
+        return
+    later = _worker.submit(first)
+    try:
+        second()
+    finally:
+        later.result()
 
 
 def _curves(

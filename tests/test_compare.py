@@ -10,11 +10,14 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmaj
 from qmaj import grids, rearrange, states
@@ -22,8 +25,10 @@ from qmaj.compare import (
     DEFAULT_EPS_CMP,
     PRESCAN,
     STRICTNESS,
+    MajorizationVerdict,
     Outcome,
     ThresholdResult,
+    Witness,
     _is_comparable,
     compare,
     compare_curve_pairs,
@@ -36,7 +41,7 @@ from qmaj.errors import (
     NormalizationError,
     ScanError,
 )
-from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution
+from qmaj.grids import DiscreteSpace, GridSpec, ReferenceDistribution, SampledDistribution
 from qmaj.monotones import phi_functional
 from qmaj.rearrange import LorenzCurve, curves
 
@@ -444,6 +449,126 @@ def test_compare_curve_pairs_rules(eps, f, g, outcome, witness, reverse):
     assert same(verdict.witness_reverse, reverse)
 
 
+def _merged_reference(curves_f, curves_g, eps_cmp: float) -> MajorizationVerdict:
+    """compare_curve_pairs read the other way: f's gaps over g at the sorted
+    union of both curves' breakpoints of a side, both curves interpolated at
+    every point, positive side first; each witness at the first gap of that
+    array within 8 ulps of its extreme, or at the extreme when none is (a
+    NaN, the first one)."""
+    (pos_f, neg_f), (pos_g, neg_g) = curves_f, curves_g
+    sp, sn = np.union1d(pos_f.s, pos_g.s), np.union1d(neg_f.s, neg_g.s)
+    gaps = np.concatenate([pos_f(sp) - pos_g(sp), neg_g(sn) - neg_f(sn)])
+    at = np.concatenate([sp, sn])
+    band = 8.0 * np.finfo(float).eps
+
+    def witness(i, sign, reverse=False):
+        gap = gaps[i]
+        bound = gap - sign * band * max(1, abs(gap))
+        near = gaps >= bound if sign > 0 else gaps <= bound
+        if near.any():
+            i = int(np.argmax(near))
+        side = pos_f.side if i < len(sp) else neg_f.side
+        return Witness(float(at[i]), side, 0.0 - float(gap) if reverse else float(gap))
+
+    lo, hi = int(np.argmin(gaps)), int(np.argmax(gaps))
+    fwd, bwd = gaps[lo] >= -eps_cmp, gaps[hi] <= eps_cmp
+    if fwd and gaps[hi] > STRICTNESS * eps_cmp:
+        found = Outcome.MAJORIZES, witness(hi, 1), None
+    elif bwd and -gaps[lo] > STRICTNESS * eps_cmp:
+        found = Outcome.MAJORIZED_BY, witness(lo, -1, reverse=True), None
+    elif fwd or bwd:
+        found = Outcome.EQUIVALENT, None, None
+    else:
+        found = Outcome.INCOMPARABLE, witness(lo, -1), witness(hi, 1, reverse=True)
+    return MajorizationVerdict(*found, eps_cmp)
+
+
+ORACLE_EPS = (0.0, 1e-6, 1e-4, 1e-3)
+
+
+def _assert_reads_as_merged(pairs) -> None:
+    for cf, cg in pairs:
+        for eps in ORACLE_EPS:
+            want = repr(_merged_reference(cf, cg, eps))
+            assert repr(compare_curve_pairs(cf, cg, eps_cmp=eps)) == want
+
+
+@pytest.fixture(scope="module")
+def table3_steps(half_grid):
+    """fock:n and vacuum against the thermal references at both ends of each
+    Table 3 bracket, n = 1..5."""
+    family = states.thermal_reference_family(half_grid)
+    vac = states.render("vacuum", half_grid)
+    steps = []
+    for n in range(1, 6):
+        fn = states.render(states.Fock(n), half_grid)
+        found = scan_threshold(fn, vac, family, (0.1, 3.5), resolution=0.01)
+        steps += [(fn, vac, family(nbar)) for nbar in (found.lower, found.upper)]
+    return steps
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_own_breakpoints_read_as_the_merged_ones(
+    cpus, fock, zoo, vacuum_ref, half_grid, table3_steps, monkeypatch
+):
+    # every gap, both extremes and every witness, bitwise, on the worker
+    # thread and inline
+    monkeypatch.setattr(rearrange, "_cpus", lambda: cpus)
+    pairs = []
+    for f, g, q in _criterion3_cases(fock, zoo, vacuum_ref, half_grid) + table3_steps:
+        cf, cg = curves(f, q), curves(g, q)
+        pairs += [(cf, cg), (cg, cf)]
+    _assert_reads_as_merged(pairs)
+
+
+# ties, signed zeros, and reference weights too small to move s (1e-300 and
+# 3e-17 after a weight of 1 leave zero-width segments)
+_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.25])
+_WEIGHTS = st.sampled_from([1.0, 0.5, 2.0, 3e-17, 1e-300])
+
+
+@st.composite
+def _discrete_curve_pairs(draw):
+    n = draw(st.integers(1, 8))
+    values = st.lists(_VALUES | st.floats(-4.0, 4.0), min_size=n, max_size=n)
+    space = DiscreteSpace(n)
+    q = draw(st.none() | st.lists(_WEIGHTS, min_size=n, max_size=n))
+    ref = None if q is None else ReferenceDistribution(space, np.array(q))
+    pairs = [list(curves(SampledDistribution(space, np.array(draw(values))), ref)) for _ in "fg"]
+    # hand-built: a NaN in L, or a zero-width step whose first breakpoint
+    # is not where np.interp reads the curve
+    for pair in pairs:
+        k = draw(st.integers(0, 1))
+        s, L = pair[k].s, pair[k].L.copy()
+        at = draw(st.integers(0, len(s) - 1))
+        how = draw(st.sampled_from(["drawn", "nan", "step"]))
+        if how == "nan":
+            L[at] = np.nan
+        elif how == "step":
+            s, L = np.insert(s, at, s[at]), np.insert(L, at, draw(st.floats(-8.0, 8.0)))
+        pair[k] = LorenzCurve(s, L, pair[k].side, pair[k].domain_end)
+    return tuple(pairs[0]), tuple(pairs[1])
+
+
+def test_own_breakpoints_read_as_the_merged_ones_on_discrete_curves():
+    seen = {"zero_width": False, "nan": False}
+
+    @settings(max_examples=300)
+    @given(_discrete_curve_pairs())
+    def check(pair):
+        cf, cg = pair
+        for c in cf + cg:
+            seen["zero_width"] |= bool((np.diff(c.s) == 0).any())
+            seen["nan"] |= bool(np.isnan(c.L).any())
+        for cpus in (2, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rearrange, "_cpus", lambda: cpus)
+                _assert_reads_as_merged([pair])
+
+    check()
+    assert all(seen.values()), seen
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the malloc policy is glibc's",
@@ -536,12 +661,17 @@ def test_pairs_call_public_functions_on_the_calling_thread_only(
         (*tensor, None),  # product
         (*tensor, states.reference("tensor(vacuum, vacuum)", two)),
     ]
-    calls, splits = [], []
-    split = rearrange._split
+    pairs = [(curves(f, q), curves(g, q)) for f, g, q in cases]
+    calls, splits, reads = [], [], []
+    split, interp = rearrange._split, np.interp
 
     def record_split(*args):
         splits.append(threading.get_ident())
         return split(*args)
+
+    def record_interp(*args):
+        reads.append(threading.get_ident())
+        return interp(*args)
 
     monkeypatch.setattr(rearrange, "_split", record_split)
     _record_public_calls(monkeypatch, calls)
@@ -556,6 +686,37 @@ def test_pairs_call_public_functions_on_the_calling_thread_only(
     assert sum(name == "curves" for name, _ in calls) == 2 * len(cases)
     # and the worker did build: every rearrangement ends in a _split
     assert {thread != here for thread in splits} == {True, False}
+    # a direct dominance check reads f's pair on the worker, one
+    # interpolation of g's curve per side, and g's pair here
+    calls.clear()
+    monkeypatch.setattr(np, "interp", record_interp)
+    for cf, cg in pairs:
+        reads.clear()
+        qmaj.compare_curve_pairs(cf, cg)  # the wrapped copy
+        assert len(reads) == 4 and reads.count(here) == 2
+    assert [name for name, _ in calls] == ["compare_curve_pairs"] * len(pairs)
+    assert all(thread == here for _, thread in calls)
+
+
+def test_dominance_check_memory(two_cpus, fock, zoo, half_grid):
+    # the two readings hold their interpolations at once, on top of the
+    # gaps, so the check's peak stays within 3 times its four curves
+    q = states.reference("thermal(nbar=2.9)", half_grid)
+    cases = [
+        (fock[5], fock[0], q),
+        (fock[1], fock[2], None),
+        (zoo["rho1"], zoo["rho2"], None),
+    ]
+    for f, g, q in cases:
+        cf, cg = curves(f, q), curves(g, q)
+        size = sum(c.s.nbytes + c.L.nbytes for c in cf + cg)
+        tracemalloc.start()
+        try:
+            compare_curve_pairs(cf, cg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * size, (peak / size, size)
 
 
 def _forked(target, timeout: float = 60):

@@ -24,7 +24,6 @@ from qmaj.rearrange import (
     NEGATIVE,
     POSITIVE,
     _ahead,
-    _merged,
     _rearrange,
     _shifted_integral,
     _split,
@@ -506,27 +505,6 @@ def test_cell_path_when_not_grid_symmetric(zoo, half_grid):
         _check_sides(f, q)
         if q is None:
             _check_sides(f, states.reference("vacuum", f.grid))
-
-
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        ([0.0, 0.5, 1.0, 2.5], [0.0, 0.25, 1.0, 1.0, 3.0]),
-        ([0.0, 1.0, 1.0], [0.0, 1.0]),
-        ([], [0.0, 2.0]),
-        ([0.5], []),
-        ([], []),
-    ],
-)
-def test_merged_matches_union1d(a, b):
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    got, want = _merged(a, b), np.union1d(a, b)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_merged_matches_union1d_on_curves(fock):
-    a, b = lorenz_curves(fock[3])[0].s, lorenz_curves(fock[4])[0].s
-    assert _merged(a, b).tobytes() == np.union1d(a, b).tobytes()
 
 
 def test_phi_with_empty_negative_sides():
