@@ -292,13 +292,16 @@ class SampledDistribution:
     reading it, and kept, like ``sorted_values``.  The
     calls that read cells build it: ``renormalized``, ``as_nd``, channel
     application to its input (dephasing, and a Gaussian kernel that does
-    not keep the octant), the pointwise monotones, the distribution
-    functions, the piecewise integrals, a rearrangement that reads neither
-    octants nor factors, and grid-file writes of a product.  Rendering, ``reference``, the curves,
-    ``compare``, ``statement4_check``, ``scan_threshold`` and
-    ``truncation_report`` read only the factors or the octant (its last
-    column), and so do grid-file writes of an octant (one line per octant
-    cell, placed at each cell of its orbit).
+    not keep the octant), the pointwise monotones of a product and the
+    divergence of an octant from a reference with no octant, the
+    distribution functions, the piecewise integrals, a rearrangement that
+    reads neither octants nor factors, and grid-file writes of a product.
+    Rendering, ``reference``, the curves, ``compare``, ``statement4_check``,
+    ``scan_threshold`` and ``truncation_report`` read only the factors or
+    the octant (its last column), and so do grid-file writes of an octant
+    (one line per octant cell, placed at each cell of its orbit) and the
+    other pointwise monotones of an octant (each cell weighted by its orbit
+    size).
     """
 
     grid: GridSpec | DiscreteSpace

@@ -5,10 +5,14 @@ the Schur-convex entries are at least as large for f.  Entropies use the
 natural logarithm throughout.  Purity follows the convention of the grid it
 is computed on, scaled so the vacuum comes out at exactly 1.
 
-Most functionals read the cell values directly.  Two read the regular
-rearrangements of ``qmaj.rearrange``: ``g_monotone`` the positive Lorenz
-curve, and ``phi_functional`` f's sorted values of each side against the
-rise of g's Lorenz curve of that side over each of f's segments.
+The pointwise functionals (negative volume, purity, the norms, entropies
+and divergences, and the extreme values) read the cell values, or the
+octant of an octant-form function with each cell weighted by its orbit
+size, as its ``total_integral`` does, so they never build its cells.  Two
+read the regular rearrangements of ``qmaj.rearrange``: ``g_monotone`` the
+positive Lorenz curve, and ``phi_functional`` f's sorted values of each
+side against the rise of g's Lorenz curve of that side over each of f's
+segments.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
+    _octant_orbits,
     same_grid,
 )
 from .rearrange import _ahead, _rearrange, lorenz_curves
@@ -34,7 +39,7 @@ def negative_volume(f: SampledDistribution) -> float:
     Half the excess of the absolute integral over the integral itself;
     exactly zero for any nonnegative function, and convention independent.
     """
-    return float(np.maximum(-f.values, 0.0).sum() * f.grid.cell_measure)
+    return float(_cell_sum(f, lambda v: np.maximum(-v, 0.0)) * f.grid.cell_measure)
 
 
 def lp_norm(f: SampledDistribution, alpha: float) -> float:
@@ -60,7 +65,7 @@ def purity(f: SampledDistribution) -> float:
     if not isinstance(grid, GridSpec):
         raise ConfigError("purity needs a phase-space grid")
     base = math.pi if grid.hbar == HBAR_HALF else 2.0 * math.pi
-    return float(base ** grid.modes * (f.values**2).sum() * grid.cell_measure)
+    return float(base ** grid.modes * _cell_sum(f, lambda v: v**2) * grid.cell_measure)
 
 
 def renyi_entropy(f: SampledDistribution, alpha: float) -> float:
@@ -87,11 +92,26 @@ def _alpha_integral(
     f: SampledDistribution, alpha: float, q: ReferenceDistribution | None = None
 ) -> float:
     """The integral of |f|^alpha, weighted by q^(1 - alpha) when q is given."""
-    terms = np.abs(f.values) ** alpha
-    if q is not None:
+    if q is None:
+        total = _cell_sum(f, lambda v: np.abs(v) ** alpha)
+    else:
         same_grid(f, q)
-        terms = terms * q.values ** (1.0 - alpha)
-    return float(terms.sum() * f.grid.cell_measure)
+        total = _cell_sum(f, lambda v, r: np.abs(v) ** alpha * r ** (1.0 - alpha), q)
+    return float(total * f.grid.cell_measure)
+
+
+def _cell_sum(f: SampledDistribution, term, q: ReferenceDistribution | None = None):
+    """The sum of term(f) over the cells, of term(f, q) when q is given.
+
+    An octant-form f (and q, when given) is read on its octant with each
+    cell's orbit size as its weight, as ``total_integral`` is, so its cells
+    are not built.
+    """
+    if f.octant is not None and (q is None or q.octant is not None):
+        cells = (f.octant,) if q is None else (f.octant, q.octant)
+        return (_octant_orbits(f.grid).size * term(*cells)).sum()
+    cells = (f.values,) if q is None else (f.values, q.values)
+    return term(*cells).sum()
 
 
 def _require_alpha_above_one(alpha: float) -> None:
@@ -104,8 +124,10 @@ def _require_alpha_above_one(alpha: float) -> None:
 
 def extreme_values(f: SampledDistribution) -> tuple[float, float]:
     """(max f+, -min f-): the slopes of the two Lorenz curves at the origin."""
-    vmax = float(f.values.max(initial=0.0))
-    vmin = float(f.values.min(initial=0.0))
+    # an octant holds every value of its cells
+    cells = f.values if f.octant is None else f.octant
+    vmax = float(cells.max(initial=0.0))
+    vmin = float(cells.min(initial=0.0))
     return max(vmax, 0.0), max(-vmin, 0.0)
 
 

@@ -21,8 +21,9 @@ time and cumulates it in place, and no table of masses is kept.
 Pairs: a verdict reads the rearrangements of f and of g against the same
 q, and neither depends on the other.  Inside ``with _ahead(g, q):`` one
 worker thread builds g's while the calling thread builds f's, and the
-calling thread's ``_rearrange(g, q)`` then takes the worker's result.
-``compare.compare`` (through the public ``curves``),
+calling thread's ``_rearrange(g, q)`` then takes the worker's result; when
+g's sides against q are kept (below), nothing is built ahead and no worker
+starts.  ``compare.compare`` (through the public ``curves``),
 ``compare.statement4_check`` and ``monotones.phi_functional`` call their
 builders in that block as they would alone.  numpy's sorts and array
 passes release the GIL, so on two cores a pair takes about the time of its
@@ -36,6 +37,18 @@ calling thread runs the other (``np.interp`` releases the GIL as well).
 The worker calls no public function, so a tracer that wraps those sees
 every call, each on the calling thread, and a forked child starts a worker
 of its own.
+
+Kept: ``_rearrange(f, q)`` keeps the sides it returns, and returns them
+again for the same f and q objects (q = None for the regular ones) rather
+than building them anew.  A function and a reference are immutable, their
+arrays read-only, and they compare by identity, so the kept sides are
+bitwise what a new build would give; their arrays are read-only too.  The
+table is keyed weakly on f, and within f's entry weakly on q, so an entry
+lives exactly as long as both its f and its q: a scan's reference, rendered
+for one verdict, takes its operands' sides against it along when it dies,
+and f never keeps q alive.  Instances hold no part of it, so pickling and
+copying them are unchanged.  Only the calling thread reads or writes the
+table, inside ``_rearrange``; the worker's ``_build`` never touches it.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
 and q is absent or a product q1 x q2 over the same modes, the level sets of
@@ -84,6 +97,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -227,7 +241,10 @@ def _side(
     L = _at_ends(running, ends)
     del running
     s = _at_ends(np.cumsum(nu), ends)
-    return _Rearrangement(keys[ends], s, L)
+    side = _Rearrangement(keys[ends], s, L)
+    for arr in side:  # kept and shared between calls (see _rearrange)
+        arr.setflags(write=False)
+    return side
 
 
 def _split(
@@ -256,18 +273,55 @@ def _split(
     return pos, neg
 
 
+class _Kept:
+    """The sides kept for one f: its regular ones, and per live reference."""
+
+    __slots__ = ("regular", "relative")
+
+    def __init__(self):
+        self.regular = None
+        self.relative = weakref.WeakKeyDictionary()
+
+
+# f -> _Kept, weakly on f, and within it weakly on each q, so an entry dies
+# with either; the sides hold no reference to f or q
+_kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kept_sides(
+    f: SampledDistribution, q: ReferenceDistribution | None
+) -> tuple[_Rearrangement, _Rearrangement] | None:
+    entry = _kept.get(f)
+    if entry is None:
+        return None
+    return entry.regular if q is None else entry.relative.get(q)
+
+
 def _rearrange(
     f: SampledDistribution, q: ReferenceDistribution | None = None
 ) -> tuple[_Rearrangement, _Rearrangement]:
     """The positive and negative rearrangements of f (see the module notes).
 
-    Inside ``_ahead(f, q)`` on this thread, the worker's build of them.
+    The sides kept for the same f and q when there are any; inside
+    ``_ahead(f, q)`` on this thread, the worker's build of them; else a
+    build here.  What is built is kept.
     """
+    sides = _kept_sides(f, q)
+    if sides is not None:
+        return sides
     pending = getattr(_pending, "build", None)
     if pending is not None and pending[0] is f and pending[1] is q:
         _pending.build = None
-        return pending[2].result()
-    return _build(f, q)
+        sides = pending[2].result()
+    else:
+        sides = _build(f, q)
+    # one atomic step, so a thread's entry never replaces another's
+    entry = _kept.setdefault(f, _Kept())
+    if q is None:
+        entry.regular = sides
+    else:
+        entry.relative[q] = sides
+    return sides
 
 
 def _build(
@@ -356,10 +410,10 @@ def _ahead(g: SampledDistribution, q: ReferenceDistribution | None = None):
     the worker's result, or raises its error, where it would have built
     it.  Leaving the block waits for the worker's build, so an error raised
     before g's was asked for (f's) surfaces only once it has ended.  With
-    one usable CPU the two builds would only take turns on it, so nothing is
-    built ahead.
+    one usable CPU the two builds would only take turns on it, and sides
+    kept for g and q need no build, so then nothing is built ahead.
     """
-    if _cpus() < 2:
+    if _cpus() < 2 or _kept_sides(g, q) is not None:
         yield
         return
     later = _worker.submit(_build, g, q)

@@ -56,3 +56,18 @@ def two_cpus(monkeypatch):
     """Build a verdict's second operand on the worker thread, as on any host
     with two usable CPUs (see rearrange._ahead)."""
     monkeypatch.setattr(rearrange, "_cpus", lambda: 2)
+
+
+@pytest.fixture
+def fresh():
+    """A copy of a function in its storage form, sharing its arrays: a new
+    object, for which no rearrangement is kept (see rearrange._rearrange)."""
+
+    def copy(f: grids.SampledDistribution) -> grids.SampledDistribution:
+        values = None if f.factors or f.octant is not None else f.values
+        kw = {"octant": f.octant}
+        if isinstance(f, grids.ReferenceDistribution):
+            kw["integrable"] = f.integrable
+        return type(f)(f.grid, values, f.factors, **kw)
+
+    return copy

@@ -202,6 +202,27 @@ def test_monotone_table2(capsys):
     assert rec["min"] == pytest.approx(0.129, abs=5e-3)
 
 
+@pytest.mark.parametrize(
+    "state, lines",
+    [
+        ("fock:4", "nv=0.5957002575\npurity=1\nmax=0.3171650142\nmin=0.1292094736\n"),
+        (
+            "lossy(eta=0.7,fock:1)",
+            "nv=0.05207457207\npurity=0.58\nmax=0.1231967604\nmin=0.1270948528\n",
+        ),
+    ],
+)
+def test_monotone_table2_lines(capsys, state, lines):
+    # the printed digits of Table 2, which the cell sums gave before the
+    # octant sums replaced them
+    code, out, _ = run(
+        capsys,
+        "monotone", "--state", state, "--which", "nv,purity,max,min",
+        "--hbar", "one",
+    )
+    assert code == 0 and out == lines
+
+
 def test_monotone_trivial_nv(capsys):
     code, out, _ = run(capsys, "monotone", "--state", "fock:0", "--which", "nv")
     assert code == 0

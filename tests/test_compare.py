@@ -577,7 +577,8 @@ def test_repeated_verdicts_take_no_page_faults():
     # importing qmaj keeps freed heap pages mapped, so a verdict reuses the
     # pages its predecessor freed instead of faulting them back in: a Table 3
     # scan step and a criterion-7 compare fault about 1,000 and 1,500 pages
-    # each under glibc's default policy
+    # each under glibc's default policy.  Each verdict has a reference of its
+    # own, so it builds its sides rather than reading kept ones
     src = str(Path(states.__file__).resolve().parents[1])
     code = (
         "import resource, qmaj\n"
@@ -597,11 +598,12 @@ def test_repeated_verdicts_take_no_page_faults():
         "grid = default_grid(modes=2)\n"
         "pair = qmaj.render('tensor(fock:2, fock:2)', grid)\n"
         "cubic = qmaj.render('tensor(cubic(g=0.02, s=0.1), vacuum)', grid)\n"
-        "ref = qmaj.reference('tensor(vacuum, vacuum)', grid)\n"
-        "qmaj.compare(pair, cubic, ref, eps_norm=2e-2)\n"
+        "def ref():\n"
+        "    return qmaj.reference('tensor(vacuum, vacuum)', grid)\n"
+        "qmaj.compare(pair, cubic, ref(), eps_norm=2e-2)\n"
         "start = faults()\n"
         "for _ in range(3):\n"
-        "    qmaj.compare(pair, cubic, ref, eps_norm=2e-2)\n"
+        "    qmaj.compare(pair, cubic, ref(), eps_norm=2e-2)\n"
         "print(faults() - start)"
     )
     proc = subprocess.run(
@@ -647,7 +649,7 @@ def _record_public_calls(monkeypatch, calls: list) -> None:
 
 
 def test_pairs_call_public_functions_on_the_calling_thread_only(
-    two_cpus, fock, zoo, vacuum_ref, monkeypatch
+    two_cpus, fock, zoo, vacuum_ref, fresh, monkeypatch
 ):
     # a tracer that wraps the public functions keeps one span stack, so the
     # worker that builds g's rearrangement must call none of them
@@ -662,6 +664,9 @@ def test_pairs_call_public_functions_on_the_calling_thread_only(
         (*tensor, states.reference("tensor(vacuum, vacuum)", two)),
     ]
     pairs = [(curves(f, q), curves(g, q)) for f, g, q in cases]
+    # each call gets operands of its own, for which no sides are kept, so
+    # every call builds both
+    operands = [[(fresh(f), fresh(g)) for _ in range(3)] for f, g, _ in cases]
     calls, splits, reads = [], [], []
     split, interp = rearrange._split, np.interp
 
@@ -675,11 +680,11 @@ def test_pairs_call_public_functions_on_the_calling_thread_only(
 
     monkeypatch.setattr(rearrange, "_split", record_split)
     _record_public_calls(monkeypatch, calls)
-    for f, g, q in cases:
-        compare(f, g, q)
-        statement4_check(f, g, q)
+    for (_, _, q), (a, b, c) in zip(cases, operands):
+        compare(*a, q)
+        statement4_check(*b, q)
         if q is None:
-            phi_functional(f, g)
+            phi_functional(*c)
     here = threading.get_ident()
     assert calls and all(thread == here for _, thread in calls)
     # compare still reads both curve pairs through the public curves
@@ -736,11 +741,15 @@ def _forked(target, timeout: float = 60):
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
-def test_forked_child_compares_with_its_own_worker(two_cpus, fock, zoo, half_grid, vacuum_ref):
+def test_forked_child_compares_with_its_own_worker(
+    two_cpus, fock, zoo, half_grid, vacuum_ref, fresh
+):
     # the child has no copy of the parent's worker thread, so a pair whose
-    # build waited on it would never end
-    want = repr(compare(fock[3], fock[2], vacuum_ref))
-    assert _forked(lambda: compare(fock[3], fock[2], vacuum_ref)) == want
+    # build waited on it would never end; the operands are new, so neither
+    # the child nor the parent holds sides kept for them
+    f, g = fresh(fock[3]), fresh(fock[2])
+    got = _forked(lambda: compare(f, g, vacuum_ref))
+    assert got == repr(compare(f, g, vacuum_ref))
     # nor of a thread that held the lock of a lazy ``values`` at the fork:
     # the child builds the cells of a fresh reference under a lock of its own
     q = states.reference("thermal(nbar=0.37)", half_grid)

@@ -13,7 +13,13 @@ from scipy.integrate import quad
 from qmaj import states
 from qmaj.compare import Outcome, compare
 from qmaj.errors import ConfigError
-from qmaj.grids import DiscreteSpace, GridSpec, SampledDistribution, default_grid
+from qmaj.grids import (
+    DiscreteSpace,
+    GridSpec,
+    ReferenceDistribution,
+    SampledDistribution,
+    default_grid,
+)
 from qmaj.monotones import (
     extreme_values,
     g_monotone,
@@ -266,3 +272,36 @@ def test_monotone_report_selection(fock, half_grid):
         monotone_report(fock[4], ["entropy"])
     with pytest.raises(ConfigError):
         monotone_report(fock[4], ["divergence:2"])  # needs a reference
+
+
+# every monotone of monotone_report that reads f's cells one at a time
+_POINTWISE = [
+    "nv", "purity", "max", "min", "l1", "norm:2", "norm:3.5",
+    "renyi:2", "tsallis:1.5", "divergence:2", "divergence:1.5",
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["fock:3", "thermal(nbar=0.4)", "lossy(eta=0.7, fock:1)", "mix(0.3:fock:1, 0.7:fock:4)"],
+)
+def test_pointwise_monotones_read_the_octant(spec, half_grid, one_grid):
+    # an octant-form function is read on its octant with orbit weights; the
+    # sums run in another order than over its cells, so they agree to rounding
+    for grid in (half_grid, one_grid):
+        f = states.render(spec, grid)
+        q = states.reference("thermal(nbar=0.6)", grid)
+        assert f.octant is not None and q.octant is not None
+        got = monotone_report(f, _POINTWISE, q)
+        cells = SampledDistribution(grid, f.values)
+        want = monotone_report(cells, _POINTWISE, ReferenceDistribution(grid, q.values))
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+def test_monotone_report_builds_no_cells(half_grid):
+    f = states.render("lossy(eta=0.7, fock:1)", half_grid)
+    q = states.reference("thermal(nbar=0.6)", half_grid)
+    monotone_report(f, [*_POINTWISE, "g"], q)
+    assert "values" not in vars(f) and "values" not in vars(q)

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
 import math
+import pickle
+import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from qmaj import grids, monotones, rearrange, states
-from qmaj.compare import compare, statement4_check
+from qmaj.compare import compare, scan_threshold, statement4_check
 from qmaj.errors import ConfigError
 from qmaj.grids import (
     DiscreteSpace,
@@ -623,12 +628,12 @@ def test_product_path_matches_cell_path(hbar):
             ) == statement4_check(cells[i], cells[j], ref_cells, eps_norm=1.0)
 
 
-def test_regular_rearrangement_keeps_no_table_of_masses(zoo):
+def test_regular_rearrangement_keeps_no_table_of_masses(zoo, fresh):
     # each side forms its masses value * dmu alone and cumulates them in
     # place, and frees each running sum before the next: the sorted values
     # and their one largest side stay under 3 cell arrays (4 with a table of
-    # masses)
-    f = zoo["rho1"]
+    # masses); a new copy has no kept sides, so it is built here
+    f = fresh(zoo["rho1"])
     assert f.octant is None and not f.factors
     tracemalloc.start()
     try:
@@ -641,27 +646,32 @@ def test_regular_rearrangement_keeps_no_table_of_masses(zoo):
 
 def test_ahead_raises_in_sequential_order(two_cpus, monkeypatch):
     # f's error wins and surfaces only after g's build has ended
-    ended = []
+    ended, names, failing = [], {}, []
 
-    def build(x, failing):
-        if x == "g":
+    def build(x, q):
+        name = names[x]
+        if name == "g":
             assert threading.current_thread() is not threading.main_thread()
             time.sleep(0.2)
-            ended.append(x)
-        if x in failing:
-            raise ValueError(x)
-        return x
+            ended.append(name)
+        if name in failing:
+            raise ValueError(name)
+        return name
 
-    def pair(failing):
-        with _ahead("g", failing):
-            return _rearrange("f", failing), _rearrange("g", failing)
+    def pair(fails):
+        # new operands, for which no sides are kept
+        f, g = (SampledDistribution(DiscreteSpace(1), np.ones(1)) for _ in "fg")
+        names.update({f: "f", g: "g"})
+        failing[:] = fails
+        with _ahead(g):
+            return _rearrange(f), _rearrange(g)
 
     monkeypatch.setattr(rearrange, "_build", build)
     assert pair("") == ("f", "g")
-    for failing, want in (("fg", "f"), ("f", "f"), ("g", "g")):
+    for fails, want in (("fg", "f"), ("f", "f"), ("g", "g")):
         ended.clear()
         with pytest.raises(ValueError, match=want):
-            pair(failing)
+            pair(fails)
         assert ended == ["g"]
 
 
@@ -712,12 +722,140 @@ def test_ahead_builds_a_shared_lazy_values_once(two_cpus, zoo, half_grid, monkey
     assert len(threads) == len(set(threads)) == 2 and threading.get_ident() in threads
 
 
-def test_one_cpu_builds_nothing_ahead(zoo, vacuum_ref, monkeypatch):
-    # two builds on one CPU only take turns, so both run on the calling thread
+def test_one_cpu_builds_nothing_ahead(zoo, vacuum_ref, fresh, monkeypatch):
+    # two builds on one CPU only take turns, so both run on the calling
+    # thread; each call gets operands of its own, for which no sides are kept
     monkeypatch.setattr(rearrange, "_cpus", lambda: 1)
     threads = _split_threads(monkeypatch)
     f, g = zoo["rho1"], zoo["rho2"]
-    compare(f, g, vacuum_ref)
-    statement4_check(f, g)
-    monotones.phi_functional(f, g)
+    compare(fresh(f), fresh(g), vacuum_ref)
+    statement4_check(fresh(f), fresh(g))
+    monotones.phi_functional(fresh(f), fresh(g))
     assert threads and set(threads) == {threading.get_ident()}
+
+
+def _builds(monkeypatch) -> list:
+    # the operand of every build, a product's factors too
+    built, build = [], rearrange._build
+
+    def record(f, q):
+        built.append(f)
+        return build(f, q)
+
+    monkeypatch.setattr(rearrange, "_build", record)
+    return built
+
+
+def test_a_second_call_reads_the_kept_sides(
+    two_cpus, fock, zoo, vacuum_ref, half_grid, fresh, monkeypatch
+):
+    # the sides of f and g against q are kept while all three live, so the
+    # same call again builds nothing and gives the same result, bitwise
+    two = GridSpec(2, 5.0, 16)
+    tensor = [states.render(s, two) for s in ("tensor(fock:1, vacuum)", "tensor(vacuum, fock:1)")]
+    cases = [
+        (fock[1], fock[2], None),  # octant
+        (fock[3], fock[2], vacuum_ref),
+        (zoo["rho1"], zoo["rho2"], None),  # values
+        (zoo["rho1"], zoo["rho2"], states.reference("thermal(nbar=0.37)", half_grid)),
+        (*tensor, None),  # product
+        (*tensor, states.reference("tensor(vacuum, vacuum)", two)),
+    ]
+    built = _builds(monkeypatch)
+    for f, g, q in cases:
+        calls = [compare, statement4_check]
+        if q is None:
+            calls.append(lambda f, g, q: monotones.phi_functional(f, g))
+        for call in calls:
+            f, g = fresh(f), fresh(g)
+            built.clear()
+            first = call(f, g, q)
+            assert built
+            built.clear()
+            assert repr(call(f, g, q)) == repr(first)
+            assert built == []
+
+
+def test_kept_sides_die_with_either_function(fock, half_grid, fresh):
+    f, g = fresh(fock[3]), fresh(fock[2])
+    q = states.reference("thermal(nbar=0.37)", half_grid)
+    regular = weakref.ref(_rearrange(f)[0].keys)
+    relative = [weakref.ref(_rearrange(h, q)[0].keys) for h in (f, g)]
+    alive = weakref.ref(q)
+    # f keeps no reference to q: its entry against q dies with q
+    del q
+    gc.collect()
+    assert alive() is None and relative[0]() is None and relative[1]() is None
+    assert regular() is not None
+    # and f's regular entry dies with f
+    del f
+    gc.collect()
+    assert regular() is None
+
+
+def test_a_scan_keeps_no_relative_sides(half_grid):
+    # each verdict's reference dies when its verdict returns, and with it the
+    # sides against it
+    f, g = states.render("fock:2", half_grid), states.render("vacuum", half_grid)
+    family = states.thermal_reference_family(half_grid)
+    scan_threshold(f, g, family, (0.1, 3.5))
+    # the worker lets go of the last verdict's operands once its loop moves
+    # on, which a build that has returned may still be short of
+    rearrange._worker.submit(int).result()
+    assert not rearrange._kept[f].relative and not rearrange._kept[g].relative
+
+
+def test_ahead_submits_nothing_for_kept_sides(two_cpus, fock, fresh, monkeypatch):
+    submitted, submit = [], rearrange._worker.submit
+
+    def record(fn, *args):
+        submitted.append(args)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(rearrange._worker, "submit", record)
+    f, g = fresh(fock[1]), fresh(fock[2])
+    for want in ([(g, None)], []):
+        submitted.clear()
+        with _ahead(g):
+            _rearrange(f), _rearrange(g)
+        assert submitted == want
+
+
+def test_functions_with_kept_sides_pickle_and_copy(fock, zoo, vacuum_ref):
+    # the kept sides are held outside the instances, so a copy carries none
+    for f in (fock[2], zoo["rho1"], vacuum_ref):
+        _rearrange(f)
+        _rearrange(f, vacuum_ref)
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert type(twin) is type(f) and twin is not f
+            assert rearrange._kept_sides(twin, None) is None
+            for a, b in zip(_rearrange(twin), _rearrange(f)):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_threads_keep_every_side():
+    # calling threads share the table: the regular and the relative sides
+    # that threads keep for one new f at once all stay kept
+    space = DiscreteSpace(8)
+    q = ReferenceDistribution(space, np.ones(8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(1000):
+            f = SampledDistribution(space, np.linspace(-1.0, 1.0, 8))
+            start = threading.Barrier(8)
+
+            def keep(r):
+                start.wait(timeout=60)
+                _rearrange(f, r)
+
+            threads = [threading.Thread(target=keep, args=(r,)) for r in (None, q) * 4]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert rearrange._kept_sides(f, None) is not None
+            assert rearrange._kept_sides(f, q) is not None
+    finally:
+        sys.setswitchinterval(interval)
