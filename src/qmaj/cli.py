@@ -268,15 +268,16 @@ def cmd_lorenz(args) -> int:
     grid, f = _render(args, args.state)
     q = _reference_for(args, grid)
     pos, neg = curves(f, q)
+    end = grid.total_measure if q is None else q.total_integral
     s_min = grid.cell_measure if args.loglog else None
-    s, lp, lm = resample_pair(pos, neg, points=args.points, s_min=s_min)
+    s, lp, lm = resample_pair(pos, neg, end, points=args.points, s_min=s_min)
     if args.out:
         write_curves_csv(args.out, s, lp, lm)
     else:
         sys.stdout.write(_curves_csv(s, lp, lm))
     if args.svg:
         write_curves_svg(args.svg, s, lp, lm, loglog=args.loglog)
-    if pos.truncation_sensitive:
+    if q is not None and not q.integrable:
         sys.stderr.write(
             "note: reference is not integrable; curves are truncation sensitive\n"
         )

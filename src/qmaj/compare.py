@@ -245,12 +245,11 @@ def compare(
 
     Raises NormalizationError when the total integrals differ by more than
     eps_norm: unequal integrals are a precondition failure, not a verdict.
-    g's rearrangement is built on the worker thread of ``rearrange._ahead``
-    while ``curves(f, q)`` runs, and ``curves(g, q)`` takes it.
+    g's rearrangement is built during f's (``rearrange._ahead``).
     """
     _require_equal_totals(f, g, eps_norm)
-    with _ahead(g, q):
-        return compare_curve_pairs(curves(f, q), curves(g, q), eps_cmp=eps_cmp)
+    curves_f = _ahead(g, q, lambda: curves(f, q))
+    return compare_curve_pairs(curves_f, curves(g, q), eps_cmp=eps_cmp)
 
 
 class Statement4Result(NamedTuple):
@@ -295,13 +294,12 @@ def statement4_check(
     ``piecewise_plus_integral`` and ``piecewise_minus_integral`` give the
     sides at any u from their definition.  Like ``compare``, raises
     NormalizationError when the total integrals differ by more than
-    eps_norm, and builds g's rearrangement on the worker thread of
-    ``rearrange._ahead`` while it builds f's.
+    eps_norm, and builds g's rearrangement during f's (``rearrange._ahead``).
     """
     _require_tolerance("eps_cmp", eps_cmp)
     _require_equal_totals(f, g, eps_norm)
-    with _ahead(g, q):
-        (pf, nf), (pg, ng) = _rearrange(f, q), _rearrange(g, q)
+    pf, nf = _ahead(g, q, lambda: _rearrange(f, q))
+    pg, ng = _rearrange(g, q)
     # f over g needs (f+uq)- below (g+uq)-, so the negative side is g's less f's
     gaps = np.concatenate([_kink_gaps(pf, pg), _kink_gaps(ng, nf)])
     return Statement4Result(bool(gaps.min() >= -eps_cmp), bool(gaps.max() <= eps_cmp))

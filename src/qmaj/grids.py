@@ -292,16 +292,16 @@ class SampledDistribution:
     reading it, and kept, like ``sorted_values``.  The
     calls that read cells build it: ``renormalized``, ``as_nd``, channel
     application to its input (dephasing, and a Gaussian kernel that does
-    not keep the octant), the pointwise monotones of a product and the
-    divergence of an octant from a reference with no octant, the
-    distribution functions, the piecewise integrals, a rearrangement that
-    reads neither octants nor factors, and grid-file writes of a product.
-    Rendering, ``reference``, the curves, ``compare``, ``statement4_check``,
-    ``scan_threshold`` and ``truncation_report`` read only the factors or
-    the octant (its last column), and so do grid-file writes of an octant
-    (one line per octant cell, placed at each cell of its orbit) and the
-    other pointwise monotones of an octant (each cell weighted by its orbit
-    size).
+    not keep the octant), the divergence from a reference in another form,
+    the distribution functions, the piecewise integrals, a rearrangement
+    that reads neither octants nor factors, and grid-file writes of a
+    product.  Rendering, ``reference``, the curves, ``compare``,
+    ``statement4_check``, ``scan_threshold`` and ``truncation_report`` read
+    only the factors or the octant (its last column), and so do grid-file
+    writes of an octant (one line per octant cell, placed at each cell of
+    its orbit) and the other pointwise monotones: of an octant each cell
+    weighted by its orbit size, of a product its factors' sums, masses and
+    extremes.
     """
 
     grid: GridSpec | DiscreteSpace
@@ -375,7 +375,7 @@ class ReferenceDistribution(SampledDistribution):
     octant or the factors when given.  A
     product's cells are read only by a rearrangement of a function that is
     not a product over the same modes, the piecewise integrals and the
-    divergence monotone.
+    divergence of such a function.
     """
 
     integrable: bool = field(default=True, kw_only=True)
@@ -403,12 +403,6 @@ class ReferenceDistribution(SampledDistribution):
 
 def same_grid(a, b) -> None:
     """Raise GridMismatchError unless a and b share the same space."""
-    _same_grid(a, b)
-
-
-def _same_grid(a, b) -> None:
-    # for the rearrangement built on a worker thread, which calls no public
-    # function (see rearrange._ahead)
     if a.grid != b.grid:
         raise GridMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
 

@@ -8,16 +8,17 @@ is computed on, scaled so the vacuum comes out at exactly 1.
 The pointwise functionals (negative volume, purity, the norms, entropies
 and divergences, and the extreme values) read the cell values, or the
 octant of an octant-form function with each cell weighted by its orbit
-size, as its ``total_integral`` does, so they never build its cells.  Two
-read the regular rearrangements of ``qmaj.rearrange``: ``g_monotone`` the
-positive Lorenz curve, and ``phi_functional`` f's sorted values of each
-side against the rise of g's Lorenz curve of that side over each of f's
-segments.
+size, as its ``total_integral`` does, or a product's factors, so they
+never build its cells.  Two read the regular rearrangements of
+``qmaj.rearrange``: ``g_monotone`` the positive Lorenz curve, and
+``phi_functional`` f's sorted values of each side against the rise of g's
+Lorenz curve of that side over each of f's segments.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -39,7 +40,27 @@ def negative_volume(f: SampledDistribution) -> float:
     Half the excess of the absolute integral over the integral itself;
     exactly zero for any nonnegative function, and convention independent.
     """
-    return float(_cell_sum(f, lambda v: np.maximum(-v, 0.0)) * f.grid.cell_measure)
+    return float(_by_sign(f, _masses, operator.add)[1] * f.grid.cell_measure)
+
+
+def _masses(f: SampledDistribution) -> tuple[float, float]:
+    return tuple(_cell_sum(f, lambda v: np.maximum(s * v, 0.0)) for s in (1.0, -1.0))
+
+
+def _by_sign(f: SampledDistribution, own, join) -> tuple[float, float]:
+    """own(f), a (positive, negative) pair, nested over a product's factors.
+
+    A product's cell is positive where its factors' signs agree, so its
+    masses are P1*P2 + N1*N2 and P1*N2 + N1*P2, and its extremes the larger
+    of each pair of products (bitwise the cells', as rounding is monotone).
+    """
+    if not f.factors:
+        return own(f)
+    pos, neg = 1.0, 0.0
+    for h in f.factors:
+        p, n = _by_sign(h, own, join)
+        pos, neg = join(pos * p, neg * n), join(pos * n, neg * p)
+    return pos, neg
 
 
 def lp_norm(f: SampledDistribution, alpha: float) -> float:
@@ -104,9 +125,13 @@ def _cell_sum(f: SampledDistribution, term, q: ReferenceDistribution | None = No
     """The sum of term(f) over the cells, of term(f, q) when q is given.
 
     An octant-form f (and q, when given) is read on its octant with each
-    cell's orbit size as its weight, as ``total_integral`` is, so its cells
-    are not built.
+    cell's orbit size as its weight, as ``total_integral`` is, and a product
+    (against a product over the same modes) as the product of its factors'
+    sums, for a multiplicative term; so their cells are not built.
     """
+    refs = [None] * len(f.factors) if q is None else q.factors
+    if f.factors and (q is None or [h.grid for h in f.factors] == [r.grid for r in refs]):
+        return math.prod(_cell_sum(h, term, r) for h, r in zip(f.factors, refs))
     if f.octant is not None and (q is None or q.octant is not None):
         cells = (f.octant,) if q is None else (f.octant, q.octant)
         return (_octant_orbits(f.grid).size * term(*cells)).sum()
@@ -124,10 +149,12 @@ def _require_alpha_above_one(alpha: float) -> None:
 
 def extreme_values(f: SampledDistribution) -> tuple[float, float]:
     """(max f+, -min f-): the slopes of the two Lorenz curves at the origin."""
-    # an octant holds every value of its cells
-    cells = f.values if f.octant is None else f.octant
-    vmax = float(cells.max(initial=0.0))
-    vmin = float(cells.min(initial=0.0))
+    return _by_sign(f, _extremes, max)
+
+
+def _extremes(f: SampledDistribution) -> tuple[float, float]:
+    cells = f.values if f.octant is None else f.octant  # holds every value
+    vmax, vmin = float(cells.max(initial=0.0)), float(cells.min(initial=0.0))
     return max(vmax, 0.0), max(-vmin, 0.0)
 
 
@@ -159,15 +186,13 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     Lorenz curve L_g(s[k+1]) - L_g(s[k]); the curve is flat past its end,
     where g's rearrangement is 0.  Schur-convex in either argument;
     phi(f, f) equals the squared L2 norm and phi is symmetric.  g's
-    rearrangement is built on the worker thread of ``rearrange._ahead``
-    while f's is built.
+    rearrangement is built during f's (``rearrange._ahead``).
     """
     same_grid(f, g)
     total = 0.0
-    with _ahead(g):
-        for a, b in zip(_rearrange(f), _rearrange(g)):
-            rise = np.diff(np.interp(a.s, b.s, b.L))
-            total += float(np.sum(a.keys * rise))
+    for a, b in zip(_ahead(g, None, lambda: _rearrange(f)), _rearrange(g)):
+        rise = np.diff(np.interp(a.s, b.s, b.L))
+        total += float(np.sum(a.keys * rise))
     return total
 
 

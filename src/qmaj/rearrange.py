@@ -18,19 +18,20 @@ them directly, the cells in one sort and the octant (below) in one sort per
 orbit size.  Their mass is nu * key, so ``_side`` forms it one side at a
 time and cumulates it in place, and no table of masses is kept.
 
-Pairs: a verdict reads the rearrangements of f and of g against the same
-q, and neither depends on the other.  Inside ``with _ahead(g, q):`` one
-worker thread builds g's while the calling thread builds f's, and the
-calling thread's ``_rearrange(g, q)`` then takes the worker's result; when
-g's sides against q are kept (below), nothing is built ahead and no worker
-starts.  ``compare.compare`` (through the public ``curves``),
-``compare.statement4_check`` and ``monotones.phi_functional`` call their
-builders in that block as they would alone.  numpy's sorts and array
-passes release the GIL, so on two cores a pair takes about the time of its
-longer build; on one usable CPU nothing is built ahead.  Each build runs
-exactly as it would alone, so every result is bitwise that of building
-them one after the other, and errors come out in that order.  The
-dominance check of ``compare.compare_curve_pairs`` has two independent
+Pairs: a verdict reads the rearrangements of f and of g against the same q,
+and neither depends on the other.  ``_ahead(g, q, here)`` runs ``here``
+(f's build) on the calling thread while one worker thread builds g's, then
+keeps g's sides (below), which the calling thread's ``_rearrange(g, q)``
+reads; ``compare.compare`` (through the public ``curves``),
+``compare.statement4_check`` and ``monotones.phi_functional`` pass it the
+builders they would call alone.  numpy's sorts and array passes release the
+GIL, so on two cores a pair takes about the time of its longer build; on
+one usable CPU, for kept sides, or for g and q on two grids, nothing is
+built ahead.  Each build runs exactly as it would alone, so every result is
+bitwise that of building them one after the other.  A failed build of g is
+dropped, and ``_rearrange(g, q)`` builds g again and raises its error, so
+errors come out in that order too: f's first, once g's build has ended.
+The dominance check of ``compare.compare_curve_pairs`` has two independent
 readings too, each curve pair read at its own breakpoints against the
 other's interpolation; ``_both`` runs one on the same worker while the
 calling thread runs the other (``np.interp`` releases the GIL as well).
@@ -47,8 +48,8 @@ table is keyed weakly on f, and within f's entry weakly on q, so an entry
 lives exactly as long as both its f and its q: a scan's reference, rendered
 for one verdict, takes its operands' sides against it along when it dies,
 and f never keeps q alive.  Instances hold no part of it, so pickling and
-copying them are unchanged.  Only the calling thread reads or writes the
-table, inside ``_rearrange``; the worker's ``_build`` never touches it.
+copying them are unchanged.  Only calling threads read or write the table,
+in ``_rearrange`` and ``_ahead``; the worker's ``_build`` never does.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
 and q is absent or a product q1 x q2 over the same modes, the level sets of
@@ -96,10 +97,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -110,7 +109,7 @@ from .grids import (
     ReferenceDistribution,
     SampledDistribution,
     _octant_orbits,
-    _same_grid,
+    same_grid,
 )
 
 POSITIVE = "positive"
@@ -138,15 +137,13 @@ class LorenzCurve:
 
     ``s`` starts at 0 and is nondecreasing: a run of cells whose weights are
     too small to move s leaves a zero-width segment.  Beyond the last
-    breakpoint the curve continues flat up to ``domain_end`` (the measure of
-    the truncated window, nu-rescaled for relative curves).
+    breakpoint the curve continues flat, up to the end of the truncated
+    window (its measure, or nu(X) for relative curves).
     """
 
     s: np.ndarray
     L: np.ndarray
     side: str
-    domain_end: float
-    truncation_sensitive: bool = False
     decimation_error: float = 0.0
 
     def __post_init__(self):
@@ -302,19 +299,16 @@ def _rearrange(
 ) -> tuple[_Rearrangement, _Rearrangement]:
     """The positive and negative rearrangements of f (see the module notes).
 
-    The sides kept for the same f and q when there are any; inside
-    ``_ahead(f, q)`` on this thread, the worker's build of them; else a
-    build here.  What is built is kept.
+    GridMismatchError unless f and q share a grid; then the sides kept for
+    the same f and q when there are any, else a build here, which is kept.
     """
+    if q is not None:
+        same_grid(f, q)
     sides = _kept_sides(f, q)
-    if sides is not None:
-        return sides
-    pending = getattr(_pending, "build", None)
-    if pending is not None and pending[0] is f and pending[1] is q:
-        _pending.build = None
-        sides = pending[2].result()
-    else:
-        sides = _build(f, q)
+    return _keep(f, q, _build(f, q)) if sides is None else sides
+
+
+def _keep(f: SampledDistribution, q: ReferenceDistribution | None, sides):
     # one atomic step, so a thread's entry never replaces another's
     entry = _kept.setdefault(f, _Kept())
     if q is None:
@@ -327,12 +321,11 @@ def _rearrange(
 def _build(
     f: SampledDistribution, q: ReferenceDistribution | None
 ) -> tuple[_Rearrangement, _Rearrangement]:
-    # runs on the worker of _ahead too, so it calls no public function
+    # runs on the worker of _ahead too, so it calls no public function; f
+    # and q share a grid
     parts = f.factors
-    if q is not None:
-        _same_grid(f, q)
-        if [r.grid for r in q.factors] != [h.grid for h in parts]:
-            parts = ()
+    if q is not None and [r.grid for r in q.factors] != [h.grid for h in parts]:
+        parts = ()
     dmu = f.grid.cell_measure
     if parts:
         # keys carry the sign of their side, so the same-sign pairs of level
@@ -390,9 +383,6 @@ _new_worker()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_worker)
 
-# per thread: (g, q, future) while an _ahead block of that thread is open
-_pending = threading.local()
-
 
 def _cpus() -> int:
     """The CPUs this process may run on."""
@@ -402,27 +392,21 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _ahead(g: SampledDistribution, q: ReferenceDistribution | None = None):
-    """Build g's rearrangement against q on the worker thread during the block.
+def _ahead(g: SampledDistribution, q: ReferenceDistribution | None, here: Callable):
+    """here() on this thread while the worker builds g's sides against q.
 
-    This thread's ``_rearrange(g, q)`` (the same objects) in the block takes
-    the worker's result, or raises its error, where it would have built
-    it.  Leaving the block waits for the worker's build, so an error raised
-    before g's was asked for (f's) surfaces only once it has ended.  With
-    one usable CPU the two builds would only take turns on it, and sides
-    kept for g and q need no build, so then nothing is built ahead.
+    Returns here's result once g's build has ended, and keeps g's sides when
+    that build succeeded (see the module notes).
     """
-    if _cpus() < 2 or _kept_sides(g, q) is not None:
-        yield
-        return
+    mismatched = q is not None and g.grid != q.grid
+    if _cpus() < 2 or mismatched or _kept_sides(g, q) is not None:
+        return here()
     later = _worker.submit(_build, g, q)
-    _pending.build = (g, q, later)
     try:
-        yield
+        return here()
     finally:
-        _pending.build = None
-        later.exception()  # waits for g's build, whatever its outcome
+        if later.exception() is None:  # waits for g's build
+            _keep(g, q, later.result())
 
 
 def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
@@ -446,12 +430,8 @@ def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
 def _curves(
     f: SampledDistribution, q: ReferenceDistribution | None
 ) -> tuple[LorenzCurve, LorenzCurve]:
-    end = f.grid.total_measure if q is None else q.total_integral
-    sensitive = q is not None and not q.integrable
-    return tuple(
-        LorenzCurve(r.s, r.L, side, end, sensitive)
-        for r, side in zip(_rearrange(f, q), (POSITIVE, NEGATIVE))
-    )
+    pos, neg = _rearrange(f, q)
+    return LorenzCurve(pos.s, pos.L, POSITIVE), LorenzCurve(neg.s, neg.L, NEGATIVE)
 
 
 def lorenz_curves(f: SampledDistribution) -> tuple[LorenzCurve, LorenzCurve]:
@@ -514,17 +494,17 @@ def _shifted_integral(side: _Rearrangement, t: np.ndarray) -> np.ndarray:
 def resample_pair(
     pos: LorenzCurve,
     neg: LorenzCurve,
+    end: float,
     points: int = 2000,
     s_min: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared-abscissa resampling of a curve pair for CSV/plot export.
+    """Shared-abscissa resampling of a curve pair up to ``end``, for export.
 
     The abscissa is log spaced from ``s_min`` when it is given (the curves
     start at s = 0), and linear from 0 otherwise.
     """
     if points < 2:
         raise ConfigError(f"need at least 2 resampling points, got {points}")
-    end = max(pos.domain_end, neg.domain_end)
     if s_min is None:
         grid = np.linspace(0.0, end, points)
     else:

@@ -38,8 +38,7 @@ def record_of(stdout: str) -> dict:
 def load_curves_csv(path) -> tuple[LorenzCurve, LorenzCurve]:
     """The curve pair in a ``lorenz`` CSV: s, then L on each side."""
     s, l_plus, l_minus = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-    end = float(s[-1])
-    return LorenzCurve(s, l_plus, "positive", end), LorenzCurve(s, l_minus, "negative", end)
+    return LorenzCurve(s, l_plus, "positive"), LorenzCurve(s, l_minus, "negative")
 
 
 def read_grid_file(path) -> SampledDistribution:

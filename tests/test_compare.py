@@ -377,10 +377,9 @@ def test_swapped_arguments_mirror_the_verdict(fock, zoo, vacuum_ref, half_grid):
 
 def _curve_pair(pos, neg=(0.0, 0.0)):
     """A (positive, negative) curve pair with breakpoints at s = 0, 1, 2, ..."""
-    end = float(max(len(pos), len(neg)) - 1)
     return (
-        LorenzCurve(np.arange(len(pos), dtype=float), pos, "positive", end),
-        LorenzCurve(np.arange(len(neg), dtype=float), neg, "negative", end),
+        LorenzCurve(np.arange(len(pos), dtype=float), pos, "positive"),
+        LorenzCurve(np.arange(len(neg), dtype=float), neg, "negative"),
     )
 
 
@@ -546,7 +545,7 @@ def _discrete_curve_pairs(draw):
             L[at] = np.nan
         elif how == "step":
             s, L = np.insert(s, at, s[at]), np.insert(L, at, draw(st.floats(-8.0, 8.0)))
-        pair[k] = LorenzCurve(s, L, pair[k].side, pair[k].domain_end)
+        pair[k] = LorenzCurve(s, L, pair[k].side)
     return tuple(pairs[0]), tuple(pairs[1])
 
 

@@ -21,6 +21,7 @@ from qmaj.grids import (
     default_grid,
 )
 from qmaj.monotones import (
+    _PLAIN,
     extreme_values,
     g_monotone,
     lp_norm,
@@ -298,6 +299,35 @@ def test_pointwise_monotones_read_the_octant(spec, half_grid, one_grid):
         assert got.keys() == want.keys()
         for name, value in want.items():
             assert got[name] == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+def test_pointwise_monotones_read_the_factors():
+    # a product is read as the products of its factors' sums, masses and
+    # extremes; the sums round differently from those over its cells, and
+    # the extremes, products of extremes, are bitwise the cells' ones.  The
+    # largest cell of tensor(fock:1, fock:1) is the product of two negative
+    # ones, and a nested product reads its inner product's positive mass
+    two = ("tensor(vacuum, vacuum)", "tensor(fock:2, fock:2)", "tensor(fock:1, fock:1)",
+           "tensor(cat(alpha=1), fock:1)", "tensor(cubic(g=0.02, s=0.1), vacuum)")
+    three = ("tensor(tensor(vacuum, vacuum), vacuum)", "tensor(tensor(fock:1, vacuum), fock:2)")
+    for grid, (ref, *specs) in (
+        (GridSpec(2, 5.0, 16), two), (GridSpec(2, 5.0, 32), two), (GridSpec(3, 5.0, 8), three)
+    ):
+        q = states.reference(ref, grid)
+        cells_q = ReferenceDistribution(grid, q.values)
+        for spec in specs:
+            f = states.render(spec, grid)
+            got = monotone_report(f, _POINTWISE, q)
+            assert "values" not in vars(f)
+            want = monotone_report(SampledDistribution(grid, f.values), _POINTWISE, cells_q)
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                assert got[name] == pytest.approx(value, rel=1e-12, abs=0), name
+            assert (got["max"], got["min"]) == (want["max"], want["min"])
+    # every monotone of f alone on the 64^4 grid, whose cells take 128 MiB
+    f = states.render("tensor(fock:2, fock:2)", default_grid(modes=2))
+    monotone_report(f, list(_PLAIN))
+    assert "values" not in vars(f)
 
 
 def test_monotone_report_builds_no_cells(half_grid):

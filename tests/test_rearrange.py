@@ -546,9 +546,10 @@ def test_chong_identities_sampled(zoo):
                 assert piecewise_minus_integral(f, u) == pytest.approx(rhs, abs=1e-3)
 
 
-def _assert_decimation_tracked(pos, small):
+def _assert_decimation_tracked(f, pos, small):
+    # probes the regular curves of f over the whole window
     assert len(small.s) < len(pos.s)
-    probe = np.linspace(0.0, pos.domain_end, 5000)
+    probe = np.linspace(0.0, f.grid.total_measure, 5000)
     observed = np.abs(small(probe) - pos(probe)).max()
     assert observed <= small.decimation_error + 1e-15
     assert small.decimation_error < 1e-6
@@ -567,31 +568,34 @@ def test_decimation_error_tracking(fock, zoo):
     pos, _ = lorenz_curves(fock[4])
     small = pos.decimated(max_points=20_000)
     assert len(small.s) <= 20_001
-    _assert_decimation_tracked(pos, small)
+    _assert_decimation_tracked(fock[4], pos, small)
     # the default budget stays comfortably below the tracked 1e-6 target;
     # the mixture has more distinct values than that budget, so its seed
     # cuts already meet the target
     assert pos.decimated().decimation_error < 1e-6
     pos, _ = lorenz_curves(zoo["rho1"])
     assert len(pos.s) > 100_001
-    _assert_decimation_tracked(pos, pos.decimated())
+    _assert_decimation_tracked(zoo["rho1"], pos, pos.decimated())
 
 
 def test_decimation_refines_past_its_seeds(half_grid):
     # the cubic phase state's curve misses the tolerance at its at most
     # 2 * (5000 // 4) + 2 seed cuts, so bisection adds cuts until it meets it
-    pos, _ = lorenz_curves(states.render("cubic(g=0.02, s=0.1)", half_grid))
+    f = states.render("cubic(g=0.02, s=0.1)", half_grid)
+    pos, _ = lorenz_curves(f)
     small = pos.decimated(max_points=5000)
     assert 2 * (5000 // 4) + 2 < len(small.s) < 5000
     assert small.decimation_error <= DECIMATION_TOL
     # the tracked error is the exact sup norm over the dropped breakpoints
     assert np.abs(small(pos.s) - pos.L).max() == small.decimation_error
-    _assert_decimation_tracked(pos, small)
+    _assert_decimation_tracked(f, pos, small)
 
 
 def test_resample_pair_log_floor(fock):
     pos, neg = lorenz_curves(fock[1])
-    s, lp, lm = resample_pair(pos, neg, points=100, s_min=4e-4)
+    end = fock[1].grid.total_measure
+    s, lp, lm = resample_pair(pos, neg, end, points=100, s_min=4e-4)
+    assert s[-1] == pytest.approx(end)
     assert s[0] == pytest.approx(4e-4)
     assert (np.diff(s) > 0).all()
     assert lp[-1] == pytest.approx(pos.final, abs=1e-9)
@@ -645,15 +649,16 @@ def test_regular_rearrangement_keeps_no_table_of_masses(zoo, fresh):
 
 
 def test_ahead_raises_in_sequential_order(two_cpus, monkeypatch):
-    # f's error wins and surfaces only after g's build has ended
-    ended, names, failing = [], {}, []
+    # f's error wins and surfaces only after g's worker build has ended; a
+    # failed worker build is dropped, so g's error comes from its build here
+    builds, names, failing, kept = [], {}, [], []
 
     def build(x, q):
         name = names[x]
-        if name == "g":
-            assert threading.current_thread() is not threading.main_thread()
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker:
             time.sleep(0.2)
-            ended.append(name)
+        builds.append((name, on_worker))
         if name in failing:
             raise ValueError(name)
         return name
@@ -663,16 +668,25 @@ def test_ahead_raises_in_sequential_order(two_cpus, monkeypatch):
         f, g = (SampledDistribution(DiscreteSpace(1), np.ones(1)) for _ in "fg")
         names.update({f: "f", g: "g"})
         failing[:] = fails
-        with _ahead(g):
-            return _rearrange(f), _rearrange(g)
+        builds.clear()
+        try:
+            return _ahead(g, None, lambda: _rearrange(f)), _rearrange(g)
+        finally:
+            kept.append(rearrange._kept_sides(g, None))
 
     monkeypatch.setattr(rearrange, "_build", build)
     assert pair("") == ("f", "g")
-    for fails, want in (("fg", "f"), ("f", "f"), ("g", "g")):
-        ended.clear()
+    assert builds == [("f", False), ("g", True)] and kept == ["g"]
+    worker_then_here = [("f", False), ("g", True), ("g", False)]
+    for fails, want, built, g_kept in (
+        ("fg", "f", [("f", False), ("g", True)], None),
+        ("f", "f", [("f", False), ("g", True)], "g"),
+        ("g", "g", worker_then_here, None),
+    ):
+        kept.clear()
         with pytest.raises(ValueError, match=want):
             pair(fails)
-        assert ended == ["g"]
+        assert builds == built and kept == [g_kept]
 
 
 def test_ahead_errors_of_real_operands(two_cpus):
@@ -805,7 +819,8 @@ def test_a_scan_keeps_no_relative_sides(half_grid):
     assert not rearrange._kept[f].relative and not rearrange._kept[g].relative
 
 
-def test_ahead_submits_nothing_for_kept_sides(two_cpus, fock, fresh, monkeypatch):
+def _submissions(monkeypatch) -> list:
+    # the arguments of every job submitted to the worker
     submitted, submit = [], rearrange._worker.submit
 
     def record(fn, *args):
@@ -813,12 +828,37 @@ def test_ahead_submits_nothing_for_kept_sides(two_cpus, fock, fresh, monkeypatch
         return submit(fn, *args)
 
     monkeypatch.setattr(rearrange._worker, "submit", record)
+    return submitted
+
+
+def test_ahead_submits_nothing_for_kept_sides(two_cpus, fock, fresh, monkeypatch):
+    submitted = _submissions(monkeypatch)
     f, g = fresh(fock[1]), fresh(fock[2])
     for want in ([(g, None)], []):
         submitted.clear()
-        with _ahead(g):
-            _rearrange(f), _rearrange(g)
+        _ahead(g, None, lambda: _rearrange(f)), _rearrange(g)
         assert submitted == want
+        assert rearrange._kept_sides(g, None) is not None
+
+
+def test_ahead_keeps_no_failed_or_mismatched_sides(two_cpus, fock, fresh, half_grid, monkeypatch):
+    # a worker build that raises is dropped, and _rearrange raises its error
+    with np.errstate(over="ignore"):
+        g = SampledDistribution(DiscreteSpace(2), np.array([1.7e308, 1.7e308]))
+    assert _ahead(g, None, lambda: "here") == "here"
+    assert rearrange._kept_sides(g, None) is None
+    with pytest.raises(ConfigError, match="got inf and 0.0"):
+        _rearrange(g)
+    # a reference on a grid of the same N but another L: nothing is built
+    # ahead, the calling thread raises, and nothing is kept against it
+    submitted = _submissions(monkeypatch)
+    other = GridSpec(1, half_grid.half_width - 1.0, half_grid.points_per_axis)
+    q = states.reference("vacuum", other)
+    f, g = fresh(fock[1]), fresh(fock[2])
+    with pytest.raises(grids.GridMismatchError):
+        compare(f, g, q)
+    assert submitted == []
+    assert rearrange._kept_sides(f, q) is None and rearrange._kept_sides(g, q) is None
 
 
 def test_functions_with_kept_sides_pickle_and_copy(fock, zoo, vacuum_ref):
