@@ -13,7 +13,6 @@ sqrt(2) so that both conventions sample the same physical phase-space points.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -286,22 +285,24 @@ class SampledDistribution:
       an input when the kernel commutes with the mirrors and the transpose.
 
     Instances are immutable and their arrays read-only, and compare and hash
-    by identity, so neither reads cells.  For the last two
-    forms ``values`` (the outer product, or each octant cell copied over its
-    orbit) is built on first read, once under a lock whatever the threads
-    reading it, and kept, like ``sorted_values``.  The
-    calls that read cells build it: ``renormalized``, ``as_nd``, channel
-    application to its input (dephasing, and a Gaussian kernel that does
-    not keep the octant), the divergence from a reference in another form,
-    the distribution functions, the piecewise integrals, a rearrangement
-    that reads neither octants nor factors, and grid-file writes of a
-    product.  Rendering, ``reference``, the curves, ``compare``,
-    ``statement4_check``, ``scan_threshold`` and ``truncation_report`` read
-    only the factors or the octant (its last column), and so do grid-file
-    writes of an octant (one line per octant cell, placed at each cell of
-    its orbit) and the other pointwise monotones: of an octant each cell
-    weighted by its orbit size, of a product its factors' sums, masses and
-    extremes.
+    by identity, so neither reads cells.  For the last two forms ``values``
+    (the outer product, or each octant cell copied over its orbit) is built
+    on first read, once under a lock whatever the threads reading it, and
+    kept, like ``sorted_values``.  The calls that read cells build it:
+    ``renormalized``, ``as_nd``, channel application to its input
+    (dephasing, and a Gaussian kernel that does not keep the octant), the
+    divergence from a reference in another form, the distribution
+    functions, the piecewise integrals, a rearrangement that reads neither
+    octants nor factors, and grid-file writes of a product.  The others
+    read only the factors or the octant: rendering, ``reference``, the
+    curves, ``compare``, ``statement4_check``, ``scan_threshold``,
+    ``truncation_report`` (of an octant its last column), the pointwise
+    monotones, and grid-file writes of an octant (each octant cell's line
+    placed at every cell of its orbit).  The total, the reference check, a
+    product's truncation report and the pointwise monotones read the
+    reductions below, one rule per storage form: ``_cell_sum`` (an octant's
+    cells weighted by orbit size, a product's factors' sums), ``_masses``
+    and ``_span`` (a product's from its factors' masses and spans).
     """
 
     grid: GridSpec | DiscreteSpace
@@ -319,15 +320,13 @@ class SampledDistribution:
             # absent until the first read lands in __getattr__
             object.__delattr__(self, "values")
             total = math.prod(h.total_integral for h in self.factors)
-        elif self.octant is not None:
-            fold = _cells(self.grid, self.octant, octant=True)
-            object.__delattr__(self, "values")
-            object.__setattr__(self, "octant", fold)
-            m = _octant_orbits(self.grid).size
-            total = float((m * fold).sum() * self.grid.cell_measure)
         else:
-            object.__setattr__(self, "values", _cells(self.grid, self.values))
-            total = float(self.values.sum() * self.grid.cell_measure)
+            if self.octant is not None:
+                object.__delattr__(self, "values")
+                object.__setattr__(self, "octant", _cells(self.grid, self.octant, octant=True))
+            else:
+                object.__setattr__(self, "values", _cells(self.grid, self.values))
+            total = float(_cell_sum(self, lambda v: v) * self.grid.cell_measure)
         object.__setattr__(self, "total_integral", total)
 
     def __getattr__(self, name):
@@ -371,11 +370,10 @@ class ReferenceDistribution(SampledDistribution):
     ``integrable`` is False when the function on the untruncated space has no
     finite integral (growing Gaussians from negative-temperature references);
     curves built against such a reference are flagged truncation sensitive.
-    Positivity and finiteness of its cells and total are checked on the
-    octant or the factors when given.  A
-    product's cells are read only by a rearrangement of a function that is
-    not a product over the same modes, the piecewise integrals and the
-    divergence of such a function.
+    Positivity and finiteness of its cells and total are checked on its
+    ``_span``.  A product's cells are read only by a rearrangement of a
+    function that is not a product over the same modes, the piecewise
+    integrals and the divergence of such a function.
     """
 
     integrable: bool = field(default=True, kw_only=True)
@@ -383,15 +381,7 @@ class ReferenceDistribution(SampledDistribution):
     def __post_init__(self):
         with np.errstate(over="ignore"):  # an overflow is refused below
             super().__post_init__()
-            # positive factors give positive cells unless the smallest cell,
-            # the rounded product of the factors' smallest values, underflows,
-            # or the largest, that of their largest values, overflows
-            if self.factors:
-                cells = [(r.values.min(), r.values.max()) for r in self.factors]
-                smallest, largest = (reduce(operator.mul, c) for c in zip(*cells))
-            else:
-                cells = self.values if self.octant is None else self.octant
-                smallest, largest = cells.min(), cells.max()
+        smallest, largest = _span(self)
         if not smallest > 0:
             raise ConfigError("reference distribution must be strictly positive")
         if not (largest < math.inf and self.total_integral < math.inf):
@@ -399,6 +389,57 @@ class ReferenceDistribution(SampledDistribution):
                 f"reference distribution must be finite, but its largest cell "
                 f"is {largest:g} and its total {self.total_integral:g}"
             )
+
+
+def _cell_sum(f: SampledDistribution, term, q: ReferenceDistribution | None = None):
+    """The sum of term(f) over the cells, of term(f, q) when q is given.
+
+    An octant-form f (and q, when given) is read on its octant with each
+    cell's orbit size as its weight, and a product (against a product over
+    the same modes) as the product of its factors' sums, for a
+    multiplicative term; so their cells are not built.
+    """
+    refs = [None] * len(f.factors) if q is None else q.factors
+    if f.factors and (q is None or [h.grid for h in f.factors] == [r.grid for r in refs]):
+        return math.prod(_cell_sum(h, term, r) for h, r in zip(f.factors, refs))
+    if f.octant is not None and (q is None or q.octant is not None):
+        cells = (f.octant,) if q is None else (f.octant, q.octant)
+        return (_octant_orbits(f.grid).size * term(*cells)).sum()
+    cells = (f.values,) if q is None else (f.values, q.values)
+    return term(*cells).sum()
+
+
+def _masses(f: SampledDistribution) -> tuple[float, float]:
+    """The sums of f's positive part and of its negative part over the cells.
+
+    A product's are P1*P2 + N1*N2 and P1*N2 + N1*P2 nested over its factors,
+    as its cell is positive where its factors' signs agree.
+    """
+    if not f.factors:
+        return tuple(_cell_sum(f, lambda v: np.maximum(s * v, 0.0)) for s in (1.0, -1.0))
+    pos, neg = 1.0, 0.0
+    for h in f.factors:
+        p, n = _masses(h)
+        pos, neg = pos * p + neg * n, pos * n + neg * p
+    return pos, neg
+
+
+def _span(f: SampledDistribution) -> tuple[float, float]:
+    """The smallest and the largest cell of f; NaN both if a cell is NaN.
+
+    A product's are the smallest and the largest of the four products of
+    its factors' spans, nested over its factors.  Rounding is monotone, so
+    they are bitwise the cells' extremes, and the cells are not built.
+    """
+    if not f.factors:
+        cells = f.values if f.octant is None else f.octant  # holds every value
+        return float(cells.min()), float(cells.max())
+    lo = hi = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in the cells
+        for h in f.factors:
+            ends = np.multiply.outer((lo, hi), _span(h))
+            lo, hi = float(ends.min()), float(ends.max())
+    return lo, hi
 
 
 def same_grid(a, b) -> None:
@@ -421,10 +462,10 @@ def truncation_report(f: SampledDistribution) -> TruncationReport:
     The boundary of a product is the union, over its factors, of one
     factor's boundary times the other factors' whole windows.  Rounding is
     monotone, so the largest |cell| there is the product, in factor order,
-    of that factor's boundary maximum and the others' largest |values|.
-    The boundary orbits of an octant are its cells in the last column
-    (p index N/2 - 1), so an octant is read there and its cells are not
-    built.
+    of that factor's boundary maximum and the others' largest |cells|
+    (from their spans).  The boundary orbits of an octant are its cells in
+    the last column (p index N/2 - 1), so an octant is read there and its
+    cells are not built.
     """
     defect = abs(1.0 - f.total_integral)
     if f.octant is not None:
@@ -433,11 +474,8 @@ def truncation_report(f: SampledDistribution) -> TruncationReport:
         return TruncationReport(defect, float(np.abs(edge).max()))
     if f.factors:
         bounds = [truncation_report(h).boundary_max for h in f.factors]
-        peaks = [float(np.abs(h.values).max()) for h in f.factors]
-        bmax = max(
-            reduce(operator.mul, peaks[:i] + [b] + peaks[i + 1:])
-            for i, b in enumerate(bounds)
-        )
+        peaks = [max(map(abs, _span(h))) for h in f.factors]
+        bmax = max(math.prod(peaks[:i] + [b] + peaks[i + 1:]) for i, b in enumerate(bounds))
         return TruncationReport(defect, bmax)
     nd = f.as_nd()
     bmax = 0.0

@@ -6,10 +6,9 @@ natural logarithm throughout.  Purity follows the convention of the grid it
 is computed on, scaled so the vacuum comes out at exactly 1.
 
 The pointwise functionals (negative volume, purity, the norms, entropies
-and divergences, and the extreme values) read the cell values, or the
-octant of an octant-form function with each cell weighted by its orbit
-size, as its ``total_integral`` does, or a product's factors, so they
-never build its cells.  Two read the regular rearrangements of
+and divergences, and the extreme values) read the sums, masses and span
+of ``qmaj.grids``, which read every storage form and build no octant's or
+product's cells.  Two read the regular rearrangements of
 ``qmaj.rearrange``: ``g_monotone`` the positive Lorenz curve, and
 ``phi_functional`` f's sorted values of each side against the rise of g's
 Lorenz curve of that side over each of f's segments.
@@ -18,7 +17,6 @@ Lorenz curve of that side over each of f's segments.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -28,7 +26,9 @@ from .grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
-    _octant_orbits,
+    _cell_sum,
+    _masses,
+    _span,
     same_grid,
 )
 from .rearrange import _ahead, _rearrange, lorenz_curves
@@ -40,27 +40,7 @@ def negative_volume(f: SampledDistribution) -> float:
     Half the excess of the absolute integral over the integral itself;
     exactly zero for any nonnegative function, and convention independent.
     """
-    return float(_by_sign(f, _masses, operator.add)[1] * f.grid.cell_measure)
-
-
-def _masses(f: SampledDistribution) -> tuple[float, float]:
-    return tuple(_cell_sum(f, lambda v: np.maximum(s * v, 0.0)) for s in (1.0, -1.0))
-
-
-def _by_sign(f: SampledDistribution, own, join) -> tuple[float, float]:
-    """own(f), a (positive, negative) pair, nested over a product's factors.
-
-    A product's cell is positive where its factors' signs agree, so its
-    masses are P1*P2 + N1*N2 and P1*N2 + N1*P2, and its extremes the larger
-    of each pair of products (bitwise the cells', as rounding is monotone).
-    """
-    if not f.factors:
-        return own(f)
-    pos, neg = 1.0, 0.0
-    for h in f.factors:
-        p, n = _by_sign(h, own, join)
-        pos, neg = join(pos * p, neg * n), join(pos * n, neg * p)
-    return pos, neg
+    return float(_masses(f)[1] * f.grid.cell_measure)
 
 
 def lp_norm(f: SampledDistribution, alpha: float) -> float:
@@ -121,24 +101,6 @@ def _alpha_integral(
     return float(total * f.grid.cell_measure)
 
 
-def _cell_sum(f: SampledDistribution, term, q: ReferenceDistribution | None = None):
-    """The sum of term(f) over the cells, of term(f, q) when q is given.
-
-    An octant-form f (and q, when given) is read on its octant with each
-    cell's orbit size as its weight, as ``total_integral`` is, and a product
-    (against a product over the same modes) as the product of its factors'
-    sums, for a multiplicative term; so their cells are not built.
-    """
-    refs = [None] * len(f.factors) if q is None else q.factors
-    if f.factors and (q is None or [h.grid for h in f.factors] == [r.grid for r in refs]):
-        return math.prod(_cell_sum(h, term, r) for h, r in zip(f.factors, refs))
-    if f.octant is not None and (q is None or q.octant is not None):
-        cells = (f.octant,) if q is None else (f.octant, q.octant)
-        return (_octant_orbits(f.grid).size * term(*cells)).sum()
-    cells = (f.values,) if q is None else (f.values, q.values)
-    return term(*cells).sum()
-
-
 def _require_alpha_above_one(alpha: float) -> None:
     if not 1 < alpha < math.inf:
         raise ConfigError(
@@ -148,14 +110,12 @@ def _require_alpha_above_one(alpha: float) -> None:
 
 
 def extreme_values(f: SampledDistribution) -> tuple[float, float]:
-    """(max f+, -min f-): the slopes of the two Lorenz curves at the origin."""
-    return _by_sign(f, _extremes, max)
+    """(max f+, -min f-): the slopes of the two Lorenz curves at the origin.
 
-
-def _extremes(f: SampledDistribution) -> tuple[float, float]:
-    cells = f.values if f.octant is None else f.octant  # holds every value
-    vmax, vmin = float(cells.max(initial=0.0)), float(cells.min(initial=0.0))
-    return max(vmax, 0.0), max(-vmin, 0.0)
+    A side with no cells gives +0.0, and a NaN cell gives NaN on both sides.
+    """
+    lo, hi = _span(f)
+    return (0.0 if hi <= 0 else hi), (0.0 if lo >= 0 else -lo)
 
 
 def g_monotone(f: SampledDistribution) -> float:

@@ -53,6 +53,7 @@ from .grids import (
     ReferenceDistribution,
     SampledDistribution,
     _octant_orbits,
+    _span,
     _unfold,
     default_grid,
 )
@@ -715,7 +716,7 @@ def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
         return ReferenceDistribution(f.grid, f.values)
     factors, sign = [], 1
     for h in f.factors:
-        if (h.values < 0).all():
+        if _span(h)[1] < 0:
             h, sign = SampledDistribution(h.grid, -h.values), -sign
         factors.append(_as_reference(h))
     if sign < 0:

@@ -222,6 +222,11 @@ def test_monotone_table2_lines(capsys, state, lines):
     assert code == 0 and out == lines
 
 
+def test_monotone_min_of_a_nonnegative_state_prints_plus_zero(capsys):
+    code, out, _ = run(capsys, "monotone", "--state", "vacuum", "--which", "min")
+    assert code == 0 and out == "min=0\n"
+
+
 def test_monotone_trivial_nv(capsys):
     code, out, _ = run(capsys, "monotone", "--state", "fock:0", "--which", "nv")
     assert code == 0

@@ -167,6 +167,23 @@ def test_reference_cells_must_be_finite():
         ReferenceDistribution(grid, np.full(grid.size, 1e307))
 
 
+def test_reference_of_factors_needs_every_cell_positive():
+    # the smallest cells of two factors of mixed sign multiply to 1 > 0,
+    # but their product has a cell of -4
+    grid, two = GridSpec(1, 1.0, 2), GridSpec(2, 1.0, 2)
+    mixed = SampledDistribution(grid, np.array([-1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ConfigError, match="strictly positive"):
+        ReferenceDistribution(two, None, factors=(mixed, mixed))
+    # two factors negative at every cell give positive cells
+    neg = SampledDistribution(grid, np.array([-1.0, -2.0, -3.0, -4.0]))
+    assert ReferenceDistribution(two, None, factors=(neg, neg)).values.min() == 1.0
+    # a NaN cell is refused
+    nan = SampledDistribution(grid, np.array([1.0, math.nan, 3.0, 4.0]))
+    pos = SampledDistribution(grid, np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ConfigError, match="strictly positive"):
+        ReferenceDistribution(two, None, factors=(pos, nan))
+
+
 def test_truncation_vacuum_default(half_grid):
     rep = truncation_report(states.render("vacuum", half_grid))
     assert rep.boundary_max < 1e-40
@@ -178,12 +195,17 @@ def _vacuum_on_window(L: float, N: int) -> SampledDistribution:
     return states.render("vacuum", spec)
 
 
-@pytest.mark.parametrize("spec", ["vacuum", "fock:3", "thermal(nbar=2)"])
+@pytest.mark.parametrize(
+    "spec", ["vacuum", "fock:3", "thermal(nbar=2)", "tensor(fock:2, fock:2)"]
+)
 def test_truncation_of_octant_reads_its_last_column(spec):
-    f = states.render(spec, GridSpec(1, 3.0, 64))
-    assert f.octant is not None
+    # a product reads its octant factors' last columns and their spans
+    modes = 2 if spec.startswith("tensor") else 1
+    f = states.render(spec, GridSpec(modes, 3.0, 64 // modes))
+    forms = (f, *f.factors)
+    assert all(h.octant is not None for h in f.factors or forms)
     rep = truncation_report(f)
-    assert "values" not in vars(f)
+    assert all("values" not in vars(h) for h in forms)
     want = truncation_report(SampledDistribution(f.grid, f.values))
     assert rep.boundary_max == want.boundary_max
     # the two forms sum their integrals in different orders

@@ -139,6 +139,17 @@ def test_extreme_values_probability(zoo):
     assert mx > 0 and mn == 0.0
 
 
+def test_extreme_values_of_a_side_with_no_cells_are_plus_zero():
+    # also when the smallest cell is 0.0; a NaN cell gives NaN
+    space = DiscreteSpace(2)
+    mx, mn = extreme_values(SampledDistribution(space, np.array([0.0, 1.0])))
+    assert mx == 1.0 and math.copysign(1.0, mn) == 1.0
+    mx, mn = extreme_values(SampledDistribution(space, np.array([-0.0, -1.0])))
+    assert math.copysign(1.0, mx) == 1.0 and mn == 1.0
+    nan = SampledDistribution(space, np.array([math.nan, 1.0]))
+    assert all(math.isnan(v) for v in extreme_values(nan))
+
+
 def test_g_monotone(fock):
     assert g_monotone(fock[0]) == 0.0  # positive curve saturates below 1
     assert g_monotone(fock[4]) > 0.0
@@ -314,6 +325,7 @@ def test_pointwise_monotones_read_the_factors():
         (GridSpec(2, 5.0, 16), two), (GridSpec(2, 5.0, 32), two), (GridSpec(3, 5.0, 8), three)
     ):
         q = states.reference(ref, grid)
+        assert all("values" not in vars(r) for r in (q, *q.factors))
         cells_q = ReferenceDistribution(grid, q.values)
         for spec in specs:
             f = states.render(spec, grid)

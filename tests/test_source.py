@@ -65,3 +65,18 @@ def test_every_public_class_member_is_read():
     assert defined, "no public members found; is the package path right?"
     unread = [name for name in defined if name.split(".")[1] not in read]
     assert unread == []
+
+
+def test_monotones_read_no_storage_form():
+    # grids' reductions alone read the cell values, the octant and the
+    # factors, so a new reader of a storage form lands beside them
+    tree = ast.parse((PACKAGE / "monotones.py").read_text())
+    attrs, names = {"values", "octant", "factors"}, {"_octant_orbits", "_unfold"}
+    reads = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in attrs
+        or isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+    assert reads == []
