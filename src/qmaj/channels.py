@@ -43,8 +43,8 @@ from .grids import (
     HBAR_HALF,
     GridSpec,
     SampledDistribution,
-    _octant_orbits,
-    _unfold,
+    _orbits,
+    _restrict,
 )
 
 LEAKAGE_TOL = 1e-3
@@ -244,10 +244,10 @@ def apply_gaussian(
         raise ChannelError(
             "rank-deficient nonzero Y is not supported; use Y = 0 or Y > 0"
         )
-    if f.octant is not None and _commutes_with_octant(X, Y, delta):
+    if f.group == "xpt" and _commutes_with_octant(X, Y, delta):
         y = Y[:1, :1] if smooth else None
         out = SampledDistribution(
-            grid, None, octant=_covariant_gaussian(f, np.abs(X).max(), y)
+            grid, None, fold=_covariant_gaussian(f, np.abs(X).max(), y)
         )
     else:
         from scipy.ndimage import map_coordinates
@@ -316,7 +316,7 @@ def _covariant_gaussian(
     taps = (n - 1) - np.abs((n - 1) - np.abs(taps))
     kern = None if y is None else _gaussian_kernel(y, grid)
 
-    quad = _unfold(grid, f.octant)[h:, h:]
+    quad = _restrict(grid, f.fold, "xpt", "xp").reshape(h, h)
     for _ in range(2):
         coef = spline_filter1d(
             np.concatenate([quad[::-1], quad]), 3, axis=0, mode="constant"
@@ -326,8 +326,8 @@ def _covariant_gaussian(
         if kern is not None:
             rows = _convolve_same(rows, kern) * grid.cell_size
         quad = (rows[h:] / a).T
-    orbits = _octant_orbits(grid)
-    return quad[orbits.rows, orbits.cols]
+    cells = _orbits(grid, "xpt").cells  # read in the quadrant, by position
+    return quad[cells // n - h, cells % n - h]
 
 
 def _gaussian_kernel(Y: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -31,7 +32,7 @@ from .grids import (
     HBAR_ONE,
     GridSpec,
     SampledDistribution,
-    _unfold,
+    _restrict,
     default_grid,
     truncation_report,
 )
@@ -53,6 +54,8 @@ def _parse_grid_flag(text: str | None, modes: int, hbar: str) -> GridSpec:
         key, _, value = part.partition("=")
         if not value:
             raise ConfigError(f"bad --grid entry {part!r}, expected k=v")
+        if key.strip() in fields:
+            raise ConfigError(f"repeated --grid key {key.strip()!r}")
         fields[key.strip()] = value.strip()
     known = {"L", "N"}
     unknown = set(fields) - known
@@ -115,7 +118,7 @@ def parse_channel(text: str) -> _Channel:
 
     ``dephase:gamma=G`` is the ``dephase(gamma=G, S)`` state of the input S,
     so a rotation-invariant S comes back as it is.  A parameter that the
-    channel does not take raises ParseError.
+    channel does not take, or one given twice, raises ParseError.
     """
     name, _, body = text.partition(":")
     name = name.strip()
@@ -123,6 +126,8 @@ def parse_channel(text: str) -> _Channel:
     for item in re.split(r",(?![^\[]*\])", body):  # the commas outside [...]
         if item.strip():
             k, _, v = item.partition("=")
+            if k.strip() in params:
+                raise ParseError(f"channel {name!r} got parameter {k.strip()}= twice")
             params[k.strip()] = v.strip()
     try:
         if name in _ONE_PARAMETER_CHANNELS:
@@ -172,27 +177,31 @@ def write_grid_file(path, f: SampledDistribution) -> None:
     """The grid header, then one shortest round-trip repr per cell.
 
     Each distinct value is formatted once, with its newline: the stored
-    entries (the values, or the octant) are grouped by their bit patterns,
+    entries (the values, or the fold) are grouped by their bit patterns,
     so 0.0 and -0.0 keep their own lines, and each cell takes the line of
-    its group.  A function built from its octant places each octant cell's
-    line at every cell of its orbit, so the file is the same as for its
-    values.  The lines are written one grid row (along the first axis) at a
-    time, so no text of the whole file is held.
+    its group.  A function built from a fold places each entry's line at
+    every cell of its orbit, so the file is the same as for its values.
+    The lines are joined one grid row (along the first axis) at a time, so
+    no text of the whole file is held; when the fold's group holds x -> -x,
+    rows k and N-1-k are one text, joined once, and half of it is held.
     """
     g = f.grid
     header = (
         f"# qmaj-grid modes={g.modes} half_width={g.half_width!r} "
         f"points={g.points_per_axis} hbar={g.hbar}"
     )
-    cells = f.values if f.octant is None else f.octant
+    cells = f.values if f.fold is None else f.fold
     bits, line_of = np.unique(cells.view(np.uint64), return_inverse=True)
     lines = np.array([f"{x!r}\n" for x in bits.view(float).tolist()], dtype=object)
-    if f.octant is not None:
-        line_of = _unfold(g, line_of)
+    rows = _restrict(g, line_of, f.group).reshape(g.shape)
     with open(path, "w") as out:
         out.write(f"{header}\n")
-        for row in line_of.reshape(g.shape):
-            out.write("".join(lines[row.ravel()].tolist()))
+        if "x" in f.group:  # rows k and N-1-k are the same text
+            top = ["".join(lines[row].tolist()) for row in rows[len(rows) // 2:]]
+            out.writelines(top[::-1] + top)
+        else:
+            for row in rows:
+                out.write("".join(lines[row.ravel()].tolist()))
 
 
 def write_curves_svg(path, s, l_plus, l_minus, loglog: bool = False) -> None:
@@ -371,6 +380,7 @@ def _add_common(sub, rep=True, tol=False):
                          help="comparison tolerance in curve units")
 
 
+@functools.cache  # argparse keeps no state between parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmaj",

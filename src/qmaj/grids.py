@@ -193,56 +193,75 @@ def _check_factors(grid, factors) -> None:
         raise ConfigError(f"factor grids {grids} do not tile {grid}")
 
 
+def _meet(*groups: str) -> str:
+    """The largest group within all of ``groups`` ("" is the trivial one)."""
+    return "".join(c for c in groups[0] if all(c in g for g in groups))
+
+
+def _representatives(grid: GridSpec, group: str):
+    """Each cell's orbit representative (flat), and which cells are one: the
+    cell with x > 0 if the group holds the mirror "x" (x -> -x), p > 0 if it
+    holds "p" (p -> -p) and x <= p if it holds "t" (the transpose)."""
+    n = grid.points_per_axis
+    i, j = np.arange(n, dtype=np.int32)[:, None], np.arange(n, dtype=np.int32)  # broadcast
+    i = np.maximum(i, n - 1 - i) if "x" in group else i
+    j = np.maximum(j, n - 1 - j) if "p" in group else j
+    i, j = (np.minimum(i, j), np.maximum(i, j)) if "t" in group else (i, j)
+    rep = (i * n + j).ravel()
+    return rep, rep == np.arange(n * n, dtype=np.int32)
+
+
 class _Orbits(NamedTuple):
-    rows: np.ndarray    # x index of each octant cell in the quadrant x, p > 0
-    cols: np.ndarray    # its p index; rows <= cols
-    size: np.ndarray    # cells m in its orbit: 4 on the diagonal, else 8
-    weight: np.ndarray  # orbit measure m * dmu
+    cells: np.ndarray  # the flat index of each fold entry's cell, ascending
+    size: np.ndarray   # the cells in each entry's orbit
+
+
+@lru_cache(maxsize=16)
+def _orbits(grid: GridSpec, group: str) -> _Orbits:
+    """The fold of a one-mode grid's group: the octant 0 < x <= p ("xpt", in
+    ``np.triu_indices`` order), the quadrant x, p > 0 ("xp") or a half.  No
+    cell centre lies on an axis (N is even), so an orbit has 4 cells on the
+    octant's diagonal and 8 off it, 4 on the quadrant and 2 on a half."""
+    rep, own = _representatives(grid, group)
+    size = np.bincount(np.cumsum(own, dtype=np.int32)[rep] - 1).astype(float)
+    if size.min() == size.max():  # one orbit size, kept as one number
+        size = np.broadcast_to(size[0], size.shape)
+    cells = np.flatnonzero(own).astype(np.int32)
+    cells.setflags(write=False)
+    return _Orbits(cells, size)
 
 
 @lru_cache(maxsize=8)
-def _octant_orbits(grid: GridSpec) -> _Orbits:
-    """The octant 0 < x <= p of a one-mode grid and its orbit measures.
-
-    Built once per grid and kept read-only.  The weights are m * dmu exactly
-    (m is a power of two), so m * dmu * a rounds like m * a * dmu.
-    """
-    h = grid.points_per_axis // 2
-    rows, cols = np.triu_indices(h)
-    size = np.where(rows == cols, 4.0, 8.0)
-    orbits = _Orbits(rows, cols, size, size * grid.cell_measure)
-    for arr in orbits:
-        arr.setflags(write=False)
-    return orbits
+def _index(grid: GridSpec, group: str) -> np.ndarray:
+    """(N, N): the fold entry of each cell's orbit; kept, read-only, where read."""
+    rep, own = _representatives(grid, group)
+    index = (np.cumsum(own, dtype=np.int32) - 1)[rep].reshape(grid.shape)
+    index.setflags(write=False)
+    return index
 
 
-def _unfold(grid: GridSpec, octant: np.ndarray) -> np.ndarray:
-    """The (N, N) array whose octant is ``octant``: each orbit's cells.
-
-    The entries keep the octant's dtype, so an index array unfolds to the
-    octant cell that stands for each cell.
-    """
-    orbits = _octant_orbits(grid)
-    h = grid.points_per_axis // 2
-    quad = np.empty((h, h), octant.dtype)
-    quad[orbits.rows, orbits.cols] = octant
-    quad[orbits.cols, orbits.rows] = octant
-    full = np.empty(grid.shape, octant.dtype)
-    full[h:, h:] = quad
-    full[h:, :h] = quad[:, ::-1]
-    full[:h, h:] = quad[::-1]
-    full[:h, :h] = quad[::-1, ::-1]
-    return full
+def _restrict(grid: GridSpec, entries: np.ndarray, group: str, to: str = "") -> np.ndarray:
+    """The flat entries of a fold of ``group`` read on the fold of ``to`` (on
+    every cell for ""): each takes the entry whose orbit holds its cell."""
+    if to == group:
+        return entries
+    index = _index(grid, group).ravel()
+    return entries.ravel()[index[_orbits(grid, to).cells] if to else index]
 
 
-def _cells(grid, values, octant: bool = False) -> np.ndarray:
-    """A flat, contiguous, read-only array of one entry per cell or octant cell."""
-    if not octant:
+def _entries(f: "SampledDistribution", group: str) -> np.ndarray:
+    """f on the fold of a subgroup of its own group, on its cells for ""."""
+    return _restrict(f.grid, f.fold, f.group, group) if group else f.values
+
+
+def _cells(grid, values, group: str = "") -> np.ndarray:
+    """A flat, contiguous, read-only array of one entry per cell or fold entry."""
+    if not group:
         expected, name = math.prod(grid.shape), "values"
-    elif isinstance(grid, GridSpec) and grid.modes == 1:
-        expected, name = len(_octant_orbits(grid).size), "octant"
+    elif isinstance(grid, GridSpec) and grid.modes == 1 and group in ("xpt", "xp", "x", "p"):
+        expected, name = len(_orbits(grid, group).cells), f"fold {group!r}"
     else:
-        raise ConfigError(f"only one-mode grids have an octant, not {grid}")
+        raise ConfigError(f"no fold of group {group!r} on {grid}")
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != expected:
         raise ConfigError(f"{name} has {vals.size} entries, grid has {expected}")
@@ -276,54 +295,59 @@ class SampledDistribution:
     * ``values``, the flat (C-order) array of cell-center samples;
     * ``factors``, the factors of a tensor product, each sampled on the grid
       of its own modes; ``total_integral`` is the product of their totals;
-    * ``octant``, the cells 0 < x <= p of a one-mode grid in the row-major
-      order of ``np.triu_indices`` over the quadrant, each standing for its
-      orbit of 4 or 8 equal cells under the mirrors and the transpose of the
-      grid; ``total_integral`` is the orbit-weighted sum.  ``states.render``
-      and ``states.reference`` build rotation-invariant functions this way,
-      and ``channels.apply_gaussian`` builds its output this way from such
-      an input when the kernel commutes with the mirrors and the transpose.
+    * ``fold``, one entry per orbit (``_orbits``) of the ``group`` of grid
+      symmetries that the one-mode function is invariant under: "xpt" (the
+      default: the octant), "xp" (the quadrant), "x" or "p" (a half);
+      ``total_integral`` is the orbit-weighted sum.  ``states.render`` and
+      ``states.reference`` build a state whose closed form is bitwise
+      invariant under a group this way, and ``channels.apply_gaussian``
+      keeps an octant (see there).  ``group`` is "" for the other forms.
 
     Instances are immutable and their arrays read-only, and compare and hash
     by identity, so neither reads cells.  For the last two forms ``values``
-    (the outer product, or each octant cell copied over its orbit) is built
+    (the outer product, or each fold entry copied over its orbit) is built
     on first read, once under a lock whatever the threads reading it, and
     kept, like ``sorted_values``.  The calls that read cells build it:
     ``renormalized``, ``as_nd``, channel application to its input
     (dephasing, and a Gaussian kernel that does not keep the octant), the
-    divergence from a reference in another form, the distribution
-    functions, the piecewise integrals, a rearrangement that reads neither
-    octants nor factors, and grid-file writes of a product.  The others
-    read only the factors or the octant: rendering, ``reference``, the
-    curves, ``compare``, ``statement4_check``, ``scan_threshold``,
-    ``truncation_report`` (of an octant its last column), the pointwise
-    monotones, and grid-file writes of an octant (each octant cell's line
-    placed at every cell of its orbit).  The total, the reference check, a
-    product's truncation report and the pointwise monotones read the
-    reductions below, one rule per storage form: ``_cell_sum`` (an octant's
-    cells weighted by orbit size, a product's factors' sums), ``_masses``
-    and ``_span`` (a product's from its factors' masses and spans).
+    divergence from, or a rearrangement against, a reference with which it
+    shares no fold (nor, for a product, its modes), the distribution
+    functions, the piecewise integrals, and grid-file writes of a product.
+    The others read only the factors or the fold, a fold against a
+    reference on the fold of the groups' ``_meet``: rendering,
+    ``reference``, the curves, ``compare``, ``statement4_check``,
+    ``scan_threshold``, ``truncation_report`` (of a fold its boundary
+    orbits), the pointwise monotones, and grid-file writes of a fold (each
+    entry's line placed at every cell of its orbit).  The total, the
+    reference check, a product's truncation report and the pointwise
+    monotones read the reductions below, one rule per storage form:
+    ``_cell_sum`` (a fold's entries weighted by orbit size, a product's
+    factors' sums), ``_masses`` and ``_span`` (a product's from its
+    factors' masses and spans).
     """
 
     grid: GridSpec | DiscreteSpace
     values: np.ndarray | None
     factors: tuple["SampledDistribution", ...] = field(default=(), repr=False)
-    octant: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    fold: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    group: str = field(default="xpt", repr=False, kw_only=True)
     total_integral: float = field(init=False)
 
     def __post_init__(self):
-        forms = (self.values is not None, bool(self.factors), self.octant is not None)
+        forms = (self.values is not None, bool(self.factors), self.fold is not None)
         if sum(forms) != 1:
-            raise ConfigError("give exactly one of values, factors and octant")
+            raise ConfigError("give exactly one of values, factors and fold")
+        if self.fold is None:
+            object.__setattr__(self, "group", "")
         if self.factors:
             _check_factors(self.grid, self.factors)
             # absent until the first read lands in __getattr__
             object.__delattr__(self, "values")
             total = math.prod(h.total_integral for h in self.factors)
         else:
-            if self.octant is not None:
+            if self.fold is not None:
                 object.__delattr__(self, "values")
-                object.__setattr__(self, "octant", _cells(self.grid, self.octant, octant=True))
+                object.__setattr__(self, "fold", _cells(self.grid, self.fold, self.group))
             else:
                 object.__setattr__(self, "values", _cells(self.grid, self.values))
             total = float(_cell_sum(self, lambda v: v) * self.grid.cell_measure)
@@ -341,7 +365,7 @@ class SampledDistribution:
                     factors = (h.values for h in self.factors)
                     vals = _cells(self.grid, reduce(np.multiply.outer, factors))
                 else:
-                    vals = _cells(self.grid, _unfold(self.grid, self.octant))
+                    vals = _cells(self.grid, _restrict(self.grid, self.fold, self.group))
                 object.__setattr__(self, "values", vals)
         return vals
 
@@ -394,19 +418,18 @@ class ReferenceDistribution(SampledDistribution):
 def _cell_sum(f: SampledDistribution, term, q: ReferenceDistribution | None = None):
     """The sum of term(f) over the cells, of term(f, q) when q is given.
 
-    An octant-form f (and q, when given) is read on its octant with each
-    cell's orbit size as its weight, and a product (against a product over
-    the same modes) as the product of its factors' sums, for a
+    A fold f (and q, when given) is read on the fold of their groups' meet
+    with each entry's orbit size as its weight, and a product (against a
+    product over the same modes) as the product of its factors' sums, for a
     multiplicative term; so their cells are not built.
     """
     refs = [None] * len(f.factors) if q is None else q.factors
     if f.factors and (q is None or [h.grid for h in f.factors] == [r.grid for r in refs]):
         return math.prod(_cell_sum(h, term, r) for h, r in zip(f.factors, refs))
-    if f.octant is not None and (q is None or q.octant is not None):
-        cells = (f.octant,) if q is None else (f.octant, q.octant)
-        return (_octant_orbits(f.grid).size * term(*cells)).sum()
-    cells = (f.values,) if q is None else (f.values, q.values)
-    return term(*cells).sum()
+    both = (f,) if q is None else (f, q)
+    group = _meet(*(h.group for h in both))
+    sums = term(*(_entries(h, group) for h in both))
+    return (_orbits(f.grid, group).size * sums).sum() if group else sums.sum()
 
 
 def _masses(f: SampledDistribution) -> tuple[float, float]:
@@ -432,7 +455,7 @@ def _span(f: SampledDistribution) -> tuple[float, float]:
     they are bitwise the cells' extremes, and the cells are not built.
     """
     if not f.factors:
-        cells = f.values if f.octant is None else f.octant  # holds every value
+        cells = f.values if f.fold is None else f.fold  # holds every value
         return float(cells.min()), float(cells.max())
     lo = hi = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in the cells
@@ -463,14 +486,13 @@ def truncation_report(f: SampledDistribution) -> TruncationReport:
     factor's boundary times the other factors' whole windows.  Rounding is
     monotone, so the largest |cell| there is the product, in factor order,
     of that factor's boundary maximum and the others' largest |cells|
-    (from their spans).  The boundary orbits of an octant are its cells in
-    the last column (p index N/2 - 1), so an octant is read there and its
-    cells are not built.
+    (from their spans).  A fold is read at the entries of its boundary
+    orbits, so its cells are not built.
     """
     defect = abs(1.0 - f.total_integral)
-    if f.octant is not None:
-        orbits = _octant_orbits(f.grid)
-        edge = f.octant[orbits.cols == f.grid.points_per_axis // 2 - 1]
+    if f.fold is not None:
+        index = _index(f.grid, f.group)
+        edge = f.fold[np.concatenate([index[[0, -1]], index[:, [0, -1]].T])]
         return TruncationReport(defect, float(np.abs(edge).max()))
     if f.factors:
         bounds = [truncation_report(h).boundary_max for h in f.factors]

@@ -9,14 +9,14 @@ key.  Zero and NaN keys (NaN sorts last) belong to neither.  A cell adds
 q_i * dmu_i to the abscissa s (the measure nu) and f_i * dmu_i to the
 ordinate L.  The rearrangement is constant on each level set of f/q, so it
 keeps one breakpoint per distinct key: the end of each run of tied cells.
-Three producers (the product rule, the octant rule against a reference and
+Three producers (the product rule, the fold rule against a reference and
 the cells against a reference) build an unsorted table of keys with their
 nu and mass, and share one unstable argsort of the keys, since the order of
 tied cells only changes the rounding of their run's sums.  The regular
 rearrangements have no argsort: their keys are the values, so they sort
-them directly, the cells in one sort and the octant (below) in one sort per
-orbit size.  Their mass is nu * key, so ``_side`` forms it one side at a
-time and cumulates it in place, and no table of masses is kept.
+them directly, the cells or a fold (below) in one sort per orbit size.
+Their mass is nu * key, so ``_side`` forms it one side at a time and
+cumulates it in place, and no table of masses is kept.
 
 Pairs: a verdict reads the rearrangements of f and of g against the same q,
 and neither depends on the other.  ``_ahead(g, q, here)`` runs ``here``
@@ -62,22 +62,18 @@ as a mix of tensors, sorts its cells.
 The product keys round differently from the cell keys (f1*f2)/(q1*q2), so
 the two paths agree to rounding, not bitwise.
 
-Octant rule: when f is built from its octant (``SampledDistribution.octant``,
-a one-mode function equal to itself under both mirrors and the transpose of
-the grid) and q, when given, is too, its cells come in orbits of 4 equal
-cells on the diagonals and 8 elsewhere.  The rearrangement then sorts the
-octant 0 < x <= p of the grid, an eighth of the cells, with nu m*q*dmu and
-mass m*f*dmu for orbit size m.  Regularly nu takes only the two values
-4*dmu and 8*dmu, so the values of each orbit size are sorted on their own
-and merged, each diagonal value after the equal off-diagonal ones: the
-order a stable argsort of the off-diagonal values followed by the diagonal
-ones gives, so a run of tied cells always sums in the same order.
-``states.render`` and ``states.reference`` build Fock, thermal and lossy
-states, their mixtures and dephasings, and the thermal references from
-their octants.  A function given by its values sorts its cells, even where
-they are symmetric: a renormalized copy, a grid file, ``coherent(alpha=0)``.
-The keys are the cell keys, bitwise; s and L add m equal terms in one
-product, so they round differently from the cell sort.
+Fold rule: when f is built from a fold (``SampledDistribution.fold``: an
+octant, a quadrant or a half of the grid) and q, when given, is too, the
+rearrangement sorts the fold of the two groups' meet (``grids._meet``),
+each entry with nu m*q*dmu and mass m*f*dmu for its orbit of m equal
+cells; with no common mirror, the cells.  Regularly the quadrant's and a
+half's values are sorted once (one orbit size); the octant's orbits have 4
+cells on the diagonal and 8 off it, so each size is sorted on its own and
+merged, each diagonal value after the equal off-diagonal ones, so a run of
+tied cells always sums in the same order.  A function given by its values
+sorts its cells, even where they are symmetric.  The keys are the cell
+keys, bitwise; s and L add m equal terms in one product, so they round
+differently from the cell sort.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
   as a piecewise-linear curve, concave (positive) or convex (negative).
@@ -108,7 +104,9 @@ from .errors import ConfigError
 from .grids import (
     ReferenceDistribution,
     SampledDistribution,
-    _octant_orbits,
+    _entries,
+    _meet,
+    _orbits,
     same_grid,
 )
 
@@ -327,6 +325,7 @@ def _build(
     if q is not None and [r.grid for r in q.factors] != [h.grid for h in parts]:
         parts = ()
     dmu = f.grid.cell_measure
+    group = _meet(f.group, f.group if q is None else q.group)
     if parts:
         # keys carry the sign of their side, so the same-sign pairs of level
         # sets get a positive key k1*k2 and the mixed pairs a negative one
@@ -337,31 +336,28 @@ def _build(
             nu = np.multiply.outer(nu, np.concatenate([np.diff(b.s) for b in both]))
             mass = np.multiply.outer(mass, np.concatenate([np.diff(b.L) for b in both]))
         keys, nu, mass = keys.ravel(), nu.ravel(), mass.ravel()
-    elif f.octant is not None and q is None:
+    elif group == "xpt" and q is None:
         # the keys are the octant values and nu is one of two orbit
         # measures: sort each class and put each diagonal key after the
         # equal off-diagonal ones, the stable order of (off, diagonal)
-        diag = _octant_orbits(f.grid).size == 4.0
-        on, off = np.sort(f.octant[diag]), np.sort(f.octant[~diag])
+        diag = _orbits(f.grid, group).size == 4.0
+        on, off = np.sort(f.fold[diag]), np.sort(f.fold[~diag])
         at = np.searchsorted(off, on, side="right") + np.arange(on.size)
-        keys = np.empty(f.octant.shape)
+        keys = np.empty(f.fold.shape)
         keys[at] = on
         rest = np.ones(keys.shape, dtype=bool)
         rest[at] = False
         keys[rest] = off
         return _split(keys, np.where(rest, 8.0 * dmu, 4.0 * dmu))
-    elif f.octant is not None and q.octant is not None:
-        # each octant cell stands for the 4 (diagonal) or 8 equal cells of
-        # its orbit under the mirrors and the transpose of the grid; the
-        # orbit measure m * dmu is kept per grid
-        w = _octant_orbits(f.grid).weight
-        keys, nu, mass = f.octant / q.octant, w * q.octant, w * f.octant
-    elif q is None:
-        # tied keys are equal values here: sort the values themselves
-        vals = np.sort(f.values)
-        return _split(vals, np.broadcast_to(dmu, vals.shape))
     else:
-        keys, nu, mass = f.values / q.values, q.values * dmu, f.values * dmu
+        # the cells, or the fold of the meet with orbit measures m*dmu
+        w = _orbits(f.grid, group).size * dmu if group else dmu
+        if q is None:
+            # tied keys are equal values of one orbit size: sort the values
+            vals = np.sort(_entries(f, group))
+            return _split(vals, np.broadcast_to(w, vals.shape))
+        fv, qv = _entries(f, group), _entries(q, group)
+        keys, nu, mass = fv / qv, w * qv, w * fv
     # gathered one at a time, so each unsorted table is freed in turn
     order = np.argsort(keys)
     keys = keys[order]

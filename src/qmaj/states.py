@@ -32,7 +32,7 @@ import math
 import re
 import typing
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,9 +52,10 @@ from .grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
-    _octant_orbits,
+    _meet,
+    _orbits,
+    _restrict,
     _span,
-    _unfold,
     default_grid,
 )
 
@@ -75,21 +76,22 @@ class StateSpec:
     """Base class of the state AST, one subclass per state type.
 
     ``sample`` evaluates a representation on a grid of the spec's modes, in
-    the hbar=1/2 normalization: on every cell as an (N,)*2n array, or with
-    ``octant`` on the octant's cells as a flat array.  Only a
-    ``rotation_invariant`` spec, which depends on x^2 + p^2 alone, is
-    sampled on the octant.  A closed form is evaluated at the hbar=1/2
-    coordinates of ``_coordinates``.
+    the hbar=1/2 normalization: on every cell as an (N,)*2n array ("") or
+    on the fold (``grids._orbits``) of a subgroup of the spec's ``group``,
+    the largest group of grid symmetries under which its closed form is
+    bitwise invariant: "xpt" for a state of x^2 + p^2 alone, else the
+    mirrors x -> -x ("x") and p -> -p ("p") that it keeps.  A closed form is
+    evaluated at the hbar=1/2 coordinates of ``_coordinates``.
     """
 
-    rotation_invariant = False
+    group = ""
 
     @property
     def modes(self) -> int:
         return 1
 
-    def sample(self, rep: str, grid: GridSpec, octant: bool) -> np.ndarray:
-        x, p = _coordinates(grid, octant)
+    def sample(self, rep: str, grid: GridSpec, group: str) -> np.ndarray:
+        x, p = _coordinates(grid, group)
         return self.wigner(x, p) if rep == WIGNER else self.husimi(x, p)
 
     def fock_weights(self) -> dict[int, float]:
@@ -115,7 +117,7 @@ def laguerre(n: int, z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Fock(StateSpec):
     n: int
-    rotation_invariant = True
+    group = "xpt"
 
     def __post_init__(self):
         if self.n < 0:
@@ -137,6 +139,11 @@ class Fock(StateSpec):
 class Coherent(StateSpec):
     alpha: complex
 
+    @property
+    def group(self) -> str:
+        a = self.alpha
+        return "xpt" if a == 0 else "p" if a.imag == 0 else "x" if a.real == 0 else ""
+
     def wigner(self, x, p):
         return (2.0 / math.pi) * np.exp(
             -2.0 * ((x - self.alpha.real) ** 2 + (p - self.alpha.imag) ** 2)
@@ -151,14 +158,14 @@ class Coherent(StateSpec):
 @dataclass(frozen=True)
 class Thermal(StateSpec):
     nbar: float
-    rotation_invariant = True
+    group = "xpt"
 
-    def sample(self, rep, grid, octant):
+    def sample(self, rep, grid, group):
         if self.nbar < 0:
             raise SpecValidationError(
                 "negative-temperature thermal functions are references, not states"
             )
-        return super().sample(rep, grid, octant)
+        return super().sample(rep, grid, group)
 
     def wigner(self, x, p):
         w = 1.0 + 2.0 * self.nbar
@@ -172,6 +179,7 @@ class Thermal(StateSpec):
 @dataclass(frozen=True)
 class Cat(StateSpec):
     alpha: float
+    group = "xp"
 
     def __post_init__(self):
         if isinstance(self.alpha, complex):
@@ -204,6 +212,12 @@ class Cat(StateSpec):
 class ON(StateSpec):
     a: complex
     n: int
+
+    @property
+    def group(self) -> str:
+        # p -> -p maps a to conj(a), x -> -x to conj(a) (-1)^n
+        a = self.a
+        return "x" * (a.conjugate() * (-1) ** self.n == a) + "p" * (a.imag == 0)
 
     def __post_init__(self):
         if self.n < 1:
@@ -251,7 +265,7 @@ class Cubic(StateSpec):
         if self.s <= 0:
             raise SpecValidationError(f"squeezing must be > 0, got {self.s}")
 
-    def sample(self, rep, grid, octant):
+    def sample(self, rep, grid, group):
         if rep != WIGNER:
             raise UnsupportedStateError("cubic phase states render as Wigner only")
         if grid.hbar == HBAR_ONE:  # the same cells in hbar=1/2 coordinates
@@ -270,7 +284,7 @@ class Cubic(StateSpec):
 class Lossy(StateSpec):
     eta: float
     inner: StateSpec
-    rotation_invariant = True
+    group = "xpt"
 
     def __post_init__(self):
         if not 0 <= self.eta <= 1:
@@ -280,10 +294,10 @@ class Lossy(StateSpec):
         if self.inner.modes != 1:
             raise SpecValidationError("lossy needs a one-mode state")
 
-    def sample(self, rep, grid, octant):
+    def sample(self, rep, grid, group):
         acc = 0.0
         for n, w in sorted(self.fock_weights().items()):
-            acc += w * Fock(n).sample(rep, grid, octant)
+            acc += w * Fock(n).sample(rep, grid, group)
         return acc
 
     def fock_weights(self) -> dict[int, float]:
@@ -306,12 +320,13 @@ class Dephase(StateSpec):
             raise SpecValidationError("dephase needs a one-mode state")
 
     @property
-    def rotation_invariant(self) -> bool:
-        return self.inner.rotation_invariant
+    def group(self) -> str:
+        # the dephasing filter is not bitwise symmetric, so only its fixed points fold
+        return "xpt" if self.inner.group == "xpt" else ""
 
-    def sample(self, rep, grid, octant):
-        inner = self.inner.sample(rep, grid, octant)
-        if self.rotation_invariant:
+    def sample(self, rep, grid, group):
+        inner = self.inner.sample(rep, grid, group)
+        if self.group:
             return inner  # dephasing leaves a rotation-invariant state as it is
         tmp = SampledDistribution(grid, inner.ravel())
         return channels.apply_dephasing(self.gamma, tmp).as_nd()
@@ -340,21 +355,16 @@ class Mix(StateSpec):
         return self.parts[0].modes
 
     @property
-    def rotation_invariant(self) -> bool:
-        return all(part.rotation_invariant for part in self.parts)
+    def group(self) -> str:
+        return _meet(*(part.group for part in self.parts))
 
-    def sample(self, rep, grid, octant):
-        """The weighted sum of the parts' samples, in part order.
-
-        A mix with a part that is not rotation invariant is sampled on every
-        cell, but each of its rotation-invariant parts on the octant and
-        unfolded.  The axis is mirror-exact and such a part is symmetric in
-        x and p, so that is bitwise its samples on every cell.
-        """
+    def sample(self, rep, grid, group):
+        """The weighted sum of the parts' samples, in part order, flat: each
+        sampled on its own group's fold and read on ``group``'s, bitwise its
+        samples there (the axis is mirror-exact)."""
         def part_sample(part):
-            if part.rotation_invariant and not self.rotation_invariant:
-                return _unfold(grid, part.sample(rep, grid, True))
-            return part.sample(rep, grid, octant)
+            vals = np.ravel(part.sample(rep, grid, part.group))
+            return _restrict(grid, vals, part.group, group)
 
         acc = self.weights[0] * part_sample(self.parts[0])
         for w, part in zip(self.weights[1:], self.parts[1:]):
@@ -383,10 +393,10 @@ class Tensor(StateSpec):
     def modes(self) -> int:
         return sum(p.modes for p in self.parts)
 
-    def sample(self, rep, grid, octant):
+    def sample(self, rep, grid, group):
         """The (N,)*2k outer product of the parts' samples on every cell."""
         vals = [
-            part.sample(rep, replace(grid, modes=part.modes), False)
+            part.sample(rep, replace(grid, modes=part.modes), "")
             for part in self.parts
         ]
         out = vals[0]
@@ -488,6 +498,8 @@ class _Parser:
                 self.take()
                 self.take()
                 s_kind, s_value, s_pos = self.take("scalar")
+                if item_value in named:
+                    raise ParseError(f"{value} got argument {item_value}= twice", item_pos)
                 named[item_value] = _scalar_value(s_value, s_pos)
             elif item_kind == "scalar":
                 self.take()
@@ -587,20 +599,19 @@ def pretty(spec: StateSpec) -> str:
 
 # -- rendering ----------------------------------------------------------------
 
-def _coordinates(grid: GridSpec, octant: bool) -> tuple[np.ndarray, np.ndarray]:
-    """hbar=1/2 coordinates (x, p) of the grid's cells or of its octant's.
-
-    The cells come as the broadcastable mesh views (N, 1) and (1, N) of the
-    axis, the octant 0 < x <= p as two flat arrays of its cells.
-    """
+@lru_cache(maxsize=16)  # shared, so the closed forms only read x and p
+def _coordinates(grid: GridSpec, group: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """hbar=1/2 coordinates (x, p) of the grid's cells or of a group's fold:
+    views (n, 1) and (1, m) of the axis (of its half > 0 where the group
+    holds that axis's mirror), or for the octant two flat arrays."""
     ax = grid.axis()
     if grid.hbar == HBAR_ONE:
         ax = ax / _SQRT2
-    if not octant:
-        return ax[:, None], ax[None, :]
-    orbits = _octant_orbits(grid)
-    half = ax[grid.points_per_axis // 2:]
-    return half[orbits.rows], half[orbits.cols]
+    n = grid.points_per_axis
+    if "t" in group:
+        rows, cols = np.divmod(_orbits(grid, group).cells, n)
+        return ax[rows], ax[cols]
+    return ax[n // 2 * ("x" in group):, None], ax[None, n // 2 * ("p" in group):]
 
 
 def _window(grid: GridSpec) -> str:
@@ -618,14 +629,15 @@ def render(
     hbar=1/2 closed forms are evaluated at contracted coordinates with the
     2^-n prefactor.  A tensor product keeps its factors, each rendered on the
     grid of its own modes; its values, their outer product, are built only
-    when read.  A rotation-invariant state (Fock, thermal, lossy, their
-    mixtures and dephasings) is evaluated on the grid octant 0 < x <= p
-    only and built from it (``octant=``); its values, each octant cell
-    copied over its orbit of 4 or 8 cells, are built only when read, and
-    equal the evaluation on every cell bitwise.  Any other state is built
-    from its values, even where they happen to be symmetric; a mixture of
-    such a state still samples each of its rotation-invariant parts on the
-    octant and unfolds it, bitwise the same values.  A closed form
+    when read.  A state whose closed form is bitwise invariant under a group
+    of grid symmetries (``StateSpec.group``) is evaluated on its fold only
+    and built from it (``fold=``): the octant 0 < x <= p for Fock, thermal
+    and lossy states and their dephasings, the quadrant x, p > 0 for a cat,
+    the half p > 0 for a coherent or on() state with a real parameter, and
+    a mix on the meet of its parts' groups, each part sampled on its own.
+    Its values, each fold entry copied over its orbit, are built only when
+    read, and equal the evaluation on every cell bitwise; any other state
+    is built from its values.  A closed form
     that overflows the float range, or any sample that is not finite (a
     Fock state of a few hundred photons, say), raises NumericsError.
     """
@@ -644,19 +656,19 @@ def render(
             render(part, replace(grid, modes=part.modes), rep) for part in spec.parts
         )
         return SampledDistribution(grid, None, factors)
-    fold = spec.rotation_invariant
+    group = spec.group
     where = f"as {rep} on {_window(grid)}"
     try:
         with np.errstate(all="ignore"):  # samples that are not finite are refused below
-            vals = spec.sample(rep, grid, fold)
+            vals = spec.sample(rep, grid, group)
     except OverflowError as exc:  # math.factorial(n) beyond the float range
         raise NumericsError(f"{pretty(spec)} overflows {where}: {exc}") from None
     if not np.isfinite(vals).all():
         raise NumericsError(f"{pretty(spec)} is not finite {where}")
     if grid.hbar == HBAR_ONE:
         vals = vals * 0.5**grid.modes
-    if fold:
-        return SampledDistribution(grid, None, octant=vals)
+    if group:
+        return SampledDistribution(grid, None, fold=vals, group=group)
     return SampledDistribution(grid, vals.ravel())
 
 
@@ -686,11 +698,11 @@ def reference(
         w = 1.0 + 2.0 * spec.nbar
         if w == 0:
             raise SpecValidationError("thermal reference undefined at nbar = -1/2")
-        x, p = _coordinates(grid, octant=True)
+        x, p = _coordinates(grid, "xpt")
         with np.errstate(over="ignore"):  # the reference refuses infinite cells
             vals = np.exp(-2.0 * (x**2 + p**2) / w)
         try:
-            return ReferenceDistribution(grid, None, octant=vals, integrable=w > 0)
+            return ReferenceDistribution(grid, None, fold=vals, integrable=w > 0)
         except ConfigError as exc:
             raise ConfigError(f"{pretty(spec)} on {_window(grid)}: {exc}") from None
     f = render(spec, grid, rep)
@@ -710,8 +722,8 @@ def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
     underflow, which the reference checks.  Negating the negative factors
     leaves every cell bitwise equal.
     """
-    if f.octant is not None:
-        return ReferenceDistribution(f.grid, None, octant=f.octant)
+    if f.fold is not None:
+        return ReferenceDistribution(f.grid, None, fold=f.fold, group=f.group)
     if not f.factors:
         return ReferenceDistribution(f.grid, f.values)
     factors, sign = [], 1

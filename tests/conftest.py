@@ -64,8 +64,8 @@ def fresh():
     object, for which no rearrangement is kept (see rearrange._rearrange)."""
 
     def copy(f: grids.SampledDistribution) -> grids.SampledDistribution:
-        values = None if f.factors or f.octant is not None else f.values
-        kw = {"octant": f.octant}
+        values = None if f.factors or f.fold is not None else f.values
+        kw = {"fold": f.fold, "group": f.group}
         if isinstance(f, grids.ReferenceDistribution):
             kw["integrable"] = f.integrable
         return type(f)(f.grid, values, f.factors, **kw)

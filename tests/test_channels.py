@@ -30,7 +30,7 @@ from qmaj.channels import (
 )
 from qmaj.compare import Outcome, compare
 from qmaj.errors import ChannelError, ConfigError, LeakageError
-from qmaj.grids import GridSpec, SampledDistribution, _octant_orbits, _unfold
+from qmaj.grids import GridSpec, SampledDistribution, _orbits, _restrict
 
 IDENTITY = GaussianChannelSpec(np.eye(2), np.zeros((2, 2)))
 
@@ -56,7 +56,7 @@ def test_identity_resample_keeps_every_cell():
     # reads each cell where it is; an index 1e-14 below 0 fell outside the
     # spline and zeroed the edge row of a state that reaches it
     f = states.render("cubic(g=0.02, s=0.1)", GridSpec(1, 7.0, 350))
-    assert f.octant is None and np.abs(f.as_nd()[0]).max() > 1e-5
+    assert f.fold is None and np.abs(f.as_nd()[0]).max() > 1e-5
     out = apply_gaussian(IDENTITY, f)
     assert np.abs(out.values - f.values).max() <= 4e-15 * np.abs(f.values).max()
 
@@ -161,13 +161,13 @@ def test_leakage_detection(fock):
         apply_gaussian(IDENTITY, SampledDistribution(fock[0].grid, values))
     # an amplifier on a small window, from an octant to an octant
     small = states.render("fock:1", GridSpec(1, 3.0, 60))
-    assert small.octant is not None
+    assert small.fold is not None
     with pytest.raises(LeakageError):
         apply_gaussian(amplifier_channel(2.0), small)
     # and a NaN in an octant, through the 1-D passes with and without noise
-    octant = small.octant.copy()
+    octant = small.fold.copy()
     octant[len(octant) // 2] = math.nan
-    holed = SampledDistribution(small.grid, None, octant=octant)
+    holed = SampledDistribution(small.grid, None, fold=octant)
     for ch in (pure_loss_channel(0.7), IDENTITY):
         with pytest.raises(LeakageError):
             apply_gaussian(ch, holed)
@@ -179,7 +179,7 @@ OCTANT_INPUT = "lossy(eta=0.7, fock:1)"
 
 def _lossy_octant(grid):
     f = states.render(OCTANT_INPUT, grid)
-    assert f.octant is not None
+    assert f.fold is not None
     return f
 
 
@@ -202,10 +202,9 @@ def _d4_octant(grid):
     r4 = (x * x + p * p) ** 2
     harmonic = x**4 - 6.0 * x * x * p * p + p**4  # r^4 cos(4 phi)
     cells = np.exp(-(x**4 + p**4) / 4.0) * (1.0 + 0.3 * harmonic / (1.0 + r4))
-    orbits, h = _octant_orbits(grid), grid.points_per_axis // 2
-    octant = cells[h + orbits.rows, h + orbits.cols]
-    f = SampledDistribution(grid, None, octant=octant)
-    return SampledDistribution(grid, None, octant=f.octant / f.total_integral)
+    octant = cells.ravel()[_orbits(grid, "xpt").cells]
+    f = SampledDistribution(grid, None, fold=octant)
+    return SampledDistribution(grid, None, fold=f.fold / f.total_integral)
 
 
 @pytest.mark.parametrize(
@@ -223,9 +222,9 @@ def test_covariant_channel_keeps_the_octant(apply):
     for f in _octant_inputs():
         full = SampledDistribution(f.grid, f.values)
         out, want = apply(f), apply(full)
-        assert out.octant is not None and want.octant is None
+        assert out.fold is not None and want.fold is None
         scale = np.abs(want.values).max()
-        got = _unfold(f.grid, out.octant).ravel()
+        got = _restrict(f.grid, out.fold, "xpt")
         assert np.abs(got - want.values).max() <= 1e-14 * scale
         assert abs(out.total_integral - want.total_integral) <= 1e-14
 
@@ -250,7 +249,7 @@ def test_other_channel_gives_values(apply):
     for f in _octant_inputs():
         full = SampledDistribution(f.grid, f.values)
         out, want = apply(f), apply(full)
-        assert out.octant is None
+        assert out.fold is None
         np.testing.assert_array_equal(out.values, want.values)
         assert out.total_integral == want.total_integral
 

@@ -666,7 +666,7 @@ def test_grid_file_lines(tmp_path):
     assert lines[0] == "# qmaj-grid modes=1 half_width=7.0 points=64 hbar=half"
     assert lines[1:] == [repr(float(v)) for v in f.values] + [""]
     # an octant writes one repr per orbit, placed at each of its cells
-    assert f.octant is not None
+    assert f.fold is not None
     write_grid_file(tmp_path / "v.grid", SampledDistribution(f.grid, f.values))
     assert (tmp_path / "v.grid").read_bytes() == path.read_bytes()
 
@@ -719,3 +719,46 @@ def test_apply_keeps_cells_of_octant_unbuilt(tmp_path, channel):
     assert "values" not in vars(out)
     want = truncation_report(SampledDistribution(out.grid, out.values))
     assert report.boundary_max == want.boundary_max
+
+
+@pytest.mark.parametrize(
+    "spec", ["lossy(eta=0.7, fock:1)", "cat(alpha=2)", "coherent(alpha=1.5i)", "coherent(alpha=1)"]
+)
+def test_grid_file_of_a_fold_is_that_of_its_values(tmp_path, spec):
+    # an octant, a quadrant and a half x > 0 join each pair of mirrored rows
+    # once, a half p > 0 every row; each file is byte for byte the values'
+    f = states.render(spec, GridSpec(1, 7.0, 64))
+    assert f.fold is not None
+    write_grid_file(tmp_path / "fold.grid", f)
+    write_grid_file(tmp_path / "cells.grid", SampledDistribution(f.grid, f.values))
+    assert (tmp_path / "fold.grid").read_bytes() == (tmp_path / "cells.grid").read_bytes()
+
+
+def test_main_reuses_its_parser(capsys):
+    # the parser is built once per process; an option of one request does
+    # not carry over to the next
+    argv = ["compare", "fock:3", "fock:2", "--grid", "N=120"]
+    code, first, _ = run(capsys, *argv, "--ref", "vacuum")
+    assert code == 0 and record_of(first)["relative"] == "vacuum"
+    code, second, _ = run(capsys, *argv)
+    assert code == 0 and record_of(second)["relative"] == ""
+    assert run(capsys, *argv)[1] == second
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--channel", "plc:eta=0.7,eta=0.2", "--grid", "N=60"], 3, "parameter eta= twice"),
+        (["--channel", "plc:eta=0.7", "--grid", "N=60,N=80"], 2, "repeated --grid key 'N'"),
+    ],
+    ids=["channel", "grid"],
+)
+def test_apply_refuses_repeated_keys(tmp_path, capsys, argv, code, message):
+    # like an unknown key: the channel's a parse error, the grid's a
+    # configuration error, and no file is written
+    out_file = tmp_path / "x.grid"
+    got, out, err = run(capsys, "apply", *argv, "--state", "fock:1", "--out", str(out_file))
+    assert got == code and message in err and out == ""
+    assert not out_file.exists()
+    code, _, err = run(capsys, "compare", "cat(alpha=1, alpha=2)", "vacuum")
+    assert code == 3 and "alpha= twice" in err

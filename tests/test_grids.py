@@ -117,7 +117,7 @@ def test_factors_must_tile_the_grid():
         SampledDistribution(DiscreteSpace(vals.size), None, (one, one))
     # exactly one of values, factors and octant, and an octant only of the
     # one-mode grid it was cut from
-    fold = one.octant
+    fold = one.fold
     assert fold is not None
     for grid, values, factors, octant in (
         (two, None, (), fold),
@@ -128,7 +128,11 @@ def test_factors_must_tile_the_grid():
         (one.grid, None, (), None),
     ):
         with pytest.raises(ConfigError):
-            SampledDistribution(grid, values, factors, octant=octant)
+            SampledDistribution(grid, values, factors, fold=octant)
+    # a fold of a group that the grid has, with one entry per orbit
+    for group in ("pt", "t", "xp", ""):
+        with pytest.raises(ConfigError):
+            SampledDistribution(one.grid, None, fold=fold, group=group)
 
 
 def test_equality_is_identity():
@@ -152,10 +156,10 @@ def test_equality_is_identity():
 
 def test_reference_cells_must_be_finite():
     grid = GridSpec(1, 3.0, 16)
-    fold = states.render("vacuum", grid).octant
-    assert ReferenceDistribution(grid, None, octant=fold).integrable
+    fold = states.render("vacuum", grid).fold
+    assert ReferenceDistribution(grid, None, fold=fold).integrable
     with pytest.raises(ConfigError, match="must be finite"):
-        ReferenceDistribution(grid, None, octant=np.where(fold < 0.01, np.inf, fold))
+        ReferenceDistribution(grid, None, fold=np.where(fold < 0.01, np.inf, fold))
     with pytest.raises(ConfigError, match="must be finite"):
         ReferenceDistribution(grid, np.append(np.ones(grid.size - 1), np.inf))
     # each factor is finite, but their largest cells multiply to overflow
@@ -203,7 +207,7 @@ def test_truncation_of_octant_reads_its_last_column(spec):
     modes = 2 if spec.startswith("tensor") else 1
     f = states.render(spec, GridSpec(modes, 3.0, 64 // modes))
     forms = (f, *f.factors)
-    assert all(h.octant is not None for h in f.factors or forms)
+    assert all(h.fold is not None for h in f.factors or forms)
     rep = truncation_report(f)
     assert all("values" not in vars(h) for h in forms)
     want = truncation_report(SampledDistribution(f.grid, f.values))

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qmaj import states
-from qmaj.compare import Outcome, compare
+from qmaj.cli import write_grid_file
+from qmaj.compare import Outcome, compare, statement4_check
 from qmaj.errors import ConfigError
 from qmaj.grids import (
     DiscreteSpace,
@@ -19,6 +20,7 @@ from qmaj.grids import (
     ReferenceDistribution,
     SampledDistribution,
     default_grid,
+    truncation_report,
 )
 from qmaj.monotones import (
     _PLAIN,
@@ -33,6 +35,7 @@ from qmaj.monotones import (
     renyi_entropy,
     tsallis_entropy,
 )
+from qmaj.rearrange import curves
 
 
 def test_nv_probability_distribution(zoo):
@@ -214,7 +217,7 @@ def test_phi_octant_matches_values_form(fock, zoo):
     # curves round apart from the cell sort of the same values
     folded = [fock[0], fock[1], fock[4], zoo["thermal04"], zoo["lossy1"]]
     copies = [SampledDistribution(f.grid, f.values) for f in folded]
-    assert all(f.octant is not None for f in folded)
+    assert all(f.fold is not None for f in folded)
     for i, j in itertools.combinations_with_replacement(range(len(folded)), 2):
         want = phi_functional(copies[i], copies[j])
         assert phi_functional(folded[i], folded[j]) == pytest.approx(want, rel=1e-12)
@@ -303,7 +306,7 @@ def test_pointwise_monotones_read_the_octant(spec, half_grid, one_grid):
     for grid in (half_grid, one_grid):
         f = states.render(spec, grid)
         q = states.reference("thermal(nbar=0.6)", grid)
-        assert f.octant is not None and q.octant is not None
+        assert f.fold is not None and q.fold is not None
         got = monotone_report(f, _POINTWISE, q)
         cells = SampledDistribution(grid, f.values)
         want = monotone_report(cells, _POINTWISE, ReferenceDistribution(grid, q.values))
@@ -347,3 +350,33 @@ def test_monotone_report_builds_no_cells(half_grid):
     q = states.reference("thermal(nbar=0.6)", half_grid)
     monotone_report(f, [*_POINTWISE, "g"], q)
     assert "values" not in vars(f) and "values" not in vars(q)
+
+
+@pytest.mark.parametrize(
+    "spec, ref",
+    [
+        ("lossy(eta=0.7, fock:1)", "thermal(nbar=0.6)"),  # octant
+        ("cat(alpha=2)", "thermal(nbar=0.6)"),  # quadrant
+        ("coherent(alpha=1)", "coherent(alpha=0.5)"),  # half p > 0
+        ("coherent(alpha=1.5i)", "thermal(nbar=0.6)"),  # half x > 0
+        ("tensor(fock:2, fock:2)", "tensor(vacuum, vacuum)"),
+    ],
+)
+def test_public_readers_build_no_cells(tmp_path, spec, ref):
+    # every public reader but the documented cell readers reads the fold or
+    # the factors of f, g and q alone
+    grid = default_grid(modes=states.parse_state(spec).modes)
+    grid = grid if grid.modes == 1 else GridSpec(2, 5.0, 16)
+    f, g = states.render(spec, grid), states.render(spec, grid, "husimi")
+    q = states.reference(ref, grid)
+    assert all(h.fold is not None or h.factors for h in (f, g, q))
+    truncation_report(f)
+    monotone_report(f, [*_POINTWISE, "g"], q)
+    for r in (None, q):
+        curves(f, r)
+        compare(f, g, r, eps_norm=1.0)
+        statement4_check(f, g, r, eps_norm=1.0)
+    phi_functional(f, g)
+    if f.fold is not None:
+        write_grid_file(tmp_path / "f.grid", f)
+    assert not any("values" in vars(h) for h in (f, g, q))

@@ -22,7 +22,7 @@ from qmaj.grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
-    _octant_orbits,
+    _orbits,
 )
 from qmaj.rearrange import (
     DECIMATION_TOL,
@@ -168,8 +168,8 @@ def test_equimeasurability(half_grid, fock, zoo, vacuum_ref):
     for f in (zoo["cat2"], fock[4]):
         copies = [SampledDistribution(half_grid, f.values[p]) for p in perms]
         refs = [ReferenceDistribution(half_grid, vacuum_ref.values[p]) for p in perms]
-        assert all(c.octant is None for c in copies)
-        bitwise = slice(0 if f.octant is None else 1, None)
+        assert all(c.fold is None for c in copies)
+        bitwise = slice(0 if f.fold is None else 1, None)
         for sides in zip(*(_rearrange(g) for g in (f, *copies))):
             assert len({r.keys.tobytes() for r in sides}) == 1
             assert len({(r.s.tobytes(), r.L.tobytes()) for r in sides[bitwise]}) == 1
@@ -180,17 +180,21 @@ def test_equimeasurability(half_grid, fock, zoo, vacuum_ref):
 
 
 def test_relative_reduces_to_regular(half_grid, fock, zoo):
-    # q = 1 built from its octant against a folded f, and from its values
-    # against cells that do not fold
-    octant_ones = ReferenceDistribution(half_grid, None, octant=np.ones(61425))
+    # q = 1 built from its octant against an octant f, from its quadrant
+    # against a quadrant f, and from its values against cells that do not
+    # fold
+    octant_ones = ReferenceDistribution(half_grid, None, fold=np.ones(61425))
+    quadrant_ones = ReferenceDistribution(half_grid, None, fold=np.ones(122500), group="xp")
     ones = ReferenceDistribution(half_grid, np.ones(half_grid.size))
-    for f, q in ((fock[4], octant_ones), (zoo["cat2"], ones)):
+    cells = SampledDistribution(half_grid, zoo["cat2"].values)
+    cases = ((fock[4], octant_ones), (zoo["cat2"], quadrant_ones), (cells, ones))
+    for f, q in cases:
         for a, b in zip(_rearrange(f, q), _rearrange(f)):
             assert a.keys.tobytes() == b.keys.tobytes()
         rel = relative_lorenz_curves(f, q)
         reg = lorenz_curves(f)
         for a, b in zip(rel, reg):
-            if f.octant is None:
+            if f.group != "xpt":  # one orbit size: tied entries are alike
                 np.testing.assert_array_equal(a.s, b.s)
                 np.testing.assert_array_equal(a.L, b.L)
                 continue
@@ -340,9 +344,12 @@ def _check_sides(f, q=None) -> int:
     breakpoints lie on its curve.  Folded cells add an orbit's m equal terms
     in one product, so at a sample of run ends s and L must be no farther
     from the exactly rounded sums (``math.fsum``) than the cumsum is, or
-    than 8 ulps of the largest of those sums.
+    than 8 ulps of the largest of those sums; on a quadrant or a half, than
+    sqrt(n) ulps for a sum of n cells, the typical rounding of a recursive
+    sum (its 6 samples reach 30 ulps against the cumsum's 4 to 18).
     """
-    folded = f.octant is not None and (q is None or q.octant is not None)
+    group = grids._meet(f.group, f.group if q is None else q.group)
+    folded = bool(group)
     collapsed = 0
     for side, got in zip((POSITIVE, NEGATIVE), _rearrange(f, q)):
         keys, nu, mass = _definition(f, side, q)
@@ -362,7 +369,8 @@ def _check_sides(f, q=None) -> int:
                 fold_err = np.abs(curve[runs + 1] - exact).max()
                 cell_err = np.abs(cells[runs + 1] - exact).max()
                 # short sums of few terms round either way by a few ulps
-                floor = 8 * np.spacing(np.abs(exact).max())
+                ulps = 8 if group == "xpt" else max(8, math.sqrt(ends[runs[-1]]))
+                floor = ulps * np.spacing(np.abs(exact).max())
                 assert fold_err <= max(cell_err, floor)
         elif q is None:
             for a, b in ((got.s, s[at]), (got.L, L[at])):
@@ -385,16 +393,18 @@ def _tied_vectors():
 
 
 GRID_SYMMETRIC = {"fock0", "fock1", "fock4", "thermal04", "lossy1"}
+# the mirrors that the other states of the zoo keep
+MIRROR_SYMMETRIC = {"cat2": "xp", "rho1": "xp", "coherent": "p", "on23": "p", "rho2": "p"}
 
 
 def test_regular_rearrangement_matches_argsort(zoo):
     # one breakpoint per distinct value at the definition's breakpoint:
     # bitwise where the cells do not fold
     for f in _tied_vectors():
-        assert f.octant is None
+        assert f.fold is None
         _check_sides(f)
     for name, f in zoo.items():
-        assert (f.octant is not None) == (name in GRID_SYMMETRIC)
+        assert f.group == ("xpt" if name in GRID_SYMMETRIC else MIRROR_SYMMETRIC[name])
         _check_sides(f)
 
 
@@ -404,12 +414,13 @@ def test_regular_octant_orders_ties_by_orbit_class(half_grid, one_grid):
     specs = [f"fock:{n}" for n in range(6)]
     specs += ["thermal(nbar=1)", "lossy(eta=0.7, fock:1)"]
     for grid, spec in itertools.product((half_grid, one_grid), specs):
-        orbits = _octant_orbits(grid)
+        orbits = _orbits(grid, "xpt")
         diag = orbits.size == 4.0
         f = states.render(spec, grid)
-        assert f.octant is not None
-        keys = np.concatenate([f.octant[~diag], f.octant[diag]])
-        nu = np.concatenate([orbits.weight[~diag], orbits.weight[diag]])
+        assert f.fold is not None
+        keys = np.concatenate([f.fold[~diag], f.fold[diag]])
+        weight = orbits.size * grid.cell_measure
+        nu = np.concatenate([weight[~diag], weight[diag]])
         order = np.argsort(keys, kind="stable")
         want = _split(keys[order], nu[order], (nu * keys)[order])
         for a, b in zip(_rearrange(f), want):
@@ -469,11 +480,11 @@ def test_grid_symmetric_states_fold(zoo, half_grid, vacuum_ref):
     h = half_grid.points_per_axis // 2
     octant = (h * (h + 1) // 2,)  # 61,425 of 490,000 cells
     for q in refs:
-        assert q.octant.shape == octant
+        assert q.fold.shape == octant
     for name in sorted(GRID_SYMMETRIC):
         f = zoo[name]
-        fold = f.octant
-        assert fold.shape == octant and f.octant is fold  # kept on f
+        fold = f.fold
+        assert fold.shape == octant and f.fold is fold  # kept on f
         # the octant holds every distinct value
         assert np.array_equal(np.unique(fold), np.unique(f.values))
         # thermal(nbar=1.3) here; the others in the two tests above
@@ -490,23 +501,24 @@ def _perturbed(f, cell, value):
 
 def test_cell_path_when_not_grid_symmetric(zoo, half_grid):
     # cells that do not come in orbits of equal values, symmetric cells
-    # given by their values, and a folding f against a reference that does
-    # not fold, keep the cell sort
+    # given by their values, a folding f against a reference that does not
+    # fold, and two halves that share no mirror, keep the cell sort
     small = GridSpec(1, 7.0, 120)
     fock1 = zoo["fock1"]
     corner = half_grid.size - 1
     cases = [
-        (zoo["cat2"], None),
+        (states.render("coherent(alpha=1+1i)", half_grid), None),
         (states.render("cubic(g=0.02, s=0.1)", small), None),
         (states.render("dephase(gamma=0.5, cat(alpha=1))", small), None),
         (_perturbed(fock1, corner, np.nextafter(fock1.values[corner], 1.0)), None),
         (_perturbed(fock1, 12345, np.nan), None),
         (SampledDistribution(half_grid, fock1.values), None),
-        (fock1, states.reference("coherent(alpha=1.2)", half_grid)),
+        (fock1, states.reference("coherent(alpha=1.2+0.5i)", half_grid)),
+        (states.render("coherent(alpha=1.5i)", half_grid), states.reference("coherent(alpha=1.2)", half_grid)),
     ]
-    assert fock1.octant is not None  # folds, but not against a coherent q
+    assert fock1.fold is not None  # folds, but not against a coherent q
     for f, q in cases:
-        assert f.octant is None or (q is not None and q.octant is None)
+        assert grids._meet(f.group, f.group if q is None else q.group) == ""
         _check_sides(f, q)
         if q is None:
             _check_sides(f, states.reference("vacuum", f.grid))
@@ -632,13 +644,13 @@ def test_product_path_matches_cell_path(hbar):
             ) == statement4_check(cells[i], cells[j], ref_cells, eps_norm=1.0)
 
 
-def test_regular_rearrangement_keeps_no_table_of_masses(zoo, fresh):
+def test_regular_rearrangement_keeps_no_table_of_masses(zoo):
     # each side forms its masses value * dmu alone and cumulates them in
     # place, and frees each running sum before the next: the sorted values
     # and their one largest side stay under 3 cell arrays (4 with a table of
-    # masses); a new copy has no kept sides, so it is built here
-    f = fresh(zoo["rho1"])
-    assert f.octant is None and not f.factors
+    # masses); a copy given by its values has no kept sides, so it is built
+    # here
+    f = SampledDistribution(zoo["rho1"].grid, zoo["rho1"].values)
     tracemalloc.start()
     try:
         _rearrange(f)
@@ -720,18 +732,20 @@ def test_ahead_builds_a_shared_lazy_values_once(two_cpus, zoo, half_grid, monkey
     # both builds of a relative compare of functions given by their values
     # read the octant reference's cells; one builds them, the other waits
     built = []
-    unfold = grids._unfold
+    unfold = grids._restrict
 
-    def slow_unfold(grid, octant):
-        built.append(threading.get_ident())
-        time.sleep(0.2)
-        return unfold(grid, octant)
+    def slow_unfold(grid, fold, group, to=""):
+        if not to:  # every cell: the values
+            built.append(threading.get_ident())
+            time.sleep(0.2)
+        return unfold(grid, fold, group, to)
 
-    monkeypatch.setattr(grids, "_unfold", slow_unfold)
+    f, g = (grids.SampledDistribution(half_grid, zoo[k].values) for k in ("rho1", "rho2"))
+    monkeypatch.setattr(grids, "_restrict", slow_unfold)
     threads = _split_threads(monkeypatch)
     q = states.reference("thermal(nbar=0.37)", half_grid)
-    assert q.octant is not None and "values" not in vars(q)
-    compare(zoo["rho1"], zoo["rho2"], q)
+    assert q.fold is not None and "values" not in vars(q)
+    compare(f, g, q)
     assert len(built) == 1
     assert len(threads) == len(set(threads)) == 2 and threading.get_ident() in threads
 
@@ -899,3 +913,44 @@ def test_threads_keep_every_side():
             assert rearrange._kept_sides(f, q) is not None
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_fold_curves_match_values_form(half_grid, zoo):
+    # a quadrant or a half, regular and against an octant, a quadrant or a
+    # half reference, gives the keys of the same function given by its
+    # values bitwise, and its s and L to rounding; a quadrant against a
+    # half is read on the half
+    vacuum = states.reference("vacuum", half_grid)
+    thermal = states.reference("thermal(nbar=0.8)", half_grid)
+    coherent = states.reference("coherent(alpha=0.5)", half_grid)
+    assert coherent.group == "p"
+    names, refs = ("cat2", "rho1", "coherent", "on23", "rho2"), (None, vacuum, thermal, coherent)
+    folded = {(name, i): _rearrange(zoo[name], q) for name in names for i, q in enumerate(refs)}
+    assert not any("values" in vars(q) for q in refs[1:])
+    for (name, i), sides in folded.items():
+        f, q = zoo[name], refs[i]
+        cells = SampledDistribution(half_grid, f.values)
+        q_cells = None if q is None else ReferenceDistribution(half_grid, q.values)
+        for a, b in zip(sides, _rearrange(cells, q_cells)):
+            assert a.keys.tobytes() == b.keys.tobytes()
+            # the cells' running sum of 1e5 terms errs by 1e-11 of its end
+            for x, y in ((a.s, b.s), (a.L, b.L)):
+                assert np.abs(x - y).max() <= 1e-10 * max(1.0, np.abs(y).max())
+
+
+def test_mixture_compare_reads_no_cells(half_grid, monkeypatch):
+    # the two mixtures of the figure verdicts, a quadrant and a half, are
+    # compared from their folds: no 490,000-cell array is built
+    texts = ("mix(0.75:cat(alpha=2), 0.25:fock:7)", "mix(0.5:on(a=2,n=3), 0.5:fock:1)")
+    f, g = (states.render(t, half_grid) for t in texts)
+    assert (f.group, g.group) == ("xp", "p")
+    sizes, split = [], rearrange._split
+
+    def recording_split(keys, nu, mass=None):
+        sizes.append(keys.size)
+        return split(keys, nu, mass)
+
+    monkeypatch.setattr(rearrange, "_split", recording_split)
+    compare(f, g)
+    assert sorted(sizes) == [122_500, 245_000]
+    assert "values" not in vars(f) and "values" not in vars(g)

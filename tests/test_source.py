@@ -68,10 +68,10 @@ def test_every_public_class_member_is_read():
 
 
 def test_monotones_read_no_storage_form():
-    # grids' reductions alone read the cell values, the octant and the
+    # grids' reductions alone read the cell values, the fold and the
     # factors, so a new reader of a storage form lands beside them
     tree = ast.parse((PACKAGE / "monotones.py").read_text())
-    attrs, names = {"values", "octant", "factors"}, {"_octant_orbits", "_unfold"}
+    attrs, names = {"values", "fold", "factors"}, {"_orbits", "_restrict", "_entries"}
     reads = [
         ast.unparse(node)
         for node in ast.walk(tree)

@@ -24,7 +24,7 @@ from qmaj.grids import (
     GridSpec,
     ReferenceDistribution,
     SampledDistribution,
-    _octant_orbits,
+    _orbits,
     default_grid,
     truncation_report,
 )
@@ -284,7 +284,7 @@ def test_dephase_of_rotation_invariant_state_is_exact(half_grid, one_grid):
             for rep in ("wigner", "husimi"):
                 f = render(f"dephase(gamma=10, {inner})", grid, rep)
                 target = render(inner, grid, rep)
-                assert f.octant.tobytes() == target.octant.tobytes()
+                assert f.fold.tobytes() == target.fold.tobytes()
                 assert f.values.tobytes() == target.values.tobytes()
 
 
@@ -315,22 +315,22 @@ def test_octant_renders_match_mesh(points, hbar):
     ax = grid.axis() / (math.sqrt(2.0) if hbar == "one" else 1.0)
     x, p = ax[:, None], ax[None, :]
     scale = 0.5 if hbar == "one" else 1.0
-    orbits, h = _octant_orbits(grid), points // 2
+    cells = _orbits(grid, "xpt").cells
 
     def octant_of(mesh):
-        return mesh[h:, h:][orbits.rows, orbits.cols].tobytes()
+        return mesh.ravel()[cells].tobytes()
 
     for rep in ("wigner", "husimi"):
         for text in OCTANT_SPECS:
             f = render(text, grid, rep)
             assert "values" not in vars(f)  # built on first read
-            mesh = parse_state(text).sample(rep, grid, False) * scale
+            mesh = parse_state(text).sample(rep, grid, "") * scale
             assert f.values.tobytes() == mesh.ravel().tobytes()
-            assert f.octant.tobytes() == octant_of(mesh)
+            assert f.fold.tobytes() == octant_of(mesh)
     q = reference("thermal(nbar=-1)", grid)
     mesh = np.exp(-2.0 * (x**2 + p**2) / -1.0)
     assert q.values.tobytes() == mesh.ravel().tobytes()
-    assert q.octant.tobytes() == octant_of(mesh)
+    assert q.fold.tobytes() == octant_of(mesh)
 
 
 @pytest.mark.parametrize(
@@ -388,7 +388,7 @@ def test_reference_must_be_finite(half_grid):
             reference(Thermal(nbar), half_grid)
     for nbar in (-1, -2):
         q = reference(Thermal(nbar), half_grid)
-        assert math.isfinite(q.octant.max()) and math.isfinite(q.total_integral)
+        assert math.isfinite(q.fold.max()) and math.isfinite(q.total_integral)
 
 
 def test_reference_rejects_signed_states(half_grid):
@@ -445,8 +445,9 @@ def test_tensor_render_is_product(half_grid):
     assert mixed.factors == ()
 
 
-# a cat or on() part makes the mix not rotation invariant, so it is given
-# the mesh, and its Fock part is sampled on the octant and unfolded
+# a cat or on() part makes the mix keep only its mirrors, so it is given
+# the quadrant or the half p > 0, and its Fock part is sampled on the
+# octant and read there
 FOLDED_MIXES = [
     "mix(0.75:cat(alpha=2), 0.25:fock:7)",
     "mix(0.5:on(a=2,n=3), 0.5:fock:1)",
@@ -462,15 +463,15 @@ def test_mixture_fold_matches_mesh(points, hbar):
     scale = 0.5 if hbar == "one" else 1.0
 
     def mesh_sum(spec, rep):
-        acc = spec.weights[0] * spec.parts[0].sample(rep, grid, False)
+        acc = spec.weights[0] * spec.parts[0].sample(rep, grid, "")
         for w, part in zip(spec.weights[1:], spec.parts[1:]):
-            acc += w * part.sample(rep, grid, False)
+            acc += w * part.sample(rep, grid, "")
         return acc
 
     for rep in ("wigner", "husimi"):
         for text in FOLDED_MIXES:
             spec = parse_state(text)
-            assert not spec.rotation_invariant
+            assert spec.group in ("xp", "p")
             want = mesh_sum(spec, rep) * scale
             assert render(spec, grid, rep).values.tobytes() == want.tobytes()
         if points == 700 and (rep, hbar) != ("wigner", "half"):
@@ -755,3 +756,47 @@ def test_cubic_wavefunction_reduces_to_vacuum():
     x = np.arange(-8.0, 8.0, 0.01)
     psi = cubic_phase_wavefunction(0.0, 1.0, x)
     np.testing.assert_allclose(psi.real, harmonic_eigenfunction(0, x), atol=1e-12)
+
+
+def test_parse_refuses_repeated_argument():
+    # a key given twice is refused like an unknown one, not the last kept
+    for text in ("cat(alpha=1, alpha=2)", "on(a=1, n=2, a=3)", "lossy(eta=0.7, eta=0.2, fock:1)"):
+        with pytest.raises(ParseError, match="twice"):
+            parse_state(text)
+
+
+# the states whose closed forms keep a group of grid symmetries, by group
+FOLD_GROUPS = {
+    "cat(alpha=1)": "xp",
+    "cat(alpha=2)": "xp",
+    "coherent(alpha=1)": "p",
+    "coherent(alpha=1.5i)": "x",
+    "coherent(alpha=0)": "xpt",
+    "on(a=2,n=3)": "p",
+    "on(a=2,n=2)": "xp",
+    "on(a=2i,n=3)": "x",
+    "on(a=2i,n=2)": "",
+    "mix(0.75:cat(alpha=2), 0.25:fock:7)": "xp",
+    "mix(0.5:on(a=2,n=3), 0.5:fock:1)": "p",
+}
+
+
+@pytest.mark.parametrize("hbar", ["half", "one"])
+def test_fold_renders_match_mesh(hbar):
+    # each state is rendered on the fold of its group alone; every cell
+    # equals the closed form evaluated on the whole mesh, bitwise
+    grid = default_grid(hbar=hbar)
+    scale = 0.5 if hbar == "one" else 1.0
+    for rep in ("wigner", "husimi"):
+        for text, group in FOLD_GROUPS.items():
+            spec = parse_state(text)
+            f = render(spec, grid, rep)
+            assert f.group == spec.group == group
+            assert (f.fold is None) == (group == "")
+            assert group == "" or "values" not in vars(f)  # built on first read
+            parts = spec.parts if isinstance(spec, Mix) else (spec,)
+            weights = spec.weights if isinstance(spec, Mix) else (1.0,)
+            mesh = weights[0] * parts[0].sample(rep, grid, "")
+            for w, part in zip(weights[1:], parts[1:]):
+                mesh += w * part.sample(rep, grid, "")
+            assert f.values.tobytes() == np.ravel(mesh * scale).tobytes()
