@@ -268,9 +268,12 @@ def _render(args, *texts: str) -> tuple:
 
 
 def _reference_for(args, grid):
-    if args.ref:
-        return states.reference(args.ref, grid, args.rep)
-    return None
+    if not args.ref:
+        return None
+    spec = states.parse_state(args.ref)
+    if spec.modes != grid.modes:
+        raise ConfigError(f"reference {args.ref} has {spec.modes} mode(s), the states {grid.modes}")
+    return states.reference(spec, grid, args.rep)
 
 
 def cmd_lorenz(args) -> int:
@@ -337,7 +340,7 @@ def cmd_monotone(args) -> int:
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     q = _reference_for(args, grid)
     if q is None and any(w.startswith("divergence") for w in which):
-        q = states.reference(states.VACUUM, grid, args.rep)
+        q = states.reference(states._each_mode(states.VACUUM, grid.modes), grid, args.rep)
     report = monotones.monotone_report(f, which, q)
     for k, v in report.items():
         print(f"{k}={v:.10g}")
@@ -416,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("monotone", help="evaluate Schur-convex monotones")
     p.add_argument("--state", required=True)
     p.add_argument("--which", default="nv,purity,max,min")
-    p.add_argument("--ref", help="reference for divergences (default vacuum)")
+    p.add_argument("--ref", help="reference for divergences (default vacuum on every mode)")
     _add_common(p)
     p.set_defaults(func=cmd_monotone)
 

@@ -294,7 +294,8 @@ class SampledDistribution:
 
     * ``values``, the flat (C-order) array of cell-center samples;
     * ``factors``, the factors of a tensor product, each sampled on the grid
-      of its own modes; ``total_integral`` is the product of their totals;
+      of its own modes (equal parts of a rendered ``tensor`` are one object,
+      see ``rearrange``); ``total_integral`` is the product of their totals;
     * ``fold``, one entry per orbit (``_orbits``) of the ``group`` of grid
       symmetries that the one-mode function is invariant under: "xpt" (the
       default: the octant), "xp" (the quadrant), "x" or "p" (a half);

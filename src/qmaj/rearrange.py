@@ -60,7 +60,11 @@ positive key, mixed pairs a negative one, and the sorted pairs split like
 sorted cells.  There are at most as many pairs as cells.  Any other f, such
 as a mix of tensors, sorts its cells.
 The product keys round differently from the cell keys (f1*f2)/(q1*q2), so
-the two paths agree to rounding, not bitwise.
+the two paths agree to rounding, not bitwise.  A product of one factor
+object with itself, against none or a q whose two factors are one object,
+sorts each unordered pair once (``_unordered``): (i, j) and (j, i) share a
+key, so i < j enters with twice its nu and mass.  Its keys are the full
+table's bitwise, and its sums round differently within tied runs.
 
 Fold rule: when f is built from a fold (``SampledDistribution.fold``: an
 octant, a quadrant or a half of the grid) and q, when given, is too, the
@@ -316,6 +320,12 @@ def _keep(f: SampledDistribution, q: ReferenceDistribution | None, sides):
     return sides
 
 
+def _unordered(levels) -> list[np.ndarray]:
+    """h x h's keys, nu and mass from h's level sets: (i, i), then i < j."""
+    i, j = np.triu_indices(len(levels[0]), 1)
+    return [np.concatenate([a * a, a[i] * a[j] * w]) for a, w in zip(levels, (1.0, 2.0, 2.0))]
+
+
 def _build(
     f: SampledDistribution, q: ReferenceDistribution | None
 ) -> tuple[_Rearrangement, _Rearrangement]:
@@ -327,15 +337,21 @@ def _build(
     dmu = f.grid.cell_measure
     group = _meet(f.group, f.group if q is None else q.group)
     if parts:
-        # keys carry the sign of their side, so the same-sign pairs of level
-        # sets get a positive key k1*k2 and the mixed pairs a negative one
+        refs = [None] * len(parts) if q is None else q.factors
+        twice = len(parts) == 2 and parts[0] is parts[1] and refs[0] is refs[1]
         keys = nu = mass = np.ones(1)
-        for h, r in zip(parts, [None] * len(parts) if q is None else q.factors):
+        for h, r in zip(parts[:1] if twice else parts, refs):
             both = _build(h, r)
-            keys = np.multiply.outer(keys, np.concatenate([b.keys for b in both]))
-            nu = np.multiply.outer(nu, np.concatenate([np.diff(b.s) for b in both]))
-            mass = np.multiply.outer(mass, np.concatenate([np.diff(b.L) for b in both]))
-        keys, nu, mass = keys.ravel(), nu.ravel(), mass.ravel()
+            # keys carry the sign of their side: the same-sign pairs of level
+            # sets get a positive key k1*k2, the mixed pairs a negative one
+            levels = (
+                np.concatenate([b.keys for b in both]),
+                np.concatenate([np.diff(b.s) for b in both]),
+                np.concatenate([np.diff(b.L) for b in both]),
+            )
+            keys, nu, mass = _unordered(levels) if twice else (
+                np.multiply.outer(t, a).ravel() for t, a in zip((keys, nu, mass), levels)
+            )
     elif group == "xpt" and q is None:
         # the keys are the octant values and nu is one of two orbit
         # measures: sort each class and put each diagonal key after the

@@ -652,10 +652,8 @@ def render(
             f"state has {spec.modes} mode(s) but grid has {grid.modes}"
         )
     if isinstance(spec, Tensor):
-        factors = tuple(
-            render(part, replace(grid, modes=part.modes), rep) for part in spec.parts
-        )
-        return SampledDistribution(grid, None, factors)
+        once = {p: render(p, replace(grid, modes=p.modes), rep) for p in dict.fromkeys(spec.parts)}
+        return SampledDistribution(grid, None, tuple(once[p] for p in spec.parts))
     group = spec.group
     where = f"as {rep} on {_window(grid)}"
     try:
@@ -720,27 +718,37 @@ def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
     The cells of a product are all > 0 exactly when each factor is of one
     sign, an even number of them negative, and the smallest cell does not
     underflow, which the reference checks.  Negating the negative factors
-    leaves every cell bitwise equal.
+    leaves every cell bitwise equal.  A factor repeated in f (one object)
+    is one factor of the reference too.
     """
     if f.fold is not None:
         return ReferenceDistribution(f.grid, None, fold=f.fold, group=f.group)
     if not f.factors:
         return ReferenceDistribution(f.grid, f.values)
-    factors, sign = [], 1
-    for h in f.factors:
-        if _span(h)[1] < 0:
-            h, sign = SampledDistribution(h.grid, -h.values), -sign
-        factors.append(_as_reference(h))
-    if sign < 0:
+    negative = {h: _span(h)[1] < 0 for h in f.factors}  # by identity
+    refs = {
+        h: _as_reference(SampledDistribution(h.grid, -h.values) if neg else h)
+        for h, neg in negative.items()
+    }
+    if sum(negative[h] for h in f.factors) % 2:
         raise ConfigError("an odd number of factors is negative")
-    return ReferenceDistribution(f.grid, None, factors=tuple(factors))
+    return ReferenceDistribution(f.grid, None, factors=tuple(refs[h] for h in f.factors))
+
+
+def _each_mode(spec: StateSpec, modes: int) -> StateSpec:
+    """The one-mode ``spec`` on each of ``modes`` modes."""
+    return spec if modes == 1 else Tensor((spec,) * modes)
 
 
 def thermal_reference_family(grid: GridSpec, rep: str = WIGNER):
-    """Parametrized thermal reference nbar -> q, for threshold scans."""
+    """Parametrized thermal reference nbar -> q, for threshold scans.
+
+    On a grid of several modes q is the product of one thermal per mode,
+    its factors one object.
+    """
 
     def family(nbar: float) -> ReferenceDistribution:
-        return reference(Thermal(nbar), grid, rep)
+        return reference(_each_mode(Thermal(nbar), grid.modes), grid, rep)
 
     return family
 

@@ -178,6 +178,24 @@ def test_scan_cli(capsys):
     )
 
 
+def test_scan_cli_on_two_modes(capsys):
+    # each verdict is taken against one thermal per mode; on the same
+    # per-axis grid the flip lies where the one-mode scan finds it
+    code, out, _ = run(
+        capsys, "scan", "tensor(fock:1, vacuum)", "tensor(vacuum, vacuum)",
+        "--bracket", "0.1:2", "--grid", "N=16",
+    )
+    assert code == 0
+    rec = record_of(out)
+    lower, upper = float(rec["lower"]), float(rec["upper"])
+    assert 0 < upper - lower <= 0.01
+    assert (rec["verdict_lower"], rec["verdict_upper"]) == ("majorizes", "incomparable")
+    code, out, _ = run(
+        capsys, "scan", "fock:1", "vacuum", "--bracket", "0.1:2", "--grid", "L=5,N=16"
+    )
+    one = record_of(out)
+    assert code == 0 and float(one["lower"]) < upper and lower < float(one["upper"])
+
 def test_scan_no_sign_change_exit(capsys):
     code, _, err = run(
         capsys, "scan", "fock:1", "fock:1", "--bracket", "0.1:2",
@@ -240,6 +258,28 @@ def test_monotone_divergence_defaults_to_vacuum(capsys):
     assert code == 0
     assert "divergence_2" in record_of(out)
 
+
+def test_monotone_divergence_defaults_to_vacuum_on_every_mode(capsys):
+    argv = ("monotone", "--state", "tensor(fock:1, fock:1)", "--which", "divergence:2",
+            "--grid", "N=16")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "divergence_2=3.216307304\n"
+    assert run(capsys, *argv, "--ref", "tensor(vacuum, vacuum)") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lorenz", "--state", "tensor(fock:1, fock:1)", "--ref", "vacuum"],
+        ["compare", "tensor(fock:1, fock:1)", "tensor(vacuum, vacuum)",
+         "--ref", "thermal(nbar=1)"],
+    ],
+)
+def test_reference_of_the_wrong_mode_count_is_named(capsys, argv):
+    code, _, err = run(capsys, *argv, "--grid", "N=16")
+    ref = argv[argv.index("--ref") + 1]
+    assert code == 2
+    assert err == f"error: reference {ref} has 1 mode(s), the states 2\n"
 
 def test_apply_channel_round_trip(tmp_path, capsys):
     out_file = tmp_path / "state.grid"
@@ -499,13 +539,18 @@ def test_readme_quick_start(tmp_path, monkeypatch, capsys):
         ["dvec", "compare", "1e999,-1e999", "1,0"],
         ["dvec", "compare", "1,0", "0,1", "--q", "1,nan"],
         ["dvec", "compare", "1.7e308,-1.7e308,1.7e308,-1.7e308", "0,0,0,0"],
+        ["lorenz", "--state", "tensor(fock:1, fock:1)", "--ref", "vacuum",
+         "--grid", "N=16"],
+        ["compare", "tensor(fock:1, fock:1)", "tensor(vacuum, vacuum)",
+         "--ref", "thermal(nbar=1)", "--grid", "N=16"],
     ],
     ids=["grid-L", "grid-N", "bracket-colon", "bracket-number", "resolution",
          "alpha", "points", "grid-L-nan", "grid-L-inf", "tol-nan", "tol-negative",
          "tol-inf", "grid-L-overflow", "alpha-renyi-nan", "alpha-norm-nan",
          "alpha-divergence-nan", "alpha-norm-inf", "alpha-tsallis-inf",
          "alpha-renyi-inf", "dephase-gamma-nan", "dephase-gamma-inf", "dvec-nan",
-         "dvec-inf", "dvec-q-nan", "dvec-part-overflow"],
+         "dvec-inf", "dvec-q-nan", "dvec-part-overflow", "lorenz-ref-modes",
+         "compare-ref-modes"],
 )
 def test_exit_code_malformed_flag(argv):
     src = str(Path(qmaj.__file__).resolve().parents[1])

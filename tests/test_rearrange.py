@@ -954,3 +954,90 @@ def test_mixture_compare_reads_no_cells(half_grid, monkeypatch):
     compare(f, g)
     assert sorted(sizes) == [122_500, 245_000]
     assert "values" not in vars(f) and "values" not in vars(g)
+
+
+def _unfolded(f: SampledDistribution, fresh) -> SampledDistribution:
+    """f = h x h with its second factor a new object: the full pair table."""
+    h = f.factors[0]
+    return type(f)(f.grid, None, (h, fresh(h)))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_repeated_factor_folds_to_unfolded_copy(n, fresh):
+    # a product of one factor object with itself sorts each unordered pair
+    # of its level sets once: the keys are the full table's bitwise, and s
+    # and L sum each i < j pair as one doubled term, so they agree to
+    # rounding within tied runs
+    grid = GridSpec(2, 5.0, n)
+    specs = (
+        "tensor(fock:2, fock:2)",
+        "tensor(cat(alpha=1), cat(alpha=1))",
+        "tensor(cubic(g=0.02, s=0.1), cubic(g=0.02, s=0.1))",
+    )
+    folded = [states.render(spec, grid) for spec in specs]
+    unfolded = [_unfolded(f, fresh) for f in folded]
+    refs = [None] + [
+        states.reference(f"tensor({r}, {r})", grid) for r in ("vacuum", "thermal(nbar=1)")
+    ]
+    for q in refs:
+        assert q is None or q.factors[0] is q.factors[1]
+        for f, g in zip(folded, unfolded):
+            assert f.factors[0] is f.factors[1] and g.factors[0] is not g.factors[1]
+            for a, b in zip(_rearrange(f, q), _rearrange(g, q)):
+                assert a.keys.tobytes() == b.keys.tobytes()
+                for x, y in ((a.s, b.s), (a.L, b.L)):
+                    assert np.abs(x - y).max() <= 1e-10 * max(1.0, abs(y[-1]))
+        for i, j in itertools.product(range(len(specs)), repeat=2):
+            pair, copies = (folded[i], folded[j]), (unfolded[i], unfolded[j])
+            assert (
+                compare(*pair, q, eps_norm=1.0).outcome
+                is compare(*copies, q, eps_norm=1.0).outcome
+            )
+            assert statement4_check(*pair, q, eps_norm=1.0) == statement4_check(
+                *copies, q, eps_norm=1.0
+            )
+
+
+def test_fold_needs_one_reference_factor(fresh, monkeypatch):
+    # against vacuum x thermal the repeated factor of f meets two different
+    # reference factors, so the pairs (i, j) and (j, i) differ: the full
+    # table of K^2 pairs is sorted, against vacuum x vacuum the K(K+1)/2
+    # unordered ones
+    grid = GridSpec(2, 5.0, 16)
+    f = states.render("tensor(fock:2, fock:2)", grid)
+    sizes, split = [], rearrange._split
+
+    def recording_split(keys, nu, mass=None):
+        sizes.append(keys.size)
+        return split(keys, nu, mass)
+
+    monkeypatch.setattr(rearrange, "_split", recording_split)
+    cases = (("tensor(vacuum, thermal(nbar=1))", False), ("tensor(vacuum, vacuum)", True))
+    for spec, folds in cases:
+        q = states.reference(spec, grid)
+        sizes.clear()
+        sides = _rearrange(f, q)
+        k1, k2 = (
+            sum(len(side.keys) for side in rearrange._build(h, r))
+            for h, r in zip(f.factors, q.factors)
+        )
+        assert max(sizes) == (k1 * (k1 + 1) // 2 if folds else k1 * k2)
+        for a, b in zip(sides, _rearrange(_unfolded(f, fresh), q)):
+            assert a.keys.tobytes() == b.keys.tobytes()
+
+
+def test_fold_build_peaks_below_the_full_table(fresh):
+    # the half table's peak lies below the full one's, with the factor's
+    # level sets built once rather than twice
+    grid = grids.default_grid(modes=2)
+    f = states.render("tensor(fock:2, fock:2)", grid)
+    q = states.reference("tensor(vacuum, vacuum)", grid)
+    peaks = []
+    for g in (f, _unfolded(f, fresh)):
+        tracemalloc.start()
+        try:
+            _rearrange(g, q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]

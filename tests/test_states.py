@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 from functools import partial
@@ -444,6 +446,36 @@ def test_tensor_render_is_product(half_grid):
     mixed = render("mix(0.5:tensor(vacuum, fock:1), 0.5:tensor(fock:1, vacuum))", two)
     assert mixed.factors == ()
 
+
+
+def test_tensor_parts_are_rendered_once():
+    # equal parts are one object, in a rendered tensor and in its reference,
+    # and a pickled or deep-copied function keeps them one
+    two = GridSpec(modes=2, half_width=5.0, points_per_axis=16)
+    f = render("tensor(fock:2, fock:2)", two)
+    g = render("tensor(fock:2, fock:1)", two)
+    q = reference("tensor(thermal(nbar=1), thermal(nbar=1))", two)
+    assert f.factors[0] is f.factors[1] and g.factors[0] is not g.factors[1]
+    assert q.factors[0] is q.factors[1]
+    for x in (f, q):
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert twin.factors[0] is twin.factors[1] is not x.factors[0]
+            assert twin.values.tobytes() == x.values.tobytes()
+    # a negative factor is negated once for both of its places
+    one = GridSpec(1, 5.0, 16)
+    h = SampledDistribution(one, -render("vacuum", one).values)
+    r = states._as_reference(SampledDistribution(two, None, (h, h)))
+    assert r.factors[0] is r.factors[1]
+    assert r.values.tobytes() == np.multiply.outer(h.values, h.values).tobytes()
+
+
+def test_thermal_family_on_two_modes():
+    # one thermal per mode, the two factors one object
+    two = GridSpec(modes=2, half_width=5.0, points_per_axis=16)
+    q = thermal_reference_family(two)(1.0)
+    want = reference("tensor(thermal(nbar=1), thermal(nbar=1))", two)
+    assert q.factors[0] is q.factors[1]
+    assert q.values.tobytes() == want.values.tobytes()
 
 # a cat or on() part makes the mix keep only its mirrors, so it is given
 # the quadrant or the half p > 0, and its Fock part is sampled on the
