@@ -16,7 +16,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -308,15 +308,15 @@ class SampledDistribution:
     by identity, so neither reads cells.  For the last two forms ``values``
     (the outer product, or each fold entry copied over its orbit) is built
     on first read, once under a lock whatever the threads reading it, and
-    kept, like ``sorted_values``.  The calls that read cells build it:
-    ``renormalized``, ``as_nd``, channel application to its input
-    (dephasing, and a Gaussian kernel that does not keep the octant), the
-    divergence from, or a rearrangement against, a reference with which it
-    shares no fold (nor, for a product, its modes), the distribution
-    functions, the piecewise integrals, and grid-file writes of a product.
-    The others read only the factors or the fold, a fold against a
-    reference on the fold of the groups' ``_meet``: rendering,
-    ``reference``, the curves, ``compare``, ``statement4_check``,
+    kept.  The calls that read cells build it: ``renormalized``, ``as_nd``,
+    channel application to its input (dephasing, and a Gaussian kernel
+    that does not keep the octant), the divergence from, or a
+    rearrangement against, a reference with which it shares no fold (nor,
+    for a product, its modes), the piecewise integrals, and grid-file
+    writes of a product.  The others read only the
+    factors or the fold, a fold against a reference on the fold of the
+    groups' ``_meet``: rendering, ``reference``, the curves, the
+    distribution functions, ``compare``, ``statement4_check``,
     ``scan_threshold``, ``truncation_report`` (of a fold its boundary
     orbits), the pointwise monotones, and grid-file writes of a fold (each
     entry's line placed at every cell of its orbit).  The total, the
@@ -377,14 +377,6 @@ class SampledDistribution:
 
     def as_nd(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
-
-    @cached_property
-    def sorted_values(self) -> np.ndarray:
-        """The values in ascending order; NaN sorts last and is cut off."""
-        v = np.sort(self.values)
-        v = v[: np.searchsorted(v, np.nan)]
-        v.setflags(write=False)
-        return v
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,16 +40,17 @@ every call, each on the calling thread, and a forked child starts a worker
 of its own.
 
 Kept: ``_rearrange(f, q)`` keeps the sides it returns, and returns them
-again for the same f and q objects (q = None for the regular ones) rather
-than building them anew.  A function and a reference are immutable, their
-arrays read-only, and they compare by identity, so the kept sides are
-bitwise what a new build would give; their arrays are read-only too.  The
-table is keyed weakly on f, and within f's entry weakly on q, so an entry
-lives exactly as long as both its f and its q: a scan's reference, rendered
-for one verdict, takes its operands' sides against it along when it dies,
-and f never keeps q alive.  Instances hold no part of it, so pickling and
-copying them are unchanged.  Only calling threads read or write the table,
-in ``_rearrange`` and ``_ahead``; the worker's ``_build`` never does.
+again for the same f and q objects (q = None for the regular ones, kept
+under ``_REGULAR``) rather than building them anew.  A function and a
+reference are immutable, their arrays read-only, and they compare by
+identity, so the kept sides are bitwise what a new build would give; their
+arrays are read-only too.  The table is keyed weakly on f, and within f's
+entry weakly on q, so an entry lives exactly as long as both its f and its
+q: a scan's reference, rendered for one verdict, takes its operands' sides
+against it along when it dies, and f never keeps q alive.  Instances hold
+no part of it, so pickling and copying them are unchanged.  Only calling
+threads read or write the table, in ``_rearrange`` and ``_ahead``; the
+worker's ``_build`` never does.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
 and q is absent or a product q1 x q2 over the same modes, the level sets of
@@ -108,6 +109,7 @@ from .errors import ConfigError
 from .grids import (
     ReferenceDistribution,
     SampledDistribution,
+    _cell_sum,
     _entries,
     _meet,
     _orbits,
@@ -122,15 +124,31 @@ DECIMATION_TOL = 1e-6  # sup-norm target of LorenzCurve.decimated
 
 def distribution_function(f: SampledDistribution, t: float) -> float:
     """D_f(t): measure of the cells where f exceeds t."""
-    v = f.sorted_values
-    return float(v.size - np.searchsorted(v, t, side="right")) * f.grid.cell_measure
+    return _level_measure(f, t, above=True)
 
 
 def codistribution_function(f: SampledDistribution, t: float) -> float:
     """C_f(t): measure of the cells where f lies below t."""
-    v = f.sorted_values
-    below = 0 if math.isnan(t) else np.searchsorted(v, t, side="left")
-    return float(below) * f.grid.cell_measure
+    return _level_measure(f, t, above=False)
+
+
+def _level_measure(f: SampledDistribution, t: float, above: bool) -> float:
+    """The measure of the cells where f lies above t, or below it: on f's
+    regular sides, the runs beyond a t of that side's sign or zero, or else
+    the non-NaN cells less the other side's runs at or beyond t.  A side's s
+    sums cell measures, so each count is s / dmu rounded."""
+    if math.isnan(t):
+        return 0.0
+    dmu = f.grid.cell_measure
+    pos, neg = _rearrange(f)
+    how = "right" if above else "left"
+    own = (t if above else -t) >= 0
+    if own == above:  # the runs of keys above t, or at it
+        side, k = pos, pos.keys.size - pos.keys[::-1].searchsorted(t, how)
+    else:  # the runs of keys below t, or at it
+        side, k = neg, neg.keys.searchsorted(t, how)
+    runs = round(side.s.item(k) / dmu)
+    return (runs if own else int(_cell_sum(f, lambda v: v == v)) - runs) * dmu
 
 
 @dataclass(frozen=True)
@@ -272,28 +290,19 @@ def _split(
     return pos, neg
 
 
-class _Kept:
-    """The sides kept for one f: its regular ones, and per live reference."""
-
-    __slots__ = ("regular", "relative")
-
-    def __init__(self):
-        self.regular = None
-        self.relative = weakref.WeakKeyDictionary()
-
-
-# f -> _Kept, weakly on f, and within it weakly on each q, so an entry dies
-# with either; the sides hold no reference to f or q
+# f -> {q: sides}, with the key _REGULAR for q = None; weakly on f and on
+# each q, so an entry dies with either, and the sides hold neither
 _kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class _REGULAR:
+    """The key of f's regular sides (q = None); a key must be weakly referable."""
 
 
 def _kept_sides(
     f: SampledDistribution, q: ReferenceDistribution | None
 ) -> tuple[_Rearrangement, _Rearrangement] | None:
-    entry = _kept.get(f)
-    if entry is None:
-        return None
-    return entry.regular if q is None else entry.relative.get(q)
+    return _kept.get(f, {}).get(_REGULAR if q is None else q)
 
 
 def _rearrange(
@@ -312,11 +321,7 @@ def _rearrange(
 
 def _keep(f: SampledDistribution, q: ReferenceDistribution | None, sides):
     # one atomic step, so a thread's entry never replaces another's
-    entry = _kept.setdefault(f, _Kept())
-    if q is None:
-        entry.regular = sides
-    else:
-        entry.relative[q] = sides
+    _kept.setdefault(f, weakref.WeakKeyDictionary())[_REGULAR if q is None else q] = sides
     return sides
 
 
@@ -477,14 +482,16 @@ def _shift(u: float, q: ReferenceDistribution | None):
 def piecewise_plus_integral(
     f: SampledDistribution, u: float, q: ReferenceDistribution | None = None
 ) -> float:
-    """Integral of (f - u*q)+ over the window (q = 1 when absent)."""
+    """Integral of (f - u*q)+ over the window (q = 1 when absent): the
+    cell-based definition that the sorted paths are tested against."""
     return float(np.maximum(f.values - _shift(u, q), 0.0).sum() * f.grid.cell_measure)
 
 
 def piecewise_minus_integral(
     f: SampledDistribution, u: float, q: ReferenceDistribution | None = None
 ) -> float:
-    """Integral of (f + u*q)- over the window (q = 1 when absent)."""
+    """Integral of (f + u*q)- over the window (q = 1 when absent): the
+    cell-based definition that the sorted paths are tested against."""
     return float(np.minimum(f.values + _shift(u, q), 0.0).sum() * f.grid.cell_measure)
 
 

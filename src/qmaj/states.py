@@ -682,7 +682,9 @@ def reference(
     rendered unnormalized with ``integrable=False`` (positive rescaling of a
     reference does not change the relative preorder).  Just below -1/2 it
     grows so fast that it overflows the float range on the window, which
-    raises ConfigError.
+    raises ConfigError.  A ``tensor`` renders each distinct negative thermal
+    part this way and every other part as a state; it is integrable when
+    every part is.
     """
     if isinstance(spec, str):
         spec = parse_state(spec)
@@ -703,7 +705,14 @@ def reference(
             return ReferenceDistribution(grid, None, fold=vals, integrable=w > 0)
         except ConfigError as exc:
             raise ConfigError(f"{pretty(spec)} on {_window(grid)}: {exc}") from None
-    f = render(spec, grid, rep)
+    if isinstance(spec, Tensor) and spec.modes == grid.modes:
+        kind = {
+            p: reference if isinstance(p, Thermal) and p.nbar < 0 else render for p in spec.parts
+        }
+        once = {p: make(p, replace(grid, modes=p.modes), rep) for p, make in kind.items()}
+        f = SampledDistribution(grid, None, tuple(once[p] for p in spec.parts))
+    else:
+        f = render(spec, grid, rep)
     try:
         return _as_reference(f)
     except ConfigError:
@@ -719,8 +728,11 @@ def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
     sign, an even number of them negative, and the smallest cell does not
     underflow, which the reference checks.  Negating the negative factors
     leaves every cell bitwise equal.  A factor repeated in f (one object)
-    is one factor of the reference too.
+    is one factor of the reference too, a factor that is a reference is kept
+    as it is, and the product is integrable when every factor is.
     """
+    if isinstance(f, ReferenceDistribution):
+        return f
     if f.fold is not None:
         return ReferenceDistribution(f.grid, None, fold=f.fold, group=f.group)
     if not f.factors:
@@ -732,7 +744,9 @@ def _as_reference(f: SampledDistribution) -> ReferenceDistribution:
     }
     if sum(negative[h] for h in f.factors) % 2:
         raise ConfigError("an odd number of factors is negative")
-    return ReferenceDistribution(f.grid, None, factors=tuple(refs[h] for h in f.factors))
+    factors = tuple(refs[h] for h in f.factors)
+    integrable = all(r.integrable for r in factors)
+    return ReferenceDistribution(f.grid, None, factors=factors, integrable=integrable)
 
 
 def _each_mode(spec: StateSpec, modes: int) -> StateSpec:

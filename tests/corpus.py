@@ -12,6 +12,8 @@ It records the ``repr`` of each case, section by section:
   and ``outcomes`` their outcomes alone;
 * ``statement4``: the ``statement4_check`` flags of the same pairs;
 * ``phi``: ``phi_functional`` of each distinct pair (the ``session`` ops);
+* ``levels``: D_f and C_f of each criterion-3 state at the thresholds
+  ``LEVELS``;
 * ``table3``: the five Table 3 ``ThresholdResult`` s;
 * ``criterion7``: the two-mode truncation reports, decimated curve ends and
   verdict;
@@ -30,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -43,7 +46,14 @@ from qmaj import cli, states  # noqa: E402
 from qmaj.compare import compare, scan_threshold, statement4_check  # noqa: E402
 from qmaj.grids import default_grid, truncation_report  # noqa: E402
 from qmaj.monotones import phi_functional  # noqa: E402
-from qmaj.rearrange import relative_lorenz_curves  # noqa: E402
+from qmaj.rearrange import (  # noqa: E402
+    codistribution_function,
+    distribution_function,
+    relative_lorenz_curves,
+)
+
+# both signs of zero, thresholds on either side and NaN
+LEVELS = (0.0, -0.0, 1e-3, -1e-3, 0.05, -0.05, 0.2, -0.2, math.nan)
 
 
 def _verdicts(out: dict) -> None:
@@ -63,6 +73,10 @@ def _verdicts(out: dict) -> None:
         out["statement4"][case] = repr(statement4_check(a, b, q))
     for f, g in dict.fromkeys((f, g) for f, g, _, _ in CRITERION3):
         out["phi"][f"{f} | {g}"] = repr(phi_functional(rendered[f], rendered[g]))
+    for text, h in rendered.items():
+        for t in LEVELS:
+            levels = (distribution_function(h, t), codistribution_function(h, t))
+            out["levels"][f"{text} | {t!r}"] = repr(levels)
 
 
 def _table3(out: dict) -> None:
@@ -100,7 +114,9 @@ def _cli(out: dict) -> None:
             out["cli"][kind] = repr((code, stdout.getvalue(), stderr.getvalue(), digests))
 
 
-SECTIONS = ("criterion3", "outcomes", "statement4", "phi", "table3", "criterion7", "cli")
+SECTIONS = (
+    "criterion3", "outcomes", "statement4", "phi", "levels", "table3", "criterion7", "cli"
+)
 
 
 def main(argv=None) -> int:

@@ -123,6 +123,21 @@ def test_lorenz_notes_truncation_sensitive_reference(capsys):
     assert err == ""
 
 
+def test_two_mode_negative_temperature_reference(capsys):
+    # a tensor reference renders its negative thermal parts as references
+    code, out, _ = run(
+        capsys, "compare", "tensor(fock:1, vacuum)", "tensor(vacuum, vacuum)",
+        "--ref", "tensor(thermal(nbar=-1), thermal(nbar=-1))", "--grid", "N=16",
+    )
+    assert code == 0 and record_of(out)["outcome"] == "incomparable"
+    code, _, err = run(
+        capsys, "lorenz", "--state", "tensor(fock:1, vacuum)",
+        "--ref", "tensor(thermal(nbar=-1), vacuum)", "--grid", "N=16",
+    )
+    assert code == 0
+    assert err == "note: reference is not integrable; curves are truncation sensitive\n"
+
+
 def test_csv_round_trip_verdict(tmp_path, capsys, half_grid):
     f = states.render("fock:4", half_grid)
     g = states.render("lossy(eta=0.7,fock:1)", half_grid)

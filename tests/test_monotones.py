@@ -35,7 +35,7 @@ from qmaj.monotones import (
     renyi_entropy,
     tsallis_entropy,
 )
-from qmaj.rearrange import curves
+from qmaj.rearrange import codistribution_function, curves, distribution_function
 
 
 def test_nv_probability_distribution(zoo):
@@ -377,6 +377,8 @@ def test_public_readers_build_no_cells(tmp_path, spec, ref):
         compare(f, g, r, eps_norm=1.0)
         statement4_check(f, g, r, eps_norm=1.0)
     phi_functional(f, g)
+    for t in (-0.05, -0.0, 0.0, 0.05):
+        distribution_function(f, t), codistribution_function(f, t)
     if f.fold is not None:
         write_grid_file(tmp_path / "f.grid", f)
     assert not any("values" in vars(h) for h in (f, g, q))

@@ -79,12 +79,21 @@ def test_distribution_function_above_max(strip_indicator):
 
 
 def test_distribution_functions_count_cells(zoo):
+    # they read the regular sides, which a fold, a product and its unordered
+    # pairs each build their own way
     rng = np.random.default_rng(11)
-    for f in zoo.values():
+    two = GridSpec(2, 5.0, 32)
+    tensors = [
+        states.render(s, two)
+        for s in ("tensor(fock:1, fock:1)", "tensor(fock:2, cat(alpha=1))")
+    ]
+    for f in [*zoo.values(), *tensors]:
         v = f.values
-        ts = np.concatenate(
-            [rng.uniform(v.min(), v.max(), 20), rng.choice(v, 20), [np.nan]]
-        )
+        ts = np.concatenate([
+            rng.uniform(v.min(), v.max(), 20),
+            rng.choice(v, 20),
+            [np.nan, 0.0, -0.0, np.inf, -np.inf],
+        ])
         for t in ts:
             above = float(np.count_nonzero(v > t)) * f.grid.cell_measure
             below = float(np.count_nonzero(v < t)) * f.grid.cell_measure
@@ -830,7 +839,7 @@ def test_a_scan_keeps_no_relative_sides(half_grid):
     # the worker lets go of the last verdict's operands once its loop moves
     # on, which a build that has returned may still be short of
     rearrange._worker.submit(int).result()
-    assert not rearrange._kept[f].relative and not rearrange._kept[g].relative
+    assert all(set(rearrange._kept.get(h, ())) <= {rearrange._REGULAR} for h in (f, g))
 
 
 def _submissions(monkeypatch) -> list:

@@ -476,6 +476,15 @@ def test_thermal_family_on_two_modes():
     want = reference("tensor(thermal(nbar=1), thermal(nbar=1))", two)
     assert q.factors[0] is q.factors[1]
     assert q.values.tobytes() == want.values.tobytes()
+    # a negative nbar too: each factor is the one-mode reference, so neither
+    # it nor the product is integrable
+    q = thermal_reference_family(two)(-1.0)
+    one = reference("thermal(nbar=-1)", GridSpec(1, 5.0, 16))
+    assert q.factors[0] is q.factors[1] and not q.factors[0].integrable
+    assert not q.integrable
+    assert q.factors[0].fold.tobytes() == one.fold.tobytes()
+    mixed = reference("tensor(thermal(nbar=-1), vacuum)", two)
+    assert not mixed.integrable and mixed.factors[1].integrable
 
 # a cat or on() part makes the mix keep only its mirrors, so it is given
 # the quadrant or the half p > 0, and its Fock part is sampled on the
