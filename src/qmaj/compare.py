@@ -8,8 +8,11 @@ strict dominance only when some gap exceeds ``STRICTNESS * eps`` (separating
 real dominance from quadrature noise).
 
 Both checks read the weighted rearrangements of ``qmaj.rearrange``:
-``compare`` the Lorenz curves (s, L) of each side, at every breakpoint of
-either curve, each curve at its own and the other interpolated there;
+``compare`` the Lorenz curves (s, L) of each side, whose gaps are taken at
+every breakpoint of either curve, each curve at its own and the other
+interpolated there, though a verdict reads only the blocks of breakpoints
+that can decide it and every gap it reads is bitwise the full reading's
+(``compare_curve_pairs``);
 ``statement4_check`` the sorted keys f/q with the same (s, L), through
 ``_shifted_integral``, at u = 0 and at every key of f and of g, where its
 sides kink.  Both decide f's signed gaps over g by the same rule, so
@@ -21,22 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NormalizationError, ScanError
 from .grids import ReferenceDistribution, SampledDistribution, same_grid
-from .rearrange import (
-    LorenzCurve,
-    _ahead,
-    _both,
-    _Rearrangement,
-    _rearrange,
-    _shifted_integral,
-    curves,
-)
+from .rearrange import LorenzCurve, _ahead, _rearrange, _shifted_integral, curves
 
 DEFAULT_EPS_CMP = 1e-4
 DEFAULT_EPS_NORM = 1e-3
@@ -158,40 +152,59 @@ def _require_equal_totals(
         )
 
 
-def _run_ends(c: LorenzCurve) -> tuple[np.ndarray | slice, int]:
-    """What picks c's distinct breakpoints from its s and L, and their count.
-
-    Each is the last of its run of equal s, which is where ``np.interp``
-    reads the curve; a slice (no copy) when every s is distinct.
-    """
-    last = np.ones(c.s.shape, dtype=bool)
-    np.not_equal(c.s[1:], c.s[:-1], out=last[:-1])
-    n = int(np.count_nonzero(last))
-    return (slice(None) if n == last.size else last), n
+# distinct breakpoints per block of the dominance check
+BLOCK = 256
 
 
-def _reading(
-    own: tuple[LorenzCurve, LorenzCurve],
-    picks: tuple[np.ndarray | slice, np.ndarray | slice],
-    other: tuple[LorenzCurve, LorenzCurve],
-    of_f: bool,
-    out: np.ndarray,
-) -> None:
-    """f's gaps over g at one pair's distinct breakpoints, positive side first.
+class _Reading:
+    """f's gaps over g at the breakpoints of one curve cut into blocks,
+    ``own`` (``rearrange._cut``), with the other function's curve of that
+    side, ``other``, read there: f's positive curve less g's, g's negative
+    less f's, so a gap at a breakpoint of both is bitwise the same in either
+    reading.  ``lo`` and ``hi`` bound each block's gaps (infinite unless both
+    curves are sound); ``done`` flags blocks read or all equal their first."""
 
-    ``own`` is f's pair when ``of_f``, else g's, read at the breakpoints
-    that ``picks`` selects; ``other`` is the other pair, interpolated there.
-    f's positive curve less g's, g's negative less f's, each as one
-    subtraction, so a gap at a breakpoint of both curves is bitwise the same
-    in either pair's reading.  Calls numpy only.
-    """
-    at = 0
-    for c, pick, curve, own_first in zip(own, picks, other, (of_f, not of_f)):
-        read = np.interp(c.s[pick], curve.s, curve.L)
-        part = out[at : at + len(read)]
-        np.subtract(*((c.L[pick], read) if own_first else (read, c.L[pick])), out=part)
-        at += len(read)
-        del read  # before the next side's reading is allocated
+    def __init__(self, own, other: LorenzCurve, other_cut, own_first: bool):
+        self.own, self.other, self.own_first = own, other, own_first
+        self.at, self.gaps = [], []
+        self.done = np.zeros(len(own.ends) - 1, dtype=bool)
+        a, z = self._read(own.ends)
+        self.lo, self.hi = -np.inf, np.inf
+        if not (own.sound and other_cut.sound):
+            return
+        # monotone curves keep a block's gaps between its ends' minuends less
+        # its ends' subtrahends, up to np.interp's rounding and these bounds'
+        slack = 2 * (own.pad + other_cut.pad)
+        self.lo = np.minimum(a[:-1], a[1:]) - np.maximum(z[:-1], z[1:]) - slack
+        self.hi = np.maximum(a[:-1], a[1:]) - np.minimum(z[:-1], z[1:]) + slack
+        # where both curves are flat np.interp reads one knot's L, so every
+        # gap of the block equals its first one, which stands in for them
+        flat = np.flatnonzero(np.diff(own.L[own.ends]) == 0)
+        j = np.searchsorted(other.s, own.s[own.ends[flat]], "right") - 1
+        k = np.searchsorted(other.s, own.s[own.ends[flat + 1]], "right")
+        self.done[flat] = other.L[np.maximum(j, 0)] == other.L[np.minimum(k, len(other.s) - 1)]
+
+    def _read(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mine = self.own.L[at]
+        read = np.interp(self.own.s[at], *self.other._xy)
+        a, z = (mine, read) if self.own_first else (read, mine)
+        self.at.append(self.own.s[at])
+        self.gaps.append(a - z)
+        return a, z
+
+    def wanted(self, least: float, most: float, eps_cmp: float) -> np.ndarray:
+        """The blocks left whose bounds pass eps_cmp where no gap read fails
+        it, or reach twice the witness band of a failing side's extreme."""
+        band = 2 * _FLOAT_BAND
+        low = least + band * max(1.0, -least) if least < -eps_cmp else -eps_cmp
+        high = most - band * max(1.0, most) if most > eps_cmp else eps_cmp
+        return ((self.lo <= low) | (self.hi >= high)) & ~self.done
+
+    def take(self, blocks: np.ndarray) -> None:
+        k = np.flatnonzero(blocks)
+        at = self.own.ends[k, None] + np.arange(1, self.own.size)
+        self._read(at[at < self.own.ends[k + 1, None]])
+        self.done |= blocks
 
 
 def compare_curve_pairs(
@@ -203,33 +216,40 @@ def compare_curve_pairs(
 
     ``_verdict`` decides f's gaps over g at every breakpoint of either curve
     of each side, each curve read at its own breakpoints and the other
-    interpolated there.  f's reading runs on the worker thread of
-    ``rearrange._both`` while the calling thread runs g's.  So when one
-    direction holds and the other fails by more than eps_cmp but at most
+    interpolated there, but reads only the blocks of ``BLOCK`` distinct
+    breakpoints that can decide it (``_Reading.wanted``).  Where both curves
+    are sound (``rearrange._cut``: monotone and finite) a block's ends bound
+    its gaps, so the blocks left unread hold no gap that could change the
+    outcome or a witness: the verdict is bitwise the full reading's.  When
+    one direction holds and the other fails by more than eps_cmp but at most
     ``STRICTNESS * eps_cmp`` (the noise band), the verdict is equivalent.
     """
     _require_tolerance("eps_cmp", eps_cmp)
-    # gaps holds four parts: f's positive and negative breakpoints, then g's
     four = (*curves_f, *curves_g)
-    picks, sizes = zip(*map(_run_ends, four))
-    starts = np.cumsum((0, *sizes))
-    gaps = np.empty(starts[-1])
-    _both(
-        partial(_reading, curves_f, picks[:2], curves_g, True, gaps[: starts[2]]),
-        partial(_reading, curves_g, picks[2:], curves_f, False, gaps[starts[2] :]),
-    )
+    cut = [c._blocks(BLOCK) for c in four]
+    # f's and g's positive curves, then their negative ones
+    readings = [
+        _Reading(cut[i], four[j], cut[j], first)
+        for i, j, first in ((0, 2, True), (2, 0, False), (1, 3, False), (3, 1, True))
+    ]
+    while True:
+        least = min(g.min(initial=np.inf) for r in readings for g in r.gaps)
+        most = max(g.max(initial=-np.inf) for r in readings for g in r.gaps)
+        wanted = [r.wanted(least, most, eps_cmp) for r in readings]
+        if not any(w.any() for w in wanted):
+            break
+        for r, w in zip(readings, wanted):
+            r.take(w)
+    gaps = np.concatenate([g for r in readings for g in r.gaps])
+    at = np.concatenate([s for r in readings for s in r.at])
+    split = sum(len(g) for r in readings[:2] for g in r.gaps)
 
     def place(near: np.ndarray) -> tuple[float, str]:
-        # the first near gap of each part; of a side's two, the one at the
-        # smaller s, f's on a tie (the same s and gap)
-        for k, side in enumerate(c.side for c in curves_f):
-            found = []
-            for j in (k, k + 2):
-                first = int(np.argmax(near[starts[j] : starts[j + 1]]))
-                if near[starts[j] + first]:
-                    found.append(four[j].s[picks[j]][first])
-            if found:
-                return min(found), side
+        # the smallest s of a near gap on the first side with one, positive first
+        for side, part in zip((c.side for c in curves_f), (slice(split), slice(split, None))):
+            hit = near[part]
+            if hit.any():
+                return at[part][hit].min(), side
 
     return _verdict(gaps, place, eps_cmp, _FLOAT_BAND)
 
@@ -257,7 +277,7 @@ class Statement4Result(NamedTuple):
     backward: bool
 
 
-def _kink_gaps(a: _Rearrangement, b: _Rearrangement) -> np.ndarray:
+def _kink_gaps(a: LorenzCurve, b: LorenzCurve) -> np.ndarray:
     """a's shifted integral less b's, both of one side, at 0 and at every key.
 
     Between keys both integrals are linear in u, and past the largest |key|

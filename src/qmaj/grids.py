@@ -226,7 +226,7 @@ def _orbits(grid: GridSpec, group: str) -> _Orbits:
     size = np.bincount(np.cumsum(own, dtype=np.int32)[rep] - 1).astype(float)
     if size.min() == size.max():  # one orbit size, kept as one number
         size = np.broadcast_to(size[0], size.shape)
-    cells = np.flatnonzero(own).astype(np.int32)
+    cells = np.flatnonzero(own)
     cells.setflags(write=False)
     return _Orbits(cells, size)
 
@@ -235,7 +235,7 @@ def _orbits(grid: GridSpec, group: str) -> _Orbits:
 def _index(grid: GridSpec, group: str) -> np.ndarray:
     """(N, N): the fold entry of each cell's orbit; kept, read-only, where read."""
     rep, own = _representatives(grid, group)
-    index = (np.cumsum(own, dtype=np.int32) - 1)[rep].reshape(grid.shape)
+    index = (np.cumsum(own, dtype=np.intp) - 1)[rep].reshape(grid.shape)
     index.setflags(write=False)
     return index
 

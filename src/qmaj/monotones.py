@@ -151,7 +151,7 @@ def phi_functional(f: SampledDistribution, g: SampledDistribution) -> float:
     same_grid(f, g)
     total = 0.0
     for a, b in zip(_ahead(g, None, lambda: _rearrange(f)), _rearrange(g)):
-        rise = np.diff(np.interp(a.s, b.s, b.L))
+        rise = np.diff(np.interp(a.s, *b._xy))
         total += float(np.sum(a.keys * rise))
     return total
 

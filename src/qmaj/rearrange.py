@@ -31,20 +31,19 @@ built ahead.  Each build runs exactly as it would alone, so every result is
 bitwise that of building them one after the other.  A failed build of g is
 dropped, and ``_rearrange(g, q)`` builds g again and raises its error, so
 errors come out in that order too: f's first, once g's build has ended.
-The dominance check of ``compare.compare_curve_pairs`` has two independent
-readings too, each curve pair read at its own breakpoints against the
-other's interpolation; ``_both`` runs one on the same worker while the
-calling thread runs the other (``np.interp`` releases the GIL as well).
 The worker calls no public function, so a tracer that wraps those sees
 every call, each on the calling thread, and a forked child starts a worker
-of its own.
+of its own.  The dominance check (``compare.compare_curve_pairs``) runs on
+the calling thread: the blocks it reads are too few to pay for a hand-off.
 
 Kept: ``_rearrange(f, q)`` keeps the sides it returns, and returns them
 again for the same f and q objects (q = None for the regular ones, kept
-under ``_REGULAR``) rather than building them anew.  A function and a
-reference are immutable, their arrays read-only, and they compare by
-identity, so the kept sides are bitwise what a new build would give; their
-arrays are read-only too.  The table is keyed weakly on f, and within f's
+under ``_REGULAR``) rather than building them anew.  A side is a
+``LorenzCurve`` with its keys, which keeps its blocks for the dominance
+check (``LorenzCurve._blocks``).  A function and a reference are
+immutable, their arrays read-only, and they compare by identity, so the
+kept sides are bitwise what a new build would give; their arrays are
+read-only too.  The table is keyed weakly on f, and within f's
 entry weakly on q, so an entry lives exactly as long as both its f and its
 q: a scan's reference, rendered for one verdict, takes its operands' sides
 against it along when it dies, and f never keeps q alive.  Instances hold
@@ -80,8 +79,8 @@ sorts its cells, even where they are symmetric.  The keys are the cell
 keys, bitwise; s and L add m equal terms in one product, so they round
 differently from the cell sort.
 
-* ``lorenz_curves`` and ``relative_lorenz_curves`` keep (s, L) of each side
-  as a piecewise-linear curve, concave (positive) or convex (negative).
+* ``lorenz_curves`` and ``relative_lorenz_curves`` give both sides, each
+  (s, L) a piecewise-linear curve, concave (positive) or convex (negative).
 * ``_shifted_integral`` reads one side's sorted keys with its (s, L) to
   give the integral of (f - u*q)+ (positive side) or (f + u*q)- (negative
   side) for many u by binary search.  These sides kink only at the keys, so
@@ -158,27 +157,41 @@ class LorenzCurve:
     ``s`` starts at 0 and is nondecreasing: a run of cells whose weights are
     too small to move s leaves a zero-width segment.  Beyond the last
     breakpoint the curve continues flat, up to the end of the truncated
-    window (its measure, or nu(X) for relative curves).
+    window (its measure, or nu(X) for relative curves).  A rearrangement's
+    side is a curve with ``keys``, its ranking keys f/q in rank order (the
+    slope of each segment); a decimated curve has none.
     """
 
     s: np.ndarray
     L: np.ndarray
     side: str
     decimation_error: float = 0.0
+    keys: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("s", "L"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # what np.interp reads, which copies an array it may not write to: a
+        # side's own writeable arrays, which it shows read-only (``_side``)
+        object.__setattr__(self, "_xy", (self.s, self.L))
 
     def __call__(self, at) -> np.ndarray:
         """Evaluate by binary search + linear interpolation (flat plateau)."""
-        return np.interp(at, self.s, self.L)
+        return np.interp(at, *self._xy)
 
     @property
     def final(self) -> float:
         return float(self.L[-1])
+
+    def _blocks(self, size: int) -> "_Blocks":
+        """``_cut(self, size)``, kept on the curve for the last size asked."""
+        kept = self.__dict__.get("_kept_blocks")
+        if kept is None or kept.size != size:
+            kept = _cut(self, size)
+            object.__setattr__(self, "_kept_blocks", kept)
+        return kept
 
     def decimated(self, max_points: int = 100_000) -> "LorenzCurve":
         """Subsample breakpoints, tracking the exact sup-norm error incurred.
@@ -220,13 +233,44 @@ class LorenzCurve:
             s=self.s[kept],
             L=self.L[kept],
             decimation_error=max(self.decimation_error, err),
+            keys=None,
         )
 
 
-class _Rearrangement(NamedTuple):
-    keys: np.ndarray  # ranking keys f/q in rank order
-    s: np.ndarray     # cumulative nu measure, s[0] = 0
-    L: np.ndarray     # cumulative integral of f, L[0] = 0
+class _Blocks(NamedTuple):
+    size: int
+    s: np.ndarray
+    L: np.ndarray
+    ends: np.ndarray
+    sound: bool
+    pad: float
+
+
+def _cut(c: LorenzCurve, size: int) -> _Blocks:
+    """c's distinct breakpoints (s, L), each the last of its run of equal s
+    as np.interp reads them, cut into blocks of ``size``: block k runs from
+    index ends[k] to ends[k + 1] (see ``compare.compare_curve_pairs``).
+    ``sound`` when s is nondecreasing from 0 or above, L monotone (as a
+    rearrangement's side is, ``_side``), and every |s|, |L| and slope below
+    2**1000, which no NaN is.  Then np.interp reads c within ``pad`` of the
+    polyline through its breakpoints: the slope, its product with x - s_j
+    and the sum with L_j round by 12 ulps of max |L| at most, and a slope
+    that underflows errs by 2**-1074 (x - s_j) at most.
+    """
+    last = np.append(c.s[1:] != c.s[:-1], True)
+    s, L = (c.s, c.L) if last.all() else (c.s[last], c.L[last])
+    ends = np.append(np.arange(0, len(s) - 1, size), len(s) - 1)
+    # a monotone curve's largest |s| and |L| sit at its ends, and a segment
+    # rises by 2 * scale at most over 2**-53 of the least positive s at least
+    reach, scale = max(abs(c.s[0]), abs(c.s[-1])), max(abs(c.L[0]), abs(c.L[-1]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sound = s[0] >= 0 and reach < 2.0**1000 > scale
+        sound = sound and (len(s) < 2 or 2 * scale < s[int(s[0] == 0)] * 2.0**947)
+        if sound and c._xy[0] is c.s:  # not a side: check that it is monotone
+            rise = np.diff(c.L)
+            sound = (c.s[1:] >= c.s[:-1]).all() and ((rise >= 0).all() or (rise <= 0).all())
+    pad = 16 * np.finfo(float).eps * scale + 2.0**-1072 * (1 + reach)
+    return _Blocks(size, s, L, ends, bool(sound), float(pad))
 
 
 def _at_ends(running: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -238,8 +282,8 @@ def _at_ends(running: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _side(
-    keys: np.ndarray, nu: np.ndarray, mass: np.ndarray | None
-) -> _Rearrangement:
+    side: str, keys: np.ndarray, nu: np.ndarray, mass: np.ndarray | None
+) -> LorenzCurve:
     # tied cells share the slope f/q, so a breakpoint sits only at the last
     # cell of each run of equal keys, indexed by ``ends``
     last = np.ones(keys.shape, dtype=bool)
@@ -258,15 +302,16 @@ def _side(
     L = _at_ends(running, ends)
     del running
     s = _at_ends(np.cumsum(nu), ends)
-    side = _Rearrangement(keys[ends], s, L)
-    for arr in side:  # kept and shared between calls (see _rearrange)
-        arr.setflags(write=False)
-    return side
+    keys = keys[ends]
+    keys.setflags(write=False)  # kept and shared between calls (see _rearrange)
+    curve = LorenzCurve(s.view(), L.view(), side, keys=keys)
+    object.__setattr__(curve, "_xy", (s, L))
+    return curve
 
 
 def _split(
     keys: np.ndarray, nu: np.ndarray, mass: np.ndarray | None = None
-) -> tuple[_Rearrangement, _Rearrangement]:
+) -> tuple[LorenzCurve, LorenzCurve]:
     """Both sides from ascending keys (NaN last) with each one's nu and mass.
 
     The negative side is the head below the first key >= 0, the positive
@@ -278,8 +323,8 @@ def _split(
     lo, end = np.searchsorted(keys, [0.0, np.nan])
     hi = np.searchsorted(keys, 0.0, side="right")
     pos, neg = (
-        _side(*(None if a is None else a[part][::step] for a in (keys, nu, mass)))
-        for part, step in ((slice(hi, end), -1), (slice(lo), 1))
+        _side(side, *(None if a is None else a[part][::step] for a in (keys, nu, mass)))
+        for side, part, step in ((POSITIVE, slice(hi, end), -1), (NEGATIVE, slice(lo), 1))
     )
     # a side's masses share one sign, so its running sum overflows when its
     # sum does; inf less inf would give the NaN gaps of a verdict that means
@@ -301,13 +346,13 @@ class _REGULAR:
 
 def _kept_sides(
     f: SampledDistribution, q: ReferenceDistribution | None
-) -> tuple[_Rearrangement, _Rearrangement] | None:
+) -> tuple[LorenzCurve, LorenzCurve] | None:
     return _kept.get(f, {}).get(_REGULAR if q is None else q)
 
 
 def _rearrange(
     f: SampledDistribution, q: ReferenceDistribution | None = None
-) -> tuple[_Rearrangement, _Rearrangement]:
+) -> tuple[LorenzCurve, LorenzCurve]:
     """The positive and negative rearrangements of f (see the module notes).
 
     GridMismatchError unless f and q share a grid; then the sides kept for
@@ -333,7 +378,7 @@ def _unordered(levels) -> list[np.ndarray]:
 
 def _build(
     f: SampledDistribution, q: ReferenceDistribution | None
-) -> tuple[_Rearrangement, _Rearrangement]:
+) -> tuple[LorenzCurve, LorenzCurve]:
     # runs on the worker of _ahead too, so it calls no public function; f
     # and q share a grid
     parts = f.factors
@@ -389,7 +434,7 @@ def _build(
 
 
 def _new_worker() -> None:
-    # the one thread of _ahead and _both, which ThreadPoolExecutor starts on
+    # the one thread of _ahead, which ThreadPoolExecutor starts on
     # the first submit; a forked child has no copy of its parent's, so it
     # makes its own
     global _worker
@@ -426,34 +471,9 @@ def _ahead(g: SampledDistribution, q: ReferenceDistribution | None, here: Callab
             _keep(g, q, later.result())
 
 
-def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
-    """Run first on the worker thread while this thread runs second.
-
-    Neither may wait on the other, and first calls no public function.
-    Returns once both have ended; first's error, if any, wins, as if it had
-    run before second.  With one usable CPU both run here, in that order.
-    """
-    if _cpus() < 2:
-        first()
-        second()
-        return
-    later = _worker.submit(first)
-    try:
-        second()
-    finally:
-        later.result()
-
-
-def _curves(
-    f: SampledDistribution, q: ReferenceDistribution | None
-) -> tuple[LorenzCurve, LorenzCurve]:
-    pos, neg = _rearrange(f, q)
-    return LorenzCurve(pos.s, pos.L, POSITIVE), LorenzCurve(neg.s, neg.L, NEGATIVE)
-
-
 def lorenz_curves(f: SampledDistribution) -> tuple[LorenzCurve, LorenzCurve]:
     """Positive and negative Lorenz curves of f on its truncated window."""
-    return _curves(f, None)
+    return _rearrange(f)
 
 
 def relative_lorenz_curves(
@@ -465,7 +485,7 @@ def relative_lorenz_curves(
     and f_i*dmu to L, so the endpoints (1 + NV and -NV for normalized f) do
     not depend on q.
     """
-    return _curves(f, q)
+    return _rearrange(f, q)
 
 
 def curves(f: SampledDistribution, q: ReferenceDistribution | None = None):
@@ -495,7 +515,7 @@ def piecewise_minus_integral(
     return float(np.minimum(f.values + _shift(u, q), 0.0).sum() * f.grid.cell_measure)
 
 
-def _shifted_integral(side: _Rearrangement, t: np.ndarray) -> np.ndarray:
+def _shifted_integral(side: LorenzCurve, t: np.ndarray) -> np.ndarray:
     """Integral of f - t*q over the cells of one side whose key lies beyond t.
 
     On the positive side, with t = u >= 0, that is the integral of

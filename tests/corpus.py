@@ -5,6 +5,7 @@ repository root with the package on the path::
 
     PYTHONPATH=src python tests/corpus.py --write before.json   # at the parent
     PYTHONPATH=src python tests/corpus.py --bitwise before.json # at the change
+    PYTHONPATH=src python tests/corpus.py --check tests/corpus/verdicts.json
 
 It records the ``repr`` of each case, section by section:
 
@@ -22,7 +23,14 @@ It records the ``repr`` of each case, section by section:
 
 It prints one line per section, the sha256 over its cases.  ``--bitwise``
 compares every case with a file that ``--write`` wrote and prints the
-cases that differ; it exits 1 if any does.
+cases that differ; it exits 1 if any does.  ``--check`` does the same but
+reads each float of a case within the tolerance ``TOLERANCE`` gives its
+field (the name before its ``=``), else ``SECTION_TOLERANCE`` its
+section, relative to the larger of 1 and its size, and leaves the
+digests of the files the CLI writes to ``--bitwise``; the rest of the
+case, outcomes, sides, flags and integers, must match exactly.
+``tests/corpus/verdicts.json`` is the file written at the parent of the
+change that last moved a value on purpose; such a change writes it again.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -54,6 +63,60 @@ from qmaj.rearrange import (  # noqa: E402
 
 # both signs of zero, thresholds on either side and NaN
 LEVELS = (0.0, -0.0, 1e-3, -1e-3, 0.05, -0.05, 0.2, -0.2, math.nan)
+
+# --check: the tolerance of each float by its field name, else by its
+# section; a witness's place and gap, and the Table 3 bracket ends, which
+# move by a bisection step (the resolution) when a verdict at a step flips;
+# the tolerances a result reports are its inputs
+TOLERANCE = {"s": 1e-9, "gap": 1e-9, "lower": 0.01, "upper": 0.01, "tolerance": 0.0, "resolution": 0.0}
+SECTION_TOLERANCE = {
+    "criterion3": 1e-9,
+    "outcomes": 0.0,
+    "statement4": 0.0,
+    "phi": 1e-12,
+    "levels": 1e-12,
+    "table3": 0.0,
+    # the truncation reports and decimated curve ends
+    "criterion7": 1e-9,
+    # the CLI's printed numbers, most of them to 6 digits
+    "cli": 1e-5,
+}
+
+# a float literal (or nan, inf) standing alone, or after an escaped newline
+_FLOAT = re.compile(
+    r"(?:(?<![\w.])|(?<=\\n))[-+]?(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+|nan|inf)(?![\w.])"
+)
+_FIELD = re.compile(r"(\w+)\*?=$")
+
+
+def _floats(section: str, text: str) -> tuple[list[str], list[tuple[str, float]]]:
+    """``text`` cut around its floats, and each float with its field."""
+    rest, found, at = [], [], 0
+    for m in _FLOAT.finditer(text):
+        rest.append(text[at : m.start()])
+        name = _FIELD.search(text, 0, m.start())
+        found.append((name.group(1) if name else section, float(m.group())))
+        at = m.end()
+    rest.append(text[at:])
+    return rest, found
+
+
+# the sha256 of a file the CLI wrote, which a rounding-level change moves
+_DIGEST = re.compile(r"'[0-9a-f]{64}'")
+
+
+def _close(section: str, before: str | None, now: str | None) -> bool:
+    if before is None or now is None:
+        return before == now
+    before, now = (_DIGEST.sub("'<file>'", text) for text in (before, now))
+    (rest_a, a), (rest_b, b) = _floats(section, before), _floats(section, now)
+    if rest_a != rest_b or [k for k, _ in a] != [k for k, _ in b]:
+        return False
+    for (field, x), (_, y) in zip(a, b):
+        tol = TOLERANCE.get(field, SECTION_TOLERANCE[section])
+        if not (x == y or (x != x and y != y) or abs(x - y) <= tol * max(1.0, abs(x), abs(y))):
+            return False
+    return True
 
 
 def _verdicts(out: dict) -> None:
@@ -123,6 +186,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", help="write every case's repr to this JSON file")
     parser.add_argument("--bitwise", help="compare every case with this JSON file")
+    parser.add_argument(
+        "--check", help="compare every case with this JSON file, floats within TOLERANCE"
+    )
     args = parser.parse_args(argv)
     out = {name: {} for name in SECTIONS}
     for collect in (_verdicts, _table3, _criterion7, _cli):
@@ -132,22 +198,25 @@ def main(argv=None) -> int:
         print(f"{name} {len(out[name])} {hashlib.sha256(text).hexdigest()}")
     if args.write:
         Path(args.write).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    if not args.bitwise:
-        return 0
-    before = json.loads(Path(args.bitwise).read_text())
-    differ = [
-        (name, case)
-        for name in SECTIONS
-        for case in sorted(set(before.get(name, {})) | set(out[name]))
-        if before.get(name, {}).get(case) != out[name].get(case)
-    ]
-    for name, case in differ:
-        print(f"differs: {name}: {case}")
-        print(f"  before: {before.get(name, {}).get(case)}")
-        print(f"  now:    {out[name].get(case)}")
-    print(f"bitwise: {'no case differs' if not differ else f'{len(differ)} cases differ'}")
-    return 1 if differ else 0
-
+    status = 0
+    for mode, path in (("bitwise", args.bitwise), ("check", args.check)):
+        if not path:
+            continue
+        before = json.loads(Path(path).read_text())
+        same = (lambda name, a, b: a == b) if mode == "bitwise" else _close
+        differ = [
+            (name, case)
+            for name in SECTIONS
+            for case in sorted(set(before.get(name, {})) | set(out[name]))
+            if not same(name, before.get(name, {}).get(case), out[name].get(case))
+        ]
+        for name, case in differ:
+            print(f"differs: {name}: {case}")
+            print(f"  before: {before.get(name, {}).get(case)}")
+            print(f"  now:    {out[name].get(case)}")
+        print(f"{mode}: {'no case differs' if not differ else f'{len(differ)} cases differ'}")
+        status |= bool(differ)
+    return status
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -45,6 +45,8 @@ from qmaj.grids import DiscreteSpace, GridSpec, ReferenceDistribution, SampledDi
 from qmaj.monotones import phi_functional
 from qmaj.rearrange import LorenzCurve, curves
 
+compare_module = importlib.import_module("qmaj.compare")
+
 
 def test_reflexivity(fock):
     assert compare(fock[2], fock[2]).outcome is Outcome.EQUIVALENT
@@ -414,6 +416,10 @@ BAND = 0.5 * (1.0 + STRICTNESS) * EPS  # fails by more than eps, at most strict
          (1.0, "positive", np.nan), (1.0, "positive", np.nan)),
         (EPS, ([0, 1.0],), ([0, np.nan],), Outcome.INCOMPARABLE,
          (1.0, "positive", np.nan), (1.0, "positive", np.nan)),
+        # a curve that is not monotone bounds no block by its ends, so the
+        # gap between two equal ends is read
+        (EPS, ([0, 0.3, 0.0, 0.0],), ([0, 0.0, 0.0, 0.0],), Outcome.MAJORIZES,
+         (1.0, "positive", 0.3), None),
         # with eps = 0 every gap is strict and only equal curves are equivalent
         (0.0, ([0, 1.0],), ([0, 1.0],), Outcome.EQUIVALENT, None, None),
         (0.0, ([0, 1.0 + 1e-12],), ([0, 1.0],), Outcome.MAJORIZES,
@@ -426,7 +432,7 @@ BAND = 0.5 * (1.0 + STRICTNESS) * EPS  # fails by more than eps, at most strict
     ids=[
         "majorizes", "majorizes_negative_side", "majorized_by", "equivalent",
         "noise_band_forward", "noise_band_backward", "incomparable",
-        "incomparable_nan", "nan_f_positive", "nan_g_positive",
+        "incomparable_nan", "nan_f_positive", "nan_g_positive", "not_monotone",
         "eps0_equivalent", "eps0_majorizes", "eps0_majorized_by",
         "eps0_incomparable",
     ],
@@ -520,27 +526,31 @@ def test_own_breakpoints_read_as_the_merged_ones(
     _assert_reads_as_merged(pairs)
 
 
-# ties, signed zeros, and reference weights too small to move s (1e-300 and
-# 3e-17 after a weight of 1 leave zero-width segments)
-_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.25])
+# ties, signed zeros, magnitudes too small to move L past 1 (plateaus and
+# flat tails), and reference weights too small to move s (1e-300 and 3e-17
+# after a weight of 1 leave zero-width segments)
+_VALUES = st.sampled_from(
+    [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.25, 1e-17, -1e-17, 1e-300, -1e-300]
+)
 _WEIGHTS = st.sampled_from([1.0, 0.5, 2.0, 3e-17, 1e-300])
 
 
 @st.composite
 def _discrete_curve_pairs(draw):
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
     values = st.lists(_VALUES | st.floats(-4.0, 4.0), min_size=n, max_size=n)
     space = DiscreteSpace(n)
     q = draw(st.none() | st.lists(_WEIGHTS, min_size=n, max_size=n))
     ref = None if q is None else ReferenceDistribution(space, np.array(q))
     pairs = [list(curves(SampledDistribution(space, np.array(draw(values))), ref)) for _ in "fg"]
     # hand-built: a NaN in L, or a zero-width step whose first breakpoint
-    # is not where np.interp reads the curve
+    # is not where np.interp reads the curve, and which may make L not
+    # monotone
     for pair in pairs:
         k = draw(st.integers(0, 1))
         s, L = pair[k].s, pair[k].L.copy()
         at = draw(st.integers(0, len(s) - 1))
-        how = draw(st.sampled_from(["drawn", "nan", "step"]))
+        how = draw(st.sampled_from(["drawn", "drawn", "nan", "step"]))
         if how == "nan":
             L[at] = np.nan
         elif how == "step":
@@ -549,23 +559,66 @@ def _discrete_curve_pairs(draw):
     return tuple(pairs[0]), tuple(pairs[1])
 
 
+def _plateau(c: LorenzCurve) -> bool:
+    # two distinct breakpoints in a row with one L
+    return bool(((np.diff(c.s) > 0) & (np.diff(c.L) == 0)).any())
+
+
 def test_own_breakpoints_read_as_the_merged_ones_on_discrete_curves():
-    seen = {"zero_width": False, "nan": False}
+    # every block size from 1 up to past the longest curve, on sound curves
+    # and on curves that are not
+    seen = dict.fromkeys(["zero_width", "nan", "plateau", "unsound", "one", "past"], False)
 
     @settings(max_examples=300)
-    @given(_discrete_curve_pairs())
-    def check(pair):
+    @given(_discrete_curve_pairs(), st.data())
+    def check(pair, data):
         cf, cg = pair
+        longest = max(len(c.s) for c in cf + cg)
+        size = data.draw(st.integers(1, longest + 2))
         for c in cf + cg:
             seen["zero_width"] |= bool((np.diff(c.s) == 0).any())
             seen["nan"] |= bool(np.isnan(c.L).any())
-        for cpus in (2, 1):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(rearrange, "_cpus", lambda: cpus)
-                _assert_reads_as_merged([pair])
+            seen["plateau"] |= _plateau(c)
+            seen["unsound"] |= not c._blocks(size).sound
+        seen["one"] |= size == 1
+        seen["past"] |= size > longest
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compare_module, "BLOCK", size)
+            _assert_reads_as_merged([pair])
 
     check()
     assert all(seen.values()), seen
+
+
+def test_plateau_extreme_sits_at_its_first_breakpoint(monkeypatch):
+    # both positive curves flat from s = 2 on, 0.1 apart: the largest gap
+    # is the plateau's, and blocks where both curves are flat are not read,
+    # so the witness is the first of the plateau's breakpoints at every size
+    n = 40
+    f = np.minimum(np.arange(n) * 0.5, 1.0)
+    g = np.minimum(np.arange(n) * 0.5, 0.9)
+    cf, cg = _curve_pair(f), _curve_pair(g)
+    for size in range(1, n + 2):
+        monkeypatch.setattr(compare_module, "BLOCK", size)
+        verdict = compare_curve_pairs(cf, cg)
+        assert verdict.outcome is Outcome.MAJORIZES
+        assert verdict.witness == Witness(2.0, "positive", 1.0 - 0.9)
+        _assert_reads_as_merged([(cf, cg), (cg, cf)])
+
+
+def test_witness_band_reaches_into_blocks(monkeypatch):
+    # on curves of size 1e-3 the 8-eps band is thousands of ulps wide: the
+    # gaps at s = 5..8 lie 1e-16 below the largest one, within the band, and
+    # those at s = 2..4 lie 4e-15 below, outside it, so at small block sizes
+    # the first near gap sits inside a block whose first end is not near
+    f = np.full(40, 1e-3)
+    f[:9] = [0.0, 0.5e-3, *[1e-3 - 4e-15] * 3, *[1e-3 - 1e-16] * 4]
+    g = np.minimum(np.arange(40) * 0.5e-3, 0.9e-3)
+    cf, cg = _curve_pair(f), _curve_pair(g)
+    for size in range(1, 12):
+        monkeypatch.setattr(compare_module, "BLOCK", size)
+        assert compare_curve_pairs(cf, cg, eps_cmp=0.0).witness.s == 5.0
+        _assert_reads_as_merged([(cf, cg), (cg, cf)])
 
 
 @pytest.mark.skipif(
@@ -690,21 +743,22 @@ def test_pairs_call_public_functions_on_the_calling_thread_only(
     assert sum(name == "curves" for name, _ in calls) == 2 * len(cases)
     # and the worker did build: every rearrangement ends in a _split
     assert {thread != here for thread in splits} == {True, False}
-    # a direct dominance check reads f's pair on the worker, one
-    # interpolation of g's curve per side, and g's pair here
+    # a direct dominance check reads both pairs here: the block ends of
+    # each of the four curves, then the blocks that can decide the verdict
     calls.clear()
     monkeypatch.setattr(np, "interp", record_interp)
     for cf, cg in pairs:
         reads.clear()
         qmaj.compare_curve_pairs(cf, cg)  # the wrapped copy
-        assert len(reads) == 4 and reads.count(here) == 2
+        assert len(reads) >= 4 and set(reads) == {here}
     assert [name for name, _ in calls] == ["compare_curve_pairs"] * len(pairs)
     assert all(thread == here for _, thread in calls)
 
 
 def test_dominance_check_memory(two_cpus, fock, zoo, half_grid):
-    # the two readings hold their interpolations at once, on top of the
-    # gaps, so the check's peak stays within 3 times its four curves
+    # a first check cuts the four curves into blocks and reads only the
+    # blocks that can decide it, so its peak stays within 3 times its four
+    # curves
     q = states.reference("thermal(nbar=2.9)", half_grid)
     cases = [
         (fock[5], fock[0], q),
