@@ -7,16 +7,13 @@ Verdicts are four-way: with a finite comparison tolerance eps a direction
 strict dominance only when some gap exceeds ``STRICTNESS * eps`` (separating
 real dominance from quadrature noise).
 
-Both checks read the weighted rearrangements of ``qmaj.rearrange``:
-``compare`` the Lorenz curves (s, L) of each side, whose gaps are taken at
-every breakpoint of either curve, each curve at its own and the other
-interpolated there, though a verdict reads only the blocks of breakpoints
-that can decide it and every gap it reads is bitwise the full reading's
-(``compare_curve_pairs``);
-``statement4_check`` the sorted keys f/q with the same (s, L), through
-``_shifted_integral``, at u = 0 and at every key of f and of g, where its
-sides kink.  Both decide f's signed gaps over g by the same rule, so
-statement 4's flags are the direction flags of ``compare``.
+Both read f's signed gaps over g off the rearrangements of ``qmaj.rearrange``
+by one rule: ``compare`` at every breakpoint of either Lorenz curve (s, L)
+of a side, each curve at its own and the other interpolated there;
+``statement4_check`` at u = 0 and at every key of f and of g, where its
+shifted integrals kink, so its flags are ``compare``'s direction flags.
+Each reads only the blocks of points that can decide it, and each gap it
+reads is bitwise the full reading's (``_readings``).
 """
 
 from __future__ import annotations
@@ -157,12 +154,13 @@ BLOCK = 256
 
 
 class _Reading:
-    """f's gaps over g at the breakpoints of one curve cut into blocks,
-    ``own`` (``rearrange._cut``), with the other function's curve of that
-    side, ``other``, read there: f's positive curve less g's, g's negative
-    less f's, so a gap at a breakpoint of both is bitwise the same in either
-    reading.  ``lo`` and ``hi`` bound each block's gaps (infinite unless both
-    curves are sound); ``done`` flags blocks read or all equal their first."""
+    """f's gaps over g at the points of one function's side cut into blocks,
+    ``own`` (``rearrange._cut``), with the other's side of that sign,
+    ``other``, read there (interpolated, or as shifted integrals at kinks):
+    f's positive side less g's, g's negative less f's, so a gap at a point of
+    both is bitwise the same in either reading.  ``lo`` and ``hi`` bound each
+    block's gaps (infinite unless both sides are sound); ``done`` flags
+    blocks read or all equal their first."""
 
     def __init__(self, own, other: LorenzCurve, other_cut, own_first: bool):
         self.own, self.other, self.own_first = own, other, own_first
@@ -172,23 +170,41 @@ class _Reading:
         self.lo, self.hi = -np.inf, np.inf
         if not (own.sound and other_cut.sound):
             return
+        slack, e = 2 * (own.pad + other_cut.pad), own.ends
+        if own.t is not None:
+            # a gap's slope in t, the other's s less the own s, lies within its
+            # ends' values, so the gaps lie within half the steepest times the
+            # width of the ends' mean, give or take the pads; where both L are
+            # flat and no t*s (at most first |t| by last s) moves them, all match
+            t, k = own.t[e], np.searchsorted(other._search, -np.abs(own.t[e]), "left")
+            sa, sb, la, lb, g = own.s[e], other.s[k], own.L[e], other.L[k], self.gaps[0]
+            steep = np.maximum(abs(sb[1:] - sa[:-1]), abs(sb[:-1] - sa[1:])) * abs(np.diff(t))
+            half = (0.5 + 4 * np.finfo(float).eps) * steep + slack
+            self.lo, self.hi = (g[:-1] + g[1:]) / 2 - half, (g[:-1] + g[1:]) / 2 + half
+            self.done = (la[:-1] == la[1:]) & (la[1:] - t[:-1] * sa[1:] == la[1:])
+            self.done &= (lb[:-1] == lb[1:]) & (lb[1:] - t[:-1] * sb[1:] == lb[1:])
+            return
         # monotone curves keep a block's gaps between its ends' minuends less
         # its ends' subtrahends, up to np.interp's rounding and these bounds'
-        slack = 2 * (own.pad + other_cut.pad)
         self.lo = np.minimum(a[:-1], a[1:]) - np.maximum(z[:-1], z[1:]) - slack
         self.hi = np.maximum(a[:-1], a[1:]) - np.minimum(z[:-1], z[1:]) + slack
         # where both curves are flat np.interp reads one knot's L, so every
         # gap of the block equals its first one, which stands in for them
-        flat = np.flatnonzero(np.diff(own.L[own.ends]) == 0)
-        j = np.searchsorted(other.s, own.s[own.ends[flat]], "right") - 1
-        k = np.searchsorted(other.s, own.s[own.ends[flat + 1]], "right")
+        flat = np.flatnonzero(np.diff(own.L[e]) == 0)
+        j = np.searchsorted(other.s, own.s[e[flat]], "right") - 1
+        k = np.searchsorted(other.s, own.s[e[flat + 1]], "right")
         self.done[flat] = other.L[np.maximum(j, 0)] == other.L[np.minimum(k, len(other.s) - 1)]
 
     def _read(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mine = self.own.L[at]
-        read = np.interp(self.own.s[at], *self.other._xy)
+        own = self.own
+        if own.t is None:
+            where, mine = own.s[at], own.L[at]
+            read = np.interp(where, *self.other._xy)
+        else:
+            where = own.t[at]
+            mine, read = own.L[at] - where * own.s[at], _shifted_integral(self.other, where)
         a, z = (mine, read) if self.own_first else (read, mine)
-        self.at.append(self.own.s[at])
+        self.at.append(where)
         self.gaps.append(a - z)
         return a, z
 
@@ -205,6 +221,25 @@ class _Reading:
         at = self.own.ends[k, None] + np.arange(1, self.own.size)
         self._read(at[at < self.own.ends[k + 1, None]])
         self.done |= blocks
+
+
+def _readings(sides_f, sides_g, eps_cmp: float, kinks: bool = False) -> list[_Reading]:
+    """f's gaps over g, read in blocks of ``BLOCK`` until none is wanted."""
+    four = (*sides_f, *sides_g)
+    cut = [c._blocks(BLOCK, kinks) for c in four]
+    # f's and g's positive sides, then their negative ones
+    readings = [
+        _Reading(cut[i], four[j], cut[j], first)
+        for i, j, first in ((0, 2, True), (2, 0, False), (1, 3, False), (3, 1, True))
+    ]
+    while True:
+        least = min(g.min(initial=np.inf) for r in readings for g in r.gaps)
+        most = max(g.max(initial=-np.inf) for r in readings for g in r.gaps)
+        wanted = [r.wanted(least, most, eps_cmp) for r in readings]
+        if not any(w.any() for w in wanted):
+            return readings
+        for r, w in zip(readings, wanted):
+            r.take(w)
 
 
 def compare_curve_pairs(
@@ -225,21 +260,7 @@ def compare_curve_pairs(
     ``STRICTNESS * eps_cmp`` (the noise band), the verdict is equivalent.
     """
     _require_tolerance("eps_cmp", eps_cmp)
-    four = (*curves_f, *curves_g)
-    cut = [c._blocks(BLOCK) for c in four]
-    # f's and g's positive curves, then their negative ones
-    readings = [
-        _Reading(cut[i], four[j], cut[j], first)
-        for i, j, first in ((0, 2, True), (2, 0, False), (1, 3, False), (3, 1, True))
-    ]
-    while True:
-        least = min(g.min(initial=np.inf) for r in readings for g in r.gaps)
-        most = max(g.max(initial=-np.inf) for r in readings for g in r.gaps)
-        wanted = [r.wanted(least, most, eps_cmp) for r in readings]
-        if not any(w.any() for w in wanted):
-            break
-        for r, w in zip(readings, wanted):
-            r.take(w)
+    readings = _readings(curves_f, curves_g, eps_cmp)
     gaps = np.concatenate([g for r in readings for g in r.gaps])
     at = np.concatenate([s for r in readings for s in r.at])
     split = sum(len(g) for r in readings[:2] for g in r.gaps)
@@ -277,21 +298,6 @@ class Statement4Result(NamedTuple):
     backward: bool
 
 
-def _kink_gaps(a: LorenzCurve, b: LorenzCurve) -> np.ndarray:
-    """a's shifted integral less b's, both of one side, at 0 and at every key.
-
-    Between keys both integrals are linear in u, and past the largest |key|
-    both vanish, so these gaps decide the sign for every u >= 0.  Each
-    function's own keys need no search (see ``_shifted_integral``).
-    """
-    at = np.append(a.keys, 0.0)
-    own_b = b.L[:-1] - b.keys * b.s[:-1]
-    return np.concatenate([
-        a.L - at * a.s - _shifted_integral(b, at),
-        _shifted_integral(a, b.keys) - own_b,
-    ])
-
-
 def statement4_check(
     f: SampledDistribution,
     g: SampledDistribution,
@@ -303,25 +309,24 @@ def statement4_check(
 
     Direction f over g requires, for every u >= 0, that the integral of
     (f-uq)+ is at least that of (g-uq)+ and the integral of (f+uq)- is at
-    most that of (g+uq)-.  Each side is evaluated at u = 0 and at every
-    |key| of f and of g on that side, where it kinks, so the check is exact
-    on the sampled functions.  f's signed gaps over g, both sides, are read
-    by ``_verdict``'s rule: forward holds when the smallest is >= -eps_cmp,
-    backward when the largest is <= eps_cmp.  The shifted integrals are the
-    conjugates of the Lorenz curves, so these are ``compare``'s direction
-    flags, reached by integrating the shifted parts where ``compare``
-    interpolates curves: the check cross-validates it.
-    ``piecewise_plus_integral`` and ``piecewise_minus_integral`` give the
-    sides at any u from their definition.  Like ``compare``, raises
+    most that of (g+uq)-.  The sides kink only at u = 0 and at the |keys|
+    of f and of g on them, so f's signed gaps over g there decide, by
+    ``_verdict``'s rule: forward holds when the smallest is >= -eps_cmp,
+    backward when the largest is <= eps_cmp.  Only the blocks of ``BLOCK``
+    kinks that can decide are read (``rearrange._cut``): the flags are the
+    full reading's, and each gap read, the extremes beyond eps_cmp among
+    them, is bitwise the full reading's.  The shifted integrals are the
+    conjugates of the Lorenz curves, so this cross-validates ``compare``;
+    ``piecewise_plus_integral`` and ``piecewise_minus_integral`` give them
+    at any u from their definition.  Like ``compare``, raises
     NormalizationError when the total integrals differ by more than
     eps_norm, and builds g's rearrangement during f's (``rearrange._ahead``).
     """
     _require_tolerance("eps_cmp", eps_cmp)
     _require_equal_totals(f, g, eps_norm)
-    pf, nf = _ahead(g, q, lambda: _rearrange(f, q))
-    pg, ng = _rearrange(g, q)
-    # f over g needs (f+uq)- below (g+uq)-, so the negative side is g's less f's
-    gaps = np.concatenate([_kink_gaps(pf, pg), _kink_gaps(ng, nf)])
+    sides_f = _ahead(g, q, lambda: _rearrange(f, q))
+    readings = _readings(sides_f, _rearrange(g, q), eps_cmp, kinks=True)
+    gaps = np.concatenate([x for r in readings for x in r.gaps])
     return Statement4Result(bool(gaps.min() >= -eps_cmp), bool(gaps.max() <= eps_cmp))
 
 

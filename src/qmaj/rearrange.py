@@ -40,16 +40,16 @@ Kept: ``_rearrange(f, q)`` keeps the sides it returns, and returns them
 again for the same f and q objects (q = None for the regular ones, kept
 under ``_REGULAR``) rather than building them anew.  A side is a
 ``LorenzCurve`` with its keys, which keeps its blocks for the dominance
-check (``LorenzCurve._blocks``).  A function and a reference are
-immutable, their arrays read-only, and they compare by identity, so the
-kept sides are bitwise what a new build would give; their arrays are
-read-only too.  The table is keyed weakly on f, and within f's
-entry weakly on q, so an entry lives exactly as long as both its f and its
-q: a scan's reference, rendered for one verdict, takes its operands' sides
-against it along when it dies, and f never keeps q alive.  Instances hold
-no part of it, so pickling and copying them are unchanged.  Only calling
-threads read or write the table, in ``_rearrange`` and ``_ahead``; the
-worker's ``_build`` never does.
+check and statement 4 (``LorenzCurve._blocks``) and its -|keys|.  A
+function and a reference are immutable, their arrays read-only, and they
+compare by identity, so the kept sides are bitwise what a new build would
+give; their arrays are read-only too.  The table is keyed weakly on f, and
+within f's entry weakly on q, so an entry lives exactly as long as both its
+f and its q: a scan's reference, rendered for one verdict, takes its
+operands' sides against it along when it dies, and f never keeps q alive.
+Instances hold no part of it, so pickling and copying them are unchanged.
+Only calling threads read or write the table, in ``_rearrange`` and
+``_ahead``; the worker's ``_build`` never does.
 
 Product rule: when f = f1 x f2 keeps its factors (a rendered ``tensor``)
 and q is absent or a product q1 x q2 over the same modes, the level sets of
@@ -81,11 +81,11 @@ differently from the cell sort.
 
 * ``lorenz_curves`` and ``relative_lorenz_curves`` give both sides, each
   (s, L) a piecewise-linear curve, concave (positive) or convex (negative).
-* ``_shifted_integral`` reads one side's sorted keys with its (s, L) to
-  give the integral of (f - u*q)+ (positive side) or (f + u*q)- (negative
-  side) for many u by binary search.  These sides kink only at the keys, so
-  ``compare.statement4_check`` evaluates them at u = 0 and at every key of
-  both functions, each function at its own keys with no search.
+* ``_shifted_integral`` searches one side's keys, through the -|keys| it
+  keeps, to give with its (s, L) the integral of (f - u*q)+ (positive side)
+  or (f + u*q)- (negative side) for many u.  These sides kink only at the
+  keys, so ``compare.statement4_check`` reads them at u = 0 and at every key
+  of both functions, in the blocks of kinks that can decide it (``_cut``).
 * ``piecewise_plus_integral`` and ``piecewise_minus_integral`` evaluate the
   same integrals from their definition, with no sort, as the reference.
 
@@ -100,6 +100,7 @@ import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -185,13 +186,16 @@ class LorenzCurve:
     def final(self) -> float:
         return float(self.L[-1])
 
-    def _blocks(self, size: int) -> "_Blocks":
-        """``_cut(self, size)``, kept on the curve for the last size asked."""
-        kept = self.__dict__.get("_kept_blocks")
+    def _blocks(self, size: int, kinks: bool = False) -> "_Blocks":
+        """``_cut(self, size, kinks)``, kept on the curve for the last size asked."""
+        name = "_kept_kinks" if kinks else "_kept_blocks"
+        kept = self.__dict__.get(name)
         if kept is None or kept.size != size:
-            kept = _cut(self, size)
-            object.__setattr__(self, "_kept_blocks", kept)
+            kept = _cut(self, size, kinks)
+            object.__setattr__(self, name, kept)
         return kept
+
+    _search = cached_property(lambda self: -np.abs(self.keys))  # what _shifted_integral searches
 
     def decimated(self, max_points: int = 100_000) -> "LorenzCurve":
         """Subsample breakpoints, tracking the exact sup-norm error incurred.
@@ -244,9 +248,10 @@ class _Blocks(NamedTuple):
     ends: np.ndarray
     sound: bool
     pad: float
+    t: np.ndarray | None = None  # statement 4's kinks (``_cut``)
 
 
-def _cut(c: LorenzCurve, size: int) -> _Blocks:
+def _cut(c: LorenzCurve, size: int, kinks: bool = False) -> _Blocks:
     """c's distinct breakpoints (s, L), each the last of its run of equal s
     as np.interp reads them, cut into blocks of ``size``: block k runs from
     index ends[k] to ends[k + 1] (see ``compare.compare_curve_pairs``).
@@ -256,15 +261,35 @@ def _cut(c: LorenzCurve, size: int) -> _Blocks:
     polyline through its breakpoints: the slope, its product with x - s_j
     and the sum with L_j round by 12 ulps of max |L| at most, and a slope
     that underflows errs by 2**-1074 (x - s_j) at most.
+
+    With ``kinks`` the points are statement 4's on a side c (``_side``): point
+    i at t = keys[i] (t = 0 for i = n), valued L[i] - t*s[i], the shifted
+    integral there.  On c's floats P(t) = L[k] - t*s[k], k the count of keys
+    beyond t, has slope -s[k] and steps by d_j = L[j+1] - L[j] - keys[j]
+    (s[j+1] - s[j]), rounding only, past key j.  ``sound`` when every |s|,
+    |L| and m = max |keys[j]| s[j+1] is below 2**1000: then |t*s[k]| <= m
+    wherever a side reads c (|t| < |keys[k-1]|), so a value rounds within
+    2.01 u (max |L| + m) of P, u = 2**-53.  The rounded sum of |d_j| is at
+    least D = sum |d_j| less 0.001 D + 6.1 u max |L|, so ``pad`` covers D,
+    those roundings and underflow: D + 16 eps (max |L| + m) + 2**-1072 (n + 2).
     """
-    last = np.append(c.s[1:] != c.s[:-1], True)
-    s, L = (c.s, c.L) if last.all() else (c.s[last], c.L[last])
+    if kinks:
+        s, L = c.s, c.L
+    else:
+        last = np.append(c.s[1:] != c.s[:-1], True)
+        s, L = (c.s, c.L) if last.all() else (c.s[last], c.L[last])
     ends = np.append(np.arange(0, len(s) - 1, size), len(s) - 1)
     # a monotone curve's largest |s| and |L| sit at its ends, and a segment
     # rises by 2 * scale at most over 2**-53 of the least positive s at least
     reach, scale = max(abs(c.s[0]), abs(c.s[-1])), max(abs(c.L[0]), abs(c.L[-1]))
     with np.errstate(invalid="ignore", over="ignore"):
         sound = s[0] >= 0 and reach < 2.0**1000 > scale
+        if kinks:
+            most = -float((c._search * s[1:]).min(initial=0.0))
+            pad = float(np.abs(np.diff(L) - np.diff(s) * c.keys).sum()) + 2.0**-1072 * (len(s) + 1)
+            pad += 16 * np.finfo(float).eps * (scale + most)
+            sound = sound and most < 2.0**1000
+            return _Blocks(size, s, L, ends, bool(sound), pad, np.append(c.keys, 0.0))
         sound = sound and (len(s) < 2 or 2 * scale < s[int(s[0] == 0)] * 2.0**947)
         if sound and c._xy[0] is c.s:  # not a side: check that it is monotone
             rise = np.diff(c.L)
@@ -516,17 +541,12 @@ def piecewise_minus_integral(
 
 
 def _shifted_integral(side: LorenzCurve, t: np.ndarray) -> np.ndarray:
-    """Integral of f - t*q over the cells of one side whose key lies beyond t.
-
-    On the positive side, with t = u >= 0, that is the integral of
-    (f - u*q)+; on the negative side, with t = -u <= 0, that of (f + u*q)-.
-    The cells counted are those whose key f/q lies strictly farther from 0
-    than t: the first k runs of the side, so the integral is L[k] - t*s[k],
-    and at the side's own key i it is L[i] - key*s[i].  The lookup searches
-    the keys, not the curve slopes: a weight too small to move s leaves a
-    zero-width segment whose slope is undefined.
-    """
-    k = np.searchsorted(-np.abs(side.keys), -np.abs(t), side="left")
+    """Integral of f - t*q over the cells of a side whose key f/q lies beyond
+    t: of (f - u*q)+ on the positive side, t = u >= 0, and of (f + u*q)- on
+    the negative side, t = -u <= 0.  They are the first k runs, so it is
+    L[k] - t*s[k], k found among the keys, not the slopes: a weight too
+    small to move s leaves a zero-width segment whose slope is undefined."""
+    k = np.searchsorted(side._search, -np.abs(t), side="left")
     return side.L[k] - t * side.s[k]
 
 

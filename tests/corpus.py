@@ -11,7 +11,10 @@ It records the ``repr`` of each case, section by section:
 
 * ``criterion3``: the 19 criterion-3 verdicts (perfbench's ``CRITERION3``),
   and ``outcomes`` their outcomes alone;
-* ``statement4``: the ``statement4_check`` flags of the same pairs;
+* ``statement4``: the ``statement4_check`` flags of the same pairs both
+  ways round, and of fock:n and fock:0 both ways round relative to the
+  thermal references at both ends of each Table 3 bracket, where a
+  direction fails by 10 to 30 eps;
 * ``phi``: ``phi_functional`` of each distinct pair (the ``session`` ops);
 * ``levels``: D_f and C_f of each criterion-3 state at the thresholds
   ``LEVELS``;
@@ -134,6 +137,7 @@ def _verdicts(out: dict) -> None:
         out["criterion3"][case] = repr(verdict)
         out["outcomes"][case] = verdict.outcome.value
         out["statement4"][case] = repr(statement4_check(a, b, q))
+        out["statement4"][f"{g} | {f} | {ref}"] = repr(statement4_check(b, a, q))
     for f, g in dict.fromkeys((f, g) for f, g, _, _ in CRITERION3):
         out["phi"][f"{f} | {g}"] = repr(phi_functional(rendered[f], rendered[g]))
     for text, h in rendered.items():
@@ -147,8 +151,14 @@ def _table3(out: dict) -> None:
     family = states.thermal_reference_family(grid)
     vac = states.render(FOCK[0], grid)
     for n in TABLE3:
-        result = scan_threshold(states.render(FOCK[n], grid), vac, family, (0.1, 3.5), resolution=0.01)
+        fn = states.render(FOCK[n], grid)
+        result = scan_threshold(fn, vac, family, (0.1, 3.5), resolution=0.01)
         out["table3"][f"fock:{n}"] = repr(result)
+        for nbar in (result.lower, result.upper):
+            ref = f"thermal(nbar={nbar!r})"
+            q = family(nbar)
+            out["statement4"][f"{FOCK[n]} | {FOCK[0]} | {ref}"] = repr(statement4_check(fn, vac, q))
+            out["statement4"][f"{FOCK[0]} | {FOCK[n]} | {ref}"] = repr(statement4_check(vac, fn, q))
 
 
 def _criterion7(out: dict) -> None:

@@ -23,6 +23,7 @@ import qmaj
 from qmaj import grids, rearrange, states
 from qmaj.compare import (
     DEFAULT_EPS_CMP,
+    DEFAULT_EPS_NORM,
     PRESCAN,
     STRICTNESS,
     MajorizationVerdict,
@@ -512,13 +513,8 @@ def table3_steps(half_grid):
     return steps
 
 
-@pytest.mark.parametrize("cpus", [2, 1])
-def test_own_breakpoints_read_as_the_merged_ones(
-    cpus, fock, zoo, vacuum_ref, half_grid, table3_steps, monkeypatch
-):
-    # every gap, both extremes and every witness, bitwise, on the worker
-    # thread and inline
-    monkeypatch.setattr(rearrange, "_cpus", lambda: cpus)
+def test_own_breakpoints_read_as_the_merged_ones(fock, zoo, vacuum_ref, half_grid, table3_steps):
+    # every gap, both extremes and every witness, bitwise
     pairs = []
     for f, g, q in _criterion3_cases(fock, zoo, vacuum_ref, half_grid) + table3_steps:
         cf, cg = curves(f, q), curves(g, q)
@@ -619,6 +615,119 @@ def test_witness_band_reaches_into_blocks(monkeypatch):
         monkeypatch.setattr(compare_module, "BLOCK", size)
         assert compare_curve_pairs(cf, cg, eps_cmp=0.0).witness.s == 5.0
         _assert_reads_as_merged([(cf, cg), (cg, cf)])
+
+
+# (own side, other side, own first) of statement 4's four readings, the
+# sides numbered f's positive, f's negative, g's positive, g's negative
+_KINK_READINGS = ((0, 2, True), (2, 0, False), (1, 3, False), (3, 1, True))
+
+
+def _full_kink_reading(own, other, own_first):
+    """Statement 4 read at every kink of ``own`` (its keys, then 0): own's
+    shifted integrals less the other's, each L[k] - t*s[k] with the other's
+    k found by searching its -|keys|, f's less g's (g's less f's on the
+    negative side).  Returns the kinks and the gaps."""
+    t = np.append(own.keys, 0.0)
+    k = np.searchsorted(-np.abs(other.keys), -np.abs(t), side="left")
+    mine, read = own.L - t * own.s, other.L[k] - t * other.s[k]
+    return t, mine - read if own_first else read - mine
+
+
+def _assert_kinks_read_as_all(f, g, q, eps_norm=DEFAULT_EPS_NORM) -> None:
+    """statement4_check and its blocked reading against the full one, at
+    every eps of ORACLE_EPS: the same flags, each gap read bitwise the full
+    reading's at its kink, and each extreme beyond eps bitwise too."""
+    sides_f, sides_g = curves(f, q), curves(g, q)
+    four = (*sides_f, *sides_g)
+    full = [_full_kink_reading(four[i], four[j], first) for i, j, first in _KINK_READINGS]
+    want = np.concatenate([gaps for _, gaps in full])
+    for eps in ORACLE_EPS:
+        flags = (bool(want.min() >= -eps), bool(want.max() <= eps))
+        assert tuple(statement4_check(f, g, q, eps_cmp=eps, eps_norm=eps_norm)) == flags
+        readings = compare_module._readings(sides_f, sides_g, eps, kinks=True)
+        for r, (at, gaps) in zip(readings, full):
+            i = np.searchsorted(-np.abs(at), -np.abs(np.concatenate(r.at)))
+            assert at[i].tobytes() == np.concatenate(r.at).tobytes()
+            assert gaps[i].tobytes() == np.concatenate(r.gaps).tobytes()
+        got = np.concatenate([x for r in readings for x in r.gaps])
+        if not flags[0]:
+            assert got.min().tobytes() == want.min().tobytes()
+        if not flags[1]:
+            assert got.max().tobytes() == want.max().tobytes()
+
+
+def test_kinks_read_as_all_of_them(fock, zoo, vacuum_ref, half_grid, table3_steps):
+    # the criterion-3 cases both ways round and the Table 3 steps, where a
+    # direction fails by 10 to 30 eps
+    for f, g, q in _criterion3_cases(fock, zoo, vacuum_ref, half_grid) + table3_steps:
+        _assert_kinks_read_as_all(f, g, q)
+        _assert_kinks_read_as_all(g, f, q)
+
+
+@st.composite
+def _discrete_function_pairs(draw):
+    n = draw(st.integers(1, 40))
+    space = DiscreteSpace(n)
+    q = draw(st.none() | st.lists(_WEIGHTS, min_size=n, max_size=n))
+    ref = None if q is None else ReferenceDistribution(space, np.array(q))
+    # with no reference, values whose parts pass 2**1000 too, which makes a
+    # side unsound, so that every block of it is read (against a tiny
+    # weight their keys would overflow)
+    kinds = _VALUES | st.floats(-4.0, 4.0)
+    if q is None:
+        kinds |= st.sampled_from([1e301, -1e301])
+    values = st.lists(kinds, min_size=n, max_size=n)
+    f, g = (SampledDistribution(space, np.array(draw(values))) for _ in "fg")
+    return f, g, ref
+
+
+def test_kinks_read_as_all_of_them_on_discrete_functions():
+    # ties, signed zeros, 1e-300 weights (zero-width runs) and values of
+    # 1e-17 and 1e-300 (blocks where both sides are flat), at every block
+    # size from 1 up to past the longest side, on sound sides and on sides
+    # that are not
+    kinds = ["tie", "signed_zero", "zero_width", "flat", "unsound", "one", "past"]
+    seen = dict.fromkeys(kinds, False)
+
+    @settings(max_examples=300)
+    @given(_discrete_function_pairs(), st.data())
+    def check(pair, data):
+        f, g, q = pair
+        four = (*curves(f, q), *curves(g, q))
+        longest = max(len(c.s) for c in four)
+        size = data.draw(st.integers(1, longest + 2))
+        for h in (f, g):
+            nonzero = h.values[h.values != 0]
+            seen["tie"] |= len(np.unique(nonzero)) < len(nonzero)
+            seen["signed_zero"] |= bool(np.signbit(h.values[h.values == 0]).any())
+        cut = [c._blocks(size, kinks=True) for c in four]
+        for c, blocks in zip(four, cut):
+            seen["zero_width"] |= bool((np.diff(c.s) == 0).any())
+            seen["unsound"] |= not blocks.sound
+        for i, j, first in _KINK_READINGS:
+            seen["flat"] |= bool(compare_module._Reading(cut[i], four[j], cut[j], first).done.any())
+        seen["one"] |= size == 1
+        seen["past"] |= size > longest
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compare_module, "BLOCK", size)
+            # the totals differ: eps_norm lets every pair through
+            _assert_kinks_read_as_all(f, g, q, eps_norm=1e305)
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_flat_kinks_stand_in_only_where_t_s_cannot_move_them(monkeypatch):
+    # keys of 1e-16 add too little mass to move L past 6.25 or 1.25, but t*s
+    # at them moves the shifted integrals, so those blocks must be read: at
+    # block size 3 the largest gap, 5.0 at f's key 2e-17, sits inside such a
+    # block, between two gaps an ulp below it
+    space = DiscreteSpace(8)
+    f = SampledDistribution(space, np.array([2.0, 2.0, 1.0, 1.0, 0.25, 1.5e-16, 1.5e-16, 2e-17]))
+    g = SampledDistribution(space, np.array([1.0, 0.25, 3e-16, 3e-16, 3e-16, 7e-17, 0.0, 0.0]))
+    for size in range(1, 11):
+        monkeypatch.setattr(compare_module, "BLOCK", size)
+        _assert_kinks_read_as_all(f, g, None, eps_norm=10.0)
 
 
 @pytest.mark.skipif(

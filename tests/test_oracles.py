@@ -1,4 +1,4 @@
-"""Verdicts pinned to a published phase-space majorization theorem.
+"""Verdicts pinned to theorems on phase-space majorization.
 
 F. Nicola and P. Tilli, "The Faber-Krahn inequality for the short-time
 Fourier transform", Invent. Math. 230, 1-30 (2022), prove that the Husimi
@@ -7,8 +7,17 @@ any set of measure s, and that coherent states reach the bound.  With
 hbar = 1/2 the vacuum's regular Husimi curve is therefore 1 - exp(-s / pi),
 and every regular Husimi curve lies below it: the vacuum majorizes the
 Husimi function of every state, and is equivalent to that of a coherent
-state.  These checks compare the engine with the theorem, not with its own
-past output.
+state.
+
+Data processing: a channel whose phase-space kernel is positive, keeps
+integrals and fixes q cannot raise order relative to q.  By statement 4,
+for every u >= 0, the integral of (Lf - uq)+ = (L(f - uq))+ is at most that
+of L((f - uq)+), which is that of (f - uq)+, and likewise for the negative
+parts, so f majorizes Lf relative to q.  Pure loss is such a channel for
+the vacuum: it rescales the Wigner function and smooths it with a Gaussian.
+
+These checks compare the engine with the theorems, not with its own past
+output.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 import pytest
 
 from qmaj import states
-from qmaj.compare import Outcome, compare
+from qmaj.compare import Outcome, compare, statement4_check
 from qmaj.rearrange import lorenz_curves
 
 compare_module = importlib.import_module("qmaj.compare")
@@ -57,7 +66,19 @@ def test_vacuum_husimi_curve_is_the_faber_krahn_bound(husimi_vacuum):
 def test_vacuum_majorizes_every_husimi_function(husimi_vacuum, half_grid, spec, outcome):
     husimi = states.render(spec, half_grid, rep=states.HUSIMI)
     assert compare(husimi_vacuum, husimi).outcome is outcome
+    # statement 4 holds forward, and backward only for the coherent state
+    flags = (True, outcome is Outcome.EQUIVALENT)
+    assert tuple(statement4_check(husimi_vacuum, husimi)) == flags
     # every curve is sound, so the verdict read only the blocks that can
     # decide it
     for curve in lorenz_curves(husimi_vacuum) + lorenz_curves(husimi):
         assert curve._blocks(compare_module.BLOCK).sound
+
+
+@pytest.mark.parametrize("n, eta", [(1, 0.3), (2, 0.5), (3, 0.7), (5, 0.9)])
+def test_loss_cannot_raise_order_relative_to_the_vacuum(half_grid, vacuum_ref, n, eta):
+    # gaps of 0.39 to 0.57, far above eps
+    fock = states.render(f"fock:{n}", half_grid)
+    lossy = states.render(f"lossy(eta={eta}, fock:{n})", half_grid)
+    assert compare(fock, lossy, vacuum_ref).outcome is Outcome.MAJORIZES
+    assert tuple(statement4_check(fock, lossy, vacuum_ref)) == (True, False)
