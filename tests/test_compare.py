@@ -513,8 +513,13 @@ def table3_steps(half_grid):
     return steps
 
 
-def test_own_breakpoints_read_as_the_merged_ones(fock, zoo, vacuum_ref, half_grid, table3_steps):
-    # every gap, both extremes and every witness, bitwise
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_own_breakpoints_read_as_the_merged_ones(
+    cpus, fock, zoo, vacuum_ref, half_grid, table3_steps, monkeypatch
+):
+    # every gap, both extremes and every witness, bitwise, with the worker
+    # thread allowed and inline
+    monkeypatch.setattr(rearrange, "_cpus", lambda: cpus)
     pairs = []
     for f, g, q in _criterion3_cases(fock, zoo, vacuum_ref, half_grid) + table3_steps:
         cf, cg = curves(f, q), curves(g, q)
